@@ -131,16 +131,9 @@ func BenchmarkPolicyAccess(b *testing.B) {
 // concurrent-qdlp.
 func BenchmarkThroughput(b *testing.B) {
 	const capacity, shards, keySpace = 1 << 15, 16, 1 << 16
-	mk := map[string]func() (concurrent.Cache, error){
-		"lru":   func() (concurrent.Cache, error) { return concurrent.NewLRU(capacity, shards) },
-		"clock": func() (concurrent.Cache, error) { return concurrent.NewClock(capacity, shards, 2) },
-		"qdlp":  func() (concurrent.Cache, error) { return concurrent.NewQDLP(capacity, shards) },
-		"sieve": func() (concurrent.Cache, error) { return concurrent.NewSieve(capacity, shards) },
-	}
-	for _, name := range []string{"lru", "clock", "qdlp", "sieve"} {
-		name := name
+	for _, name := range concurrent.Names() {
 		b.Run(name, func(b *testing.B) {
-			c, err := mk[name]()
+			c, err := concurrent.New(name, capacity, concurrent.WithShards(shards))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,24 +160,20 @@ func BenchmarkThroughput(b *testing.B) {
 // updates) from CLOCK (one atomic store).
 func BenchmarkHitPath(b *testing.B) {
 	const capacity, shards = 1 << 12, 16
-	lru, _ := concurrent.NewLRU(capacity, shards)
-	clock, _ := concurrent.NewClock(capacity, shards, 2)
-	qdlp, _ := concurrent.NewQDLP(capacity, shards)
-	sieve, _ := concurrent.NewSieve(capacity, shards)
-	for _, tc := range []struct {
-		name  string
-		cache concurrent.Cache
-	}{{"lru", lru}, {"clock", clock}, {"qdlp", qdlp}, {"sieve", sieve}} {
-		tc := tc
-		for k := uint64(0); k < 64; k++ {
-			tc.cache.Set(k, k)
-			tc.cache.Get(k) // QDLP: mark accessed so keys survive in small queue
+	for _, name := range concurrent.Names() {
+		c, err := concurrent.New(name, capacity, concurrent.WithShards(shards))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(tc.name, func(b *testing.B) {
+		for k := uint64(0); k < 64; k++ {
+			c.Set(k, k)
+			c.Get(k) // QDLP: mark accessed so keys survive in small queue
+		}
+		b.Run(name, func(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				k := uint64(0)
 				for pb.Next() {
-					tc.cache.Get(k & 63)
+					c.Get(k & 63)
 					k++
 				}
 			})

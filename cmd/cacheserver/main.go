@@ -55,8 +55,7 @@ func main() {
 		addr        = flag.String("addr", ":11211", "TCP listen address")
 		cache       = flag.String("cache", "qdlp", "eviction policy: "+strings.Join(concurrent.Names(), "|"))
 		maxBytesF   = flag.String("max-bytes", "", "cache capacity in bytes, human-readable (512mib, 4gib); mutually exclusive with -max-entries")
-		maxEntries  = flag.Int("max-entries", 0, "cache capacity in objects; mutually exclusive with -max-bytes")
-		capacity    = flag.Int("capacity", 1<<20, "deprecated alias for -max-entries")
+		maxEntries  = flag.Int("max-entries", 0, "cache capacity in objects; mutually exclusive with -max-bytes (default 1048576 when neither is given)")
 		shards      = flag.Int("shards", 64, "shard count (rounded up to a power of two)")
 		clockBits   = flag.Int("clock-bits", 0, "CLOCK counter bits for clock/qdlp (0 = policy default)")
 		maxConns    = flag.Int("max-conns", 1024, "max concurrent client connections")
@@ -139,37 +138,23 @@ func main() {
 			rec = obs.NewRecorder(*shards, *events/max(*shards, 1))
 			opts = append(opts, concurrent.WithRecorder(rec))
 		}
-		// Capacity flag resolution: -max-bytes and -max-entries are the
-		// surface; -capacity survives as a deprecated entry-count alias.
-		capacitySet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "capacity" {
-				capacitySet = true
-			}
-		})
-		capacityArg := 0
+		// Capacity: a byte budget or an object count, never both; with
+		// neither flag the server holds 2^20 objects.
 		switch {
+		case *maxBytesF != "" && *maxEntries != 0:
+			fatal("flag conflict", fmt.Errorf("-max-bytes is mutually exclusive with -max-entries"))
 		case *maxBytesF != "":
-			if capacitySet || *maxEntries != 0 {
-				fatal("flag conflict", fmt.Errorf("-max-bytes is mutually exclusive with -max-entries and -capacity"))
-			}
 			n, err := units.ParseBytes(*maxBytesF)
 			if err != nil {
 				fatal("bad -max-bytes", err)
 			}
 			opts = append(opts, concurrent.WithMaxBytes(n))
 		case *maxEntries != 0:
-			if capacitySet {
-				fatal("flag conflict", fmt.Errorf("-max-entries is mutually exclusive with -capacity (drop the deprecated flag)"))
-			}
 			opts = append(opts, concurrent.WithMaxEntries(*maxEntries))
 		default:
-			if capacitySet {
-				lg.Warn("flag -capacity is deprecated; use -max-entries (or -max-bytes for a byte budget)")
-			}
-			capacityArg = *capacity
+			opts = append(opts, concurrent.WithMaxEntries(1<<20))
 		}
-		inner, err := concurrent.New(*cache, capacityArg, opts...)
+		inner, err := concurrent.New(*cache, 0, opts...)
 		if err != nil {
 			fatal("cache construction failed", err)
 		}

@@ -34,10 +34,10 @@ func ExampleNewPolicy() {
 	// Output: arc 1000
 }
 
-// ExampleNewConcurrentQDLP shows the thread-safe cache with the
+// ExampleNewConcurrent shows the thread-safe QD-LP-FIFO cache with the
 // lock-free-on-hit read path.
-func ExampleNewConcurrentQDLP() {
-	cache, err := repro.NewConcurrentQDLP(1024, 4)
+func ExampleNewConcurrent() {
+	cache, err := repro.NewConcurrent("qdlp", 1024, repro.WithConcurrentShards(4))
 	if err != nil {
 		panic(err)
 	}

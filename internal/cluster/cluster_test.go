@@ -23,7 +23,7 @@ import (
 // still let Cleanup run.
 func startBackend(t *testing.T) (addr string, stop func()) {
 	t.Helper()
-	inner, err := concurrent.NewQDLP(8192, 8)
+	inner, err := concurrent.New("qdlp", 8192, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func allocKV(t testing.TB) *KV {
 	t.Helper()
-	inner, err := NewClock(4096, 4, 2)
+	inner, err := New("clock", 4096, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestKVSetAtMostOneAlloc(t *testing.T) {
 // data shard's read lock once per batch (and one counter update per shard)
 // instead of per key.
 func BenchmarkGetMulti(b *testing.B) {
-	inner, err := NewClock(4096, 4, 2)
+	inner, err := New("clock", 4096, WithShards(4))
 	if err != nil {
 		b.Fatal(err)
 	}

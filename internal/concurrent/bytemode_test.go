@@ -10,22 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Byte-capped construction and accounting: the WithMaxBytes side of the
-// New API, the used ≤ max invariant every byte policy must hold, and the
-// QDLP size-aware admission filter.
-
-func byteCaches(t *testing.T, maxBytes int64, shards int) []Cache {
-	t.Helper()
-	out := make([]Cache, 0, len(Names()))
-	for _, name := range Names() {
-		c, err := New(name, 0, WithMaxBytes(maxBytes), WithShards(shards))
-		if err != nil {
-			t.Fatalf("New(%q, WithMaxBytes(%d)): %v", name, maxBytes, err)
-		}
-		out = append(out, c)
-	}
-	return out
-}
+// What only a byte cap can express: mode selection at the New surface,
+// one large insert displacing many small objects, and QDLP's size-aware
+// admission filter. Assertions that hold in either unit run over both
+// modes from concurrent_test.go's eachMode table.
 
 // Capacity-mode selection and mutual exclusivity at the New surface.
 func TestNewCapacityModes(t *testing.T) {
@@ -48,12 +36,32 @@ func TestNewCapacityModes(t *testing.T) {
 			if c.Capacity() != 512 {
 				t.Errorf("WithMaxEntries Capacity = %d, want 512", c.Capacity())
 			}
-			legacy, err := New(name, 512)
+			if st := c.Stats(); st.MaxBytes != 0 {
+				t.Errorf("entry-capped MaxBytes = %d, want 0", st.MaxBytes)
+			}
+			positional, err := New(name, 512)
 			if err != nil {
 				t.Fatalf("positional capacity: %v", err)
 			}
-			if legacy.Capacity() != c.Capacity() {
-				t.Errorf("positional %d != WithMaxEntries %d", legacy.Capacity(), c.Capacity())
+			if positional.Capacity() != c.Capacity() {
+				t.Errorf("positional %d != WithMaxEntries %d", positional.Capacity(), c.Capacity())
+			}
+			// The smallest entry cap QDLP accepts, two objects per shard:
+			// unit-cost objects must never trip a size filter.
+			tiny, err := New(name, 0, WithMaxEntries(2*defaultShards))
+			if err != nil {
+				t.Fatalf("WithMaxEntries(2 x shards): %v", err)
+			}
+			tiny.SetEvictHook(func(key uint64, r obs.Reason) {
+				if r == obs.ReasonSizeAdmission {
+					t.Errorf("entry-capped cache refused key %d by size", key)
+				}
+			})
+			for k := uint64(0); k < 256; k++ {
+				tiny.Set(k, 1<<40)
+			}
+			if tiny.Len() == 0 {
+				t.Error("two-objects-per-shard cache admitted nothing")
 			}
 
 			for _, bad := range []struct {
@@ -67,59 +75,11 @@ func TestNewCapacityModes(t *testing.T) {
 				{"no capacity", 0, nil},
 				{"zero bytes", 0, []Option{WithMaxBytes(0)}},
 				{"zero entries", 0, []Option{WithMaxEntries(0)}},
+				{"admit fraction under an entry cap", 512, []Option{WithQDLPOptions(QDLPOptions{AdmitFrac: 0.5})}},
 			} {
 				if _, err := New(name, bad.cap, bad.opts...); err == nil {
 					t.Errorf("%s did not error", bad.desc)
 				}
-			}
-		})
-	}
-}
-
-// The invariant the whole redesign exists for: accounted bytes never
-// exceed the budget — not after any single insert, overwrite, or get, in
-// aggregate or per shard — under a seeded mixed-size workload.
-func TestByteModeUsedNeverExceedsMax(t *testing.T) {
-	const maxBytes = 1 << 16
-	for _, c := range byteCaches(t, maxBytes, 4) {
-		t.Run(c.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			check := func(step int) {
-				st := c.Stats()
-				if st.UsedBytes > st.MaxBytes {
-					t.Fatalf("step %d: used %d > max %d", step, st.UsedBytes, st.MaxBytes)
-				}
-				if st.UsedBytes < 0 {
-					t.Fatalf("step %d: negative used bytes %d", step, st.UsedBytes)
-				}
-			}
-			for i := 0; i < 4000; i++ {
-				key := uint64(rng.Intn(600))
-				if _, ok := c.Get(key); !ok {
-					// Costs span two orders of magnitude, some oversized.
-					cost := uint64(EntryOverhead + rng.Intn(4096))
-					if i%211 == 0 {
-						cost = maxBytes // larger than any shard budget: rejected
-					}
-					c.Set(key, cost)
-				}
-				if i%64 == 0 {
-					c.Delete(uint64(rng.Intn(600)))
-					check(i)
-				}
-			}
-			check(-1)
-			st := c.Stats()
-			if st.Evictions == 0 {
-				t.Error("no evictions under byte pressure")
-			}
-			for i, sh := range c.ShardStats() {
-				if sh.UsedBytes > sh.MaxBytes {
-					t.Errorf("shard %d: used %d > max %d", i, sh.UsedBytes, sh.MaxBytes)
-				}
-			}
-			if sum := sumSnapshots(c.ShardStats()); sum.MaxBytes != maxBytes {
-				t.Errorf("per-shard budgets sum to %d, want %d", sum.MaxBytes, maxBytes)
 			}
 		})
 	}
@@ -165,7 +125,7 @@ func TestByteModeLargeInsertEvictsMany(t *testing.T) {
 func TestByteQDLPSizeAwareAdmission(t *testing.T) {
 	// One shard, 10000 bytes: probation 1000, admission threshold 500
 	// (default AdmitFrac 0.5), main 9000.
-	c, err := NewByteQDLP(10000, 1, QDLPOptions{})
+	c, err := New("qdlp", 0, WithMaxBytes(10000), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}

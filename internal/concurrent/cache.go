@@ -15,15 +15,11 @@
 // paper's argument.
 package concurrent
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Cache is a fixed-capacity thread-safe key-value cache. Values are uint64
 // payloads (simulation stand-ins for object data; the KV adapter stores the
-// object size here).
+// object's accounted size here, which a byte-capped cache takes as its cost).
 type Cache interface {
 	// Get returns the cached value and whether it was present. Get is the
 	// hit path whose cost the paper's scalability argument is about.
@@ -35,7 +31,8 @@ type Cache interface {
 	Delete(key uint64) bool
 	// Len returns the total number of cached objects.
 	Len() int
-	// Capacity returns the configured capacity in objects.
+	// Capacity returns the configured capacity in objects, 0 for a
+	// byte-capped cache (whose budget Stats reports as MaxBytes).
 	Capacity() int
 	// Stats returns a point-in-time snapshot of the cache-wide operation
 	// counters and occupancy. It never takes the hit path's locks.
@@ -45,8 +42,9 @@ type Cache interface {
 	// dashboards.
 	ShardStats() []Snapshot
 	// SetEvictHook registers fn to be called with the key and reason of
-	// every object evicted for capacity (ReasonProbationOverflow,
-	// ReasonMainClock, or ReasonCapacity — never deletes). It must be
+	// every object evicted for capacity or refused admission
+	// (ReasonProbationOverflow, ReasonMainClock, ReasonCapacity, or
+	// ReasonSizeAdmission — never deletes). It must be
 	// called before the cache is shared between goroutines. fn runs while
 	// the victim's shard lock is held and must not call back into the
 	// cache.
@@ -80,23 +78,4 @@ func shardCount(requested int) int {
 		n <<= 1
 	}
 	return n
-}
-
-// splitCapacity divides capacity across shards exactly: every shard gets at
-// least one slot, the first capacity%shards shards get one extra, and the
-// per-shard capacities sum to capacity (so the aggregate never exceeds the
-// configured value).
-func splitCapacity(capacity, shards int) ([]int, error) {
-	if capacity < shards {
-		return nil, fmt.Errorf("concurrent: capacity %d below shard count %d", capacity, shards)
-	}
-	base, extra := capacity/shards, capacity%shards
-	per := make([]int, shards)
-	for i := range per {
-		per[i] = base
-		if i < extra {
-			per[i]++
-		}
-	}
-	return per, nil
 }

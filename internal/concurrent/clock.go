@@ -1,90 +1,56 @@
 package concurrent
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/dlist"
 	"repro/internal/obs"
 )
 
 // Clock is a sharded thread-safe k-bit CLOCK (FIFO-Reinsertion) cache.
-// Each shard stores entries in a fixed ring; the hit path takes only the
-// shard's shared (read) lock and performs one atomic counter store —
-// FIFO-Reinsertion "only needs to update a Boolean field upon the first
-// request to a cached object without locking" (§3). Misses take the
-// exclusive lock and advance the clock hand.
+// The hit path takes only the shard's shared (read) lock and performs one
+// atomic counter store — FIFO-Reinsertion "only needs to update a Boolean
+// field upon the first request to a cached object without locking" (§3).
+// Misses take the exclusive lock and pop the FIFO tail, reinserting
+// recently referenced objects at the head with a decremented counter,
+// until the shard's budget fits the new object.
 type Clock struct {
+	base
 	shards  []clockShard
-	mask    uint64
-	cap     int
 	maxFreq uint32
-	onEvict func(uint64, obs.Reason)
-	rec     *obs.Recorder
 }
 
 type clockShard struct {
 	mu    sync.RWMutex
-	byKey map[uint64]int // key → slot index
-	slots []clockSlot
-	hand  int
-	used  int
-	stats opStats
+	queue // front = newest / reinserted
 	_     [24]byte
 }
 
-type clockSlot struct {
-	key   uint64
-	value uint64
-	freq  atomic.Uint32
-	live  bool
-}
-
-// NewClock returns a sharded CLOCK cache with the given total capacity and
-// counter width in bits (1 = FIFO-Reinsertion, 2 = the paper's 2-bit
-// CLOCK).
-func NewClock(capacity, shards, bits int) (*Clock, error) {
-	n := shardCount(shards)
-	per, err := splitCapacity(capacity, n)
+func newClock(cfg config) (Cache, error) {
+	if err := rejectOptions("clock", cfg, true, false); err != nil {
+		return nil, err
+	}
+	b, per, err := newBase("concurrent-clock", cfg, cfg.minShard)
 	if err != nil {
 		return nil, err
 	}
-	if bits < 1 || bits > 6 {
-		return nil, fmt.Errorf("concurrent: clock bits %d outside [1, 6]", bits)
-	}
-	c := &Clock{
-		shards:  make([]clockShard, n),
-		mask:    uint64(n - 1),
-		cap:     capacity,
-		maxFreq: uint32(1<<bits - 1),
-	}
+	c := &Clock{base: b, shards: make([]clockShard, len(per)), maxFreq: uint32(1<<cfg.clockBits - 1)}
 	for i := range c.shards {
-		c.shards[i].byKey = make(map[uint64]int, per[i])
-		c.shards[i].slots = make([]clockSlot, per[i])
+		c.shards[i].queue = newQueue(per[i])
 	}
 	return c, nil
 }
 
-// Name implements Cache.
-func (c *Clock) Name() string { return "concurrent-clock" }
-
-// Capacity implements Cache.
-func (c *Clock) Capacity() int { return c.cap }
-
-// Len implements Cache.
-func (c *Clock) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		total += s.used
-		s.mu.RUnlock()
-	}
-	return total
-}
-
 func (c *Clock) shard(key uint64) *clockShard {
 	return &c.shards[hash(key)&c.mask]
+}
+
+// touch is the lazy promotion: one counter store, no queue movement. The
+// race between concurrent readers is benign — the counter is a hint.
+func touch(n *node, maxFreq uint32) {
+	if f := n.Value.freq.Load(); f < maxFreq {
+		n.Value.freq.Store(f + 1)
+	}
 }
 
 // Get implements Cache: shared lock + one atomic store. No pointer
@@ -92,78 +58,80 @@ func (c *Clock) shard(key uint64) *clockShard {
 func (c *Clock) Get(key uint64) (uint64, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
-	idx, ok := s.byKey[key]
+	n, ok := s.byKey[key]
 	if !ok {
 		s.mu.RUnlock()
 		s.stats.misses.Add(1)
 		return 0, false
 	}
-	slot := &s.slots[idx]
-	v := slot.value
-	if f := slot.freq.Load(); f < c.maxFreq {
-		slot.freq.Store(f + 1) // benign race: counter is a hint
-	}
+	v := n.Value.value
+	touch(n, c.maxFreq)
 	s.mu.RUnlock()
 	s.stats.hits.Add(1)
 	return v, true
 }
 
-// Set implements Cache. Misses take the exclusive lock; eviction advances
-// the clock hand, decrementing counters and reclaiming the first
-// zero-counter slot.
+// Set implements Cache.
 func (c *Clock) Set(key, value uint64) {
+	cost := c.cost(value)
 	s := c.shard(key)
 	s.stats.sets.Add(1)
 	s.mu.Lock()
-	if idx, ok := s.byKey[key]; ok {
-		slot := &s.slots[idx]
-		s.stats.usedBytes.Add(int64(value) - int64(slot.value))
-		slot.value = value
-		if f := slot.freq.Load(); f < c.maxFreq {
-			slot.freq.Store(f + 1)
+	defer s.mu.Unlock()
+	n, resident := s.byKey[key]
+	switch {
+	case resident && cost > s.max:
+		s.drop(&c.base, n, obs.ReasonSizeAdmission)
+	case resident:
+		s.overwrite(&c.base, n, value)
+		touch(n, c.maxFreq)
+		for s.used > s.max {
+			s.evictOne(c)
 		}
-		s.mu.Unlock()
-		return
-	}
-	idx := s.reclaim(c)
-	slot := &s.slots[idx]
-	if slot.live {
-		delete(s.byKey, slot.key)
-		s.stats.usedBytes.Add(-int64(slot.value))
-		s.stats.evictions.Add(1)
-		c.rec.Record(obs.Event{Key: slot.key, Kind: obs.EvEvict, Reason: obs.ReasonMainClock})
-		if c.onEvict != nil {
-			c.onEvict(slot.key, obs.ReasonMainClock)
+	case cost > s.max:
+		c.evicted(&s.stats, key, obs.EvEvict, obs.ReasonSizeAdmission)
+	default:
+		for s.used+cost > s.max {
+			s.evictOne(c)
 		}
-	} else {
-		slot.live = true
-		s.used++
+		s.insert(&c.base, key, value, cost)
 	}
-	slot.key = key
-	slot.value = value
-	slot.freq.Store(0)
-	s.byKey[key] = idx
-	s.stats.usedBytes.Add(int64(value))
-	c.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
-	s.mu.Unlock()
 }
 
-// Delete implements Cache: the slot becomes a hole the reclaim scan reuses.
+// sweep rotates a CLOCK queue until its tail is evictable: referenced
+// objects are reinserted at the head with a decremented counter (each pass
+// is a lazy-promotion decision, recorded with the counter that earned it).
+// Terminates because every reinsertion decrements a positive counter.
+// Caller holds the exclusive lock and guarantees the list is non-empty.
+func sweep(l *dlist.List[entry], rec *obs.Recorder) {
+	for {
+		tail := l.Back()
+		f := tail.Value.freq.Load()
+		if f == 0 {
+			return
+		}
+		tail.Value.freq.Store(f - 1)
+		rec.Record(obs.Event{Key: tail.Value.key, Kind: obs.EvPromote, Freq: uint8(f)})
+		l.MoveToFront(tail)
+	}
+}
+
+// evictOne evicts the first zero-counter object the sweep reaches.
+func (s *clockShard) evictOne(c *Clock) {
+	sweep(&s.list, c.rec)
+	s.drop(&c.base, s.list.Back(), obs.ReasonMainClock)
+}
+
+// Delete implements Cache.
 func (c *Clock) Delete(key uint64) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx, ok := s.byKey[key]
-	if !ok {
-		return false
-	}
-	delete(s.byKey, key)
-	s.slots[idx].live = false
-	s.used--
-	s.stats.usedBytes.Add(-int64(s.slots[idx].value))
-	s.stats.deletes.Add(1)
-	return true
+	return s.delete(&c.base, key)
 }
+
+// Len implements Cache.
+func (c *Clock) Len() int { return c.Stats().Len }
 
 // Stats implements Cache.
 func (c *Clock) Stats() Snapshot { return sumSnapshots(c.ShardStats()) }
@@ -174,45 +142,9 @@ func (c *Clock) ShardStats() []Snapshot {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		n := s.used
+		n := s.list.Len()
 		s.mu.RUnlock()
-		out[i] = s.stats.snapshot(n, len(s.slots), 0)
+		out[i] = c.snapshot(&s.stats, n, s.max)
 	}
 	return out
-}
-
-// SetEvictHook implements Cache.
-func (c *Clock) SetEvictHook(fn func(uint64, obs.Reason)) { c.onEvict = fn }
-
-// SetRecorder implements Cache.
-func (c *Clock) SetRecorder(rec *obs.Recorder) { c.rec = rec }
-
-// reclaim returns the slot index to (re)use, advancing the hand past
-// recently referenced slots. Caller holds the exclusive lock. Each skipped
-// referenced slot is a lazy-promotion decision and is recorded as such,
-// with the counter value that earned the reinsertion.
-func (s *clockShard) reclaim(c *Clock) int {
-	if s.used < len(s.slots) {
-		// Fill empty slots first (they are contiguous from the start only
-		// on a fresh cache, so scan from the hand).
-		for i := 0; i < len(s.slots); i++ {
-			idx := (s.hand + i) % len(s.slots)
-			if !s.slots[idx].live {
-				s.hand = (idx + 1) % len(s.slots)
-				return idx
-			}
-		}
-	}
-	for {
-		slot := &s.slots[s.hand]
-		if f := slot.freq.Load(); f > 0 {
-			slot.freq.Store(f - 1)
-			c.rec.Record(obs.Event{Key: slot.key, Kind: obs.EvPromote, Freq: uint8(f)})
-			s.hand = (s.hand + 1) % len(s.slots)
-			continue
-		}
-		idx := s.hand
-		s.hand = (s.hand + 1) % len(s.slots)
-		return idx
-	}
 }

@@ -56,8 +56,7 @@ func TestDigestLengthPaths(t *testing.T) {
 	}
 }
 
-// The old FNV digest and the wide digest must both spread a realistic key
-// population over shards without gross skew (the shard mask uses a mixed
+// The digest must spread a realistic key population over shards without gross skew (the shard mask uses a mixed
 // digest, so this is a sanity floor, not a statistical test).
 func TestDigestShardSpread(t *testing.T) {
 	const shards, keys = 16, 16000
@@ -86,7 +85,7 @@ func FuzzDigestCollisionServedAsMiss(f *testing.F) {
 		if len(a) == 0 || len(b) == 0 || bytes.Equal(a, b) {
 			t.Skip()
 		}
-		inner, err := NewClock(256, 2, 2)
+		inner, err := New("clock", 256, WithShards(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,33 +110,22 @@ func FuzzDigestCollisionServedAsMiss(f *testing.F) {
 	})
 }
 
-// BenchmarkDigest compares the retired byte-at-a-time FNV-1a loop against
-// the wide 8-bytes-per-round digest across representative key lengths.
+// BenchmarkDigest prices the digest across representative key lengths.
 func BenchmarkDigest(b *testing.B) {
-	sizes := []int{8, 16, 32, 64, 250, 1024}
-	impls := []struct {
-		name string
-		fn   func([]byte) uint64
-	}{
-		{"fnv", digestFNV},
-		{"wide", Digest},
-	}
-	for _, impl := range impls {
-		for _, n := range sizes {
-			key := make([]byte, n)
-			for i := range key {
-				key[i] = byte(i)
-			}
-			b.Run(fmt.Sprintf("%s/%db", impl.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(n))
-				var sink uint64
-				for i := 0; i < b.N; i++ {
-					sink += impl.fn(key)
-				}
-				benchSink = sink
-			})
+	for _, n := range []int{8, 16, 32, 64, 250, 1024} {
+		key := make([]byte, n)
+		for i := range key {
+			key[i] = byte(i)
 		}
+		b.Run(fmt.Sprintf("%db", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += Digest(key)
+			}
+			benchSink = sink
+		})
 	}
 }
 

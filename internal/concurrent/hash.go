@@ -6,11 +6,10 @@ import (
 )
 
 // Digest hashes a full cache key to the 64-bit id the inner caches operate
-// on. It is xxHash64 (seed 0): allocation-free, processes 8 bytes per
-// round (four interleaved lanes on long inputs), and replaces the previous
-// byte-at-a-time FNV-1a loop, which cost one multiply per byte. The server
-// computes the digest once at parse time and threads it through
-// KV → inner cache, so no layer hashes a key twice.
+// on. It is xxHash64 (seed 0): allocation-free, processing 8 bytes per
+// round (four interleaved lanes on long inputs). The server computes the
+// digest once at parse time and threads it through KV → inner cache, so
+// no layer hashes a key twice.
 //
 // The digest doubles as the data-plane map key, so distinct keys that
 // collide are detected by full-key comparison in KV and served as misses
@@ -83,16 +82,4 @@ func xxRound(acc, input uint64) uint64 {
 func xxMergeRound(acc, val uint64) uint64 {
 	acc ^= xxRound(0, val)
 	return acc*xxPrime1 + xxPrime4
-}
-
-// digestFNV is the previous digest (FNV-1a, one multiply per byte). It is
-// retained as the baseline BenchmarkDigest compares Digest against, so the
-// wide-hash speedup stays visible in `go test -bench`.
-func digestFNV(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

@@ -156,7 +156,7 @@ func TestKVWheelMatchesLazyExpiry(t *testing.T) {
 // disarms the wheel node — neither leaves a stale timer that could fire
 // for the key's next incarnation.
 func TestKVOverwriteAndDeleteDisarmTTL(t *testing.T) {
-	inner, err := NewClock(1024, 2, 2)
+	inner, err := New("clock", 1024, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestKVOverwriteAndDeleteDisarmTTL(t *testing.T) {
 // and ExpireDigest record EvExpire, Delete records EvDelete; only the
 // wheel's reclaims count into Snapshot.Expired.
 func TestKVExpireEventKinds(t *testing.T) {
-	inner, err := NewClock(1024, 1, 2)
+	inner, err := New("clock", 1024, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestKVExpireEventKinds(t *testing.T) {
 // The background ticker reclaims an already-due entry within a couple of
 // real ticks, and its stop function is idempotent.
 func TestKVStartExpiry(t *testing.T) {
-	inner, err := NewClock(1024, 1, 2)
+	inner, err := New("clock", 1024, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestKVStartExpiry(t *testing.T) {
 // -race in tier 1; the assertions are the usual invariants (no negative
 // accounting, planes agree at quiescence).
 func TestKVTTLConcurrentHammer(t *testing.T) {
-	inner, err := NewClock(1<<12, 4, 2)
+	inner, err := New("clock", 1<<12, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,66 +3,38 @@ package concurrent
 import (
 	"sync"
 
-	"repro/internal/dlist"
 	"repro/internal/obs"
 )
 
 // LRU is a sharded thread-safe LRU cache. Every hit takes the shard's
 // exclusive lock to splice the entry to the head of the recency list — the
 // six-pointer update the paper identifies as LRU's scalability bottleneck.
+// Set evicts from the cold tail until the shard's budget fits the new
+// object, so under a byte cap one large object displaces many small ones.
 type LRU struct {
-	shards  []lruShard
-	mask    uint64
-	cap     int
-	onEvict func(uint64, obs.Reason)
-	rec     *obs.Recorder
+	base
+	shards []lruShard
 }
 
 type lruShard struct {
 	mu    sync.Mutex
-	cap   int
-	byKey map[uint64]*dlist.Node[lruEntry]
-	list  dlist.List[lruEntry] // front = MRU
-	stats opStats
+	queue          // front = MRU
 	_     [24]byte // pad to limit false sharing between shards
 }
 
-type lruEntry struct {
-	key   uint64
-	value uint64
-}
-
-// NewLRU returns a sharded LRU cache with the given total capacity.
-func NewLRU(capacity, shards int) (*LRU, error) {
-	n := shardCount(shards)
-	per, err := splitCapacity(capacity, n)
+func newLRU(cfg config) (Cache, error) {
+	if err := rejectOptions("lru", cfg, false, false); err != nil {
+		return nil, err
+	}
+	b, per, err := newBase("concurrent-lru", cfg, cfg.minShard)
 	if err != nil {
 		return nil, err
 	}
-	c := &LRU{shards: make([]lruShard, n), mask: uint64(n - 1), cap: capacity}
+	c := &LRU{base: b, shards: make([]lruShard, len(per))}
 	for i := range c.shards {
-		c.shards[i].cap = per[i]
-		c.shards[i].byKey = make(map[uint64]*dlist.Node[lruEntry], per[i])
+		c.shards[i].queue = newQueue(per[i])
 	}
 	return c, nil
-}
-
-// Name implements Cache.
-func (c *LRU) Name() string { return "concurrent-lru" }
-
-// Capacity implements Cache.
-func (c *LRU) Capacity() int { return c.cap }
-
-// Len implements Cache.
-func (c *LRU) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.list.Len()
-		s.mu.Unlock()
-	}
-	return total
 }
 
 func (c *LRU) shard(key uint64) *lruShard {
@@ -86,33 +58,33 @@ func (c *LRU) Get(key uint64) (uint64, bool) {
 	return v, true
 }
 
-// Set implements Cache.
+// Set implements Cache. An object that cannot fit the shard's budget at
+// all is refused: the eviction hook fires immediately so the data plane
+// reclaims its bytes.
 func (c *LRU) Set(key, value uint64) {
+	cost := c.cost(value)
 	s := c.shard(key)
 	s.stats.sets.Add(1)
 	s.mu.Lock()
-	if n, ok := s.byKey[key]; ok {
-		s.stats.usedBytes.Add(int64(value) - int64(n.Value.value))
-		n.Value.value = value
+	defer s.mu.Unlock()
+	n, resident := s.byKey[key]
+	switch {
+	case resident && cost > s.max:
+		s.drop(&c.base, n, obs.ReasonSizeAdmission)
+	case resident:
+		s.overwrite(&c.base, n, value)
 		s.list.MoveToFront(n)
-		s.mu.Unlock()
-		return
-	}
-	if s.list.Len() >= s.cap {
-		victim := s.list.Back()
-		delete(s.byKey, victim.Value.key)
-		s.list.Remove(victim)
-		s.stats.usedBytes.Add(-int64(victim.Value.value))
-		s.stats.evictions.Add(1)
-		c.rec.Record(obs.Event{Key: victim.Value.key, Kind: obs.EvEvict, Reason: obs.ReasonCapacity})
-		if c.onEvict != nil {
-			c.onEvict(victim.Value.key, obs.ReasonCapacity)
+		for s.used > s.max {
+			s.drop(&c.base, s.list.Back(), obs.ReasonCapacity)
 		}
+	case cost > s.max:
+		c.evicted(&s.stats, key, obs.EvEvict, obs.ReasonSizeAdmission)
+	default:
+		for s.used+cost > s.max {
+			s.drop(&c.base, s.list.Back(), obs.ReasonCapacity)
+		}
+		s.insert(&c.base, key, value, cost)
 	}
-	s.byKey[key] = s.list.PushFront(lruEntry{key: key, value: value})
-	s.stats.usedBytes.Add(int64(value))
-	c.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
-	s.mu.Unlock()
 }
 
 // Delete implements Cache.
@@ -120,16 +92,11 @@ func (c *LRU) Delete(key uint64) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, ok := s.byKey[key]
-	if !ok {
-		return false
-	}
-	delete(s.byKey, key)
-	s.list.Remove(n)
-	s.stats.usedBytes.Add(-int64(n.Value.value))
-	s.stats.deletes.Add(1)
-	return true
+	return s.delete(&c.base, key)
 }
+
+// Len implements Cache.
+func (c *LRU) Len() int { return c.Stats().Len }
 
 // Stats implements Cache.
 func (c *LRU) Stats() Snapshot { return sumSnapshots(c.ShardStats()) }
@@ -142,15 +109,7 @@ func (c *LRU) ShardStats() []Snapshot {
 		s.mu.Lock()
 		n := s.list.Len()
 		s.mu.Unlock()
-		out[i] = s.stats.snapshot(n, s.cap, 0)
+		out[i] = c.snapshot(&s.stats, n, s.max)
 	}
 	return out
 }
-
-// SetEvictHook implements Cache.
-func (c *LRU) SetEvictHook(fn func(uint64, obs.Reason)) { c.onEvict = fn }
-
-// SetRecorder implements Cache. LRU emits admit and evict events only: its
-// promotions happen on every hit, and recording per-hit events would slow
-// the very hit path the recorder exists to observe.
-func (c *LRU) SetRecorder(rec *obs.Recorder) { c.rec = rec }

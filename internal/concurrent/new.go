@@ -13,15 +13,24 @@ import (
 // reject options that do not apply to its policy instead of silently
 // ignoring them — a misconfigured benchmark is worse than a loud error.
 type config struct {
-	shards        int
-	clockBits     int
-	clockBitsSet  bool
-	qdlp          QDLPOptions
-	qdlpSet       bool
-	recorder      *obs.Recorder
-	maxBytes      int64
-	maxEntries    int
-	maxEntriesSet bool
+	shards       int
+	clockBits    int
+	clockBitsSet bool
+	qdlp         QDLPOptions
+	qdlpSet      bool
+	recorder     *obs.Recorder
+	maxBytes     int64
+	maxEntries   int
+
+	// The capacity mode, resolved by New from the options above: the
+	// budget in cost units, whether those units are accounted bytes, and
+	// the smallest budgets a shard and a region within it may be given
+	// (one object; under a byte cap no object is cheaper than
+	// EntryOverhead and a small one costs about twice that).
+	max       int64
+	byBytes   bool
+	minShard  int64
+	minRegion int64
 }
 
 const defaultShards = 16
@@ -48,7 +57,7 @@ func WithShards(n int) Option {
 
 // WithClockBits sets the CLOCK counter width in bits, 1–6 (1 =
 // FIFO-Reinsertion, 2 = the paper's choice). It applies to the clock policy
-// (the ring's counters) and to qdlp (the main ring's counters).
+// (the queue's counters) and to qdlp (the main region's counters).
 func WithClockBits(bits int) Option {
 	return func(c *config) error {
 		if bits < 1 || bits > 6 {
@@ -62,7 +71,8 @@ func WithClockBits(bits int) Option {
 }
 
 // WithQDLPOptions sets the QD-LP-FIFO parameters (probation share, ghost
-// factor, main-ring CLOCK bits). It applies only to the qdlp policy.
+// factor, main-region CLOCK bits, size-aware admission). It applies only to
+// the qdlp policy.
 func WithQDLPOptions(opts QDLPOptions) Option {
 	return func(c *config) error {
 		if c.clockBitsSet && opts.ClockBits == 0 {
@@ -74,11 +84,11 @@ func WithQDLPOptions(opts QDLPOptions) Option {
 	}
 }
 
-// WithMaxBytes caps the cache by accounted bytes instead of object count
-// (cost = len(key)+len(value)+EntryOverhead per object when driven by
-// the KV adapter; see EntryCost). It applies to every policy, selecting
-// the policy's byte-capped implementation, and is mutually exclusive
-// with WithMaxEntries and with a nonzero positional capacity.
+// WithMaxBytes caps the cache by accounted bytes instead of object count:
+// every Set's value is taken as the object's cost in bytes
+// (len(key)+len(value)+EntryOverhead when driven by the KV adapter; see
+// EntryCost). It applies to every policy and is mutually exclusive with
+// WithMaxEntries and with a nonzero positional capacity.
 func WithMaxBytes(n int64) Option {
 	return func(c *config) error {
 		if n <= 0 {
@@ -89,17 +99,15 @@ func WithMaxBytes(n int64) Option {
 	}
 }
 
-// WithMaxEntries caps the cache by object count — the named form of the
-// positional capacity argument, which remains as a deprecated alias.
-// Mutually exclusive with WithMaxBytes and with a nonzero positional
-// capacity.
+// WithMaxEntries caps the cache by object count: every object costs one
+// unit whatever its value. It is the named form of New's positional
+// capacity argument, and mutually exclusive with it and with WithMaxBytes.
 func WithMaxEntries(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {
 			return fmt.Errorf("concurrent: max entries %d must be positive", n)
 		}
 		c.maxEntries = n
-		c.maxEntriesSet = true
 		return nil
 	}
 }
@@ -115,7 +123,7 @@ func WithRecorder(rec *obs.Recorder) Option {
 }
 
 // Factory constructs one policy's cache from the validated option set.
-type Factory func(capacity int, cfg config) (Cache, error)
+type Factory func(cfg config) (Cache, error)
 
 var (
 	regMu     sync.RWMutex
@@ -154,9 +162,9 @@ func Names() []string {
 //	c, err := concurrent.New("qdlp", 0, concurrent.WithMaxBytes(512<<20))
 //	c, err := concurrent.New("qdlp", 0, concurrent.WithMaxEntries(1<<20))
 //
-// The capacity argument is a deprecated positional alias for
-// WithMaxEntries: exactly one of {nonzero capacity, WithMaxEntries,
-// WithMaxBytes} must be given.
+// The capacity argument is the positional spelling of WithMaxEntries, kept
+// for call sites that size a cache by a plain count: exactly one of
+// {nonzero capacity, WithMaxEntries, WithMaxBytes} must be given.
 func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
@@ -165,15 +173,17 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 		}
 	}
 	switch {
-	case cfg.maxBytes > 0 && cfg.maxEntriesSet:
+	case cfg.maxBytes > 0 && cfg.maxEntries > 0:
 		return nil, fmt.Errorf("concurrent: WithMaxBytes and WithMaxEntries are mutually exclusive")
 	case cfg.maxBytes > 0 && capacity != 0:
 		return nil, fmt.Errorf("concurrent: WithMaxBytes conflicts with the positional (entry) capacity %d", capacity)
-	case cfg.maxEntriesSet && capacity != 0:
+	case cfg.maxEntries > 0 && capacity != 0:
 		return nil, fmt.Errorf("concurrent: WithMaxEntries conflicts with the positional capacity %d (drop one)", capacity)
-	case cfg.maxEntriesSet:
-		capacity = cfg.maxEntries
-	case cfg.maxBytes == 0 && capacity <= 0:
+	case cfg.maxBytes > 0:
+		cfg.max, cfg.byBytes, cfg.minShard, cfg.minRegion = cfg.maxBytes, true, minShardBytes, EntryOverhead
+	case cfg.maxEntries > 0 || capacity > 0:
+		cfg.max, cfg.minShard, cfg.minRegion = int64(max(cfg.maxEntries, capacity)), 1, 1
+	default:
 		return nil, fmt.Errorf("concurrent: capacity must be set via WithMaxBytes, WithMaxEntries, or the positional argument")
 	}
 	regMu.RLock()
@@ -182,7 +192,7 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	if !ok {
 		return nil, fmt.Errorf("concurrent: unknown cache policy %q (known: %v)", policy, Names())
 	}
-	c, err := f(capacity, cfg)
+	c, err := f(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -204,40 +214,8 @@ func rejectOptions(policy string, cfg config, clockBits, qdlp bool) error {
 }
 
 func init() {
-	Register("lru", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("lru", cfg, false, false); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteLRU(cfg.maxBytes, cfg.shards)
-		}
-		return NewLRU(capacity, cfg.shards)
-	})
-	Register("clock", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("clock", cfg, true, false); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteClock(cfg.maxBytes, cfg.shards, cfg.clockBits)
-		}
-		return NewClock(capacity, cfg.shards, cfg.clockBits)
-	})
-	Register("sieve", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("sieve", cfg, false, false); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteSieve(cfg.maxBytes, cfg.shards)
-		}
-		return NewSieve(capacity, cfg.shards)
-	})
-	Register("qdlp", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("qdlp", cfg, true, true); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteQDLP(cfg.maxBytes, cfg.shards, cfg.qdlp)
-		}
-		return NewQDLPWithOptions(capacity, cfg.shards, cfg.qdlp)
-	})
+	Register("lru", newLRU)
+	Register("clock", newClock)
+	Register("sieve", newSieve)
+	Register("qdlp", newQDLP)
 }

@@ -56,7 +56,7 @@ func TestNewOptionMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			capacity := 40 // deliberately small so WithShards(64) trips splitCapacity
+			capacity := 40 // deliberately small so WithShards(64) trips the per-shard minimum
 			c, err := New(tc.policy, capacity, tc.opts...)
 			if tc.wantErr == "" {
 				if err != nil {
@@ -77,7 +77,7 @@ func TestNewOptionMatrix(t *testing.T) {
 	}
 }
 
-// WithClockBits must actually reach the ring: with 1-bit counters a slot's
+// WithClockBits must actually reach the queue: with 1-bit counters an object's
 // frequency saturates at 1, with 6 bits at 63.
 func TestWithClockBitsApplied(t *testing.T) {
 	for _, tc := range []struct {
@@ -115,5 +115,5 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Register("lru", func(capacity int, cfg config) (Cache, error) { return nil, nil })
+	Register("lru", func(cfg config) (Cache, error) { return nil, nil })
 }

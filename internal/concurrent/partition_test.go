@@ -51,7 +51,7 @@ func TestPartitionShards(t *testing.T) {
 // The topology surface must agree with the KV's own shard mapping: every
 // digest's DataShardIndex is in range and stable.
 func TestKVShardTopology(t *testing.T) {
-	inner, err := NewQDLP(1024, 4)
+	inner, err := New("qdlp", 1024, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

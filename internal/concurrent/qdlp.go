@@ -3,61 +3,45 @@ package concurrent
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// QDLP is a sharded thread-safe QD-LP-FIFO cache: a small probationary
-// FIFO ring, a 2-bit CLOCK main ring, and a metadata-only ghost FIFO per
-// shard. Hits perform at most one atomic counter store under a shared
-// lock — "at most one metadata update on a cache hit and no locking for
-// any cache operation" (§4) — while misses take the exclusive lock.
+// QDLP is a sharded thread-safe QD-LP-FIFO cache: a probationary FIFO
+// holding a configurable fraction of each shard's budget, a CLOCK main
+// region holding the rest, and a metadata-only ghost. Hits perform at most
+// one atomic counter store under a shared lock — "at most one metadata
+// update on a cache hit and no locking for any cache operation" (§4) —
+// while misses take the exclusive lock.
+//
+// A byte cap adds one policy decision an entry cap cannot express:
+// size-aware admission. A first-touch object costing more than AdmitFrac
+// of the probation budget is never admitted — it goes straight to the
+// ghost (quick demotion applied to bytes), so one giant one-hit object
+// cannot flush many small hot ones; a second touch while ghosted earns it
+// a main-region slot like any other quick-demotion mistake.
 type QDLP struct {
-	shards  []qdShard
-	mask    uint64
-	cap     int
-	maxFreq uint32
-	onEvict func(uint64, obs.Reason)
-	rec     *obs.Recorder
-}
-
-const (
-	locSmall uint8 = iota
-	locMain
-)
-
-type qdLoc struct {
-	where uint8
-	idx   int32
-}
-
-type qdSlot struct {
-	key   uint64
-	value uint64
-	freq  atomic.Uint32
-	live  bool
+	base
+	shards   []qdShard
+	maxFreq  uint32
+	ghostFac float64
 }
 
 type qdShard struct {
 	mu    sync.RWMutex
-	byKey map[uint64]qdLoc
+	byKey map[uint64]*node
 
-	small      []qdSlot // circular FIFO: head = oldest
-	smallHead  int
-	smallCount int // occupied ring slots, including Delete tombstones
-	smallLive  int // live (cached) objects among the occupied slots
-
-	main     []qdSlot // CLOCK ring
-	mainHand int
-	mainUsed int
+	small    region // probationary FIFO
+	admitMax int64  // size-aware admission threshold (AdmitFrac × small.max)
+	main     region // CLOCK: front = newest / reinserted
 
 	ghost     map[uint64]struct{}
-	ghostRing []uint64
+	ghostQ    []uint64 // FIFO with tombstones; ghostHead indexes the oldest
 	ghostHead int
-	ghostLen  int
-	stats     opStats
-	_         [24]byte
+	ghostMin  int // floor of the ghost's bound, see ghostAdd
+
+	stats opStats
+	_     [24]byte
 }
 
 // QDLPOptions tunes the thread-safe QD-LP-FIFO. Zero values select the
@@ -66,10 +50,11 @@ type QDLPOptions struct {
 	// ProbationFrac is the probationary FIFO's share of each shard,
 	// in (0, 1). 0 selects the paper's 10%.
 	ProbationFrac float64
-	// GhostFactor scales ghost entries relative to the main ring size.
-	// 0 selects the paper's 1.0 (ghost remembers one main ring's worth).
+	// GhostFactor scales ghost entries relative to the main region's
+	// object count. 0 selects the paper's 1.0 (the ghost remembers one
+	// main region's worth).
 	GhostFactor float64
-	// ClockBits is the main ring's counter width in bits, 1–6
+	// ClockBits is the main region's counter width in bits, 1–6
 	// (1 = FIFO-Reinsertion). 0 selects the paper's 2.
 	ClockBits int
 	// AdmitFrac is the size-aware admission threshold for byte-capped
@@ -81,18 +66,15 @@ type QDLPOptions struct {
 	AdmitFrac float64
 }
 
-// NewQDLP returns a sharded QD-LP-FIFO cache with the paper's sizing: the
-// probationary FIFO gets 10% of each shard, the CLOCK main cache the rest,
-// and the ghost remembers as many keys as the main ring holds objects. The
-// per-shard capacities sum exactly to capacity, which must be at least two
-// objects per shard (each shard needs a probationary and a main slot).
-func NewQDLP(capacity, shards int) (*QDLP, error) {
-	return NewQDLPWithOptions(capacity, shards, QDLPOptions{})
-}
-
-// NewQDLPWithOptions is NewQDLP with explicit probation, ghost, and CLOCK
-// parameters (the ablation knobs of §4).
-func NewQDLPWithOptions(capacity, shards int, opts QDLPOptions) (*QDLP, error) {
+// newQDLP builds the cache with the paper's sizing unless the options say
+// otherwise: probation gets 10% of each shard, the CLOCK main region the
+// rest, and the ghost remembers as many keys as the main region holds
+// objects. Each shard needs room for both regions.
+func newQDLP(cfg config) (Cache, error) {
+	if err := rejectOptions("qdlp", cfg, true, true); err != nil {
+		return nil, err
+	}
+	opts := cfg.qdlp
 	frac := opts.ProbationFrac
 	if frac == 0 {
 		frac = 0.1
@@ -114,87 +96,60 @@ func NewQDLPWithOptions(capacity, shards int, opts QDLPOptions) (*QDLP, error) {
 	if bits < 1 || bits > 6 {
 		return nil, fmt.Errorf("concurrent: qdlp clock bits %d outside [1, 6]", bits)
 	}
-	if opts.AdmitFrac != 0 {
+	admitFrac := opts.AdmitFrac
+	switch {
+	case !cfg.byBytes && admitFrac != 0:
 		return nil, fmt.Errorf("concurrent: qdlp admit fraction applies only to byte-capped caches (WithMaxBytes)")
+	case !cfg.byBytes:
+		// Every object costs one unit, so no object is "large": a fraction
+		// of a small probation budget would round to zero and ghost every
+		// first touch. The threshold sits at the whole probation budget,
+		// which no unit-cost object exceeds.
+		admitFrac = 1
+	case admitFrac == 0:
+		admitFrac = 0.5
 	}
-	n := shardCount(shards)
-	per, err := splitCapacity(capacity, n)
+	if admitFrac < 0 || admitFrac > 1 {
+		return nil, fmt.Errorf("concurrent: qdlp admit fraction %v outside (0, 1]", admitFrac)
+	}
+	b, per, err := newBase("concurrent-qdlp", cfg, 2*cfg.minRegion)
 	if err != nil {
 		return nil, err
 	}
-	if capacity < 2*n {
-		return nil, fmt.Errorf("concurrent: qdlp needs >= 2 objects per shard, got capacity %d over %d shards", capacity, n)
-	}
-	c := &QDLP{
-		shards:  make([]qdShard, n),
-		mask:    uint64(n - 1),
-		cap:     capacity,
-		maxFreq: uint32(1<<bits - 1),
-	}
+	c := &QDLP{base: b, shards: make([]qdShard, len(per)), maxFreq: uint32(1<<bits - 1), ghostFac: ghostFactor}
 	for i := range c.shards {
-		smallCap := int(float64(per[i]) * frac)
-		if smallCap < 1 {
-			smallCap = 1
-		}
-		if smallCap > per[i]-1 {
-			smallCap = per[i] - 1
-		}
-		mainCap := per[i] - smallCap
-		ghostCap := int(float64(mainCap) * ghostFactor)
 		s := &c.shards[i]
-		s.byKey = make(map[uint64]qdLoc, per[i])
-		s.small = make([]qdSlot, smallCap)
-		s.main = make([]qdSlot, mainCap)
-		s.ghost = make(map[uint64]struct{}, ghostCap)
-		s.ghostRing = make([]uint64, ghostCap)
+		s.small.max = min(max(int64(float64(per[i])*frac), cfg.minRegion), per[i]-cfg.minRegion)
+		s.main.max = per[i] - s.small.max
+		s.admitMax = int64(float64(s.small.max) * admitFrac)
+		s.ghostMin = 16
+		if !cfg.byBytes {
+			// main.max is the object count the region holds, so the ghost
+			// is the paper's fixed size from the first request.
+			s.ghostMin = int(ghostFactor * float64(s.main.max))
+		}
+		s.byKey = make(map[uint64]*node)
+		s.ghost = make(map[uint64]struct{})
 	}
 	return c, nil
-}
-
-// Name implements Cache.
-func (c *QDLP) Name() string { return "concurrent-qdlp" }
-
-// Capacity implements Cache.
-func (c *QDLP) Capacity() int { return c.cap }
-
-// Len implements Cache.
-func (c *QDLP) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		total += s.smallLive + s.mainUsed
-		s.mu.RUnlock()
-	}
-	return total
 }
 
 func (c *QDLP) shard(key uint64) *qdShard {
 	return &c.shards[hash(key)&c.mask]
 }
 
-func (s *qdShard) slot(l qdLoc) *qdSlot {
-	if l.where == locSmall {
-		return &s.small[l.idx]
-	}
-	return &s.main[l.idx]
-}
-
 // Get implements Cache: shared lock, one atomic store, no queue movement.
 func (c *QDLP) Get(key uint64) (uint64, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
-	l, ok := s.byKey[key]
+	n, ok := s.byKey[key]
 	if !ok {
 		s.mu.RUnlock()
 		s.stats.misses.Add(1)
 		return 0, false
 	}
-	slot := s.slot(l)
-	v := slot.value
-	if f := slot.freq.Load(); f < c.maxFreq {
-		slot.freq.Store(f + 1) // benign race: counter is a hint
-	}
+	v := n.Value.value
+	touch(n, c.maxFreq)
 	s.mu.RUnlock()
 	s.stats.hits.Add(1)
 	return v, true
@@ -202,119 +157,189 @@ func (c *QDLP) Get(key uint64) (uint64, bool) {
 
 // Set implements Cache.
 func (c *QDLP) Set(key, value uint64) {
+	cost := c.cost(value)
 	s := c.shard(key)
 	s.stats.sets.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if l, ok := s.byKey[key]; ok {
-		slot := s.slot(l)
-		s.stats.usedBytes.Add(int64(value) - int64(slot.value))
-		slot.value = value
-		if f := slot.freq.Load(); f < c.maxFreq {
-			slot.freq.Store(f + 1)
-		}
+	if n, ok := s.byKey[key]; ok {
+		s.overwrite(c, n, value)
 		return
 	}
 	if _, ok := s.ghost[key]; ok {
-		// Quick-demotion mistake: admit straight into the main ring.
+		// Quick-demotion mistake: admit straight into the main region.
 		delete(s.ghost, key)
 		c.rec.Record(obs.Event{Key: key, Kind: obs.EvGhostReadmit})
-		s.stats.usedBytes.Add(int64(value))
-		s.insertMain(c, key, value)
+		if cost > s.main.max {
+			// Fits nowhere; the hook still fires because the KV adapter
+			// has already stored the bytes.
+			c.evicted(&s.stats, key, obs.EvEvict, obs.ReasonSizeAdmission)
+			return
+		}
+		for s.main.used+cost > s.main.max {
+			s.evictMainOne(c)
+		}
+		s.insert(&s.main, key, value, cost).Value.inMain = true
 		return
 	}
-	// New object: probationary FIFO.
-	if s.smallCount >= len(s.small) {
-		s.evictSmall(c)
+	// First touch. Size-aware admission: an object too large for its
+	// probation share is demoted to the ghost without ever holding bytes.
+	if cost > s.admitMax {
+		s.ghostAdd(c, key)
+		c.evicted(&s.stats, key, obs.EvDemoteGhost, obs.ReasonSizeAdmission)
+		return
 	}
-	idx := (s.smallHead + s.smallCount) % len(s.small)
-	slot := &s.small[idx]
-	slot.key, slot.value, slot.live = key, value, true
-	slot.freq.Store(0)
-	s.smallCount++
-	s.smallLive++
-	s.byKey[key] = qdLoc{where: locSmall, idx: int32(idx)}
-	s.stats.usedBytes.Add(int64(value))
+	for s.small.used+cost > s.small.max {
+		s.evictSmallOne(c)
+	}
+	s.insert(&s.small, key, value, cost)
 	c.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
 }
 
-// evictSmall pops the probationary head: accessed objects move to the main
-// ring, untouched objects fall into the ghost (quick demotion — that is the
-// eviction). Tombstones left by Delete are simply reclaimed.
-func (s *qdShard) evictSmall(c *QDLP) {
-	idx := s.smallHead
-	slot := &s.small[idx]
-	s.smallHead = (s.smallHead + 1) % len(s.small)
-	s.smallCount--
-	if !slot.live {
+// insert links a new object at the front of r. The caller has made room.
+func (s *qdShard) insert(r *region, key, value uint64, cost int64) *node {
+	n := &node{}
+	n.Value.key, n.Value.value = key, value
+	s.byKey[key] = n
+	r.push(n, cost)
+	s.stats.usedBytes.Add(int64(value))
+	return n
+}
+
+// region returns the queue holding n.
+func (s *qdShard) region(n *node) *region {
+	if n.Value.inMain {
+		return &s.main
+	}
+	return &s.small
+}
+
+// overwrite updates a resident object's value in place and rebalances its
+// region. A cost that no longer fits the region at all drops the object
+// (hook fired so the data plane reclaims it).
+func (s *qdShard) overwrite(c *QDLP, n *node, value uint64) {
+	r := s.region(n)
+	cost := c.cost(value)
+	if cost > r.max {
+		s.drop(c, n, obs.ReasonSizeAdmission)
 		return
 	}
-	key := slot.key
-	delete(s.byKey, key)
-	slot.live = false
-	s.smallLive--
-	if f := slot.freq.Load(); f > 0 {
-		// Lazy promotion: the object earned the main ring while waiting in
-		// probation. Freq carries the counter at the decision.
-		c.rec.Record(obs.Event{Key: key, Kind: obs.EvPromote, Freq: uint8(f)})
-		s.insertMain(c, key, slot.value)
-		return
+	r.used += cost - c.cost(n.Value.value)
+	s.stats.usedBytes.Add(int64(value) - int64(n.Value.value))
+	n.Value.value = value
+	touch(n, c.maxFreq)
+	for s.main.used > s.main.max {
+		s.evictMainOne(c)
 	}
-	// Quick demotion: never re-requested — this is the eviction.
-	c.rec.Record(obs.Event{Key: key, Kind: obs.EvDemoteGhost, Reason: obs.ReasonProbationOverflow})
-	s.ghostAdd(key)
-	s.stats.usedBytes.Add(-int64(slot.value))
-	s.stats.evictions.Add(1)
-	if c.onEvict != nil {
-		c.onEvict(key, obs.ReasonProbationOverflow)
+	for s.small.used > s.small.max {
+		s.evictSmallOne(c)
 	}
 }
 
-// insertMain places key into the main CLOCK ring, reclaiming a slot via
-// the hand if needed. Caller holds the exclusive lock.
-func (s *qdShard) insertMain(c *QDLP, key, value uint64) {
-	idx := s.mainReclaim(c)
-	slot := &s.main[idx]
-	if slot.live {
-		delete(s.byKey, slot.key)
-		s.stats.usedBytes.Add(-int64(slot.value))
-		s.stats.evictions.Add(1)
-		c.rec.Record(obs.Event{Key: slot.key, Kind: obs.EvEvict, Reason: obs.ReasonMainClock})
-		if c.onEvict != nil {
-			c.onEvict(slot.key, obs.ReasonMainClock)
+// evictSmallOne pops the probationary FIFO tail: referenced objects are
+// lazily promoted into the main region (which may evict there to make
+// room), untouched objects fall to the ghost — the quick demotion that
+// IS the eviction. Caller holds the exclusive lock and guarantees the
+// probation list is non-empty.
+func (s *qdShard) evictSmallOne(c *QDLP) {
+	victim := s.small.list.Back()
+	key, cost := victim.Value.key, c.cost(victim.Value.value)
+	f := victim.Value.freq.Load()
+	if f == 0 {
+		// Quick demotion: never re-requested — this is the eviction.
+		s.remove(c, victim)
+		s.ghostAdd(c, key)
+		c.evicted(&s.stats, key, obs.EvDemoteGhost, obs.ReasonProbationOverflow)
+		return
+	}
+	// Lazy promotion: the object earned the main region while waiting.
+	c.rec.Record(obs.Event{Key: key, Kind: obs.EvPromote, Freq: uint8(f)})
+	if cost > s.main.max {
+		// Too large for main even so: drop it, bytes and all.
+		s.drop(c, victim, obs.ReasonSizeAdmission)
+		return
+	}
+	s.small.unlink(victim, cost)
+	for s.main.used+cost > s.main.max {
+		s.evictMainOne(c)
+	}
+	victim.Value.inMain = true
+	victim.Value.freq.Store(0)
+	s.main.push(victim, cost)
+}
+
+// evictMainOne runs the CLOCK sweep on the main region's tail. Caller
+// holds the exclusive lock and guarantees the main list is non-empty.
+func (s *qdShard) evictMainOne(c *QDLP) {
+	sweep(&s.main.list, c.rec)
+	s.drop(c, s.main.list.Back(), obs.ReasonMainClock)
+}
+
+// remove unlinks and un-accounts a resident object.
+func (s *qdShard) remove(c *QDLP, n *node) {
+	delete(s.byKey, n.Value.key)
+	s.region(n).unlink(n, c.cost(n.Value.value))
+	s.stats.usedBytes.Add(-int64(n.Value.value))
+}
+
+// drop evicts a resident object, firing the hook.
+func (s *qdShard) drop(c *QDLP, n *node, reason obs.Reason) {
+	s.remove(c, n)
+	c.evicted(&s.stats, n.Value.key, obs.EvEvict, reason)
+}
+
+// ghostAdd remembers a demoted key. The ghost holds GhostFactor × as many
+// keys as the main region holds objects. Under a byte cap that count is
+// not known up front, so the bound follows the region's current
+// population (at least 16); under an entry cap ghostMin is already the
+// full region's worth.
+func (s *qdShard) ghostAdd(c *QDLP, key uint64) {
+	if _, ok := s.ghost[key]; ok {
+		return
+	}
+	limit := max(int(c.ghostFac*float64(s.main.list.Len())), s.ghostMin)
+	if limit == 0 {
+		return // GhostFactor rounded the ghost away
+	}
+	for len(s.ghost) >= limit {
+		s.ghostPop()
+	}
+	s.ghost[key] = struct{}{}
+	s.ghostQ = append(s.ghostQ, key)
+}
+
+// ghostPop forgets the oldest remembered key, skipping tombstones left
+// by readmissions, and compacts the queue when the dead prefix dominates.
+func (s *qdShard) ghostPop() {
+	for s.ghostHead < len(s.ghostQ) {
+		k := s.ghostQ[s.ghostHead]
+		s.ghostHead++
+		if _, ok := s.ghost[k]; ok {
+			delete(s.ghost, k)
+			break
 		}
-	} else {
-		slot.live = true
-		s.mainUsed++
 	}
-	slot.key, slot.value = key, value
-	slot.freq.Store(0)
-	s.byKey[key] = qdLoc{where: locMain, idx: int32(idx)}
+	if s.ghostHead > 64 && s.ghostHead*2 > len(s.ghostQ) {
+		s.ghostQ = append(s.ghostQ[:0], s.ghostQ[s.ghostHead:]...)
+		s.ghostHead = 0
+	}
 }
 
-// Delete implements Cache. A probationary victim leaves a tombstone that
-// keeps the FIFO ring contiguous until it reaches the head; a main-ring
-// victim becomes a hole the reclaim scan reuses.
+// Delete implements Cache.
 func (c *QDLP) Delete(key uint64) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.byKey[key]
-	if !ok {
-		return false
+	n, ok := s.byKey[key]
+	if ok {
+		s.remove(c, n)
+		s.stats.deletes.Add(1)
 	}
-	delete(s.byKey, key)
-	slot := s.slot(l)
-	slot.live = false
-	if l.where == locSmall {
-		s.smallLive--
-	} else {
-		s.mainUsed--
-	}
-	s.stats.usedBytes.Add(-int64(slot.value))
-	s.stats.deletes.Add(1)
-	return true
+	return ok
 }
+
+// Len implements Cache.
+func (c *QDLP) Len() int { return c.Stats().Len }
 
 // Stats implements Cache.
 func (c *QDLP) Stats() Snapshot { return sumSnapshots(c.ShardStats()) }
@@ -325,57 +350,9 @@ func (c *QDLP) ShardStats() []Snapshot {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		n := s.smallLive + s.mainUsed
+		n := s.small.list.Len() + s.main.list.Len()
 		s.mu.RUnlock()
-		out[i] = s.stats.snapshot(n, len(s.small)+len(s.main), 0)
+		out[i] = c.snapshot(&s.stats, n, s.small.max+s.main.max)
 	}
 	return out
-}
-
-// SetEvictHook implements Cache.
-func (c *QDLP) SetEvictHook(fn func(uint64, obs.Reason)) { c.onEvict = fn }
-
-// SetRecorder implements Cache.
-func (c *QDLP) SetRecorder(rec *obs.Recorder) { c.rec = rec }
-
-func (s *qdShard) mainReclaim(c *QDLP) int {
-	if s.mainUsed < len(s.main) {
-		for i := 0; i < len(s.main); i++ {
-			idx := (s.mainHand + i) % len(s.main)
-			if !s.main[idx].live {
-				s.mainHand = (idx + 1) % len(s.main)
-				return idx
-			}
-		}
-	}
-	for {
-		slot := &s.main[s.mainHand]
-		if f := slot.freq.Load(); f > 0 {
-			slot.freq.Store(f - 1) // lazy promotion: second chances
-			c.rec.Record(obs.Event{Key: slot.key, Kind: obs.EvPromote, Freq: uint8(f)})
-			s.mainHand = (s.mainHand + 1) % len(s.main)
-			continue
-		}
-		idx := s.mainHand
-		s.mainHand = (s.mainHand + 1) % len(s.main)
-		return idx
-	}
-}
-
-func (s *qdShard) ghostAdd(key uint64) {
-	if len(s.ghostRing) == 0 {
-		return // ghost disabled (GhostFactor rounded to zero entries)
-	}
-	if _, ok := s.ghost[key]; ok {
-		return
-	}
-	if s.ghostLen >= len(s.ghostRing) {
-		old := s.ghostRing[s.ghostHead]
-		delete(s.ghost, old)
-		s.ghostHead = (s.ghostHead + 1) % len(s.ghostRing)
-		s.ghostLen--
-	}
-	s.ghostRing[(s.ghostHead+s.ghostLen)%len(s.ghostRing)] = key
-	s.ghost[key] = struct{}{}
-	s.ghostLen++
 }

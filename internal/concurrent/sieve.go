@@ -2,83 +2,49 @@ package concurrent
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // Sieve is a sharded thread-safe SIEVE cache. Like Clock, its hit path is
-// a shared lock plus one atomic store (the visited bit); unlike Clock, the
-// eviction hand retains its position across evictions, giving SIEVE its
-// quick-demotion behaviour for new objects. Included alongside Clock and
-// QDLP in the throughput comparison because SIEVE is the follow-up
-// algorithm built on this paper's lazy-promotion insight.
+// a shared lock plus one atomic store (the visited bit); unlike Clock,
+// objects never move and the eviction hand retains its position across
+// evictions, giving SIEVE its quick-demotion behaviour for new objects.
+// Included alongside Clock and QDLP in the throughput comparison because
+// SIEVE is the follow-up algorithm built on this paper's lazy-promotion
+// insight.
 type Sieve struct {
-	shards  []sieveShard
-	mask    uint64
-	cap     int
-	onEvict func(uint64, obs.Reason)
-	rec     *obs.Recorder
-}
-
-type sieveNode struct {
-	key     uint64
-	value   uint64
-	visited atomic.Bool
-	prev    *sieveNode // toward the tail (older)
-	next    *sieveNode // toward the head (newer)
+	base
+	shards []sieveShard
 }
 
 type sieveShard struct {
 	mu    sync.RWMutex
-	cap   int
-	byKey map[uint64]*sieveNode
-	head  *sieveNode // newest
-	tail  *sieveNode // oldest
-	hand  *sieveNode
-	size  int
-	stats opStats
+	queue       // front = newest
+	hand  *node // next sweep resumes here; nil = start from the oldest
 	_     [24]byte
 }
 
-// NewSieve returns a sharded SIEVE cache with the given total capacity.
-func NewSieve(capacity, shards int) (*Sieve, error) {
-	n := shardCount(shards)
-	per, err := splitCapacity(capacity, n)
+func newSieve(cfg config) (Cache, error) {
+	if err := rejectOptions("sieve", cfg, false, false); err != nil {
+		return nil, err
+	}
+	b, per, err := newBase("concurrent-sieve", cfg, cfg.minShard)
 	if err != nil {
 		return nil, err
 	}
-	c := &Sieve{shards: make([]sieveShard, n), mask: uint64(n - 1), cap: capacity}
+	c := &Sieve{base: b, shards: make([]sieveShard, len(per))}
 	for i := range c.shards {
-		c.shards[i].cap = per[i]
-		c.shards[i].byKey = make(map[uint64]*sieveNode, per[i])
+		c.shards[i].queue = newQueue(per[i])
 	}
 	return c, nil
-}
-
-// Name implements Cache.
-func (c *Sieve) Name() string { return "concurrent-sieve" }
-
-// Capacity implements Cache.
-func (c *Sieve) Capacity() int { return c.cap }
-
-// Len implements Cache.
-func (c *Sieve) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		total += s.size
-		s.mu.RUnlock()
-	}
-	return total
 }
 
 func (c *Sieve) shard(key uint64) *sieveShard {
 	return &c.shards[hash(key)&c.mask]
 }
 
-// Get implements Cache: shared lock + one atomic bool store.
+// Get implements Cache: shared lock + one atomic store (the visited bit).
 func (c *Sieve) Get(key uint64) (uint64, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
@@ -88,8 +54,8 @@ func (c *Sieve) Get(key uint64) (uint64, bool) {
 		s.stats.misses.Add(1)
 		return 0, false
 	}
-	v := n.value
-	n.visited.Store(true)
+	v := n.Value.value
+	n.Value.freq.Store(1)
 	s.mu.RUnlock()
 	s.stats.hits.Add(1)
 	return v, true
@@ -97,86 +63,77 @@ func (c *Sieve) Get(key uint64) (uint64, bool) {
 
 // Set implements Cache.
 func (c *Sieve) Set(key, value uint64) {
+	cost := c.cost(value)
 	s := c.shard(key)
 	s.stats.sets.Add(1)
 	s.mu.Lock()
-	if n, ok := s.byKey[key]; ok {
-		s.stats.usedBytes.Add(int64(value) - int64(n.value))
-		n.value = value
-		n.visited.Store(true)
-		s.mu.Unlock()
-		return
-	}
-	if s.size >= s.cap {
-		victim := s.evict(c.rec)
-		s.stats.evictions.Add(1)
-		c.rec.Record(obs.Event{Key: victim, Kind: obs.EvEvict, Reason: obs.ReasonMainClock})
-		if c.onEvict != nil {
-			c.onEvict(victim, obs.ReasonMainClock)
+	defer s.mu.Unlock()
+	n, resident := s.byKey[key]
+	switch {
+	case resident && cost > s.max:
+		s.release(n)
+		s.drop(&c.base, n, obs.ReasonSizeAdmission)
+	case resident:
+		s.overwrite(&c.base, n, value)
+		n.Value.freq.Store(1)
+		for s.used > s.max {
+			s.evictOne(c)
 		}
+	case cost > s.max:
+		c.evicted(&s.stats, key, obs.EvEvict, obs.ReasonSizeAdmission)
+	default:
+		for s.used+cost > s.max {
+			s.evictOne(c)
+		}
+		s.insert(&c.base, key, value, cost)
 	}
-	n := &sieveNode{key: key, value: value}
-	n.prev = s.head
-	if s.head != nil {
-		s.head.next = n
-	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
-	}
-	s.byKey[key] = n
-	s.size++
-	s.stats.usedBytes.Add(int64(value))
-	c.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
-	s.mu.Unlock()
 }
 
-// evict runs the SIEVE sweep from the retained hand and returns the evicted
-// key. Caller holds the exclusive lock. Every visited object the sweep
-// spares is a lazy-promotion decision, recorded with Freq=1 (the visited
-// bit it spent to survive).
-func (s *sieveShard) evict(rec *obs.Recorder) uint64 {
+// evictOne runs the SIEVE sweep from the retained hand toward the head
+// (newer objects), sparing visited objects (recorded as lazy promotions
+// with Freq=1, the visited bit they spent) and evicting the first
+// unvisited one. Caller holds the exclusive lock and guarantees the list
+// is non-empty.
+func (s *sieveShard) evictOne(c *Sieve) {
 	n := s.hand
 	if n == nil {
-		n = s.tail
+		n = s.list.Back()
 	}
-	for n.visited.Load() {
-		n.visited.Store(false)
-		rec.Record(obs.Event{Key: n.key, Kind: obs.EvPromote, Freq: 1})
-		next := n.next // toward the head
-		if next == nil {
-			next = s.tail // wrap
+	for n.Value.freq.Load() > 0 {
+		n.Value.freq.Store(0)
+		c.rec.Record(obs.Event{Key: n.Value.key, Kind: obs.EvPromote, Freq: 1})
+		if n = n.Prev(); n == nil {
+			n = s.list.Back() // wrap to the oldest
 		}
-		n = next
 	}
-	s.hand = n.next // retain position: continue toward the head next time
-	s.unlink(n)
-	delete(s.byKey, n.key)
-	s.size--
-	s.stats.usedBytes.Add(-int64(n.value))
-	return n.key
+	s.hand = n.Prev() // retain position for the next sweep
+	s.drop(&c.base, n, obs.ReasonMainClock)
 }
 
-// Delete implements Cache. Mirrors evict's hand retention so a sweep in
-// progress is not disturbed.
+// release moves the hand off a node about to leave the list, so a sweep
+// in progress is not disturbed.
+func (s *sieveShard) release(n *node) {
+	if s.hand == n {
+		s.hand = n.Prev()
+	}
+}
+
+// Delete implements Cache.
 func (c *Sieve) Delete(key uint64) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok := s.byKey[key]
-	if !ok {
-		return false
+	if ok {
+		s.release(n)
+		s.remove(&c.base, n)
+		s.stats.deletes.Add(1)
 	}
-	if s.hand == n {
-		s.hand = n.next
-	}
-	s.unlink(n)
-	delete(s.byKey, key)
-	s.size--
-	s.stats.usedBytes.Add(-int64(n.value))
-	s.stats.deletes.Add(1)
-	return true
+	return ok
 }
+
+// Len implements Cache.
+func (c *Sieve) Len() int { return c.Stats().Len }
 
 // Stats implements Cache.
 func (c *Sieve) Stats() Snapshot { return sumSnapshots(c.ShardStats()) }
@@ -187,29 +144,9 @@ func (c *Sieve) ShardStats() []Snapshot {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		n := s.size
+		n := s.list.Len()
 		s.mu.RUnlock()
-		out[i] = s.stats.snapshot(n, s.cap, 0)
+		out[i] = c.snapshot(&s.stats, n, s.max)
 	}
 	return out
-}
-
-// SetEvictHook implements Cache.
-func (c *Sieve) SetEvictHook(fn func(uint64, obs.Reason)) { c.onEvict = fn }
-
-// SetRecorder implements Cache.
-func (c *Sieve) SetRecorder(rec *obs.Recorder) { c.rec = rec }
-
-func (s *sieveShard) unlink(n *sieveNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		s.tail = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		s.head = n.prev
-	}
-	n.prev, n.next = nil, nil
 }

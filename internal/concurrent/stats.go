@@ -62,9 +62,9 @@ type opStats struct {
 	usedBytes atomic.Int64
 }
 
-// snapshot renders the counter block plus the caller-supplied occupancy
-// and byte budget (0 for entry-capped shards).
-func (o *opStats) snapshot(length, capacity int, maxBytes int64) Snapshot {
+// snapshot renders the counter block plus the caller-supplied occupancy;
+// the caller fills in the budget.
+func (o *opStats) snapshot(length int) Snapshot {
 	return Snapshot{
 		Hits:      o.hits.Load(),
 		Misses:    o.misses.Load(),
@@ -72,9 +72,7 @@ func (o *opStats) snapshot(length, capacity int, maxBytes int64) Snapshot {
 		Deletes:   o.deletes.Load(),
 		Evictions: o.evictions.Load(),
 		Len:       length,
-		Capacity:  capacity,
 		UsedBytes: o.usedBytes.Load(),
-		MaxBytes:  maxBytes,
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -33,49 +32,4 @@ func NewLogger(level, format string, w io.Writer) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
 	return nil, fmt.Errorf("obs: unknown log format %q (want text|json)", format)
-}
-
-// NewLogfLogger adapts a legacy printf-style sink to a *slog.Logger — the
-// deprecation shim that keeps server.Config.Logf callers working while the
-// server itself speaks slog. Attributes are rendered key=value after the
-// message, at every level.
-func NewLogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	group string
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	write := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s%s=%v", h.group, a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		write(a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		write(a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	out := h
-	out.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return out
-}
-
-func (h logfHandler) WithGroup(name string) slog.Handler {
-	out := h
-	out.group = h.group + name + "."
-	return out
 }

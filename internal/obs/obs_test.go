@@ -270,28 +270,3 @@ func TestNewLogger(t *testing.T) {
 		t.Error("bad format accepted")
 	}
 }
-
-func TestLogfShim(t *testing.T) {
-	var lines []string
-	lg := NewLogfLogger(func(format string, args ...any) {
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", "")+join(args)))
-	})
-	lg.With("conn", 7).Info("accepted", "remote", "1.2.3.4")
-	if len(lines) != 1 {
-		t.Fatalf("lines = %v", lines)
-	}
-	if !strings.Contains(lines[0], "accepted") || !strings.Contains(lines[0], "conn=7") ||
-		!strings.Contains(lines[0], "remote=1.2.3.4") {
-		t.Fatalf("shim line = %q", lines[0])
-	}
-}
-
-func join(args []any) string {
-	var b strings.Builder
-	for _, a := range args {
-		if s, ok := a.(string); ok {
-			b.WriteString(s)
-		}
-	}
-	return b.String()
-}

@@ -18,7 +18,7 @@ import (
 
 func allocServer(t testing.TB) (*Server, *concurrent.KV) {
 	t.Helper()
-	inner, err := concurrent.NewClock(4096, 4, 2)
+	inner, err := concurrent.New("clock", 4096, concurrent.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestServerGetHitPathZeroAllocsWithMRCSampling(t *testing.T) {
 // With sampling on, the tracer is allowed its one-time pending-slice
 // allocation but nothing per request in steady state.
 func TestServerGetHitPathAllocsWithSampling(t *testing.T) {
-	inner, err := concurrent.NewClock(4096, 4, 2)
+	inner, err := concurrent.New("clock", 4096, concurrent.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

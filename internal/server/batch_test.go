@@ -224,7 +224,7 @@ func TestBatchedOrderingUnderChaos(t *testing.T) {
 // merged, assembled, and flushed must not allocate in steady state — the
 // batching layer may not give back what the zero-copy hit path won.
 func TestServerBatchedPipelineZeroAllocs(t *testing.T) {
-	inner, err := concurrent.NewQDLP(1024, 4)
+	inner, err := concurrent.New("qdlp", 1024, concurrent.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestServerBatchedPipelineZeroAllocs(t *testing.T) {
 // locality is accounted (local + cross == keys served), and shutdown
 // drains every accept loop.
 func TestServerMultiListener(t *testing.T) {
-	inner, err := concurrent.NewQDLP(4096, 8)
+	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}

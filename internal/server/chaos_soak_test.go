@@ -35,13 +35,13 @@ func TestChaosSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	// In-process reference over the same cache shape and streams.
-	ref, err := concurrent.NewQDLP(capacity, shards)
+	ref, err := concurrent.New("qdlp", capacity, concurrent.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	refRes := concurrent.MeasureThroughput(ref, conns, totalOps, keySpace, seed)
 
-	inner, err := concurrent.NewQDLP(capacity, shards)
+	inner, err := concurrent.New("qdlp", capacity, concurrent.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}

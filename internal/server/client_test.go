@@ -132,7 +132,7 @@ func FuzzClientParseValueHeader(f *testing.F) {
 // the same address, and reports the recovery through Reconnects.
 func TestClientReconnectAcrossRestart(t *testing.T) {
 	newServer := func(ln net.Listener) (*Server, chan error) {
-		inner, err := concurrent.NewQDLP(1024, 4)
+		inner, err := concurrent.New("qdlp", 1024, concurrent.WithShards(4))
 		if err != nil {
 			t.Fatal(err)
 		}

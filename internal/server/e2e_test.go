@@ -31,14 +31,14 @@ func TestEndToEndHitRatioAgreement(t *testing.T) {
 	)
 
 	// In-process reference run.
-	ref, err := concurrent.NewQDLP(capacity, shards)
+	ref, err := concurrent.New("qdlp", capacity, concurrent.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	refRes := concurrent.MeasureThroughput(ref, conns, totalOps, keySpace, seed)
 
 	// Networked run against a fresh cache of the same shape.
-	inner, err := concurrent.NewQDLP(capacity, shards)
+	inner, err := concurrent.New("qdlp", capacity, concurrent.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // exercise the admin surface (no protocol traffic, nothing to drain).
 func newAdminServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
-	inner, err := concurrent.NewQDLP(4096, 8)
+	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}

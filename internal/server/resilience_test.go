@@ -124,7 +124,7 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	inner, err := concurrent.NewQDLP(1024, 4)
+	inner, err := concurrent.New("qdlp", 1024, concurrent.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

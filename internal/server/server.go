@@ -40,14 +40,9 @@ type Config struct {
 	WriteTimeout time.Duration
 	// MaxValueLen bounds set payloads. <=0 means DefaultMaxValueLen.
 	MaxValueLen int
-	// Logger, if set, receives the server's structured diagnostics. It
-	// takes precedence over Logf.
+	// Logger, if set, receives the server's structured diagnostics; with
+	// none they are discarded.
 	Logger *slog.Logger
-	// Logf, if set, receives connection-level diagnostics.
-	//
-	// Deprecated: set Logger instead. Logf is kept as a shim for existing
-	// callers; its lines lose level information (everything is emitted).
-	Logf func(format string, args ...any)
 	// Metrics, if set, receives the server's instruments (per-command
 	// request counters and latency histograms, transport counters, and the
 	// store's hit/miss/eviction/occupancy collectors). The registry must be
@@ -170,9 +165,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Listeners <= 0 {
 		cfg.Listeners = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	s := &Server{
 		cfg:   cfg,
-		log:   resolveLogger(cfg),
+		log:   cfg.Logger,
 		start: time.Now(),
 		conns: make(map[net.Conn]struct{}),
 		series: telemetry.New(telemetry.Options{
@@ -207,20 +205,6 @@ const limiterEpoch = 100 * time.Millisecond
 // Limiter exposes the server's admission controller (nil when overload
 // control is off), for tests and admin surfaces.
 func (s *Server) Limiter() *overload.Limiter { return s.limiter }
-
-// resolveLogger picks the server's structured logger: Logger wins, a legacy
-// Logf is adapted through the obs shim, and with neither set diagnostics
-// are discarded (the pre-slog default).
-func resolveLogger(cfg Config) *slog.Logger {
-	switch {
-	case cfg.Logger != nil:
-		return cfg.Logger
-	case cfg.Logf != nil:
-		return obs.NewLogfLogger(cfg.Logf)
-	default:
-		return slog.New(slog.DiscardHandler)
-	}
-}
 
 // Spans exposes the server's request-span buffer (nil when tracing is
 // disabled), for tests and embedders that render spans elsewhere.

@@ -17,7 +17,7 @@ import (
 // returns it with its address. Cleanup shuts it down.
 func startServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Helper()
-	inner, err := concurrent.NewQDLP(4096, 8)
+	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestServerValueTooLarge(t *testing.T) {
 // Shutdown during a pipelined burst: every request already sent must get
 // its complete response before the connection closes — drain, not drop.
 func TestServerGracefulShutdownDrains(t *testing.T) {
-	inner, err := concurrent.NewQDLP(4096, 8)
+	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}

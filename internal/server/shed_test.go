@@ -194,7 +194,7 @@ func TestOverloadFloodShedsAndHoldsP99(t *testing.T) {
 // deadline, shed the excess flood, and keep answering — simultaneously.
 func TestAcceptBackoffAndSlowReaderUnderOverload(t *testing.T) {
 	const valueLen = 128 << 10
-	inner, err := concurrent.NewQDLP(4096, 8)
+	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,20 +106,3 @@ func ConcurrentNames() []string { return concurrent.Names() }
 
 // WithConcurrentShards sets the shard count for NewConcurrent.
 func WithConcurrentShards(n int) ConcurrentOption { return concurrent.WithShards(n) }
-
-// NewConcurrentLRU returns a sharded thread-safe LRU cache (exclusive lock
-// per hit — the paper's scalability strawman).
-func NewConcurrentLRU(capacity, shards int) (ConcurrentCache, error) {
-	return concurrent.NewLRU(capacity, shards)
-}
-
-// NewConcurrentClock returns a sharded thread-safe k-bit CLOCK cache
-// (shared-lock, one-atomic-store hit path).
-func NewConcurrentClock(capacity, shards, bits int) (ConcurrentCache, error) {
-	return concurrent.NewClock(capacity, shards, bits)
-}
-
-// NewConcurrentQDLP returns the thread-safe QD-LP-FIFO cache.
-func NewConcurrentQDLP(capacity, shards int) (ConcurrentCache, error) {
-	return concurrent.NewQDLP(capacity, shards)
-}

@@ -56,12 +56,8 @@ func TestGenerateUnknownFamilyPanics(t *testing.T) {
 }
 
 func TestConcurrentConstructors(t *testing.T) {
-	for name, mk := range map[string]func() (ConcurrentCache, error){
-		"lru":   func() (ConcurrentCache, error) { return NewConcurrentLRU(1024, 4) },
-		"clock": func() (ConcurrentCache, error) { return NewConcurrentClock(1024, 4, 2) },
-		"qdlp":  func() (ConcurrentCache, error) { return NewConcurrentQDLP(1024, 4) },
-	} {
-		c, err := mk()
+	for _, name := range ConcurrentNames() {
+		c, err := NewConcurrent(name, 1024, WithConcurrentShards(4))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -16,6 +16,8 @@ echo '== go build ./...'
 go build ./...
 echo '== go test ./...'
 go test ./...
+echo '== go test ./... (benchmark/: a nested module root go test skips, built against the packages above)'
+(cd benchmark && go test ./...)
 echo '== go test -race (concurrent + server + obs + chaos + cluster)'
 go test -race ./internal/concurrent/... ./internal/server/... ./internal/obs/... ./internal/chaos/... ./internal/cluster/...
 echo '== alloc guard (tracing disabled = 0 allocs, sampling on <= 1, ring lookup = 0)'
