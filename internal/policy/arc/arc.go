@@ -12,8 +12,8 @@ package arc
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -46,11 +46,6 @@ const (
 	inB2
 )
 
-type entry struct {
-	key uint64
-	loc listID
-}
-
 // Policy is an ARC cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
@@ -59,9 +54,9 @@ type Policy struct {
 	damping  int
 	maxP     int
 	name     string
-	byKey    map[uint64]*dlist.Node[entry]
-	t1, t2   dlist.List[entry] // front = MRU
-	b1, b2   dlist.List[entry] // front = MRU
+	idx      *slab.Index[listID] // directory: value = the list the key is on
+	t1, t2   slab.List           // front = MRU
+	b1, b2   slab.List           // front = MRU
 }
 
 // New returns a canonical ARC policy with the given capacity in objects.
@@ -86,7 +81,7 @@ func NewWithOptions(capacity int, opts Options) *Policy {
 		damping:  damping,
 		maxP:     maxP,
 		name:     name,
-		byKey:    make(map[uint64]*dlist.Node[entry], 2*capacity),
+		idx:      slab.New[listID](2 * capacity),
 	}
 }
 
@@ -101,29 +96,48 @@ func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {
-	n, ok := p.byKey[key]
-	return ok && (n.Value.loc == inT1 || n.Value.loc == inT2)
+	s := p.idx.Find(key)
+	return s != 0 && resident(*p.idx.Value(s))
 }
+
+func resident(loc listID) bool { return loc == inT1 || loc == inT2 }
 
 // Target returns the current adaptation target p (|T1|'s target size), for
 // tests and the ablation experiments.
 func (p *Policy) Target() int { return p.p }
 
+// AccessResident serves r only if its key is resident (in T1 or T2) and
+// reports whether it was: Access without the miss path, for wrappers (Quick
+// Demotion) that admit elsewhere on a miss.
+func (p *Policy) AccessResident(r *trace.Request) bool {
+	s := p.idx.Find(r.Key)
+	if s == 0 || !resident(*p.idx.Value(s)) {
+		return false
+	}
+	p.hit(s, r)
+	return true
+}
+
+// hit is Case I: a hit in T1 or T2 moves the object to the MRU end of T2.
+func (p *Policy) hit(s int32, r *trace.Request) {
+	if loc := p.idx.Value(s); *loc == inT1 {
+		*loc = inT2
+		p.idx.Unlink(&p.t1, s)
+		p.idx.PushFront(&p.t2, s)
+	} else {
+		p.idx.MoveToFront(&p.t2, s)
+	}
+	p.Hit(r.Key, r.Time)
+}
+
 // Access implements core.Policy (ARC(c) from the FAST'03 paper, Fig. 4).
 func (p *Policy) Access(r *trace.Request) bool {
 	x := r.Key
-	n, ok := p.byKey[x]
-	if ok {
-		switch n.Value.loc {
-		case inT1: // Case I: hit in T1 → promote to T2 MRU.
-			p.t1.Remove(n)
-			n.Value.loc = inT2
-			p.t2.PushNodeFront(n)
-			p.Hit(x, r.Time)
-			return true
-		case inT2: // Case I: hit in T2 → MRU of T2.
-			p.t2.MoveToFront(n)
-			p.Hit(x, r.Time)
+	if s := p.idx.Find(x); s != 0 {
+		loc := p.idx.Value(s)
+		switch *loc {
+		case inT1, inT2:
+			p.hit(s, r)
 			return true
 		case inB1: // Case II: ghost hit in B1 → adapt toward recency.
 			d := 1
@@ -132,12 +146,8 @@ func (p *Policy) Access(r *trace.Request) bool {
 			}
 			d = max(1, d/p.damping)
 			p.p = min(p.p+d, p.maxP)
-			p.replace(x, r.Time)
-			p.b1.Remove(n)
-			n.Value.loc = inT2
-			p.t2.PushNodeFront(n)
-			p.Insert(x, r.Time)
-			return false
+			p.replace(false, r.Time)
+			p.idx.Unlink(&p.b1, s)
 		case inB2: // Case III: ghost hit in B2 → adapt toward frequency.
 			d := 1
 			if p.b2.Len() > 0 && p.b1.Len() > p.b2.Len() {
@@ -145,13 +155,13 @@ func (p *Policy) Access(r *trace.Request) bool {
 			}
 			d = max(1, d/p.damping)
 			p.p = max(p.p-d, 0)
-			p.replace(x, r.Time)
-			p.b2.Remove(n)
-			n.Value.loc = inT2
-			p.t2.PushNodeFront(n)
-			p.Insert(x, r.Time)
-			return false
+			p.replace(true, r.Time)
+			p.idx.Unlink(&p.b2, s)
 		}
+		*loc = inT2
+		p.idx.PushFront(&p.t2, s)
+		p.Insert(x, r.Time)
+		return false
 	}
 	// Case IV: completely new key.
 	l1 := p.t1.Len() + p.b1.Len()
@@ -161,49 +171,47 @@ func (p *Policy) Access(r *trace.Request) bool {
 		// A: L1 holds exactly c entries.
 		if p.t1.Len() < p.capacity {
 			// Delete B1 LRU, then REPLACE.
-			lru := p.b1.Back()
-			delete(p.byKey, lru.Value.key)
-			p.b1.Remove(lru)
-			p.replace(x, r.Time)
+			p.forget(&p.b1)
+			p.replace(false, r.Time)
 		} else {
 			// B1 empty: evict T1 LRU without remembering it.
-			lru := p.t1.Back()
-			delete(p.byKey, lru.Value.key)
-			p.t1.Remove(lru)
-			p.Evict(lru.Value.key, r.Time)
+			p.Evict(p.forget(&p.t1), r.Time)
 		}
 	case l1 < p.capacity && l1+l2 >= p.capacity:
 		// B: directory reached capacity.
 		if l1+l2 == 2*p.capacity {
-			lru := p.b2.Back()
-			delete(p.byKey, lru.Value.key)
-			p.b2.Remove(lru)
+			p.forget(&p.b2)
 		}
-		p.replace(x, r.Time)
+		p.replace(false, r.Time)
 	}
-	p.byKey[x] = p.t1.PushFront(entry{key: x, loc: inT1})
+	s := p.idx.Insert(x) // zero value = inT1
+	p.idx.PushFront(&p.t1, s)
 	p.Insert(x, r.Time)
 	return false
 }
 
+// forget drops l's LRU entry from the directory and returns its key.
+func (p *Policy) forget(l *slab.List) uint64 {
+	lru := l.Back()
+	key := p.idx.Key(lru)
+	p.idx.Remove(l, lru)
+	return key
+}
+
 // replace implements REPLACE(x, p): demote the T1 LRU to B1 when T1 exceeds
 // the target (or exactly meets it on a B2 hit), otherwise demote the T2 LRU
-// to B2.
-func (p *Policy) replace(x uint64, now int64) {
-	xInB2 := false
-	if n, ok := p.byKey[x]; ok && n.Value.loc == inB2 {
-		xInB2 = true
-	}
+// to B2. The directory entry only changes lists; the table is not touched.
+func (p *Policy) replace(xInB2 bool, now int64) {
+	from, to, loc := &p.t2, &p.b2, inB2
 	if p.t1.Len() >= 1 && ((xInB2 && p.t1.Len() == p.p) || p.t1.Len() > p.p) {
-		lru := p.t1.Back()
-		p.t1.Remove(lru)
-		lru.Value.loc = inB1
-		p.b1.PushNodeFront(lru)
-		p.Evict(lru.Value.key, now)
-	} else if lru := p.t2.Back(); lru != nil {
-		p.t2.Remove(lru)
-		lru.Value.loc = inB2
-		p.b2.PushNodeFront(lru)
-		p.Evict(lru.Value.key, now)
+		from, to, loc = &p.t1, &p.b1, inB1
 	}
+	lru := from.Back()
+	if lru == 0 {
+		return
+	}
+	p.idx.Unlink(from, lru)
+	*p.idx.Value(lru) = loc
+	p.idx.PushFront(to, lru)
+	p.Evict(p.idx.Key(lru), now)
 }

@@ -71,8 +71,8 @@ func TestDirectoryBound(t *testing.T) {
 		if dir > 2*c {
 			t.Fatalf("directory %d > 2c %d", dir, 2*c)
 		}
-		if len(p.byKey) != dir {
-			t.Fatalf("byKey %d != directory %d", len(p.byKey), dir)
+		if p.idx.Len() != dir {
+			t.Fatalf("index %d != directory %d", p.idx.Len(), dir)
 		}
 	}
 }
@@ -86,5 +86,33 @@ func TestBeatsLRUOnMixedWorkload(t *testing.T) {
 	lruMR := policytest.MissRatio(lru.New(cap), tr.Requests)
 	if arcMR >= lruMR {
 		t.Fatalf("ARC (%.4f) not better than LRU (%.4f) on MSR-like workload", arcMR, lruMR)
+	}
+}
+
+// AccessResident serves T1/T2 hits exactly as Access does and treats
+// everything else — new keys and B1/B2 ghosts alike — as a miss it must not
+// act on.
+func TestAccessResident(t *testing.T) {
+	p, ref := New(4), New(4)
+	reqs := policytest.KeysToRequests([]uint64{1, 2, 1, 2, 3, 4, 5}) // 3 ends in B1
+	for i := range reqs {
+		p.Access(&reqs[i])
+		ref.Access(&reqs[i])
+	}
+	ghost := policytest.KeysToRequests([]uint64{3, 99})
+	for i := range ghost {
+		if p.AccessResident(&ghost[i]) {
+			t.Fatalf("key %d is not resident", ghost[i].Key)
+		}
+	}
+	if p.Target() != 0 || p.Len() != ref.Len() || p.idx.Len() != ref.idx.Len() {
+		t.Fatal("a miss through AccessResident changed the cache")
+	}
+	hit := policytest.KeysToRequests([]uint64{4}) // T1 → T2
+	if !p.AccessResident(&hit[0]) || !ref.Access(&hit[0]) {
+		t.Fatal("resident key 4 not served")
+	}
+	if p.t1.Len() != ref.t1.Len() || p.t2.Len() != ref.t2.Len() || p.idx.Key(p.t2.Front()) != 4 {
+		t.Fatalf("after the hit: T1 %d T2 %d, Access gives T1 %d T2 %d", p.t1.Len(), p.t2.Len(), ref.t1.Len(), ref.t2.Len())
 	}
 }

@@ -17,8 +17,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -29,19 +29,14 @@ func init() {
 	core.Register("clock-3bit", func(capacity int) core.Policy { return New(capacity, 3) })
 }
 
-type entry struct {
-	key  uint64
-	freq uint8
-}
-
 // Policy is a k-bit CLOCK cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
 	maxFreq  uint8
 	bits     int
-	byKey    map[uint64]*dlist.Node[entry]
-	queue    dlist.List[entry] // front = oldest (next eviction candidate)
+	idx      *slab.Index[uint8] // value = reference counter
+	queue    slab.List          // front = oldest (next eviction candidate)
 }
 
 // New returns a CLOCK policy with the given capacity and counter width in
@@ -55,7 +50,7 @@ func New(capacity, bits int) *Policy {
 		capacity: capacity,
 		maxFreq:  uint8(1<<bits - 1),
 		bits:     bits,
-		byKey:    make(map[uint64]*dlist.Node[entry], capacity),
+		idx:      slab.New[uint8](capacity),
 	}
 }
 
@@ -74,40 +69,46 @@ func (p *Policy) Len() int { return p.queue.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // Remove implements core.Remover.
 func (p *Policy) Remove(key uint64) bool {
-	n, ok := p.byKey[key]
-	if !ok {
+	s := p.idx.Find(key)
+	if s == 0 {
 		return false
 	}
-	delete(p.byKey, key)
-	p.queue.Remove(n)
-	p.Evict(key, 0)
+	p.drop(s, 0)
 	return true
 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
-		// Lazy promotion: only the counter is touched; the object's
-		// queue position is unchanged until eviction time.
-		if n.Value.freq < p.maxFreq {
-			n.Value.freq++
-		}
-		p.Hit(r.Key, r.Time)
+	if p.AccessResident(r) {
 		return true
 	}
 	if p.queue.Len() >= p.capacity {
 		p.evict(r.Time)
 	}
-	p.byKey[r.Key] = p.queue.PushBack(entry{key: r.Key})
+	p.idx.PushBack(&p.queue, p.idx.Insert(r.Key))
 	p.Insert(r.Key, r.Time)
 	return false
+}
+
+// AccessResident serves r only if its key is resident and reports whether
+// it was: Access without the miss path, for wrappers (Quick Demotion) that
+// admit elsewhere on a miss.
+func (p *Policy) AccessResident(r *trace.Request) bool {
+	s := p.idx.Find(r.Key)
+	if s == 0 {
+		return false
+	}
+	// Lazy promotion: only the counter is touched; the object's queue
+	// position is unchanged until eviction time.
+	if freq := p.idx.Value(s); *freq < p.maxFreq {
+		*freq++
+	}
+	p.Hit(r.Key, r.Time)
+	return true
 }
 
 // evict advances the clock hand: requested-since-insertion objects are
@@ -116,14 +117,18 @@ func (p *Policy) Access(r *trace.Request) bool {
 func (p *Policy) evict(now int64) {
 	for {
 		hand := p.queue.Front()
-		if hand.Value.freq > 0 {
-			hand.Value.freq--
-			p.queue.MoveToBack(hand) // reinsertion
+		if freq := p.idx.Value(hand); *freq > 0 {
+			*freq--
+			p.idx.MoveToBack(&p.queue, hand) // reinsertion
 			continue
 		}
-		delete(p.byKey, hand.Value.key)
-		p.queue.Remove(hand)
-		p.Evict(hand.Value.key, now)
+		p.drop(hand, now)
 		return
 	}
+}
+
+func (p *Policy) drop(s int32, now int64) {
+	key := p.idx.Key(s)
+	p.idx.Remove(&p.queue, s)
+	p.Evict(key, now)
 }

@@ -100,3 +100,29 @@ func TestScanEqualsFIFO(t *testing.T) {
 		t.Fatalf("scan miss ratio = %v, want 1.0", mr)
 	}
 }
+
+// AccessResident is Access's hit path and nothing else: a miss leaves the
+// cache and its events untouched, a hit counts toward reinsertion.
+func TestAccessResident(t *testing.T) {
+	p := New(2, 1)
+	events := 0
+	p.SetEvents(&core.Events{
+		OnInsert: func(uint64, int64) { events++ },
+		OnEvict:  func(uint64, int64) { events++ },
+		OnHit:    func(uint64, int64) { events++ },
+	})
+	reqs := policytest.KeysToRequests([]uint64{1, 2, 3, 1})
+	if p.AccessResident(&reqs[0]) || p.Len() != 0 || events != 0 {
+		t.Fatalf("miss changed the cache: len %d, %d events", p.Len(), events)
+	}
+	p.Access(&reqs[0])
+	p.Access(&reqs[1])
+	events = 0
+	if !p.AccessResident(&reqs[3]) || events != 1 {
+		t.Fatalf("hit on key 1 not served (%d events)", events)
+	}
+	p.Access(&reqs[2]) // the hand reinserts 1 and evicts 2
+	if !p.Contains(1) || p.Contains(2) {
+		t.Fatal("the hit through AccessResident did not set the reference bit")
+	}
+}

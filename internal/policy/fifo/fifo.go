@@ -9,8 +9,8 @@ package fifo
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -22,16 +22,13 @@ func init() {
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	byKey    map[uint64]*dlist.Node[uint64]
-	queue    dlist.List[uint64] // front = oldest
+	idx      *slab.Index[struct{}]
+	queue    slab.List // front = oldest
 }
 
 // New returns a FIFO policy with the given capacity in objects.
 func New(capacity int) *Policy {
-	return &Policy{
-		capacity: capacity,
-		byKey:    make(map[uint64]*dlist.Node[uint64], capacity),
-	}
+	return &Policy{capacity: capacity, idx: slab.New[struct{}](capacity)}
 }
 
 // Name implements core.Policy.
@@ -44,36 +41,34 @@ func (p *Policy) Len() int { return p.queue.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // Remove implements core.Remover.
 func (p *Policy) Remove(key uint64) bool {
-	n, ok := p.byKey[key]
-	if !ok {
+	s := p.idx.Find(key)
+	if s == 0 {
 		return false
 	}
-	delete(p.byKey, key)
-	p.queue.Remove(n)
-	p.Evict(key, 0)
+	p.drop(s, 0)
 	return true
 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if _, ok := p.byKey[r.Key]; ok {
+	if p.idx.Find(r.Key) != 0 {
 		p.Hit(r.Key, r.Time)
 		return true
 	}
 	if p.queue.Len() >= p.capacity {
-		oldest := p.queue.Front()
-		delete(p.byKey, oldest.Value)
-		p.queue.Remove(oldest)
-		p.Evict(oldest.Value, r.Time)
+		p.drop(p.queue.Front(), r.Time)
 	}
-	p.byKey[r.Key] = p.queue.PushBack(r.Key)
+	p.idx.PushBack(&p.queue, p.idx.Insert(r.Key))
 	p.Insert(r.Key, r.Time)
 	return false
+}
+
+func (p *Policy) drop(s int32, now int64) {
+	key := p.idx.Key(s)
+	p.idx.Remove(&p.queue, s)
+	p.Evict(key, now)
 }

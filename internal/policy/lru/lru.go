@@ -11,8 +11,8 @@ package lru
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -24,16 +24,13 @@ func init() {
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	byKey    map[uint64]*dlist.Node[uint64]
-	queue    dlist.List[uint64] // front = most recently used
+	idx      *slab.Index[struct{}]
+	queue    slab.List // front = most recently used
 }
 
 // New returns an LRU policy with the given capacity in objects.
 func New(capacity int) *Policy {
-	return &Policy{
-		capacity: capacity,
-		byKey:    make(map[uint64]*dlist.Node[uint64], capacity),
-	}
+	return &Policy{capacity: capacity, idx: slab.New[struct{}](capacity)}
 }
 
 // Name implements core.Policy.
@@ -46,47 +43,45 @@ func (p *Policy) Len() int { return p.queue.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // Victim returns the key that would be evicted next (the LRU tail) without
 // evicting it. Admission filters (TinyLFU) use it for the frequency duel.
 func (p *Policy) Victim() (uint64, bool) {
-	n := p.queue.Back()
-	if n == nil {
+	s := p.queue.Back()
+	if s == 0 {
 		return 0, false
 	}
-	return n.Value, true
+	return p.idx.Key(s), true
 }
 
 // Remove implements core.Remover.
 func (p *Policy) Remove(key uint64) bool {
-	n, ok := p.byKey[key]
-	if !ok {
+	s := p.idx.Find(key)
+	if s == 0 {
 		return false
 	}
-	delete(p.byKey, key)
-	p.queue.Remove(n)
-	p.Evict(key, 0)
+	p.drop(s, 0)
 	return true
 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
-		p.queue.MoveToFront(n) // eager promotion
+	if s := p.idx.Find(r.Key); s != 0 {
+		p.idx.MoveToFront(&p.queue, s) // eager promotion
 		p.Hit(r.Key, r.Time)
 		return true
 	}
 	if p.queue.Len() >= p.capacity {
-		victim := p.queue.Back()
-		delete(p.byKey, victim.Value)
-		p.queue.Remove(victim)
-		p.Evict(victim.Value, r.Time)
+		p.drop(p.queue.Back(), r.Time)
 	}
-	p.byKey[r.Key] = p.queue.PushFront(r.Key)
+	p.idx.PushFront(&p.queue, p.idx.Insert(r.Key))
 	p.Insert(r.Key, r.Time)
 	return false
+}
+
+func (p *Policy) drop(s int32, now int64) {
+	key := p.idx.Key(s)
+	p.idx.Remove(&p.queue, s)
+	p.Evict(key, now)
 }

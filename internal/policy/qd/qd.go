@@ -22,14 +22,13 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
-	"repro/internal/ghost"
 	"repro/internal/policy/arc"
 	"repro/internal/policy/cacheus"
 	"repro/internal/policy/lecar"
 	"repro/internal/policy/lhd"
 	"repro/internal/policy/lirs"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -61,9 +60,18 @@ type Options struct {
 	GhostFactor float64
 }
 
-type probEntry struct {
-	key      uint64
-	accessed bool
+// entry is the state of a key the wrapper itself tracks: on probation
+// (data cached) or remembered in the ghost (metadata only).
+type entry struct {
+	accessed bool // probation: requested since insertion
+	ghost    bool
+}
+
+// residentAccessor is implemented by main policies that can serve a request
+// only when it hits (clock, arc): a main-cache hit then costs one lookup in
+// the main policy instead of Contains followed by Access.
+type residentAccessor interface {
+	AccessResident(r *trace.Request) bool
 }
 
 // Policy wraps a main policy with Quick Demotion. Not safe for concurrent
@@ -73,12 +81,22 @@ type Policy struct {
 	name     string
 	capacity int
 	probCap  int
+	ghostCap int
 
-	main      core.Policy
-	prob      dlist.List[probEntry] // front = oldest
-	probByKey map[uint64]*dlist.Node[probEntry]
-	ghost     *ghost.Queue
+	main         core.Policy
+	mainResident residentAccessor // main, when it implements the interface
 
+	// One index holds probation and ghost keys, so a request costs one
+	// probe to place among the two, and demotion to the ghost relinks the
+	// entry without touching the table.
+	idx   *slab.Index[entry]
+	prob  slab.List // front = oldest
+	ghost slab.List // front = oldest
+
+	// promo is the request a promotion presents to the main policy; a
+	// field, because a local handed to an interface method would escape to
+	// the heap on every promotion.
+	promo trace.Request
 	// suppressInsert is set while promoting a probation object into the
 	// main cache: the object never left the cache, so the inner policy's
 	// OnInsert must not surface.
@@ -107,14 +125,16 @@ func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Pol
 		probCap = 0
 	}
 	mainCap := capacity - probCap
+	ghostCap := max(int(float64(mainCap)*opts.GhostFactor), 0)
 	p := &Policy{
-		capacity:  capacity,
-		probCap:   probCap,
-		main:      mainNew(mainCap),
-		probByKey: make(map[uint64]*dlist.Node[probEntry], probCap),
-		ghost:     ghost.New(int(float64(mainCap) * opts.GhostFactor)),
+		capacity: capacity,
+		probCap:  probCap,
+		ghostCap: ghostCap,
+		main:     mainNew(mainCap),
+		idx:      slab.New[entry](probCap + ghostCap),
 	}
 	p.name = "qd-" + p.main.Name()
+	p.mainResident, _ = p.main.(residentAccessor)
 	if sink, ok := p.main.(core.EventSink); ok {
 		sink.SetEvents(&core.Events{
 			OnInsert: func(key uint64, now int64) {
@@ -140,7 +160,7 @@ func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {
-	if _, ok := p.probByKey[key]; ok {
+	if s := p.idx.Find(key); s != 0 && !p.idx.Value(s).ghost {
 		return true
 	}
 	return p.main.Contains(key)
@@ -158,9 +178,8 @@ func (p *Policy) ProbationLen() int { return p.prob.Len() }
 // Remove implements core.Remover when the main policy does. Probation
 // entries are removed directly; main-cache entries delegate.
 func (p *Policy) Remove(key uint64) bool {
-	if n, ok := p.probByKey[key]; ok {
-		delete(p.probByKey, key)
-		p.prob.Remove(n)
+	if s := p.idx.Find(key); s != 0 && !p.idx.Value(s).ghost {
+		p.idx.Remove(&p.prob, s)
 		p.Evict(key, 0)
 		return true
 	}
@@ -172,51 +191,67 @@ func (p *Policy) Remove(key uint64) bool {
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.probByKey[r.Key]; ok {
-		// Probation hit: lazy — only a bit flips, no movement.
-		n.Value.accessed = true
-		p.Hit(r.Key, r.Time)
-		return true
+	// The main cache, probation and the ghost are disjoint, so the order of
+	// the lookups decides nothing; main comes first because most hits land
+	// there, and then cost one lookup.
+	if p.mainResident != nil {
+		if p.mainResident.AccessResident(r) {
+			return true // inner policy handles its own promotion
+		}
+	} else if p.main.Contains(r.Key) {
+		return p.main.Access(r)
 	}
-	if p.main.Contains(r.Key) {
-		return p.main.Access(r) // inner policy handles its own promotion
-	}
-	// Miss.
-	if p.probCap == 0 {
-		// Degenerate tiny cache: no probation stage.
+	if s := p.idx.Find(r.Key); s != 0 {
+		e := p.idx.Value(s)
+		if !e.ghost {
+			// Probation hit: lazy — only a bit flips, no movement.
+			e.accessed = true
+			p.Hit(r.Key, r.Time)
+			return true
+		}
+		// Demoted too quickly last time: admit straight into the main
+		// cache (a real insertion — the inner OnInsert surfaces).
+		p.idx.Remove(&p.ghost, s)
 		p.main.Access(r)
 		return false
 	}
-	if p.ghost.Contains(r.Key) {
-		// Demoted too quickly last time: admit straight into the main
-		// cache (a real insertion — the inner OnInsert surfaces).
-		p.ghost.Remove(r.Key)
+	if p.probCap == 0 {
+		// Degenerate tiny cache: no probation stage.
 		p.main.Access(r)
 		return false
 	}
 	if p.prob.Len() >= p.probCap {
 		p.evictProbation(r.Time)
 	}
-	p.probByKey[r.Key] = p.prob.PushBack(probEntry{key: r.Key})
+	p.idx.PushBack(&p.prob, p.idx.Insert(r.Key))
 	p.Insert(r.Key, r.Time)
 	return false
 }
 
 // evictProbation handles the probationary FIFO tail: accessed objects are
 // promoted into the main cache (remaining resident throughout), untouched
-// objects are evicted and remembered in the ghost.
+// objects are evicted and remembered in the ghost, whose oldest key is
+// forgotten when it is full.
 func (p *Policy) evictProbation(now int64) {
-	oldest := p.prob.Front()
-	e := oldest.Value
-	delete(p.probByKey, e.key)
-	p.prob.Remove(oldest)
+	s := p.prob.Front()
+	key, e := p.idx.Key(s), p.idx.Value(s)
 	if e.accessed {
-		req := trace.Request{Key: e.key, Size: 1, Time: now}
+		p.idx.Remove(&p.prob, s)
+		p.promo = trace.Request{Key: key, Size: 1, Time: now}
 		p.suppressInsert = true
-		p.main.Access(&req)
+		p.main.Access(&p.promo)
 		p.suppressInsert = false
 		return
 	}
-	p.ghost.Add(e.key)
-	p.Evict(e.key, now)
+	if p.ghostCap == 0 {
+		p.idx.Remove(&p.prob, s)
+	} else {
+		if p.ghost.Len() >= p.ghostCap {
+			p.idx.Remove(&p.ghost, p.ghost.Front())
+		}
+		p.idx.Unlink(&p.prob, s)
+		e.ghost = true
+		p.idx.PushBack(&p.ghost, s)
+	}
+	p.Evict(key, now)
 }

@@ -13,6 +13,11 @@ func newQDLRU(c int) *Policy {
 	return New(c, Options{}, func(mainCap int) core.Policy { return lru.New(mainCap) })
 }
 
+func inGhost(p *Policy, key uint64) bool {
+	s := p.idx.Find(key)
+	return s != 0 && p.idx.Value(s).ghost
+}
+
 func TestConformanceOverLRU(t *testing.T) {
 	policytest.RunConformance(t, func(c int) core.Policy { return newQDLRU(c) })
 }
@@ -55,8 +60,8 @@ func TestPaperSizing(t *testing.T) {
 	if p.Main().Capacity() != 90 {
 		t.Fatalf("main cap = %d, want 90", p.Main().Capacity())
 	}
-	if p.ghost.Capacity() != 90 {
-		t.Fatalf("ghost cap = %d, want 90", p.ghost.Capacity())
+	if p.ghostCap != 90 {
+		t.Fatalf("ghost cap = %d, want 90", p.ghostCap)
 	}
 }
 
@@ -106,7 +111,7 @@ func TestGhostDirectAdmission(t *testing.T) {
 	for i := range reqs {
 		p.Access(&reqs[i])
 	}
-	if !p.ghost.Contains(1) {
+	if !inGhost(p, 1) {
 		t.Fatal("unaccessed probation victim not in ghost")
 	}
 	again := policytest.KeysToRequests([]uint64{1})
@@ -116,7 +121,7 @@ func TestGhostDirectAdmission(t *testing.T) {
 	if !p.Main().Contains(1) {
 		t.Fatal("ghost hit not admitted into main cache")
 	}
-	if p.ghost.Contains(1) {
+	if inGhost(p, 1) {
 		t.Fatal("key left in ghost after admission")
 	}
 }

@@ -102,20 +102,24 @@ func (j Job) build() (core.Policy, error) {
 }
 
 // RunSweep executes jobs across workers goroutines (0 = GOMAXPROCS) and
-// returns results in job order. Traces referenced by offline policies are
-// annotated upfront so shared traces are never mutated concurrently.
+// returns results in job order. Every job's policy is built once, serially
+// and up front: that validates the job, and tells which traces offline
+// policies need annotated before any worker reads them, so shared traces are
+// never mutated concurrently. The worker that runs a job takes its policy
+// and drops it with the run.
 func RunSweep(jobs []Job, workers int) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Validate policies and prepare traces serially.
+	policies := make([]core.Policy, len(jobs))
 	prepared := map[*trace.Trace]bool{}
 	annotated := map[*trace.Trace]bool{}
-	for _, j := range jobs {
+	for i, j := range jobs {
 		p, err := j.build()
 		if err != nil {
 			return nil, err
 		}
+		policies[i] = p
 		future := false
 		if nf, ok := p.(needsFuture); ok && nf.NeedsFuture() {
 			future = true
@@ -136,14 +140,11 @@ func RunSweep(jobs []Job, workers int) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range ch {
-				j := jobs[idx]
-				p, err := j.build()
-				if err != nil {
-					panic(err) // validated above; unreachable
-				}
-				results[idx] = runPrepared(p, j.Trace)
-				if j.Label != "" {
-					results[idx].Policy = j.Label
+				p := policies[idx]
+				policies[idx] = nil
+				results[idx] = runPrepared(p, jobs[idx].Trace)
+				if label := jobs[idx].Label; label != "" {
+					results[idx].Policy = label
 				}
 			}
 		}()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -83,6 +84,35 @@ func TestRunSweep(t *testing.T) {
 	// Sweep must agree with a direct run.
 	direct := Run(core.MustNew("lru", 100), tr)
 	if direct.Hits != results[0].Hits {
+		t.Fatalf("sweep (%d hits) disagrees with direct run (%d hits)", results[0].Hits, direct.Hits)
+	}
+}
+
+// Each job's constructor runs once: the policy that validated the job is the
+// one its worker replays, and the custom constructor and label are honoured.
+func TestRunSweepBuildsEachPolicyOnce(t *testing.T) {
+	tr := smallTrace()
+	var builds atomic.Int64
+	newLRU := func(capacity int) core.Policy {
+		builds.Add(1)
+		return core.MustNew("lru", capacity)
+	}
+	jobs := []Job{
+		{Trace: tr, New: newLRU, Capacity: 100, Label: "mine"},
+		{Trace: tr, New: newLRU, Capacity: 200},
+		{Trace: tr, Policy: "belady", Capacity: 100},
+	}
+	results, err := RunSweep(jobs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("2 jobs with a constructor built %d policies", got)
+	}
+	if results[0].Policy != "mine" || results[1].Policy != "lru" {
+		t.Fatalf("labels: %q, %q", results[0].Policy, results[1].Policy)
+	}
+	if direct := Run(core.MustNew("lru", 100), tr); direct.Hits != results[0].Hits {
 		t.Fatalf("sweep (%d hits) disagrees with direct run (%d hits)", results[0].Hits, direct.Hits)
 	}
 }

@@ -1,6 +1,7 @@
 package sizeaware
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -157,6 +158,19 @@ func TestQDLPGhostReadmission(t *testing.T) {
 	if !p.main.Contains(1) {
 		t.Fatal("ghost hit not admitted into main")
 	}
+}
+
+// The ghost's 1 Mi-key ceiling is a bound, not a reservation: a new policy
+// costs what it holds, which is nothing yet.
+func TestQDLPConstructionAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := mustPolicy(NewQDLP(1 << 30))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("NewQDLP allocated %d bytes, want at most 64 KiB", got)
+	}
+	runtime.KeepAlive(p)
 }
 
 // On one-hit-heavy sized web workloads, size-aware QD-LP-FIFO should beat

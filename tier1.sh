@@ -25,6 +25,8 @@ go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAll
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
 echo '== alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs)'
 go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler' ./internal/concurrent/
+echo '== alloc guard (slab-backed sweep policies: 0 allocs per Access at steady state)'
+go test -run 'TestSimPoliciesZeroAllocsSteadyState' ./internal/policy/all/
 echo '== bench smoke (one iteration per benchmark)'
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
 echo '== throughput sweep smoke (one point)'
