@@ -131,6 +131,42 @@ func TestKVSetAtMostOneAlloc(t *testing.T) {
 	}
 }
 
+// An evicting set at a full byte-capped store allocates nothing, for every
+// policy: the key takes a free slab slot instead of a new node, and the
+// object takes the entry and the buffer its victim just returned to the
+// pools. (Two planes kept a map and a list node per key: one allocation.)
+func TestKVSetZeroAllocsSteadyState(t *testing.T) {
+	for _, name := range Names() {
+		inner, err := New(name, 0, WithMaxBytes(64<<10), WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv := NewKV(inner, 1)
+		value := make([]byte, 100)
+		keys := make([][]byte, 4096)
+		ids := make([]uint64, len(keys))
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("churn-key-%05d", i))
+			ids[i] = Digest(keys[i])
+		}
+		next := 0
+		set := func() {
+			kv.SetDigest(keys[next], value, 0, ids[next], 0)
+			next = (next + 1) % len(keys)
+		}
+		for i := 0; i < 2048; i++ { // fill several times over; the slab reaches its final size
+			set()
+		}
+		before := kv.Stats().Evictions
+		if avg := testing.AllocsPerRun(1000, set); avg != 0 {
+			t.Errorf("%s: an evicting SetDigest allocates %.2f/op, want 0", name, avg)
+		}
+		if got := kv.Stats().Evictions - before; got < 1000 {
+			t.Errorf("%s: only %d of 1001 measured sets evicted", name, got)
+		}
+	}
+}
+
 // BenchmarkGetMulti measures the shard-batched multi-get against the same
 // 16-key pipelined batch issued as per-key lookups: batching takes each
 // data shard's read lock once per batch (and one counter update per shard)

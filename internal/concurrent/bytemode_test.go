@@ -118,6 +118,34 @@ func TestByteModeLargeInsertEvictsMany(t *testing.T) {
 	}
 }
 
+// A bare byte-capped cache fed costs far below EntryOverhead runs out of
+// index slots (sized for the cheapest object a KV stores) long before it
+// runs out of bytes. It must then evict for slots, not overrun the index.
+func TestByteModeTinyCostsEvictForSlots(t *testing.T) {
+	for _, name := range Names() {
+		c, err := New(name, 0, WithMaxBytes(100*(EntryOverhead+1)), WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(c.Name(), func(t *testing.T) {
+			for k := uint64(0); k < 2000; k++ {
+				c.Set(k, 1)
+				if k%3 == 0 {
+					c.Get(k) // some earn promotion, so QDLP's main region fills too
+				}
+			}
+			st := c.Stats()
+			slots := c.(plane).shared().shards[0].slots
+			if st.Len == 0 || st.Len > slots || st.Evictions == 0 {
+				t.Fatalf("Len %d with %d slots after 2000 one-byte sets, %d evictions", st.Len, slots, st.Evictions)
+			}
+			if st.UsedBytes != int64(st.Len) {
+				t.Fatalf("UsedBytes %d for %d one-byte objects", st.UsedBytes, st.Len)
+			}
+		})
+	}
+}
+
 // QDLP size-aware admission: a first-touch object costing more than
 // AdmitFrac of the probation budget goes straight to the ghost — it never
 // holds bytes — and a second touch earns it a main-region slot like any
@@ -164,6 +192,59 @@ func TestByteQDLPSizeAwareAdmission(t *testing.T) {
 	}
 	if st := c.Stats(); st.UsedBytes != big+small {
 		t.Fatalf("used = %d, want %d", st.UsedBytes, big+small)
+	}
+}
+
+// The ghost is an exact FIFO under a byte cap too. A key demoted, readmitted
+// and demoted again is the ghost's newest entry, and is remembered for as
+// many further demotions as the ghost holds (16 here: the main region is
+// nearly empty, so the bound sits at its floor) — no earlier, which is what
+// a queue that kept the first demotion's stale entry got wrong, and no
+// later.
+func TestByteQDLPGhostRemembersRedemotedKey(t *testing.T) {
+	const x, cost, limit = 1, 100, 16
+	for _, further := range []int{limit - 1, limit} {
+		rec := obs.NewRecorder(1, 1024)
+		// One shard, 10000 bytes: probation 1000 (ten objects), main 9000.
+		c, err := New("qdlp", 0, WithMaxBytes(10000), WithShards(1), WithRecorder(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := uint64(1000)
+		flood := func(n int) { // n first touches, each pushing one older object out of probation
+			for i := 0; i < n; i++ {
+				next++
+				c.Set(next, cost)
+			}
+		}
+		lastEvent := func() obs.EventKind {
+			evs := rec.KeyEvents(x, 0)
+			return evs[len(evs)-1].Kind
+		}
+		c.Set(x, cost)
+		flood(10)
+		if lastEvent() != obs.EvDemoteGhost {
+			t.Fatalf("first demotion: key ended on %v", lastEvent())
+		}
+		c.Set(x, cost) // readmitted to main; the ghost forgets it
+		if lastEvent() != obs.EvGhostReadmit {
+			t.Fatalf("readmission: key ended on %v", lastEvent())
+		}
+		c.Delete(x) // out of main without a trace
+		c.Set(x, cost)
+		flood(10)
+		if lastEvent() != obs.EvDemoteGhost {
+			t.Fatalf("second demotion: key ended on %v", lastEvent())
+		}
+		flood(further)
+		c.Set(x, cost)
+		want := obs.EvGhostReadmit
+		if further >= limit {
+			want = obs.EvAdmit // forgotten: a first touch again
+		}
+		if got := lastEvent(); got != want {
+			t.Errorf("after %d further demotions the key's Set recorded %v, want %v", further, got, want)
+		}
 	}
 }
 

@@ -13,13 +13,32 @@
 // All caches are sharded; the comparison keeps sharding identical so the
 // measured difference is the per-hit metadata discipline, exactly the
 // paper's argument.
+//
+// One structure. A shard (policy.go) is one sync.RWMutex over one
+// slab.Index: an open-addressed table from key to slot, and a slab of slots
+// threaded onto the policy's queues by int32 links. A slot carries the
+// policy's metadata (value or cost, reference counter, which queue) and,
+// when the cache is viewed through a KV (kv.go), a pointer to the object's
+// bytes — so a key is probed once per operation, under one lock, and
+// nothing is allocated to admit it. QDLP's ghost lives in the same index as
+// its residents: quick demotion relinks a slot, readmission relinks it
+// back, and neither touches the table. The four policies are four Set
+// functions (lru.go, clock.go, sieve.go, qdlp.go) over that shard; Get,
+// Delete and the accounting are written once, in policy.go.
+//
+// Lock order: a shard's mu is the only lock an operation takes, and no
+// operation holds two shards' locks. What runs under the shared lock: the
+// probe, the counter store of a lazy promotion, and a KV's key compare,
+// expiry check and copy-out. Everything that links, unlinks, inserts,
+// removes, re-accounts or recycles takes the exclusive lock; LRU's hit is
+// among them, which is the paper's point.
 package concurrent
 
 import "repro/internal/obs"
 
 // Cache is a fixed-capacity thread-safe key-value cache. Values are uint64
-// payloads (simulation stand-ins for object data; the KV adapter stores the
-// object's accounted size here, which a byte-capped cache takes as its cost).
+// payloads (simulation stand-ins for object data; a KV stores the object's
+// accounted size here, which a byte-capped cache takes as its cost).
 type Cache interface {
 	// Get returns the cached value and whether it was present. Get is the
 	// hit path whose cost the paper's scalability argument is about.
@@ -35,7 +54,8 @@ type Cache interface {
 	// byte-capped cache (whose budget Stats reports as MaxBytes).
 	Capacity() int
 	// Stats returns a point-in-time snapshot of the cache-wide operation
-	// counters and occupancy. It never takes the hit path's locks.
+	// counters and occupancy. It takes each shard's shared lock in turn,
+	// as briefly as a hit does.
 	Stats() Snapshot
 	// ShardStats returns one snapshot per shard, in shard order — the
 	// per-shard view the metrics layer exports for balance/occupancy

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -62,6 +63,14 @@ func withinBudget(t *testing.T, c Cache) {
 		case st.UsedBytes < 0:
 			t.Fatalf("snapshot %d: negative used bytes %d", i, st.UsedBytes)
 		}
+	}
+}
+
+// Shards sit back to back in one slice; whole cache lines each keep one
+// shard's lock word and counters off its neighbour's lines.
+func TestShardPadding(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size%64 != 0 {
+		t.Fatalf("shard is %d bytes, not a multiple of the 64-byte cache line: adjust its pad", size)
 	}
 }
 
@@ -228,8 +237,8 @@ func TestQDLPGhostReadmission(t *testing.T) {
 			t.Fatal("key 1 should have been demoted")
 		}
 		c.Set(1, 11)
-		if n, ok := c.shard(1).byKey[1]; !ok || !n.Value.inMain {
-			t.Fatalf("capacity %d: ghost readmission failed: resident=%v", tc.capacity, ok)
+		if n, v := c.shard(1).resident(1); n == 0 || v.where != inMain {
+			t.Fatalf("capacity %d: ghost readmission failed: resident=%v", tc.capacity, n != 0)
 		}
 		if v, ok := c.Get(1); !ok || v != 11 {
 			t.Fatalf("Get(1) = %d,%v after readmission", v, ok)

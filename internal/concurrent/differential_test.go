@@ -1,7 +1,9 @@
 package concurrent
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -53,6 +55,39 @@ func concurrentEvictions(t *testing.T, policy string, keys []uint64) []uint64 {
 	return out
 }
 
+// kvEvictions is the served path's half of the same comparison: the trace
+// goes through the byte-valued KV (the trace key is both the 8-byte wire key
+// and its digest), and the eviction order is read back from the lifecycle
+// events a server would expose, not from the hook.
+func kvEvictions(t *testing.T, policy string, keys []uint64) []uint64 {
+	t.Helper()
+	rec := obs.NewRecorder(1, 1<<17) // one ring, larger than any leg's event count: Seq is the order
+	c, err := New(policy, diffCapacity, WithShards(1), WithRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := NewKV(c, 1)
+	var key [8]byte
+	for _, k := range keys {
+		binary.BigEndian.PutUint64(key[:], k)
+		if _, _, _, ok := kv.GetDigest(nil, key[:], k); !ok {
+			kv.SetDigest(key[:], key[:], 0, k, 0)
+		}
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("event ring wrapped: %d events dropped", rec.Dropped())
+	}
+	evs := rec.Snapshot(0)
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	var out []uint64
+	for _, ev := range evs {
+		if ev.Kind == obs.EvEvict || ev.Kind == obs.EvDemoteGhost {
+			out = append(out, ev.Key)
+		}
+	}
+	return out
+}
+
 func referenceEvictions(t *testing.T, policy string, keys []uint64) []uint64 {
 	t.Helper()
 	p, err := core.New(policy, diffCapacity)
@@ -79,18 +114,22 @@ func TestEvictionSequenceMatchesReference(t *testing.T) {
 		{"qdlp", "qd-lp-fifo"},
 	} {
 		for name, keys := range traces {
-			got := concurrentEvictions(t, tc.policy, keys)
 			want := referenceEvictions(t, tc.reference, keys)
 			if len(want) < diffCapacity {
 				t.Fatalf("%s/%s: reference evicted only %d keys; the trace does not exercise eviction", tc.policy, name, len(want))
 			}
-			first := 0
-			for first < len(got) && first < len(want) && got[first] == want[first] {
-				first++
-			}
-			if first != len(want) || len(got) != len(want) {
-				t.Errorf("%s/%s: eviction %d differs from the reference (%d vs %d evictions in all)",
-					tc.policy, name, first, len(got), len(want))
+			for leg, got := range map[string][]uint64{
+				"cache": concurrentEvictions(t, tc.policy, keys),
+				"kv":    kvEvictions(t, tc.policy, keys),
+			} {
+				first := 0
+				for first < len(got) && first < len(want) && got[first] == want[first] {
+					first++
+				}
+				if first != len(want) || len(got) != len(want) {
+					t.Errorf("%s/%s/%s: eviction %d differs from the reference (%d vs %d evictions in all)",
+						tc.policy, name, leg, first, len(got), len(want))
+				}
 			}
 		}
 	}

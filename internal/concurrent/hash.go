@@ -11,7 +11,7 @@ import (
 // digest once at parse time and threads it through KV → inner cache, so
 // no layer hashes a key twice.
 //
-// The digest doubles as the data-plane map key, so distinct keys that
+// The digest is the key of the object's slot, so distinct keys that
 // collide are detected by full-key comparison in KV and served as misses
 // (see the KV doc comment).
 func Digest(key []byte) uint64 {

@@ -10,45 +10,44 @@ import (
 	"repro/internal/ttlwheel"
 )
 
-// KV is a byte-value, size-aware adapter over a sharded Cache: the inner
-// cache decides admission and eviction over 64-bit key digests (storing the
-// object size as its value), while KV owns the data plane — a sharded map
-// from digest to the full key and value bytes. The inner cache's eviction
-// hook removes the bytes synchronously, so data-plane residency tracks the
-// policy exactly.
+// KV is the byte-valued view of a Cache built by New: the same shards, the
+// same locks, the same index. Where the bare Cache keeps a uint64 value in a
+// key's slot, KV keeps there the object's accounted size (the cost a
+// byte-capped policy budgets) and a pointer to the object itself — full
+// key, value bytes, flags, cas token, expiry. There is no second structure:
+// the probe that finds a key's policy metadata has found its bytes, and
+// whatever evicts, demotes, overwrites or deletes a slot recycles its
+// object in the same critical section, so residency in the policy IS
+// residency of the data. The Cache handed to NewKV is thereafter driven
+// only through the KV.
 //
-// The data plane is GC-light: every entry's key and value share one
-// size-classed pooled buffer (see pool.go), and the entry structs
-// themselves are pooled. Eviction, Delete, and overwrite recycle both
-// under the data shard's exclusive lock, after bumping the entry's seq
-// epoch. Readers copy value bytes out under the shard's shared lock and
-// re-check the seq before trusting the copy, so a reader can never observe
-// a recycled buffer's bytes for the wrong key: recycling requires the
-// exclusive lock (which excludes readers), and the epoch check
-// independently turns any future violation of that discipline into a safe
-// miss instead of cross-key corruption.
+// Locking. One sync.RWMutex per shard and no other lock on any operation;
+// AdvanceTTL's ttlMu is taken before, never inside, a shard's.
+//   - Get, AppendHit and GetMulti run in one shared-lock section: probe,
+//     full-key compare, expiry check, copy out, and the policy's lazy
+//     promotion (one atomic counter store). Under LRU the same steps run in
+//     its one exclusive section, because its promotion relinks the queue.
+//     They never mutate anything else: a lazily expired object answers as a
+//     miss and is left for the wheel.
+//   - SetDigest builds the object outside the lock, then runs the policy's
+//     Set in one exclusive section: find or admit, evict until it fits,
+//     recycle every victim's buffer. Delete, Touch and the wheel's reclaim
+//     are single exclusive sections too.
 //
-// The hit path preserves the inner cache's locking discipline: a shared
-// lock on the data shard to copy the bytes, released before the inner
-// Get bumps the policy metadata, so no lock is ever held across the two
-// structures (which would deadlock against the eviction hook, which runs
-// under the inner shard's exclusive lock).
-//
-// Three benign races follow from the two-structure design and are
-// acceptable for a cache: a Get may serve a value that is concurrently
-// evicted (one stale hit), a racing Set/eviction pair may drop a
-// just-written value (one extra miss), and a racing Set/Delete pair may
-// leave a policy ghost — an admitted id with no bytes — which is evicted
-// normally and answers as a miss meanwhile. Distinct keys colliding on the
-// 64-bit digest are detected by full-key comparison and served as misses.
+// The data is GC-light: every object's key and value share one size-classed
+// pooled buffer (see pool.go), and the kvEntry structs are pooled. The slot
+// holds the entry by pointer rather than by value because the entry embeds
+// the TTL wheel's intrusive node, which the wheel links by address and
+// which must not move when the slab grows. Recycling happens only under the
+// exclusive lock, after bumping the entry's seq epoch; readers re-check the
+// epoch after copying, which turns any future violation of that discipline
+// into a safe miss instead of cross-key corruption. Distinct keys colliding
+// on the 64-bit digest share a slot: the later Set wins it, and full-key
+// comparison serves the loser as a miss.
 type KV struct {
-	inner  Cache
-	shards []kvShard
-	mask   uint64
-	bytes  atomic.Int64
-	items  atomic.Int64
+	b      *base // the shards, shared with p
+	p      plane
 	casSeq atomic.Uint64
-	rec    *obs.Recorder
 	smp    *obs.KeySampler
 
 	// nowSec is the coarse TTL clock (unix seconds) the shared-lock hit
@@ -57,25 +56,7 @@ type KV struct {
 	// StartExpiry ticker).
 	nowSec  atomic.Int64
 	expired atomic.Int64 // entries reclaimed proactively by the wheel
-	// ttlMu serializes AdvanceTTL (one ticker plus any manual calls) and
-	// guards ttlScratch, the reusable expired-digest batch buffer.
-	ttlMu      sync.Mutex
-	ttlScratch []uint64
-}
-
-type kvShard struct {
-	mu    sync.RWMutex
-	m     map[uint64]*kvEntry
-	wheel *ttlwheel.Wheel // guarded by mu, like m
-	stats opStats
-	_     [24]byte
-}
-
-// recycle unlinks e's TTL timer and returns e to the pools. Caller holds
-// the shard's exclusive lock and has unlinked e from the shard map.
-func (s *kvShard) recycle(e *kvEntry) {
-	s.wheel.Remove(&e.ttl)
-	recycleEntry(e)
+	ttlMu   sync.Mutex   // serializes AdvanceTTL (one ticker plus any manual calls)
 }
 
 // kvEntry is one cached object. key and value are subslices of *buf, a
@@ -103,7 +84,7 @@ type kvEntry struct {
 }
 
 // newEntry builds a pooled entry holding private copies of key and value.
-func newEntry(key, value []byte, flags uint32, cas uint64, expireAt int64) *kvEntry {
+func newEntry(key, value []byte, flags uint32, id, cas uint64, expireAt int64) *kvEntry {
 	e := entryPool.Get().(*kvEntry)
 	e.buf = getBuf(len(key) + len(value))
 	b := *e.buf
@@ -114,13 +95,13 @@ func newEntry(key, value []byte, flags uint32, cas uint64, expireAt int64) *kvEn
 	e.flags = flags
 	e.cas = cas
 	e.expireAt = expireAt
+	e.ttl.Key = id
 	return e
 }
 
 // recycleEntry returns e's buffer and then e itself to their pools. The
-// caller must hold the owning shard's exclusive lock and must have
-// unlinked e from the shard map; the seq bump is what readers validate
-// against.
+// caller holds the owning shard's exclusive lock, or e was never stored in
+// a slot; the seq bump is what readers validate against.
 func recycleEntry(e *kvEntry) {
 	e.seq.Add(1)
 	putBuf(e.buf)
@@ -128,34 +109,28 @@ func recycleEntry(e *kvEntry) {
 	entryPool.Put(e)
 }
 
-// NewKV wraps inner, spreading the data plane over a power-of-two number of
-// shards (at least dataShards). It registers inner's eviction hook, so the
-// inner cache must not be shared with another KV or hook user.
+// NewKV returns the byte-valued view of inner, which must have been built
+// by New (anything else panics: there would be no shards to view) and must
+// not be shared with another KV. dataShards is ignored — the KV's shards
+// are inner's — and stays in the signature only for its callers' sake.
 func NewKV(inner Cache, dataShards int) *KV {
-	n := shardCount(dataShards)
-	kv := &KV{inner: inner, shards: make([]kvShard, n), mask: uint64(n - 1)}
+	p, ok := inner.(plane)
+	if !ok {
+		panic("concurrent: NewKV needs a Cache built by concurrent.New, got " + inner.Name())
+	}
+	kv := &KV{b: p.shared(), p: p}
 	now := time.Now().Unix()
 	kv.nowSec.Store(now)
-	for i := range kv.shards {
-		kv.shards[i].m = make(map[uint64]*kvEntry)
-		kv.shards[i].wheel = ttlwheel.New(now)
+	for i := range kv.b.shards {
+		kv.b.shards[i].wheel = ttlwheel.New(now)
 	}
-	inner.SetEvictHook(kv.dropEvicted)
 	return kv
 }
 
-func (kv *KV) shard(id uint64) *kvShard {
-	return &kv.shards[hash(id)&kv.mask]
-}
-
-// SetRecorder attaches a lifecycle-event recorder to the data plane and the
-// inner policy: the policy emits admit/promote/demote/evict events, KV adds
-// the client-driven removals (delete, expire). Call before the store is
-// shared, like SetEvictHook.
-func (kv *KV) SetRecorder(rec *obs.Recorder) {
-	kv.rec = rec
-	kv.inner.SetRecorder(rec)
-}
+// SetRecorder attaches a lifecycle-event recorder: the policy emits
+// admit/promote/demote/evict events, KV adds the client-driven removals
+// (delete, expire). Call before the store is shared.
+func (kv *KV) SetRecorder(rec *obs.Recorder) { kv.b.rec = rec }
 
 // SetSampler attaches a spatial key sampler to the read path: every get
 // request's digest (hit or miss — the reuse-distance estimator needs the
@@ -167,25 +142,24 @@ func (kv *KV) SetSampler(smp *obs.KeySampler) {
 	kv.smp = smp
 }
 
-// dropEvicted is the inner cache's eviction hook: it runs under the inner
-// shard's exclusive lock and only touches KV's own shard, never the inner
-// cache. The eviction reason is recorded by the policy alongside its event;
-// the data plane only needs to drop the bytes.
-func (kv *KV) dropEvicted(id uint64, _ obs.Reason) {
-	s := kv.shard(id)
-	s.mu.Lock()
-	e := s.m[id]
-	var n int
-	if e != nil {
-		delete(s.m, id)
-		n = len(e.value)
-		s.recycle(e)
+// lookup returns the slot and object stored under id when that object's
+// key is key and it has not expired. A ghost, a colliding digest and a
+// lazily expired object (left for the wheel) are all misses. Caller holds
+// the shard's lock.
+func (kv *KV) lookup(s *shard, id uint64, key []byte) (int32, *slot) {
+	n := s.idx.Find(id)
+	if n == 0 {
+		return 0, nil
 	}
-	s.mu.Unlock()
-	if e != nil {
-		kv.bytes.Add(-int64(n))
-		kv.items.Add(-1)
+	v := s.idx.Value(n)
+	e := v.e
+	if e == nil || !bytes.Equal(e.key, key) {
+		return 0, nil
 	}
+	if exp := e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
+		return 0, nil
+	}
+	return n, v
 }
 
 // Get appends the cached value for key to dst and returns the extended
@@ -198,42 +172,12 @@ func (kv *KV) Get(dst, key []byte) (value []byte, flags uint32, cas uint64, ok b
 // GetDigest is Get with the key's digest already computed (the server
 // hashes each key once at parse time and threads the digest down).
 func (kv *KV) GetDigest(dst, key []byte, id uint64) (value []byte, flags uint32, cas uint64, ok bool) {
-	kv.smp.Offer(id)
-	s := kv.shard(id)
-	s.mu.RLock()
-	e := s.m[id]
-	if e == nil || !bytes.Equal(e.key, key) {
-		s.mu.RUnlock()
-		s.stats.misses.Add(1)
-		return dst, 0, 0, false
-	}
-	if exp := e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
-		// Lazily expired: answer as a miss; the wheel reclaims the bytes
-		// on its next tick (no mutation under the shared lock).
-		s.mu.RUnlock()
-		s.stats.misses.Add(1)
-		return dst, 0, 0, false
-	}
-	seq := e.seq.Load()
-	base := len(dst)
-	dst = append(dst, e.value...)
-	flags, cas = e.flags, e.cas
-	if e.seq.Load() != seq {
-		// Entry recycled mid-copy: impossible while recycling requires this
-		// shard's exclusive lock, but fail safe to a miss rather than serve
-		// another key's bytes.
-		s.mu.RUnlock()
-		s.stats.misses.Add(1)
-		return dst[:base], 0, 0, false
-	}
-	s.mu.RUnlock()
-	kv.inner.Get(id) // lazy promotion: bump the policy metadata only
-	s.stats.hits.Add(1)
-	return dst, flags, cas, true
+	out, _, flags, cas, ok := kv.appendHit(dst, key, id, nil)
+	return out, flags, cas, ok
 }
 
 // HitHeaderFunc appends a response header for a hit to dst and returns the
-// extended slice. It runs under the data shard's shared lock, so it must
+// extended slice. It runs under the shard's lock, so it must
 // only append — no blocking, locking, or I/O.
 type HitHeaderFunc func(dst, key []byte, valueLen int, flags uint32, cas uint64) []byte
 
@@ -244,36 +188,48 @@ type HitHeaderFunc func(dst, key []byte, valueLen int, flags uint32, cas uint64)
 // with no intermediate copy. On a miss (or a failed epoch check) dst is
 // returned unchanged. valueLen reports the appended value's length.
 func (kv *KV) AppendHit(dst, key []byte, id uint64, hdr HitHeaderFunc) (out []byte, valueLen int, ok bool) {
+	out, valueLen, _, _, ok = kv.appendHit(dst, key, id, hdr)
+	return out, valueLen, ok
+}
+
+// appendHit is the hit path: one probe, compare, copy and promotion inside
+// one lock section (see the KV comment).
+func (kv *KV) appendHit(dst, key []byte, id uint64, hdr HitHeaderFunc) (_ []byte, valueLen int, flags uint32, cas uint64, ok bool) {
 	kv.smp.Offer(id)
-	s := kv.shard(id)
-	s.mu.RLock()
-	e := s.m[id]
-	if e == nil || !bytes.Equal(e.key, key) {
-		s.mu.RUnlock()
-		s.stats.misses.Add(1)
-		return dst, 0, false
+	s := kv.b.shard(id)
+	kv.b.lockHit(s)
+	n, v := kv.lookup(s, id, key)
+	if n != 0 {
+		dst, ok = v.e.appendTo(dst, key, hdr)
 	}
-	if exp := e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
-		s.mu.RUnlock()
+	if !ok {
+		kv.b.unlockHit(s)
 		s.stats.misses.Add(1)
-		return dst, 0, false
+		return dst, 0, 0, 0, false
 	}
+	valueLen, flags, cas = len(v.e.value), v.e.flags, v.e.cas
+	kv.b.touch(s, n, v)
+	kv.b.unlockHit(s)
+	s.stats.hits.Add(1)
+	return dst, valueLen, flags, cas, true
+}
+
+// appendTo appends hdr's header (when given) and e's value to dst under
+// the shard's lock, validating the recycle epoch around the copy.
+func (e *kvEntry) appendTo(dst, key []byte, hdr HitHeaderFunc) ([]byte, bool) {
 	seq := e.seq.Load()
 	base := len(dst)
-	n := len(e.value)
 	if hdr != nil {
-		dst = hdr(dst, key, n, e.flags, e.cas)
+		dst = hdr(dst, key, len(e.value), e.flags, e.cas)
 	}
 	dst = append(dst, e.value...)
 	if e.seq.Load() != seq {
-		s.mu.RUnlock()
-		s.stats.misses.Add(1)
-		return dst[:base], 0, false
+		// Entry recycled mid-copy: impossible while recycling requires this
+		// shard's exclusive lock, but fail safe to a miss rather than serve
+		// another key's bytes.
+		return dst[:base], false
 	}
-	s.mu.RUnlock()
-	kv.inner.Get(id)
-	s.stats.hits.Add(1)
-	return dst, n, true
+	return dst, true
 }
 
 // MultiHit is one key's result in a GetMulti batch. On a hit the value is
@@ -286,13 +242,13 @@ type MultiHit struct {
 }
 
 // GetMulti looks up keys[i] (with digest ids[i]) as one shard-batched
-// operation: keys are grouped by data shard and each shard's shared lock
-// is taken once per batch instead of once per key, with one counter update
-// per shard. Values are appended back-to-back to dst (returned extended);
-// out[i] records each key's result in request order. All three slices must
-// have equal length; out is fully overwritten. The grouping scan is
-// quadratic in the batch size, which is fine at pipelined-request scale
-// (the server caps batches at MaxKeysPerGet).
+// operation: keys are grouped by shard and each shard's lock is taken once
+// per batch instead of once per key, with one counter update per shard.
+// Values are appended back-to-back to dst (returned extended); out[i]
+// records each key's result in request order. All three slices must have
+// equal length; out is fully overwritten. The grouping scan is quadratic in
+// the batch size, which is fine at pipelined-request scale (the server caps
+// batches at MaxKeysPerGet).
 func (kv *KV) GetMulti(dst []byte, keys [][]byte, ids []uint64, out []MultiHit) []byte {
 	if len(keys) != len(ids) || len(keys) != len(out) {
 		panic("concurrent: GetMulti keys/ids/out lengths differ")
@@ -302,56 +258,42 @@ func (kv *KV) GetMulti(dst []byte, keys [][]byte, ids []uint64, out []MultiHit) 
 		// Start = -1 marks not yet visited; until then End caches the key's
 		// shard index so the pairwise grouping scan compares integers
 		// instead of re-mixing the digest.
-		out[i] = MultiHit{Start: -1, End: int(hash(ids[i]) & kv.mask)}
+		out[i] = MultiHit{Start: -1, End: int(hash(ids[i]) & kv.b.mask)}
 	}
 	for i := range keys {
 		if out[i].Start != -1 {
 			continue
 		}
 		sIdx := out[i].End
-		s := &kv.shards[sIdx]
-		var hits, misses int64
-		s.mu.RLock()
+		s := &kv.b.shards[sIdx]
+		var hits int64
+		visited := int64(0)
+		kv.b.lockHit(s)
 		for j := i; j < len(keys); j++ {
 			if out[j].Start != -1 || out[j].End != sIdx {
 				continue
 			}
-			e := s.m[ids[j]]
-			if e == nil || !bytes.Equal(e.key, keys[j]) {
-				out[j] = MultiHit{}
-				misses++
+			visited++
+			out[j] = MultiHit{}
+			n, v := kv.lookup(s, ids[j], keys[j])
+			if n == 0 {
 				continue
 			}
-			if exp := e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
-				out[j] = MultiHit{}
-				misses++
-				continue
-			}
-			seq := e.seq.Load()
 			start := len(dst)
-			dst = append(dst, e.value...)
-			if e.seq.Load() != seq {
-				dst = dst[:start]
-				out[j] = MultiHit{}
-				misses++
+			var ok bool
+			if dst, ok = v.e.appendTo(dst, nil, nil); !ok {
 				continue
 			}
-			out[j] = MultiHit{Start: start, End: len(dst), Flags: e.flags, CAS: e.cas, Hit: true}
+			out[j] = MultiHit{Start: start, End: len(dst), Flags: v.e.flags, CAS: v.e.cas, Hit: true}
+			kv.b.touch(s, n, v)
 			hits++
 		}
-		s.mu.RUnlock()
+		kv.b.unlockHit(s)
 		if hits != 0 {
 			s.stats.hits.Add(hits)
 		}
-		if misses != 0 {
-			s.stats.misses.Add(misses)
-		}
-	}
-	// Lazy promotion after every data lock is released, preserving the
-	// no-lock-across-structures discipline.
-	for i := range out {
-		if out[i].Hit {
-			kv.inner.Get(ids[i])
+		if hits != visited {
+			s.stats.misses.Add(visited - hits)
 		}
 	}
 	return dst
@@ -366,50 +308,20 @@ func (kv *KV) Set(key, value []byte, flags uint32) uint64 {
 
 // SetDigest is Set with the key's digest already computed and an absolute
 // expiry deadline in unix seconds (0 = never). The deadline is stamped on
-// the entry (for the lazy check on the hit path) and scheduled on the data
-// shard's timer wheel (for proactive reclaim via AdvanceTTL).
+// the entry (for the lazy check on the hit path) and scheduled on the
+// shard's timer wheel (for proactive reclaim via AdvanceTTL). The policy
+// cost is the full accounted footprint, not just the value length, so
+// byte-capped policies bound real memory; a policy that refuses the object
+// (size-aware admission, or no room at all) recycles it and stores nothing.
 func (kv *KV) SetDigest(key, value []byte, flags uint32, id uint64, expireAt int64) uint64 {
-	// The cas token lives in a local: once the shard lock is released a
-	// concurrent overwrite may recycle e, so e must not be read after that.
+	// The cas token lives in a local: once set returns a concurrent
+	// overwrite may have recycled the entry.
 	cas := kv.casSeq.Add(1)
-	e := newEntry(key, value, flags, cas, expireAt)
-	s := kv.shard(id)
-	s.mu.Lock()
-	old := s.m[id]
-	s.m[id] = e
-	if expireAt > 0 {
-		e.ttl.Key = id
-		s.wheel.Schedule(&e.ttl, expireAt)
-	}
-	var oldLen int
-	if old != nil {
-		oldLen = len(old.value)
-		s.recycle(old)
-	}
-	s.mu.Unlock()
-	s.stats.sets.Add(1)
-	delta := int64(len(value))
-	if old != nil {
-		delta -= int64(oldLen)
-	} else {
-		kv.items.Add(1)
-	}
-	kv.bytes.Add(delta)
-	// Admit after the data is in place so the eviction hook (fired under
-	// the inner lock if this insert displaces victims) always finds bytes
-	// to drop. The policy cost is the full accounted footprint, not just
-	// the value length, so byte-capped policies bound real memory.
-	kv.inner.Set(id, uint64(EntryCost(len(key), len(value))))
+	kv.p.set(id, uint64(EntryCost(len(key), len(value))), newEntry(key, value, flags, id, cas, expireAt))
 	return cas
 }
 
 // Delete removes key, reporting whether it was present.
-//
-// The policy entry goes first, data second — the opposite of Set. With this
-// ordering a Delete racing a Set of the same key can at worst leave a policy
-// ghost (an admitted id whose bytes are gone), which the inner cache evicts
-// normally. The reverse order could strand bytes with no policy entry: the
-// eviction hook would never fire for them and the data plane would leak.
 func (kv *KV) Delete(key []byte) bool {
 	return kv.DeleteDigest(key, Digest(key))
 }
@@ -427,35 +339,46 @@ func (kv *KV) ExpireDigest(key []byte, id uint64) bool {
 	return kv.remove(key, id, obs.EvExpire, obs.ReasonExpired)
 }
 
+// remove implements DeleteDigest/ExpireDigest. A lazily expired object
+// counts as present: its bytes are still held, and this reclaims them.
+func (kv *KV) remove(key []byte, id uint64, kind obs.EventKind, reason obs.Reason) bool {
+	s := kv.b.shard(id)
+	s.mu.Lock()
+	n, v := s.resident(id)
+	found := n != 0 && v.e != nil && bytes.Equal(v.e.key, key)
+	if found {
+		s.remove(kv.b, n, v)
+		s.stats.deletes++
+	}
+	s.mu.Unlock()
+	if found {
+		kv.b.rec.Record(obs.Event{Key: id, Kind: kind, Reason: reason})
+	}
+	return found
+}
+
 // TouchDigest updates key's expiry deadline in place (0 = never) and
 // reschedules its timer-wheel node, reporting whether the key was present
 // and unexpired. Touch is the one mutation of expireAt after entry
 // construction, so it runs under the shard's exclusive lock — readers
 // compare expireAt only under the shared lock, which this excludes. An
 // already lazily-expired entry answers not-found and is left for the
-// wheel to reclaim, exactly like the read path.
+// wheel to reclaim, exactly like the read path. A touch is an access: it
+// promotes like a hit.
 func (kv *KV) TouchDigest(key []byte, id uint64, expireAt int64) bool {
-	s := kv.shard(id)
+	s := kv.b.shard(id)
 	s.mu.Lock()
-	e := s.m[id]
-	if e == nil || !bytes.Equal(e.key, key) {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	n, v := kv.lookup(s, id, key)
+	if n == 0 {
 		return false
 	}
-	if exp := e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
-		s.mu.Unlock()
-		return false
-	}
-	e.expireAt = expireAt
-	s.wheel.Remove(&e.ttl)
+	v.e.expireAt = expireAt
+	s.wheel.Remove(&v.e.ttl)
 	if expireAt > 0 {
-		e.ttl.Key = id
-		s.wheel.Schedule(&e.ttl, expireAt)
+		s.wheel.Schedule(&v.e.ttl, expireAt)
 	}
-	s.mu.Unlock()
-	// A touch is an access: bump the policy metadata like a hit, after the
-	// data lock is released (no lock across the two structures).
-	kv.inner.Get(id)
+	kv.b.touch(s, n, v)
 	return true
 }
 
@@ -463,51 +386,14 @@ func (kv *KV) TouchDigest(key []byte, id uint64, expireAt int64) bool {
 // whether the key is present and unexpired. It backs the gete command's
 // extended VALUE header, which hot-key replication uses to forward TTLs.
 func (kv *KV) ExpireAtDigest(key []byte, id uint64) (int64, bool) {
-	s := kv.shard(id)
+	s := kv.b.shard(id)
 	s.mu.RLock()
-	e := s.m[id]
-	if e == nil || !bytes.Equal(e.key, key) {
-		s.mu.RUnlock()
+	defer s.mu.RUnlock()
+	n, v := kv.lookup(s, id, key)
+	if n == 0 {
 		return 0, false
 	}
-	exp := e.expireAt
-	s.mu.RUnlock()
-	if exp != 0 && exp <= kv.nowSec.Load() {
-		return 0, false
-	}
-	return exp, true
-}
-
-// remove implements DeleteDigest/ExpireDigest: policy entry first, data
-// second (see Delete for the ordering argument).
-func (kv *KV) remove(key []byte, id uint64, kind obs.EventKind, reason obs.Reason) bool {
-	s := kv.shard(id)
-	s.mu.RLock()
-	e := s.m[id]
-	found := e != nil && bytes.Equal(e.key, key)
-	s.mu.RUnlock()
-	if !found {
-		return false
-	}
-	kv.inner.Delete(id)
-	s.mu.Lock()
-	e = s.m[id]
-	found = e != nil && bytes.Equal(e.key, key)
-	var n int
-	if found {
-		delete(s.m, id)
-		n = len(e.value)
-		s.recycle(e)
-	}
-	s.mu.Unlock()
-	if !found {
-		return false
-	}
-	s.stats.deletes.Add(1)
-	kv.rec.Record(obs.Event{Key: id, Kind: kind, Reason: reason})
-	kv.bytes.Add(-int64(n))
-	kv.items.Add(-1)
-	return true
+	return v.e.expireAt, true
 }
 
 // SetNow moves the TTL clock without running the wheel — a test hook for
@@ -518,13 +404,9 @@ func (kv *KV) SetNow(now int64) { kv.nowSec.Store(now) }
 // AdvanceTTL moves the TTL clock to now (unix seconds) and proactively
 // reclaims every entry whose deadline has passed, returning how many were
 // dropped. Calls are serialized; the StartExpiry ticker is the usual
-// caller, but tests drive it directly with a synthetic clock.
-//
-// Per data shard the due digests are collected under one exclusive lock
-// acquisition (the wheel tick), then each is expired through the normal
-// two-plane removal path — policy entry first, data second — outside that
-// first critical section, so the per-shard pause is proportional to the
-// due count, not to the removal work.
+// caller, but tests drive it directly with a synthetic clock. Each shard
+// ticks its wheel and drops what fired in one exclusive section, so the
+// per-shard pause is proportional to the due count.
 func (kv *KV) AdvanceTTL(now int64) int {
 	kv.ttlMu.Lock()
 	defer kv.ttlMu.Unlock()
@@ -532,68 +414,23 @@ func (kv *KV) AdvanceTTL(now int64) int {
 		kv.nowSec.Store(now)
 	}
 	total := 0
-	for i := range kv.shards {
-		s := &kv.shards[i]
-		due := kv.ttlScratch[:0]
+	for i := range kv.b.shards {
+		s := &kv.b.shards[i]
 		s.mu.Lock()
-		s.wheel.Advance(now, func(key uint64) {
-			due = append(due, key)
-		})
-		s.mu.Unlock()
-		kv.ttlScratch = due
-		for _, id := range due {
-			if kv.expireID(id, now) {
+		s.wheel.Advance(now, func(id uint64) {
+			// The wheel fires the node of the object now in id's slot (an
+			// overwritten or removed object's node was disarmed with it).
+			n, v := s.resident(id)
+			if n != 0 && v.e != nil && v.e.expireAt != 0 && v.e.expireAt <= now {
+				s.remove(kv.b, n, v)
+				kv.b.rec.Record(obs.Event{Key: id, Kind: obs.EvExpire, Reason: obs.ReasonExpired})
 				total++
 			}
-		}
+		})
+		s.mu.Unlock()
 	}
-	if total != 0 {
-		kv.expired.Add(int64(total))
-	}
+	kv.expired.Add(int64(total))
 	return total
-}
-
-// expireID drops one wheel-reported digest if its entry is still due.
-// Ordering matches remove(): policy first, data second. The recheck under
-// the exclusive lock handles the race where a concurrent Set replaced the
-// entry between the wheel tick and this removal — the fresh entry stays,
-// but its policy entry may have been deleted by our inner.Delete, so it is
-// re-admitted to keep the two planes consistent (worst case the object
-// rejoins as a new arrival, losing its promotion state — acceptable for a
-// cache, unlike stranded bytes the hook would never reclaim).
-func (kv *KV) expireID(id uint64, now int64) bool {
-	s := kv.shard(id)
-	s.mu.RLock()
-	e := s.m[id]
-	due := e != nil && e.expireAt != 0 && e.expireAt <= now
-	s.mu.RUnlock()
-	if !due {
-		return false
-	}
-	kv.inner.Delete(id)
-	s.mu.Lock()
-	e = s.m[id]
-	due = e != nil && e.expireAt != 0 && e.expireAt <= now
-	var n int
-	var key, value []byte
-	if due {
-		delete(s.m, id)
-		n = len(e.value)
-		s.recycle(e)
-	} else if e != nil {
-		key, value = e.key, e.value
-	}
-	s.mu.Unlock()
-	if !due {
-		if value != nil {
-			kv.inner.Set(id, uint64(EntryCost(len(key), len(value))))
-		}
-		return false
-	}
-	kv.rec.Record(obs.Event{Key: id, Kind: obs.EvExpire, Reason: obs.ReasonExpired})
-	kv.bytes.Add(-int64(n))
-	kv.items.Add(-1)
-	return true
 }
 
 // StartExpiry launches the background ticker that advances the TTL clock
@@ -629,42 +466,35 @@ func (kv *KV) StartExpiry(interval time.Duration) (stop func()) {
 }
 
 // Items returns the number of cached objects.
-func (kv *KV) Items() int64 { return kv.items.Load() }
+func (kv *KV) Items() int64 { return int64(kv.b.Len()) }
 
 // Bytes returns the total value bytes currently cached.
-func (kv *KV) Bytes() int64 { return kv.bytes.Load() }
-
-// Stats returns a point-in-time snapshot of the KV-level operation
-// counters (hits and misses as observed at the byte-value API, including
-// digest-collision misses the inner cache never sees) combined with the
-// inner cache's eviction count and capacity. Len is the data-plane item
-// count.
-func (kv *KV) Stats() Snapshot {
-	var out Snapshot
-	for i := range kv.shards {
-		s := &kv.shards[i].stats
-		out.Hits += s.hits.Load()
-		out.Misses += s.misses.Load()
-		out.Sets += s.sets.Load()
-		out.Deletes += s.deletes.Load()
+func (kv *KV) Bytes() int64 {
+	var n int64
+	for i := range kv.b.shards {
+		s := &kv.b.shards[i]
+		s.mu.RLock()
+		n += s.valueBytes
+		s.mu.RUnlock()
 	}
-	inner := kv.inner.Stats()
-	out.Evictions = inner.Evictions
-	out.UsedBytes = inner.UsedBytes
-	out.MaxBytes = inner.MaxBytes
+	return n
+}
+
+// Stats returns a point-in-time snapshot of the shards' counters — hits
+// and misses as observed at the byte-value API, so a colliding digest or a
+// lazily expired object counts as a miss — plus the wheel's reclaim count.
+func (kv *KV) Stats() Snapshot {
+	out := kv.b.Stats()
 	out.Expired = kv.expired.Load()
-	out.Len = int(kv.items.Load())
-	out.Capacity = kv.inner.Capacity()
 	return out
 }
 
-// ShardStats returns the inner cache's per-shard snapshots — the policy
-// plane's occupancy and eviction balance, which is the per-shard view worth
-// charting (the data plane's sharding is an implementation detail).
-func (kv *KV) ShardStats() []Snapshot { return kv.inner.ShardStats() }
+// ShardStats returns the per-shard snapshots: occupancy, eviction balance
+// and the hits and misses of the keys each shard owns.
+func (kv *KV) ShardStats() []Snapshot { return kv.b.ShardStats() }
 
-// Capacity returns the inner cache's object capacity.
-func (kv *KV) Capacity() int { return kv.inner.Capacity() }
+// Capacity returns the object capacity, 0 under a byte cap.
+func (kv *KV) Capacity() int { return kv.b.Capacity() }
 
-// Name identifies the inner eviction policy.
-func (kv *KV) Name() string { return kv.inner.Name() }
+// Name identifies the eviction policy.
+func (kv *KV) Name() string { return kv.b.name }

@@ -86,7 +86,7 @@ func WithQDLPOptions(opts QDLPOptions) Option {
 
 // WithMaxBytes caps the cache by accounted bytes instead of object count:
 // every Set's value is taken as the object's cost in bytes
-// (len(key)+len(value)+EntryOverhead when driven by the KV adapter; see
+// (len(key)+len(value)+EntryOverhead when driven through a KV; see
 // EntryCost). It applies to every policy and is mutually exclusive with
 // WithMaxEntries and with a nonzero positional capacity.
 func WithMaxBytes(n int64) Option {

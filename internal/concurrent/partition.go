@@ -1,7 +1,7 @@
 package concurrent
 
-// Data-plane shard topology, exposed so a serving layer can partition the
-// KV's shards into per-core ownership sets. The shards themselves are
+// Shard topology, exposed so a serving layer can partition the KV's shards
+// into per-core ownership sets. The shards themselves are
 // unchanged — each is still guarded by its own RWMutex — but when every
 // connection pinned to core c only touches shards owned by partition c,
 // those locks are never contended by another core, so the lock's fast path
@@ -10,14 +10,14 @@ package concurrent
 // may contend, which is why the server counts them separately
 // (cache_server_cross_core_ops_total) instead of forbidding them.
 
-// NumDataShards returns how many data shards the KV spreads its byte plane
-// over (a power of two, >= the constructor's dataShards argument).
-func (kv *KV) NumDataShards() int { return len(kv.shards) }
+// NumDataShards returns how many shards the KV has: the policy's own (a
+// power of two), since the bytes live in the policy's shards.
+func (kv *KV) NumDataShards() int { return len(kv.b.shards) }
 
-// DataShardIndex returns the index of the data shard that owns digest id —
-// the same mapping every KV operation uses internally, so a caller can
-// group or partition keys without re-deriving the hash mix.
-func (kv *KV) DataShardIndex(id uint64) int { return int(hash(id) & kv.mask) }
+// DataShardIndex returns the index of the shard that owns digest id — the
+// same mapping every KV operation uses internally, so a caller can group or
+// partition keys without re-deriving the hash mix.
+func (kv *KV) DataShardIndex(id uint64) int { return int(hash(id) & kv.b.mask) }
 
 // PartitionShards splits shards data shards into parts contiguous
 // partitions and returns the ownership table: owner[i] is the partition

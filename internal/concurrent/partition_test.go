@@ -55,10 +55,10 @@ func TestKVShardTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := NewKV(inner, 5) // rounds up to 8 data shards
+	kv := NewKV(inner, 5) // ignored: the KV's shards are the policy's
 	n := kv.NumDataShards()
-	if n < 5 || n&(n-1) != 0 {
-		t.Fatalf("NumDataShards %d: want power of two >= 5", n)
+	if n != 4 {
+		t.Fatalf("NumDataShards %d: want the policy's 4", n)
 	}
 	for i := 0; i < 1000; i++ {
 		id := Digest([]byte{byte(i), byte(i >> 8), 'k'})

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Size-classed buffer pools for the KV data plane. Every kvEntry's key and
+// Size-classed buffer pools for the KV's objects. Every kvEntry's key and
 // value live in one backing buffer drawn from the pool whose class is the
 // smallest power of two that fits; eviction, Delete, and overwrite return
 // the buffer for reuse. Steady-state Set traffic therefore recycles a

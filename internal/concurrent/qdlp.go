@@ -2,7 +2,6 @@ package concurrent
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -21,27 +20,8 @@ import (
 // cannot flush many small hot ones; a second touch while ghosted earns it
 // a main-region slot like any other quick-demotion mistake.
 type QDLP struct {
-	base
-	shards   []qdShard
-	maxFreq  uint32
+	base     // small = probation, main = CLOCK (front = newest / reinserted)
 	ghostFac float64
-}
-
-type qdShard struct {
-	mu    sync.RWMutex
-	byKey map[uint64]*node
-
-	small    region // probationary FIFO
-	admitMax int64  // size-aware admission threshold (AdmitFrac × small.max)
-	main     region // CLOCK: front = newest / reinserted
-
-	ghost     map[uint64]struct{}
-	ghostQ    []uint64 // FIFO with tombstones; ghostHead indexes the oldest
-	ghostHead int
-	ghostMin  int // floor of the ghost's bound, see ghostAdd
-
-	stats opStats
-	_     [24]byte
 }
 
 // QDLPOptions tunes the thread-safe QD-LP-FIFO. Zero values select the
@@ -112,247 +92,173 @@ func newQDLP(cfg config) (Cache, error) {
 	if admitFrac < 0 || admitFrac > 1 {
 		return nil, fmt.Errorf("concurrent: qdlp admit fraction %v outside (0, 1]", admitFrac)
 	}
-	b, per, err := newBase("concurrent-qdlp", cfg, 2*cfg.minRegion)
+	b, err := newBase("concurrent-qdlp", cfg, 2*cfg.minRegion, uint32(1<<bits-1))
 	if err != nil {
 		return nil, err
 	}
-	c := &QDLP{base: b, shards: make([]qdShard, len(per)), maxFreq: uint32(1<<bits - 1), ghostFac: ghostFactor}
+	c := &QDLP{base: b, ghostFac: ghostFactor}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.small.max = min(max(int64(float64(per[i])*frac), cfg.minRegion), per[i]-cfg.minRegion)
-		s.main.max = per[i] - s.small.max
+		per := s.main.max
+		s.small.max = min(max(int64(float64(per)*frac), cfg.minRegion), per-cfg.minRegion)
+		s.main.max = per - s.small.max
 		s.admitMax = int64(float64(s.small.max) * admitFrac)
-		s.ghostMin = 16
-		if !cfg.byBytes {
-			// main.max is the object count the region holds, so the ghost
-			// is the paper's fixed size from the first request.
-			s.ghostMin = int(ghostFactor * float64(s.main.max))
+		// The ghost holds GhostFactor × as many keys as the main region
+		// holds objects. Under an entry cap main.max is that count, so the
+		// ghost is the paper's fixed size from the first request; under a
+		// byte cap the bound follows the region's population (see ghostRoom),
+		// which no KV's objects push past main.max/(EntryOverhead+1).
+		s.ghostMin = int(ghostFactor * float64(s.main.max))
+		ghost := s.ghostMin
+		if cfg.byBytes {
+			s.ghostMin = 16
+			ghost = max(ghost/(EntryOverhead+1), s.ghostMin)
 		}
-		s.byKey = make(map[uint64]*node)
-		s.ghost = make(map[uint64]struct{})
+		s.index(&c.base, per, ghost)
 	}
 	return c, nil
 }
 
-func (c *QDLP) shard(key uint64) *qdShard {
-	return &c.shards[hash(key)&c.mask]
-}
-
-// Get implements Cache: shared lock, one atomic store, no queue movement.
-func (c *QDLP) Get(key uint64) (uint64, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	n, ok := s.byKey[key]
-	if !ok {
-		s.mu.RUnlock()
-		s.stats.misses.Add(1)
-		return 0, false
-	}
-	v := n.Value.value
-	touch(n, c.maxFreq)
-	s.mu.RUnlock()
-	s.stats.hits.Add(1)
-	return v, true
-}
-
 // Set implements Cache.
-func (c *QDLP) Set(key, value uint64) {
+func (c *QDLP) Set(key, value uint64) { c.set(key, value, nil) }
+
+func (c *QDLP) set(key, value uint64, e *kvEntry) {
 	cost := c.cost(value)
 	s := c.shard(key)
-	s.stats.sets.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n, ok := s.byKey[key]; ok {
-		s.overwrite(c, n, value)
+	s.stats.sets++
+	n := s.idx.Find(key)
+	if n == 0 {
+		c.admit(s, key, value, cost, e)
 		return
 	}
-	if _, ok := s.ghost[key]; ok {
-		// Quick-demotion mistake: admit straight into the main region.
-		delete(s.ghost, key)
-		c.rec.Record(obs.Event{Key: key, Kind: obs.EvGhostReadmit})
-		if cost > s.main.max {
-			// Fits nowhere; the hook still fires because the KV adapter
-			// has already stored the bytes.
-			c.evicted(&s.stats, key, obs.EvEvict, obs.ReasonSizeAdmission)
-			return
-		}
-		for s.main.used+cost > s.main.max {
-			s.evictMainOne(c)
-		}
-		s.insert(&s.main, key, value, cost).Value.inMain = true
+	v := s.idx.Value(n)
+	if v.where != inGhost {
+		c.overwrite(s, n, v, value, e)
 		return
 	}
-	// First touch. Size-aware admission: an object too large for its
-	// probation share is demoted to the ghost without ever holding bytes.
+	// Quick-demotion mistake: admit straight into the main region, in the
+	// slot that remembered the key.
+	c.rec.Record(obs.Event{Key: key, Kind: obs.EvGhostReadmit})
+	if cost > s.main.max {
+		s.idx.Remove(&s.ghost, n) // fits nowhere
+		discard(e)
+		c.evicted(s, key, obs.EvEvict, obs.ReasonSizeAdmission)
+		return
+	}
+	s.idx.Unlink(&s.ghost, n)
+	for s.main.used+cost > s.main.max {
+		evictClock(s, &c.base)
+	}
+	s.place(n, inMain, value, cost, e)
+}
+
+// admit handles the first touch of a key the shard does not remember.
+// Size-aware admission: an object too large for its probation share is
+// demoted to the ghost without ever holding bytes.
+func (c *QDLP) admit(s *shard, key, value uint64, cost int64, e *kvEntry) {
 	if cost > s.admitMax {
-		s.ghostAdd(c, key)
-		c.evicted(&s.stats, key, obs.EvDemoteGhost, obs.ReasonSizeAdmission)
+		discard(e)
+		if s.ghostRoom(c) {
+			s.slotRoom(c)
+			n := s.idx.Insert(key)
+			s.idx.Value(n).where = inGhost
+			s.idx.PushFront(&s.ghost, n)
+		}
+		c.evicted(s, key, obs.EvDemoteGhost, obs.ReasonSizeAdmission)
 		return
 	}
 	for s.small.used+cost > s.small.max {
-		s.evictSmallOne(c)
+		c.evictSmallOne(s)
 	}
-	s.insert(&s.small, key, value, cost)
+	s.slotRoom(c)
+	s.insert(inSmall, key, value, cost, e)
 	c.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
 }
 
-// insert links a new object at the front of r. The caller has made room.
-func (s *qdShard) insert(r *region, key, value uint64, cost int64) *node {
-	n := &node{}
-	n.Value.key, n.Value.value = key, value
-	s.byKey[key] = n
-	r.push(n, cost)
-	s.stats.usedBytes.Add(int64(value))
-	return n
-}
-
-// region returns the queue holding n.
-func (s *qdShard) region(n *node) *region {
-	if n.Value.inMain {
-		return &s.main
-	}
-	return &s.small
-}
-
-// overwrite updates a resident object's value in place and rebalances its
-// region. A cost that no longer fits the region at all drops the object
-// (hook fired so the data plane reclaims it).
-func (s *qdShard) overwrite(c *QDLP, n *node, value uint64) {
-	r := s.region(n)
-	cost := c.cost(value)
-	if cost > r.max {
-		s.drop(c, n, obs.ReasonSizeAdmission)
+// overwrite updates a resident object in place and rebalances its region.
+// A cost that no longer fits the region at all drops the object.
+func (c *QDLP) overwrite(s *shard, n int32, v *slot, value uint64, e *kvEntry) {
+	if c.cost(value) > s.region(v).max {
+		discard(e)
+		s.drop(&c.base, n, obs.ReasonSizeAdmission)
 		return
 	}
-	r.used += cost - c.cost(n.Value.value)
-	s.stats.usedBytes.Add(int64(value) - int64(n.Value.value))
-	n.Value.value = value
-	touch(n, c.maxFreq)
+	s.overwrite(&c.base, v, value, e)
+	c.touch(s, n, v)
 	for s.main.used > s.main.max {
-		s.evictMainOne(c)
+		evictClock(s, &c.base)
 	}
 	for s.small.used > s.small.max {
-		s.evictSmallOne(c)
+		c.evictSmallOne(s)
 	}
 }
 
 // evictSmallOne pops the probationary FIFO tail: referenced objects are
 // lazily promoted into the main region (which may evict there to make
 // room), untouched objects fall to the ghost — the quick demotion that
-// IS the eviction. Caller holds the exclusive lock and guarantees the
-// probation list is non-empty.
-func (s *qdShard) evictSmallOne(c *QDLP) {
-	victim := s.small.list.Back()
-	key, cost := victim.Value.key, c.cost(victim.Value.value)
-	f := victim.Value.freq.Load()
-	if f == 0 {
+// IS the eviction, and a relink: the key keeps its slot. Caller holds the
+// exclusive lock and guarantees the probation list is non-empty.
+func (c *QDLP) evictSmallOne(s *shard) {
+	n := s.small.list.Back()
+	key, v := s.idx.Key(n), s.idx.Value(n)
+	if v.freq == 0 {
 		// Quick demotion: never re-requested — this is the eviction.
-		s.remove(c, victim)
-		s.ghostAdd(c, key)
-		c.evicted(&s.stats, key, obs.EvDemoteGhost, obs.ReasonProbationOverflow)
+		s.vacate(&c.base, n, v)
+		if s.ghostRoom(c) {
+			s.idx.Unlink(&s.small.list, n)
+			v.value, v.where = 0, inGhost
+			s.idx.PushFront(&s.ghost, n)
+		} else {
+			s.idx.Remove(&s.small.list, n)
+		}
+		c.evicted(s, key, obs.EvDemoteGhost, obs.ReasonProbationOverflow)
 		return
 	}
 	// Lazy promotion: the object earned the main region while waiting.
-	c.rec.Record(obs.Event{Key: key, Kind: obs.EvPromote, Freq: uint8(f)})
+	c.rec.Record(obs.Event{Key: key, Kind: obs.EvPromote, Freq: uint8(v.freq)})
+	cost := c.cost(v.value)
 	if cost > s.main.max {
 		// Too large for main even so: drop it, bytes and all.
-		s.drop(c, victim, obs.ReasonSizeAdmission)
+		s.drop(&c.base, n, obs.ReasonSizeAdmission)
 		return
 	}
-	s.small.unlink(victim, cost)
+	s.idx.Unlink(&s.small.list, n)
+	s.small.used -= cost
 	for s.main.used+cost > s.main.max {
-		s.evictMainOne(c)
+		evictClock(s, &c.base)
 	}
-	victim.Value.inMain = true
-	victim.Value.freq.Store(0)
-	s.main.push(victim, cost)
+	v.where, v.freq = inMain, 0
+	s.idx.PushFront(&s.main.list, n)
+	s.main.used += cost
 }
 
-// evictMainOne runs the CLOCK sweep on the main region's tail. Caller
-// holds the exclusive lock and guarantees the main list is non-empty.
-func (s *qdShard) evictMainOne(c *QDLP) {
-	sweep(&s.main.list, c.rec)
-	s.drop(c, s.main.list.Back(), obs.ReasonMainClock)
-}
-
-// remove unlinks and un-accounts a resident object.
-func (s *qdShard) remove(c *QDLP, n *node) {
-	delete(s.byKey, n.Value.key)
-	s.region(n).unlink(n, c.cost(n.Value.value))
-	s.stats.usedBytes.Add(-int64(n.Value.value))
-}
-
-// drop evicts a resident object, firing the hook.
-func (s *qdShard) drop(c *QDLP, n *node, reason obs.Reason) {
-	s.remove(c, n)
-	c.evicted(&s.stats, n.Value.key, obs.EvEvict, reason)
-}
-
-// ghostAdd remembers a demoted key. The ghost holds GhostFactor × as many
-// keys as the main region holds objects. Under a byte cap that count is
-// not known up front, so the bound follows the region's current
-// population (at least 16); under an entry cap ghostMin is already the
-// full region's worth.
-func (s *qdShard) ghostAdd(c *QDLP, key uint64) {
-	if _, ok := s.ghost[key]; ok {
-		return
-	}
+// ghostRoom makes room for one more remembered key, forgetting the oldest
+// beyond the bound, and reports whether the ghost remembers anything at
+// all (a small GhostFactor can round it away). The bound is GhostFactor ×
+// the main region's current population, at least ghostMin. The ghost is an
+// exact FIFO: a readmitted key leaves it at once, so a key demoted again is
+// remembered for a full `limit` further demotions.
+func (s *shard) ghostRoom(c *QDLP) bool {
 	limit := max(int(c.ghostFac*float64(s.main.list.Len())), s.ghostMin)
-	if limit == 0 {
-		return // GhostFactor rounded the ghost away
+	for s.ghost.Len() > 0 && s.ghost.Len() >= limit {
+		s.idx.Remove(&s.ghost, s.ghost.Back())
 	}
-	for len(s.ghost) >= limit {
-		s.ghostPop()
-	}
-	s.ghost[key] = struct{}{}
-	s.ghostQ = append(s.ghostQ, key)
+	return limit > 0
 }
 
-// ghostPop forgets the oldest remembered key, skipping tombstones left
-// by readmissions, and compacts the queue when the dead prefix dominates.
-func (s *qdShard) ghostPop() {
-	for s.ghostHead < len(s.ghostQ) {
-		k := s.ghostQ[s.ghostHead]
-		s.ghostHead++
-		if _, ok := s.ghost[k]; ok {
-			delete(s.ghost, k)
-			break
+// slotRoom frees an index slot for an admission when the shard holds
+// `slots` keys (see index): ghosts go first, then residents.
+func (s *shard) slotRoom(c *QDLP) {
+	for s.idx.Len() >= s.slots {
+		switch {
+		case s.ghost.Len() > 0:
+			s.idx.Remove(&s.ghost, s.ghost.Back())
+		case s.small.list.Len() > 0:
+			c.evictSmallOne(s)
+		default:
+			evictClock(s, &c.base)
 		}
 	}
-	if s.ghostHead > 64 && s.ghostHead*2 > len(s.ghostQ) {
-		s.ghostQ = append(s.ghostQ[:0], s.ghostQ[s.ghostHead:]...)
-		s.ghostHead = 0
-	}
-}
-
-// Delete implements Cache.
-func (c *QDLP) Delete(key uint64) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.byKey[key]
-	if ok {
-		s.remove(c, n)
-		s.stats.deletes.Add(1)
-	}
-	return ok
-}
-
-// Len implements Cache.
-func (c *QDLP) Len() int { return c.Stats().Len }
-
-// Stats implements Cache.
-func (c *QDLP) Stats() Snapshot { return sumSnapshots(c.ShardStats()) }
-
-// ShardStats implements Cache.
-func (c *QDLP) ShardStats() []Snapshot {
-	out := make([]Snapshot, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n := s.small.list.Len() + s.main.list.Len()
-		s.mu.RUnlock()
-		out[i] = c.snapshot(&s.stats, n, s.small.max+s.main.max)
-	}
-	return out
 }

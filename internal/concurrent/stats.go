@@ -3,10 +3,10 @@ package concurrent
 import "sync/atomic"
 
 // Snapshot is a point-in-time view of a cache's operation counters and
-// occupancy. Counters are monotonic over the cache's lifetime; the snapshot
-// is not atomic across fields (each field is individually exact), which is
-// the right trade for a scrape path that must never touch the hit path's
-// locks.
+// occupancy. Counters are monotonic over the cache's lifetime. A shard's
+// fields are read in one shared-lock section, so they agree with each other
+// except for Hits and Misses, which are bumped outside the lock; a
+// cache-wide snapshot sums shards read one after another.
 type Snapshot struct {
 	// Hits and Misses partition Get calls.
 	Hits   int64
@@ -20,7 +20,7 @@ type Snapshot struct {
 	Evictions int64
 	// Expired counts objects the timer wheel reclaimed proactively
 	// (client-driven expiry via ExpireDigest counts into Deletes, as
-	// before). Policies leave it zero; the KV adapter owns TTLs and
+	// before). A bare Cache leaves it zero; the KV owns TTLs and
 	// fills it in.
 	Expired int64
 	// Len is the number of cached objects; Capacity the configured bound
@@ -29,7 +29,7 @@ type Snapshot struct {
 	Capacity int
 	// UsedBytes is the accounted cost of the cached objects
 	// (len(key)+len(value)+EntryOverhead per object, as fed to Set by the
-	// KV adapter; a simulation driving a policy directly with non-size
+	// KV; a simulation driving a policy directly with non-size
 	// values makes this a plain sum of those values). MaxBytes is the
 	// byte budget, 0 for entry-capped caches.
 	UsedBytes int64
@@ -45,34 +45,36 @@ func (s Snapshot) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// opStats is the per-shard counter block embedded in every shard. Counters
-// are plain atomics so the Get path (which may hold only a shared lock)
-// can bump them without upgrading; sharding keeps the cacheline traffic
-// confined to the same shard the operation already touched.
+// opStats is the per-shard counter block embedded in every shard. hits and
+// misses are atomics so the Get path, which may hold only the shared lock,
+// can bump them; sharding keeps the cacheline traffic confined to the shard
+// the operation already touched. Everything else changes only under the
+// shard's exclusive lock and is a plain field of the state that lock guards:
+// an evicting Set updates four of them, and as atomics they cost it more
+// than the probe did.
 type opStats struct {
-	hits      atomic.Int64
-	misses    atomic.Int64
-	sets      atomic.Int64
-	deletes   atomic.Int64
-	evictions atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
+
+	sets      int64
+	deletes   int64
+	evictions int64
 	// usedBytes is the shard's accounted byte occupancy (the sum of the
-	// values currently stored, which the KV adapter feeds as object
-	// costs). Maintained under the shard's exclusive lock but read by
-	// lock-free scrapes, hence atomic.
-	usedBytes atomic.Int64
+	// values currently stored, which a KV sets to object costs).
+	usedBytes int64
 }
 
 // snapshot renders the counter block plus the caller-supplied occupancy;
-// the caller fills in the budget.
+// the caller holds the shard's lock (either mode) and fills in the budget.
 func (o *opStats) snapshot(length int) Snapshot {
 	return Snapshot{
 		Hits:      o.hits.Load(),
 		Misses:    o.misses.Load(),
-		Sets:      o.sets.Load(),
-		Deletes:   o.deletes.Load(),
-		Evictions: o.evictions.Load(),
+		Sets:      o.sets,
+		Deletes:   o.deletes,
+		Evictions: o.evictions,
 		Len:       length,
-		UsedBytes: o.usedBytes.Load(),
+		UsedBytes: o.usedBytes,
 	}
 }
 

@@ -1,8 +1,13 @@
 package concurrent
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // Single-threaded counter accounting: every operation lands in exactly one
@@ -102,6 +107,82 @@ func TestKVStats(t *testing.T) {
 			}
 			if len(kv.ShardStats()) == 0 {
 				t.Error("no shard stats")
+			}
+		})
+	}
+}
+
+// Under a KV the shards see every get, so their per-shard snapshots carry
+// the misses as well as the hits (a policy mirrored beside a separate byte
+// store only ever saw the hits), and every KV.Stats counter equals a tally
+// the test keeps: hits and misses per shard, sets, wheel expiries, and
+// evictions counted from the lifecycle events.
+func TestKVShardStatsTally(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			rec := obs.NewRecorder(1, 1<<16)
+			inner, err := New(name, 64, WithShards(4), WithRecorder(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv := NewKV(inner, 4)
+			now := time.Now().Unix() + 1
+			kv.AdvanceTTL(now)
+			hits, misses := make([]int64, kv.NumDataShards()), make([]int64, kv.NumDataShards())
+			var sets, expired int64
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 5000; i++ {
+				key := []byte(fmt.Sprintf("tally-%03d", rng.Intn(200)))
+				id := Digest(key)
+				if _, _, _, ok := kv.GetDigest(nil, key, id); ok {
+					hits[kv.DataShardIndex(id)]++
+				} else {
+					misses[kv.DataShardIndex(id)]++
+					var at int64
+					if i%5 == 0 {
+						at = now + 1
+					}
+					kv.SetDigest(key, []byte("v"), 0, id, at)
+					sets++
+				}
+				if i%500 == 499 {
+					now++
+					expired += int64(kv.AdvanceTTL(now))
+				}
+			}
+			var evictions int64
+			for _, ev := range rec.Snapshot(0) {
+				if ev.Kind == obs.EvEvict || ev.Kind == obs.EvDemoteGhost {
+					evictions++
+				}
+			}
+			if rec.Dropped() != 0 {
+				t.Fatalf("event ring wrapped: %d dropped", rec.Dropped())
+			}
+			shards := kv.ShardStats()
+			var want Snapshot
+			for i, st := range shards {
+				if st.Hits != hits[i] || st.Misses != misses[i] {
+					t.Errorf("shard %d: hits/misses %d/%d, tallied %d/%d", i, st.Hits, st.Misses, hits[i], misses[i])
+				}
+				if misses[i] == 0 {
+					t.Errorf("shard %d saw no miss: the tally proves nothing", i)
+				}
+				want.Hits += hits[i]
+				want.Misses += misses[i]
+			}
+			st := kv.Stats()
+			if st.Hits != want.Hits || st.Misses != want.Misses || st.Sets != sets || st.Evictions != evictions || st.Expired != expired {
+				t.Errorf("Stats %+v; tallied hits %d misses %d sets %d evictions %d expired %d",
+					st, want.Hits, want.Misses, sets, evictions, expired)
+			}
+			if evictions == 0 || expired == 0 {
+				t.Errorf("the stream never evicted (%d) or expired (%d)", evictions, expired)
+			}
+			sum := sumSnapshots(shards)
+			sum.Expired = st.Expired
+			if sum != st {
+				t.Errorf("ShardStats sum %+v != Stats %+v", sum, st)
 			}
 		})
 	}

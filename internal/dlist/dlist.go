@@ -1,7 +1,9 @@
 // Package dlist provides a typed doubly-linked list with O(1) insertion,
-// removal, and splicing. It is the queue primitive underneath every
-// list-based eviction policy in this repository (FIFO, LRU, CLOCK, ARC,
-// LIRS, ...).
+// removal, and splicing. It is the queue primitive of the simulator policies
+// that have not moved to internal/slab yet: sieve, s3fifo, twoq, slru, car,
+// lirs, lfu, lecar, cacheus, mglru, lazylru, admit (W-TinyLFU's window) and
+// internal/sizeaware. FIFO, LRU, CLOCK, ARC, Quick Demotion and everything
+// in internal/concurrent sit on the slab; dlist goes when the rest have.
 //
 // The implementation mirrors container/list but is generic, so policies
 // store typed values without interface boxing on the hot path.

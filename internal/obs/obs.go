@@ -161,14 +161,28 @@ type Event struct {
 }
 
 // eventSlot is one ring slot. All fields are atomics so concurrent
-// record/snapshot stays within the Go memory model (and clean under -race):
-// the writer publishes with seq=0 → fields → seq=pos+1, and a reader accepts
-// a slot only if seq is nonzero and unchanged across its field reads.
+// record/snapshot stays within the Go memory model (and clean under -race).
+// seq is both the slot's lock and its version: 0 = never written, slotBusy =
+// a writer owns the fields, n+1 = holds the event with Seq n. A writer
+// claims the slot by CAS from the version it saw to slotBusy, so two writers
+// a lap apart can never interleave their field stores; a reader accepts a
+// slot only if seq is a version and is unchanged across its field reads (no
+// version recurs, so unchanged means untouched).
 type eventSlot struct {
 	seq    atomic.Uint64
 	nanos  atomic.Int64
 	key    atomic.Uint64
 	packed atomic.Uint64 // kind<<16 | reason<<8 | freq
+}
+
+const slotBusy = ^uint64(0)
+
+// claim takes a ring slot's fields for the writer that drew position n,
+// reporting false when the slot is busy or already newer, or when another
+// writer wins the CAS: the caller then drops its record.
+func claim(seq *atomic.Uint64, n uint64) bool {
+	old := seq.Load()
+	return old != slotBusy && old <= n+1 && seq.CompareAndSwap(old, slotBusy)
 }
 
 func packEvent(kind EventKind, reason Reason, freq uint8) uint64 {
@@ -181,10 +195,12 @@ func unpackEvent(p uint64) (EventKind, Reason, uint8) {
 
 // eventRing is one lock-free ring. pos is the next sequence number; slot
 // i&mask holds the event with Seq i until overwritten a lap later. Writers
-// claim distinct slots via the atomic add, so a torn slot requires a writer
-// to be lapped mid-write — with the default sizes that means thousands of
-// evictions between two adjacent stores, and the seqlock turns even that
-// into a skipped slot rather than a corrupt read.
+// take distinct positions via the atomic add, but positions a lap apart
+// share a slot: a writer descheduled mid-write can be lapped, or wake to
+// find a newer event where it meant to write. Either one finds the slot
+// busy or newer, or loses the claiming CAS, and drops its event — the ring
+// then retains the other of two events of which it could keep one, so
+// Dropped (positions issued beyond the ring's size) still counts it.
 type eventRing struct {
 	pos   atomic.Uint64
 	_     [56]byte // keep hot write cursors off each other's cache lines
@@ -194,7 +210,9 @@ type eventRing struct {
 func (r *eventRing) record(ev Event) {
 	n := r.pos.Add(1) - 1
 	s := &r.slots[n&uint64(len(r.slots)-1)]
-	s.seq.Store(0) // mark in-progress; readers skip
+	if !claim(&s.seq, n) {
+		return
+	}
 	s.nanos.Store(ev.Nanos)
 	s.key.Store(ev.Key)
 	s.packed.Store(packEvent(ev.Kind, ev.Reason, ev.Freq))
@@ -205,7 +223,7 @@ func (r *eventRing) record(ev Event) {
 // overwritten mid-read).
 func (s *eventSlot) read() (Event, bool) {
 	seq := s.seq.Load()
-	if seq == 0 {
+	if seq == 0 || seq == slotBusy {
 		return Event{}, false
 	}
 	ev := Event{Seq: seq - 1, Nanos: s.nanos.Load(), Key: s.key.Load()}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -121,39 +122,52 @@ func TestKeyEventsSince(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent hammers record/snapshot under -race: the all-atomic
-// seqlock slots must never trip the detector or yield an event whose fields
-// disagree with each other.
+// Writers a lap apart share a slot. One 64-slot ring under many more
+// writers than CPUs makes that constant: a writer descheduled inside record
+// wakes to a slot that has since been written 64, 128, ... positions on, and
+// its leftover stores must not mix into the newer event. Every event of
+// writer w carries w in all three payload fields, so a mix shows as a
+// mismatch — to a snapshot racing the writers, and, since a writer that was
+// asleep mid-record when its round ended finishes that record before it
+// exits, in the ring at rest.
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(4, 256)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := uint64(w)
-				// Every event for key w carries Freq w, so a torn slot is
-				// detectable as a key/freq mismatch.
-				r.Record(Event{Key: key, Kind: EvAdmit, Freq: uint8(w)})
-			}
-		}(w)
-	}
-	for i := 0; i < 50; i++ {
+	const writers, rounds = 16, 10
+	check := func(r *Recorder, when string) {
 		for _, ev := range r.Snapshot(0) {
-			if uint64(ev.Freq) != ev.Key {
-				t.Errorf("torn event: key=%d freq=%d", ev.Key, ev.Freq)
+			if uint64(ev.Freq) != ev.Key || uint64(ev.Nanos) != ev.Key {
+				t.Fatalf("torn event %s: nanos=%d key=%d freq=%d", when, ev.Nanos, ev.Key, ev.Freq)
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
+	for round := 0; round < rounds; round++ {
+		r := NewRecorder(1, 64)
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 1; w <= writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					r.Record(Event{Nanos: int64(w), Key: uint64(w), Kind: EvAdmit, Freq: uint8(w)})
+				}
+			}(w)
+		}
+		// Two scheduler time slices: long enough for writers to be preempted.
+		for start := time.Now(); time.Since(start) < 20*time.Millisecond; {
+			check(r, "under load")
+		}
+		close(stop)
+		wg.Wait()
+		check(r, "at rest")
+		if r.Total() <= 64 || r.Dropped() != r.Total()-64 {
+			t.Fatalf("total=%d dropped=%d: every position past the ring's 64 is one event not retained", r.Total(), r.Dropped())
+		}
+	}
 }
 
 func TestSpanBufferRoundTrip(t *testing.T) {

@@ -31,7 +31,8 @@ type Span struct {
 	ParseNs, DispatchNs, FlushNs int64
 }
 
-// spanSlot mirrors eventSlot: all-atomic fields under a per-slot seqlock.
+// spanSlot mirrors eventSlot: all-atomic fields under a per-slot seqlock
+// whose writers claim the slot first (see claim).
 type spanSlot struct {
 	seq      atomic.Uint64
 	start    atomic.Int64
@@ -82,7 +83,9 @@ func (b *SpanBuffer) Record(sp Span) {
 	}
 	n := b.pos.Add(1) - 1
 	s := &b.slots[n&uint64(len(b.slots)-1)]
-	s.seq.Store(0)
+	if !claim(&s.seq, n) {
+		return
+	}
 	s.start.Store(sp.Start)
 	s.key.Store(sp.Key)
 	s.packed.Store(packSpan(sp.Op, sp.Outcome, sp.Slow))
@@ -130,7 +133,7 @@ func (b *SpanBuffer) Snapshot(max int) []Span {
 	for i := range b.slots {
 		s := &b.slots[i]
 		seq := s.seq.Load()
-		if seq == 0 {
+		if seq == 0 || seq == slotBusy {
 			continue
 		}
 		sp := Span{

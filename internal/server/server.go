@@ -425,12 +425,23 @@ func (s *Server) acceptLoop(ln net.Listener, part int) error {
 		}
 		backoff = 0
 		s.counters.TotalConns.Add(1)
+		// Registration — the conns entry and the WaitGroup count — happens
+		// under mu and only while not draining. Shutdown sets draining
+		// before it takes mu, so a connection is either registered before
+		// Shutdown wakes the registered ones and waits for them, or turned
+		// away here; wg.Add never runs beside Shutdown's wg.Wait.
 		s.mu.Lock()
+		draining := s.draining.Load()
 		over := len(s.conns) >= s.cfg.MaxConns
-		if !over {
+		if !draining && !over {
 			s.conns[nc] = struct{}{}
+			s.wg.Add(1)
 		}
 		s.mu.Unlock()
+		if draining {
+			nc.Close()
+			return nil
+		}
 		if over {
 			s.counters.RejectedConns.Add(1)
 			s.log.Warn("connection rejected", "remote", nc.RemoteAddr().String(), "max_conns", s.cfg.MaxConns)
@@ -442,7 +453,6 @@ func (s *Server) acceptLoop(ln net.Listener, part int) error {
 			continue
 		}
 		s.counters.CurrConns.Add(1)
-		s.wg.Add(1)
 		go s.handleConn(nc, part)
 	}
 }

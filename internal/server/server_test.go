@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -332,6 +334,57 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+}
+
+// Shutdown racing the accept loop: dialers keep connecting while the server
+// drains. A connection the loop has accepted but not yet registered when
+// Shutdown starts must be either waited for or turned away — under -race,
+// a WaitGroup Add beside Shutdown's Wait fails the run — and Shutdown must
+// return without its deadline whichever way each one went.
+func TestShutdownRacesAccept(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Store: concurrent.NewKV(inner, 8), IdleTimeout: time.Minute, MaxConns: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- srv.Serve(ln) }()
+
+		var dialers sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					c, err := net.Dial("tcp", ln.Addr().String())
+					if err != nil {
+						return // the listener is closed
+					}
+					c.Close()
+				}
+			}()
+		}
+		for srv.counters.TotalConns.Load() < 8 {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		cancel()
+		if err := <-serveErr; err != nil {
+			t.Fatalf("round %d: serve: %v", round, err)
+		}
+		dialers.Wait()
 	}
 }
 

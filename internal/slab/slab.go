@@ -178,6 +178,12 @@ func (x *Index[T]) Key(slot int32) uint64 { return x.nodes[slot].key }
 // Value returns a pointer to slot's value, valid until the next Insert.
 func (x *Index[T]) Value(slot int32) *T { return &x.nodes[slot].value }
 
+// Prev returns the slot before slot on its list, 0 when slot is the front.
+func (x *Index[T]) Prev(slot int32) int32 { return x.nodes[slot].prev }
+
+// Next returns the slot after slot on its list, 0 when slot is the back.
+func (x *Index[T]) Next(slot int32) int32 { return x.nodes[slot].next }
+
 // PushFront links slot, which must be on no list, at the front of l.
 func (x *Index[T]) PushFront(l *List, slot int32) {
 	n := &x.nodes[slot]

@@ -73,16 +73,28 @@ func (h *harness) check() {
 		if l.Len() != ml.Len() {
 			h.t.Fatalf("list %d: Len %d, model %d", i, l.Len(), ml.Len())
 		}
+		// Forward through Next, then backward through Prev: the walks a
+		// sweep's hand makes over a list it does not reorder.
 		s, prev := l.Front(), int32(0)
 		for e := ml.Front(); e != nil; e = e.Next() {
-			if s == 0 || h.x.Key(s) != e.Value.(uint64) || h.x.nodes[s].prev != prev {
+			if s == 0 || h.x.Key(s) != e.Value.(uint64) || h.x.Prev(s) != prev {
 				h.t.Fatalf("list %d: slot %d (key %d, prev %d) where the model has key %d after slot %d",
-					i, s, h.x.Key(s), h.x.nodes[s].prev, e.Value, prev)
+					i, s, h.x.Key(s), h.x.Prev(s), e.Value, prev)
 			}
-			s, prev = h.x.nodes[s].next, s
+			s, prev = h.x.Next(s), s
 		}
 		if s != 0 || l.Back() != prev {
 			h.t.Fatalf("list %d: ends at slot %d with Back %d, model ends after slot %d", i, s, l.Back(), prev)
+		}
+		s = l.Back()
+		for e := ml.Back(); e != nil; e = e.Prev() {
+			if s == 0 || h.x.Key(s) != e.Value.(uint64) {
+				h.t.Fatalf("list %d backward: slot %d (key %d) where the model has key %d", i, s, h.x.Key(s), e.Value)
+			}
+			s = h.x.Prev(s)
+		}
+		if s != 0 {
+			h.t.Fatalf("list %d backward: slot %d before the model's front", i, s)
 		}
 	}
 }

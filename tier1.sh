@@ -18,13 +18,13 @@ echo '== go test ./...'
 go test ./...
 echo '== go test ./... (benchmark/: a nested module root go test skips, built against the packages above)'
 (cd benchmark && go test ./...)
-echo '== go test -race (concurrent + server + obs + chaos + cluster)'
+echo '== go test -race (concurrent incl. the KV model test and hammer + server + obs + chaos + cluster)'
 go test -race ./internal/concurrent/... ./internal/server/... ./internal/obs/... ./internal/chaos/... ./internal/cluster/...
 echo '== alloc guard (tracing disabled = 0 allocs, sampling on <= 1, ring lookup = 0)'
 go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAllocsWithSampling|TestServerGetHitPathZeroAllocsWithMRCSampling' ./internal/server/
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
-echo '== alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs)'
-go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler' ./internal/concurrent/
+echo '== alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; an evicting set allocates nothing)'
+go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler|TestKVSetZeroAllocsSteadyState' ./internal/concurrent/
 echo '== alloc guard (slab-backed sweep policies: 0 allocs per Access at steady state)'
 go test -run 'TestSimPoliciesZeroAllocsSteadyState' ./internal/policy/all/
 echo '== bench smoke (one iteration per benchmark)'
@@ -33,13 +33,17 @@ echo '== throughput sweep smoke (one point)'
 go run ./cmd/throughput -cores 2 -caches sieve -ops 65536 -keyspace 16384 -json - > /dev/null
 echo '== events endpoint smoke (cacheserver + cacheload + /debug/events)'
 tmpdir=$(mktemp -d)
-trap 'kill $srv_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+# Every server started below appends its pid; most are already gone (killed
+# as their section ends) when the trap runs, which must not fail the script.
+pids=""
+trap 'kill $pids 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/cacheserver" ./cmd/cacheserver
 go build -o "$tmpdir/cacheload" ./cmd/cacheload
 "$tmpdir/cacheserver" -addr 127.0.0.1:21311 -admin-addr 127.0.0.1:21312 \
     -max-entries 16384 -shards 8 -events 16384 -trace-sample 8 \
     -log-level warn > "$tmpdir/server.log" 2>&1 &
 srv_pid=$!
+pids="$pids $srv_pid"
 i=0
 until curl -fsS http://127.0.0.1:21312/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -70,17 +74,15 @@ grep -q '^cache_server_panics_total 0$' "$tmpdir/metrics.txt" \
     || { echo "cache_server_panics_total != 0 after chaos soak" >&2; exit 1; }
 kill "$srv_pid"
 echo '== cluster smoke (3 nodes + router, healthz everywhere, routed counters move)'
-node_pids=""
 for n in 1 2 3; do
     "$tmpdir/cacheserver" -addr 127.0.0.1:$((21320 + n)) -admin-addr 127.0.0.1:$((21330 + n)) \
         -max-entries 16384 -shards 8 -log-level warn > "$tmpdir/node$n.log" 2>&1 &
-    node_pids="$node_pids $!"
+    pids="$pids $!"
 done
 "$tmpdir/cacheserver" -addr 127.0.0.1:21320 -admin-addr 127.0.0.1:21330 \
     -route 127.0.0.1:21321,127.0.0.1:21322,127.0.0.1:21323 \
     -replicas 2 -hot-threshold 4 -log-level warn > "$tmpdir/router.log" 2>&1 &
-node_pids="$node_pids $!"
-trap 'kill $srv_pid $node_pids 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $!"
 for p in 21330 21331 21332 21333; do
     i=0
     until curl -fsS "http://127.0.0.1:$p/healthz" > /dev/null 2>&1; do
@@ -109,7 +111,7 @@ echo '== memory-pressure soak (byte-capped server: used <= max, heap stable)'
 "$tmpdir/cacheserver" -addr 127.0.0.1:21341 -admin-addr 127.0.0.1:21342 \
     -cache qdlp -max-bytes 8mib -shards 8 -log-level warn > "$tmpdir/bytecap.log" 2>&1 &
 bytes_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $bytes_pid"
 i=0
 until curl -fsS http://127.0.0.1:21342/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -151,7 +153,7 @@ echo '== per-core data plane smoke (2 listeners: healthz, cross-core + writev co
 "$tmpdir/cacheserver" -addr 127.0.0.1:21351 -admin-addr 127.0.0.1:21352 \
     -max-entries 16384 -shards 8 -listeners 2 -log-level warn > "$tmpdir/percore.log" 2>&1 &
 percore_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid $percore_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $percore_pid"
 i=0
 until curl -fsS http://127.0.0.1:21352/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -176,7 +178,7 @@ echo '== mrc analytics smoke (cacheserver -mrc-sample: monotone /debug/mrc curve
 "$tmpdir/cacheserver" -addr 127.0.0.1:21361 -admin-addr 127.0.0.1:21362 \
     -max-entries 16384 -shards 8 -mrc-sample 0.25 -log-level warn > "$tmpdir/mrc.log" 2>&1 &
 mrc_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid $percore_pid $mrc_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $mrc_pid"
 i=0
 until curl -fsS http://127.0.0.1:21362/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -212,7 +214,7 @@ echo '== overload smoke (-target-p99 server sheds a flood, stays healthy)'
     -max-entries 16384 -shards 8 -target-p99 50ms -max-inflight 1 -max-pending 2 \
     -log-level warn > "$tmpdir/overload.log" 2>&1 &
 ovl_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid $percore_pid $mrc_pid $ovl_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $ovl_pid"
 i=0
 until curl -fsS http://127.0.0.1:21372/healthz > /dev/null 2>&1; do
     i=$((i + 1))
