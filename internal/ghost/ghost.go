@@ -1,72 +1,115 @@
-// Package ghost implements a fixed-capacity metadata-only FIFO queue.
+// Package ghost implements fixed-capacity metadata-only FIFO queues.
 //
 // Ghost queues remember keys of recently evicted objects without holding
 // their data. The paper's Quick Demotion technique uses one to distinguish
 // "new" objects (which must prove themselves in the probationary FIFO) from
 // objects that were demoted too quickly and deserve direct admission into
-// the main cache. 2Q's A1out and LeCaR's per-expert histories are the same
-// structure. (internal/policy/qd itself keeps its ghost in the index that
-// holds its probation keys, so a request costs it one probe for both; 2Q,
-// S3-FIFO and the size-aware QD-LP-FIFO use this package.)
+// the main cache. 2Q's A1out and S3-FIFO's ghost are a Queue; the per-expert
+// eviction histories of LeCaR and CACHEUS are a History, the same queue with
+// a record per key. (internal/policy/qd itself keeps its ghost in the index
+// that holds its probation keys, so a request costs it one probe for both.)
 package ghost
 
 import "repro/internal/slab"
 
-// Queue is a FIFO of keys with O(1) membership checks. Adding a key that is
-// already present leaves its queue position unchanged (FIFO semantics, not
-// LRU). When full, adding a new key drops the oldest entry. Memory grows
+// fifo is the bounded keyed FIFO under Queue and History. Adding a key that
+// is already present leaves its queue position unchanged (FIFO semantics,
+// not LRU). When full, adding a new key drops the oldest entry. Memory grows
 // with the keys held, not with the capacity declared.
-//
-// The zero Queue is unusable; use New.
-type Queue struct {
+type fifo[T any] struct {
 	capacity int
-	idx      *slab.Index[struct{}]
-	fifo     slab.List // front = oldest
+	idx      *slab.Index[T]
+	list     slab.List // front = oldest
 }
 
-// New returns a ghost queue holding at most capacity keys. A capacity of 0
-// yields a queue that never retains anything (Add is a no-op).
-func New(capacity int) *Queue {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Queue{capacity: capacity, idx: slab.New[struct{}](capacity)}
+func newFIFO[T any](capacity int) fifo[T] {
+	capacity = max(capacity, 0)
+	return fifo[T]{capacity: capacity, idx: slab.New[T](capacity)}
 }
 
 // Len returns the number of keys currently remembered.
-func (q *Queue) Len() int { return q.fifo.Len() }
+func (q *fifo[T]) Len() int { return q.list.Len() }
 
 // Capacity returns the maximum number of keys remembered.
-func (q *Queue) Capacity() int { return q.capacity }
+func (q *fifo[T]) Capacity() int { return q.capacity }
 
 // Contains reports whether key is remembered.
-func (q *Queue) Contains(key uint64) bool { return q.idx.Find(key) != 0 }
+func (q *fifo[T]) Contains(key uint64) bool { return q.idx.Find(key) != 0 }
+
+// add remembers key, forgetting the oldest key when the queue is full, and
+// returns key's value; nil at capacity 0, where nothing is retained.
+func (q *fifo[T]) add(key uint64) *T {
+	if q.capacity == 0 {
+		return nil
+	}
+	s := q.idx.Find(key)
+	if s == 0 {
+		if q.list.Len() >= q.capacity {
+			q.idx.Remove(&q.list, q.list.Front())
+		}
+		s = q.idx.Insert(key)
+		q.idx.PushBack(&q.list, s)
+	}
+	return q.idx.Value(s)
+}
+
+// take forgets key and returns the value it held.
+func (q *fifo[T]) take(key uint64) (v T, ok bool) {
+	s := q.idx.Find(key)
+	if s == 0 {
+		return v, false
+	}
+	v = *q.idx.Value(s)
+	q.idx.Remove(&q.list, s)
+	return v, true
+}
+
+// Queue is a FIFO of keys with O(1) membership checks. The zero Queue is
+// unusable; use New.
+type Queue struct{ fifo[struct{}] }
+
+// New returns a ghost queue holding at most capacity keys. A capacity of 0
+// yields a queue that never retains anything (Add is a no-op).
+func New(capacity int) *Queue { return &Queue{newFIFO[struct{}](capacity)} }
 
 // Add remembers key. If the queue is full the oldest key is forgotten.
 // Re-adding an existing key keeps its original position.
-func (q *Queue) Add(key uint64) {
-	if q.capacity == 0 || q.idx.Find(key) != 0 {
-		return
-	}
-	if q.fifo.Len() >= q.capacity {
-		q.idx.Remove(&q.fifo, q.fifo.Front())
-	}
-	q.idx.PushBack(&q.fifo, q.idx.Insert(key))
-}
+func (q *Queue) Add(key uint64) { q.add(key) }
 
 // Remove forgets key and reports whether it was present.
 func (q *Queue) Remove(key uint64) bool {
-	s := q.idx.Find(key)
-	if s == 0 {
-		return false
-	}
-	q.idx.Remove(&q.fifo, s)
-	return true
+	_, ok := q.take(key)
+	return ok
 }
+
+// Record is what a History remembers of an eviction.
+type Record struct {
+	Freq    int   // frequency at eviction time, restored on readmission
+	EvictAt int64 // when the object was evicted
+}
+
+// History is a ghost queue that keeps a Record per key: the eviction
+// history of one expert of LeCaR or CACHEUS. The zero History is unusable;
+// use NewHistory.
+type History struct{ fifo[Record] }
+
+// NewHistory returns a history of at most capacity evictions.
+func NewHistory(capacity int) *History { return &History{newFIFO[Record](capacity)} }
+
+// Add records key's eviction. A key already remembered keeps its position
+// and takes the new record.
+func (h *History) Add(key uint64, freq int, now int64) {
+	if r := h.add(key); r != nil {
+		*r = Record{Freq: freq, EvictAt: now}
+	}
+}
+
+// Take forgets key and returns its record, ok=false when it had none.
+func (h *History) Take(key uint64) (Record, bool) { return h.take(key) }
 
 // Oldest returns the oldest remembered key, or ok=false when empty.
 func (q *Queue) Oldest() (key uint64, ok bool) {
-	s := q.fifo.Front()
+	s := q.list.Front()
 	if s == 0 {
 		return 0, false
 	}

@@ -176,11 +176,11 @@ func TestWTinyLFUSegments(t *testing.T) {
 		t.Fatal("window overflow did not fill probation")
 	}
 	// A probation hit promotes to protected.
-	key := p.probation.Back().Value.key
+	key := p.idx.Key(p.probation.Back())
 	hit := policytest.KeysToRequests([]uint64{key})
 	p.Access(&hit[0])
-	if n := p.byKey[key]; n.Value.seg != segProtected {
-		t.Fatalf("probation hit left key in segment %d", n.Value.seg)
+	if seg := *p.idx.Value(p.idx.Find(key)); seg != segProtected {
+		t.Fatalf("probation hit left key in segment %d", seg)
 	}
 }
 

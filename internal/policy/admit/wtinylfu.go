@@ -2,9 +2,9 @@ package admit
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
 	"repro/internal/sketch"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -19,11 +19,6 @@ const (
 	segProbation
 	segProtected
 )
-
-type wEntry struct {
-	key uint64
-	seg wSegment
-}
 
 // WTinyLFU implements Window-TinyLFU (Einziger, Friedman & Manes — the
 // design behind Caffeine): a small LRU admission window (1% of capacity)
@@ -40,10 +35,10 @@ type WTinyLFU struct {
 	windowCap    int
 	protectedCap int
 
-	byKey      map[uint64]*dlist.Node[wEntry]
-	window     dlist.List[wEntry] // front = MRU
-	probation  dlist.List[wEntry]
-	protected  dlist.List[wEntry]
+	idx        *slab.Index[wSegment] // value = the list the slot is on
+	window     slab.List             // front = MRU
+	probation  slab.List
+	protected  slab.List
 	doorkeeper *sketch.Bloom
 	cms        *sketch.CountMin
 }
@@ -68,9 +63,11 @@ func NewWTinyLFU(capacity int) *WTinyLFU {
 		capacity:     capacity,
 		windowCap:    windowCap,
 		protectedCap: protectedCap,
-		byKey:        make(map[uint64]*dlist.Node[wEntry], capacity),
-		doorkeeper:   sketch.NewBloom(capacity * 8),
-		cms:          sketch.NewCountMin(capacity * 8),
+		// A miss enters the window before the window's overflow is
+		// handled, so the cache briefly holds one object over capacity.
+		idx:        slab.New[wSegment](capacity + 1),
+		doorkeeper: sketch.NewBloom(capacity * 8),
+		cms:        sketch.NewCountMin(capacity * 8),
 	}
 }
 
@@ -86,12 +83,9 @@ func (p *WTinyLFU) Len() int {
 func (p *WTinyLFU) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *WTinyLFU) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *WTinyLFU) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
-func (p *WTinyLFU) list(seg wSegment) *dlist.List[wEntry] {
+func (p *WTinyLFU) list(seg wSegment) *slab.List {
 	switch seg {
 	case segWindow:
 		return &p.window
@@ -124,24 +118,22 @@ func (p *WTinyLFU) estimate(key uint64) uint8 {
 // Access implements core.Policy.
 func (p *WTinyLFU) Access(r *trace.Request) bool {
 	p.record(r.Key)
-	if n, ok := p.byKey[r.Key]; ok {
-		switch n.Value.seg {
+	if s := p.idx.Find(r.Key); s != 0 {
+		switch *p.idx.Value(s) {
 		case segWindow:
-			p.window.MoveToFront(n)
+			p.idx.MoveToFront(&p.window, s)
 		case segProbation:
 			// Probation hit: promote to protected.
-			p.probation.Remove(n)
-			n.Value.seg = segProtected
-			p.protected.PushNodeFront(n)
+			p.relink(s, segProtected)
 			p.balanceProtected()
 		case segProtected:
-			p.protected.MoveToFront(n)
+			p.idx.MoveToFront(&p.protected, s)
 		}
 		p.Hit(r.Key, r.Time)
 		return true
 	}
 	// Miss: new objects enter the admission window.
-	p.byKey[r.Key] = p.window.PushFront(wEntry{key: r.Key, seg: segWindow})
+	p.idx.PushFront(&p.window, p.idx.Insert(r.Key)) // zero value = segWindow
 	p.Insert(r.Key, r.Time)
 	if p.window.Len() > p.windowCap {
 		p.evictWindow(r.Time)
@@ -149,45 +141,51 @@ func (p *WTinyLFU) Access(r *trace.Request) bool {
 	return false
 }
 
+// relink moves s from the segment it is on to the MRU end of seg.
+func (p *WTinyLFU) relink(s int32, seg wSegment) {
+	at := p.idx.Value(s)
+	p.idx.Unlink(p.list(*at), s)
+	*at = seg
+	p.idx.PushFront(p.list(seg), s)
+}
+
+// drop ends s's residency.
+func (p *WTinyLFU) drop(s int32, now int64) {
+	key := p.idx.Key(s)
+	p.idx.Remove(p.list(*p.idx.Value(s)), s)
+	p.Evict(key, now)
+}
+
 // evictWindow handles a window overflow: the window's LRU candidate duels
 // the main cache's eviction victim on sketched frequency.
 func (p *WTinyLFU) evictWindow(now int64) {
 	cand := p.window.Back()
-	p.window.Remove(cand)
 	mainLen := p.probation.Len() + p.protected.Len()
 	if mainLen < p.capacity-p.windowCap {
 		// Main has room: admit without a duel.
-		cand.Value.seg = segProbation
-		p.probation.PushNodeFront(cand)
+		p.relink(cand, segProbation)
 		return
 	}
 	victim := p.probation.Back()
-	if victim == nil {
+	if victim == 0 {
 		victim = p.protected.Back()
 	}
-	if victim == nil || p.estimate(cand.Value.key) > p.estimate(victim.Value.key) {
+	if victim == 0 || p.estimate(p.idx.Key(cand)) > p.estimate(p.idx.Key(victim)) {
 		// Candidate wins: evict the victim, admit the candidate.
-		if victim != nil {
-			p.list(victim.Value.seg).Remove(victim)
-			delete(p.byKey, victim.Value.key)
-			p.Evict(victim.Value.key, now)
+		if victim != 0 {
+			p.drop(victim, now)
 		}
-		cand.Value.seg = segProbation
-		p.probation.PushNodeFront(cand)
+		p.relink(cand, segProbation)
 		return
 	}
 	// Victim wins: the candidate is evicted (quick demotion at admission).
-	delete(p.byKey, cand.Value.key)
-	p.Evict(cand.Value.key, now)
+	p.drop(cand, now)
 }
 
 // balanceProtected demotes the protected LRU back to probation when the
 // protected segment outgrows its share.
 func (p *WTinyLFU) balanceProtected() {
 	for p.protected.Len() > p.protectedCap {
-		lru := p.protected.Back()
-		p.protected.Remove(lru)
-		lru.Value.seg = segProbation
-		p.probation.PushNodeFront(lru)
+		p.relink(p.protected.Back(), segProbation)
 	}
 }

@@ -25,73 +25,15 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
+	"repro/internal/ghost"
+	"repro/internal/policy/lfu"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
 func init() {
 	core.Register("cacheus", func(capacity int) core.Policy { return New(capacity, 1) })
-}
-
-type segment uint8
-
-const (
-	segSR segment = iota
-	segR
-)
-
-type entry struct {
-	key     uint64
-	freq    int
-	seg     segment
-	lruNode *dlist.Node[*entry] // node in SR or R (per seg)
-	lfuNode *dlist.Node[*entry]
-}
-
-type histEntry struct {
-	key     uint64
-	freq    int
-	evictAt int64
-	node    *dlist.Node[*histEntry]
-}
-
-type history struct {
-	cap   int
-	byKey map[uint64]*histEntry
-	fifo  dlist.List[*histEntry]
-}
-
-func newHistory(cap int) *history {
-	return &history{cap: cap, byKey: make(map[uint64]*histEntry, cap)}
-}
-
-func (h *history) add(key uint64, freq int, now int64) {
-	if h.cap == 0 {
-		return
-	}
-	if e, ok := h.byKey[key]; ok {
-		e.freq, e.evictAt = freq, now
-		return
-	}
-	if h.fifo.Len() >= h.cap {
-		old := h.fifo.Front()
-		delete(h.byKey, old.Value.key)
-		h.fifo.Remove(old)
-	}
-	e := &histEntry{key: key, freq: freq, evictAt: now}
-	e.node = h.fifo.PushBack(e)
-	h.byKey[key] = e
-}
-
-func (h *history) take(key uint64) (*histEntry, bool) {
-	e, ok := h.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	delete(h.byKey, key)
-	h.fifo.Remove(e.node)
-	return e, true
 }
 
 // Policy is a CACHEUS cache. Not safe for concurrent use.
@@ -111,13 +53,15 @@ type Policy struct {
 	windowReqs int
 	prevHR     float64
 
-	byKey   map[uint64]*entry
-	sr, rr  dlist.List[*entry]          // front = MRU
-	buckets map[int]*dlist.List[*entry] // CR-LFU buckets, front = MRU
-	minFreq int
+	// Every resident key sits in both experts' orders: on one of SR-LRU's
+	// two lists in idx, and in CR-LFU's frequency buckets, which index the
+	// same keys again.
+	idx    *slab.Index[bool] // value = the slot is on rr, not sr
+	sr, rr slab.List         // front = MRU
+	lfu    *lfu.Buckets
 
-	histSR  *history
-	histLFU *history
+	histSR  *ghost.History
+	histLFU *ghost.History
 	rng     *rand.Rand
 }
 
@@ -135,10 +79,10 @@ func New(capacity int, seed int64) *Policy {
 		lrDirection:  1,
 		discount:     math.Pow(0.005, 1/float64(capacity)),
 		window:       capacity,
-		byKey:        make(map[uint64]*entry, capacity),
-		buckets:      make(map[int]*dlist.List[*entry]),
-		histSR:       newHistory(capacity),
-		histLFU:      newHistory(capacity),
+		idx:          slab.New[bool](capacity),
+		lfu:          lfu.NewBuckets(capacity),
+		histSR:       ghost.NewHistory(capacity),
+		histLFU:      ghost.NewHistory(capacity),
 		rng:          rand.New(rand.NewSource(seed)),
 	}
 }
@@ -147,16 +91,13 @@ func New(capacity int, seed int64) *Policy {
 func (p *Policy) Name() string { return "cacheus" }
 
 // Len implements core.Policy.
-func (p *Policy) Len() int { return len(p.byKey) }
+func (p *Policy) Len() int { return p.idx.Len() }
 
 // Capacity implements core.Policy.
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // LearningRate exposes λ for tests and experiments.
 func (p *Policy) LearningRate() float64 { return p.learningRate }
@@ -164,74 +105,19 @@ func (p *Policy) LearningRate() float64 { return p.learningRate }
 // WeightSRLRU exposes the SR-LRU expert weight for tests.
 func (p *Policy) WeightSRLRU() float64 { return p.wSRLRU }
 
-func (p *Policy) bucket(freq int) *dlist.List[*entry] {
-	b, ok := p.buckets[freq]
-	if !ok {
-		b = dlist.New[*entry]()
-		p.buckets[freq] = b
-	}
-	return b
-}
-
-func (p *Policy) lruList(e *entry) *dlist.List[*entry] {
-	if e.seg == segSR {
-		return &p.sr
-	}
-	return &p.rr
-}
-
-func (p *Policy) insert(e *entry, intoR bool) {
-	if intoR {
-		e.seg = segR
-	} else {
-		e.seg = segSR
-	}
-	e.lruNode = p.lruList(e).PushFront(e)
-	e.lfuNode = p.bucket(e.freq).PushFront(e)
-	if e.freq < p.minFreq || len(p.byKey) == 0 {
-		p.minFreq = e.freq
-	}
-	p.byKey[e.key] = e
-	p.balanceR()
-}
-
-// balanceR demotes the reused segment's LRU back to SR when R outgrows its
-// share, keeping both segments bounded.
-func (p *Policy) balanceR() {
-	rCap := p.capacity - p.srCap
-	if rCap < 1 {
-		rCap = 1
-	}
+// pushR puts an unlinked slot at the MRU end of the reused segment, then
+// demotes that segment's LRU back to SR while R outgrows its share, keeping
+// both segments bounded.
+func (p *Policy) pushR(s int32) {
+	*p.idx.Value(s) = true
+	p.idx.PushFront(&p.rr, s)
+	rCap := max(p.capacity-p.srCap, 1)
 	for p.rr.Len() > rCap {
 		lru := p.rr.Back()
-		e := lru.Value
-		p.rr.Remove(lru)
-		e.seg = segSR
-		e.lruNode = p.sr.PushFront(e)
+		p.idx.Unlink(&p.rr, lru)
+		*p.idx.Value(lru) = false
+		p.idx.PushFront(&p.sr, lru)
 	}
-}
-
-func (p *Policy) bumpFreq(e *entry) {
-	b := p.buckets[e.freq]
-	b.Remove(e.lfuNode)
-	if b.Len() == 0 {
-		delete(p.buckets, e.freq)
-		if p.minFreq == e.freq {
-			p.minFreq = e.freq + 1
-		}
-	}
-	e.freq++
-	e.lfuNode = p.bucket(e.freq).PushFront(e)
-}
-
-func (p *Policy) remove(e *entry) {
-	p.lruList(e).Remove(e.lruNode)
-	b := p.buckets[e.freq]
-	b.Remove(e.lfuNode)
-	if b.Len() == 0 {
-		delete(p.buckets, e.freq)
-	}
-	delete(p.byKey, e.key)
 }
 
 func (p *Policy) adjustWeights(srMistake bool, sinceEvict int64) {
@@ -274,65 +160,64 @@ func (p *Policy) Access(r *trace.Request) bool {
 	if p.windowReqs >= p.window {
 		defer p.adaptLearningRate()
 	}
-	if e, ok := p.byKey[r.Key]; ok {
+	if s := p.idx.Find(r.Key); s != 0 {
 		p.windowHits++
 		// SR-LRU view: hits promote into the reused segment.
-		if e.seg == segSR {
-			p.sr.Remove(e.lruNode)
-			e.seg = segR
-			e.lruNode = p.rr.PushFront(e)
-			p.balanceR()
+		if *p.idx.Value(s) {
+			p.idx.MoveToFront(&p.rr, s)
 		} else {
-			p.rr.MoveToFront(e.lruNode)
+			p.idx.Unlink(&p.sr, s)
+			p.pushR(s)
 		}
-		p.bumpFreq(e)
+		p.lfu.Bump(r.Key)
 		p.Hit(r.Key, r.Time)
 		return true
 	}
 	freq := 1
 	intoR := false
-	if he, ok := p.histSR.take(r.Key); ok {
-		p.adjustWeights(true, r.Time-he.evictAt)
-		freq = he.freq + 1
+	if he, ok := p.histSR.Take(r.Key); ok {
+		p.adjustWeights(true, r.Time-he.EvictAt)
+		freq = he.Freq + 1
 		intoR = true // proven reuse: skip the scan-resistant probation
-	} else if he, ok := p.histLFU.take(r.Key); ok {
-		p.adjustWeights(false, r.Time-he.evictAt)
-		freq = he.freq + 1
+	} else if he, ok := p.histLFU.Take(r.Key); ok {
+		p.adjustWeights(false, r.Time-he.EvictAt)
+		freq = he.Freq + 1
 	}
-	if len(p.byKey) >= p.capacity {
+	if p.idx.Len() >= p.capacity {
 		p.evict(r.Time)
 	}
-	p.insert(&entry{key: r.Key, freq: freq}, intoR)
+	s := p.idx.Insert(r.Key)
+	if intoR {
+		p.pushR(s)
+	} else {
+		p.idx.PushFront(&p.sr, s)
+	}
+	p.lfu.Add(r.Key, freq)
 	p.Insert(r.Key, r.Time)
 	return false
 }
 
 // evict samples an expert by weight and removes its victim.
 func (p *Policy) evict(now int64) {
-	var victim *entry
-	useSR := p.rng.Float64() < p.wSRLRU
-	if useSR {
+	var victim uint64
+	hist := p.histLFU
+	if p.rng.Float64() < p.wSRLRU {
 		// SR-LRU victim: scan-resistant tail first, reused tail if empty.
-		if n := p.sr.Back(); n != nil {
-			victim = n.Value
-		} else {
-			victim = p.rr.Back().Value
+		lru := p.sr.Back()
+		if lru == 0 {
+			lru = p.rr.Back()
 		}
+		victim, hist = p.idx.Key(lru), p.histSR
 	} else {
 		// CR-LFU victim: most recently used of the minimum frequency.
-		b := p.buckets[p.minFreq]
-		for b == nil || b.Len() == 0 {
-			delete(p.buckets, p.minFreq)
-			p.minFreq++
-			b = p.buckets[p.minFreq]
-		}
-		victim = b.Front().Value
+		victim = p.lfu.Min(true)
 	}
-	p.remove(victim)
-	if useSR {
-		p.histSR.add(victim.key, victim.freq, now)
-	} else {
-		p.histLFU.add(victim.key, victim.freq, now)
+	s := p.idx.Find(victim)
+	list := &p.sr
+	if *p.idx.Value(s) {
+		list = &p.rr
 	}
-	p.Evict(victim.key, now)
+	p.idx.Remove(list, s)
+	hist.Add(victim, p.lfu.Remove(victim), now)
+	p.Evict(victim, now)
 }

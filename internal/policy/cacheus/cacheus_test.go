@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy/policytest"
+	"repro/internal/slab"
 )
 
 func TestConformance(t *testing.T) {
@@ -70,24 +71,27 @@ func TestWeightsValid(t *testing.T) {
 	}
 }
 
-// Structural agreement between segments, buckets, and map.
+// Structural agreement between segments, buckets, and index.
 func TestStructuralAgreement(t *testing.T) {
 	p := New(16, 1)
 	reqs := policytest.Workload(23, 8000, 200)
 	for i := range reqs {
 		p.Access(&reqs[i])
-		if p.sr.Len()+p.rr.Len() != len(p.byKey) {
-			t.Fatalf("req %d: segments %d+%d != map %d", i, p.sr.Len(), p.rr.Len(), len(p.byKey))
+		if p.sr.Len()+p.rr.Len() != p.idx.Len() {
+			t.Fatalf("req %d: segments %d+%d != index %d", i, p.sr.Len(), p.rr.Len(), p.idx.Len())
+		}
+		if p.lfu.Len() != p.idx.Len() {
+			t.Fatalf("req %d: buckets %d != index %d", i, p.lfu.Len(), p.idx.Len())
 		}
 	}
-	total := 0
-	for f, b := range p.buckets {
-		if b.Len() == 0 {
-			t.Fatalf("empty bucket %d retained", f)
+	for _, l := range []*slab.List{&p.sr, &p.rr} {
+		for s := l.Front(); s != 0; s = p.idx.Next(s) {
+			if *p.idx.Value(s) != (l == &p.rr) {
+				t.Fatalf("key %d carries the wrong segment tag", p.idx.Key(s))
+			}
+			if p.lfu.Freq(p.idx.Key(s)) == 0 {
+				t.Fatalf("key %d on a segment list is in no bucket", p.idx.Key(s))
+			}
 		}
-		total += b.Len()
-	}
-	if total != len(p.byKey) {
-		t.Fatalf("buckets %d != map %d", total, len(p.byKey))
 	}
 }

@@ -12,8 +12,8 @@ package car
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -31,7 +31,6 @@ const (
 )
 
 type entry struct {
-	key uint64
 	loc listID
 	ref bool
 }
@@ -40,18 +39,15 @@ type entry struct {
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	p        int // target size of T1
-	byKey    map[uint64]*dlist.Node[entry]
-	t1, t2   dlist.List[entry] // clocks: front = hand (next candidate)
-	b1, b2   dlist.List[entry] // ghosts: front = MRU
+	p        int                // target size of T1
+	idx      *slab.Index[entry] // directory: T1, T2 and the two ghost lists
+	t1, t2   slab.List          // clocks: front = hand (next candidate)
+	b1, b2   slab.List          // ghosts: front = MRU
 }
 
 // New returns a CAR policy with the given capacity in objects.
 func New(capacity int) *Policy {
-	return &Policy{
-		capacity: capacity,
-		byKey:    make(map[uint64]*dlist.Node[entry], 2*capacity),
-	}
+	return &Policy{capacity: capacity, idx: slab.New[entry](2 * capacity)}
 }
 
 // Name implements core.Policy.
@@ -65,9 +61,11 @@ func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {
-	n, ok := p.byKey[key]
-	return ok && (n.Value.loc == inT1 || n.Value.loc == inT2)
+	s := p.idx.Find(key)
+	return s != 0 && resident(p.idx.Value(s).loc)
 }
+
+func resident(loc listID) bool { return loc == inT1 || loc == inT2 }
 
 // Target exposes the adaptation target (for tests).
 func (p *Policy) Target() int { return p.p }
@@ -75,105 +73,85 @@ func (p *Policy) Target() int { return p.p }
 // Access implements core.Policy (Figure 2 of the FAST'04 paper).
 func (p *Policy) Access(r *trace.Request) bool {
 	x := r.Key
-	if n, ok := p.byKey[x]; ok && (n.Value.loc == inT1 || n.Value.loc == inT2) {
-		// Cache hit: set the reference bit and nothing else — the entire
-		// lazy-promotion hit path.
-		n.Value.ref = true
-		p.Hit(x, r.Time)
-		return true
+	s := p.idx.Find(x)
+	if s != 0 {
+		if e := p.idx.Value(s); resident(e.loc) {
+			// Cache hit: set the reference bit and nothing else — the
+			// entire lazy-promotion hit path.
+			e.ref = true
+			p.Hit(x, r.Time)
+			return true
+		}
 	}
 	// Miss.
 	if p.Len() == p.capacity {
 		p.replace(r.Time)
-		// Directory bound maintenance for a completely new key.
-		n, ok := p.byKey[x]
-		inHistory := ok && (n.Value.loc == inB1 || n.Value.loc == inB2)
-		if !inHistory {
+		if s == 0 {
+			// Directory bound maintenance for a completely new key.
 			if p.t1.Len()+p.b1.Len() == p.capacity {
-				lru := p.b1.Back()
-				delete(p.byKey, lru.Value.key)
-				p.b1.Remove(lru)
+				p.idx.Remove(&p.b1, p.b1.Back())
 			} else if p.t1.Len()+p.t2.Len()+p.b1.Len()+p.b2.Len() == 2*p.capacity {
-				lru := p.b2.Back()
-				delete(p.byKey, lru.Value.key)
-				p.b2.Remove(lru)
+				p.idx.Remove(&p.b2, p.b2.Back())
 			}
 		}
 	}
-	if n, ok := p.byKey[x]; ok && n.Value.loc == inB1 {
-		// History hit in B1: favour recency.
+	if s == 0 {
+		// Completely new key: the tail of T1 with the bit clear.
+		p.idx.PushBack(&p.t1, p.idx.Insert(x)) // zero value = inT1
+		p.Insert(x, r.Time)
+		return false
+	}
+	// History hit: B1 favours recency, B2 frequency; either way the key
+	// comes back at T2's tail with the bit clear.
+	if e := p.idx.Value(s); e.loc == inB1 {
 		p.p = min(p.p+max(1, p.b2.Len()/max(1, p.b1.Len())), p.capacity)
-		p.b1.Remove(n)
-		n.Value.loc = inT2
-		n.Value.ref = false
-		p.t2.PushNodeBack(n) // insert at T2 tail
-		p.Insert(x, r.Time)
-		return false
-	}
-	if n, ok := p.byKey[x]; ok && n.Value.loc == inB2 {
-		// History hit in B2: favour frequency.
+		p.idx.Unlink(&p.b1, s)
+	} else {
 		p.p = max(p.p-max(1, p.b1.Len()/max(1, p.b2.Len())), 0)
-		p.b2.Remove(n)
-		n.Value.loc = inT2
-		n.Value.ref = false
-		p.t2.PushNodeBack(n)
-		p.Insert(x, r.Time)
-		return false
+		p.idx.Unlink(&p.b2, s)
 	}
-	// Completely new key: insert at the tail of T1 with the bit clear.
-	p.byKey[x] = p.t1.PushBack(entry{key: x, loc: inT1})
+	*p.idx.Value(s) = entry{loc: inT2}
+	p.idx.PushBack(&p.t2, s)
 	p.Insert(x, r.Time)
 	return false
 }
 
 // replace runs the CAR replacement sweep: T1's hand demotes unreferenced
 // pages to B1 and promotes referenced ones into T2; T2's hand recycles
-// referenced pages and demotes the rest to B2.
+// referenced pages and demotes the rest to B2. T1 is swept while it is at or
+// over its target, and regardless of the target when T2 is empty.
 func (p *Policy) replace(now int64) {
 	for {
-		if p.t1.Len() >= max(1, p.p) && p.t1.Len() > 0 {
+		if p.t1.Len() >= max(1, p.p) || p.t2.Len() == 0 {
 			hand := p.t1.Front()
-			if !hand.Value.ref {
-				p.t1.Remove(hand)
-				hand.Value.loc = inB1
-				p.b1.PushNodeFront(hand)
-				p.Evict(hand.Value.key, now)
+			if hand == 0 {
 				return
 			}
-			hand.Value.ref = false
-			p.t1.Remove(hand)
-			hand.Value.loc = inT2
-			p.t2.PushNodeBack(hand)
+			p.idx.Unlink(&p.t1, hand)
+			if !p.idx.Value(hand).ref {
+				p.demote(hand, &p.b1, inB1, now)
+				return
+			}
+			*p.idx.Value(hand) = entry{loc: inT2}
+			p.idx.PushBack(&p.t2, hand)
 			continue
 		}
 		hand := p.t2.Front()
-		if hand == nil {
-			// T2 empty and T1 below target: sweep T1 regardless.
-			hand = p.t1.Front()
-			if hand == nil {
-				return
-			}
-			if !hand.Value.ref {
-				p.t1.Remove(hand)
-				hand.Value.loc = inB1
-				p.b1.PushNodeFront(hand)
-				p.Evict(hand.Value.key, now)
-				return
-			}
-			hand.Value.ref = false
-			p.t1.Remove(hand)
-			hand.Value.loc = inT2
-			p.t2.PushNodeBack(hand)
+		if e := p.idx.Value(hand); e.ref {
+			e.ref = false
+			p.idx.MoveToBack(&p.t2, hand)
 			continue
 		}
-		if !hand.Value.ref {
-			p.t2.Remove(hand)
-			hand.Value.loc = inB2
-			p.b2.PushNodeFront(hand)
-			p.Evict(hand.Value.key, now)
-			return
-		}
-		hand.Value.ref = false
-		p.t2.MoveToBack(hand)
+		p.idx.Unlink(&p.t2, hand)
+		p.demote(hand, &p.b2, inB2, now)
+		return
 	}
+}
+
+// demote puts an unlinked page at the MRU end of a ghost list: its data
+// leaves the cache, its directory entry only changes lists.
+func (p *Policy) demote(s int32, ghost *slab.List, loc listID, now int64) {
+	p.idx.Value(s).loc = loc
+	p.idx.PushFront(ghost, s)
+	p.Evict(p.idx.Key(s), now)
 }

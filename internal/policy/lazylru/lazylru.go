@@ -20,8 +20,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -64,7 +64,6 @@ func (m Mode) String() string {
 }
 
 type entry struct {
-	key          uint64
 	lastPromoted int64 // Periodic: time of last promotion
 	enqueuedAt   int64 // OldOnly: sequence number at (re)insertion
 }
@@ -76,8 +75,8 @@ type Policy struct {
 	policyutil.EventEmitter
 	mode     Mode
 	capacity int
-	byKey    map[uint64]*dlist.Node[entry]
-	queue    dlist.List[entry] // front = MRU
+	idx      *slab.Index[entry]
+	queue    slab.List // front = MRU
 
 	seq       int64 // insertion/promotion sequence counter
 	threshold int64 // Periodic: minimum age between promotions
@@ -95,7 +94,7 @@ func New(capacity int, mode Mode) *Policy {
 	return &Policy{
 		mode:      mode,
 		capacity:  capacity,
-		byKey:     make(map[uint64]*dlist.Node[entry], capacity),
+		idx:       slab.New[entry](capacity),
 		threshold: th,
 		batchSize: 64,
 	}
@@ -111,28 +110,26 @@ func (p *Policy) Len() int { return p.queue.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
 	p.seq++
-	if n, ok := p.byKey[r.Key]; ok {
+	if s := p.idx.Find(r.Key); s != 0 {
 		p.Hit(r.Key, r.Time)
+		e := p.idx.Value(s)
 		switch p.mode {
 		case Periodic:
-			if p.seq-n.Value.lastPromoted >= p.threshold {
-				n.Value.lastPromoted = p.seq
-				p.queue.MoveToFront(n)
+			if p.seq-e.lastPromoted >= p.threshold {
+				e.lastPromoted = p.seq
+				p.idx.MoveToFront(&p.queue, s)
 			}
 		case OldOnly:
 			// Older than roughly half the queue: promote; fresh objects
 			// keep their position (their recency is already high).
-			if p.seq-n.Value.enqueuedAt >= int64(p.capacity/2) {
-				n.Value.enqueuedAt = p.seq
-				p.queue.MoveToFront(n)
+			if p.seq-e.enqueuedAt >= int64(p.capacity/2) {
+				e.enqueuedAt = p.seq
+				p.idx.MoveToFront(&p.queue, s)
 			}
 		case Batched:
 			p.batch = append(p.batch, r.Key)
@@ -144,11 +141,13 @@ func (p *Policy) Access(r *trace.Request) bool {
 	}
 	if p.queue.Len() >= p.capacity {
 		victim := p.queue.Back()
-		delete(p.byKey, victim.Value.key)
-		p.queue.Remove(victim)
-		p.Evict(victim.Value.key, r.Time)
+		key := p.idx.Key(victim)
+		p.idx.Remove(&p.queue, victim)
+		p.Evict(key, r.Time)
 	}
-	p.byKey[r.Key] = p.queue.PushFront(entry{key: r.Key, lastPromoted: p.seq, enqueuedAt: p.seq})
+	s := p.idx.Insert(r.Key)
+	*p.idx.Value(s) = entry{lastPromoted: p.seq, enqueuedAt: p.seq}
+	p.idx.PushFront(&p.queue, s)
 	p.Insert(r.Key, r.Time)
 	return false
 }
@@ -158,9 +157,9 @@ func (p *Policy) Access(r *trace.Request) bool {
 // replays its log).
 func (p *Policy) applyBatch() {
 	for _, k := range p.batch {
-		if n, ok := p.byKey[k]; ok {
-			n.Value.lastPromoted = p.seq
-			p.queue.MoveToFront(n)
+		if s := p.idx.Find(k); s != 0 {
+			p.idx.Value(s).lastPromoted = p.seq
+			p.idx.MoveToFront(&p.queue, s)
 		}
 	}
 	p.batch = p.batch[:0]

@@ -42,14 +42,14 @@ func TestPeriodicSkipsFreshPromotions(t *testing.T) {
 		p.Access(&reqs[i])
 	}
 	// Key 1 was inserted at seq 1 and hit at seq 3: 3-1 >= 2 → promoted.
-	if p.queue.Front().Value.key != 1 {
+	if p.idx.Key(p.queue.Front()) != 1 {
 		t.Fatal("due promotion skipped")
 	}
 	// Hit again immediately: seq 4 − lastPromoted 3 < 2 → stays, so after
 	// touching 2, key 2's position is unchanged (2 was never promoted).
 	reqs2 := policytest.KeysToRequests([]uint64{1})
 	p.Access(&reqs2[0])
-	if p.queue.Front().Value.key != 1 {
+	if p.idx.Key(p.queue.Front()) != 1 {
 		t.Fatal("queue head changed unexpectedly")
 	}
 }
@@ -63,8 +63,8 @@ func TestOldOnlyPromotesOldObjects(t *testing.T) {
 	}
 	// Key 1 (inserted at seq 1, hit at seq 5, age 4 >= 2) was promoted;
 	// key 4 (inserted seq 4, hit seq 6, age 2 >= 2) also promoted.
-	if p.queue.Front().Value.key != 4 {
-		t.Fatalf("front = %d, want 4", p.queue.Front().Value.key)
+	if p.idx.Key(p.queue.Front()) != 4 {
+		t.Fatalf("front = %d, want 4", p.idx.Key(p.queue.Front()))
 	}
 }
 
@@ -77,12 +77,12 @@ func TestBatchedDefersPromotions(t *testing.T) {
 		p.Access(&reqs[i])
 	}
 	// Two hits buffered, no flush yet: 2 is still at the front.
-	if p.queue.Front().Value.key != 2 {
+	if p.idx.Key(p.queue.Front()) != 2 {
 		t.Fatal("promotion applied before batch flush")
 	}
 	reqs2 := policytest.KeysToRequests([]uint64{1})
 	p.Access(&reqs2[0]) // third buffered hit → flush
-	if p.queue.Front().Value.key != 1 {
+	if p.idx.Key(p.queue.Front()) != 1 {
 		t.Fatal("batch flush did not promote")
 	}
 }

@@ -17,8 +17,10 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
+	"repro/internal/ghost"
+	"repro/internal/policy/lfu"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -29,59 +31,6 @@ func init() {
 // DefaultLearningRate is λ from the LeCaR paper.
 const DefaultLearningRate = 0.45
 
-type entry struct {
-	key     uint64
-	freq    int
-	lruNode *dlist.Node[*entry]
-	lfuNode *dlist.Node[*entry]
-}
-
-type histEntry struct {
-	key     uint64
-	freq    int // frequency at eviction time, restored on readmission
-	evictAt int64
-	node    *dlist.Node[*histEntry]
-}
-
-// history is a fixed-capacity FIFO of eviction records with O(1) lookup.
-type history struct {
-	cap   int
-	byKey map[uint64]*histEntry
-	fifo  dlist.List[*histEntry]
-}
-
-func newHistory(cap int) *history {
-	return &history{cap: cap, byKey: make(map[uint64]*histEntry, cap)}
-}
-
-func (h *history) add(key uint64, freq int, now int64) {
-	if h.cap == 0 {
-		return
-	}
-	if e, ok := h.byKey[key]; ok {
-		e.freq, e.evictAt = freq, now
-		return
-	}
-	if h.fifo.Len() >= h.cap {
-		old := h.fifo.Front()
-		delete(h.byKey, old.Value.key)
-		h.fifo.Remove(old)
-	}
-	e := &histEntry{key: key, freq: freq, evictAt: now}
-	e.node = h.fifo.PushBack(e)
-	h.byKey[key] = e
-}
-
-func (h *history) take(key uint64) (*histEntry, bool) {
-	e, ok := h.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	delete(h.byKey, key)
-	h.fifo.Remove(e.node)
-	return e, true
-}
-
 // Policy is a LeCaR cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
@@ -90,13 +39,14 @@ type Policy struct {
 	learningRate float64
 	discount     float64
 
-	byKey   map[uint64]*entry
-	lru     dlist.List[*entry]          // front = MRU
-	buckets map[int]*dlist.List[*entry] // LFU frequency buckets, front = MRU
-	minFreq int
+	// Every resident key sits in both experts' orders: on the LRU list of
+	// idx, and in the frequency buckets, which index the same keys again.
+	idx *slab.Index[struct{}]
+	lru slab.List // front = MRU
+	lfu *lfu.Buckets
 
-	histLRU *history
-	histLFU *history
+	histLRU *ghost.History
+	histLFU *ghost.History
 	rng     *rand.Rand
 }
 
@@ -108,10 +58,10 @@ func New(capacity int, seed int64) *Policy {
 		wLRU:         0.5,
 		learningRate: DefaultLearningRate,
 		discount:     math.Pow(0.005, 1/float64(capacity)),
-		byKey:        make(map[uint64]*entry, capacity),
-		buckets:      make(map[int]*dlist.List[*entry]),
-		histLRU:      newHistory(capacity),
-		histLFU:      newHistory(capacity),
+		idx:          slab.New[struct{}](capacity),
+		lfu:          lfu.NewBuckets(capacity),
+		histLRU:      ghost.NewHistory(capacity),
+		histLFU:      ghost.NewHistory(capacity),
 		rng:          rand.New(rand.NewSource(seed)),
 	}
 }
@@ -120,61 +70,17 @@ func New(capacity int, seed int64) *Policy {
 func (p *Policy) Name() string { return "lecar" }
 
 // Len implements core.Policy.
-func (p *Policy) Len() int { return len(p.byKey) }
+func (p *Policy) Len() int { return p.idx.Len() }
 
 // Capacity implements core.Policy.
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // WeightLRU returns the current LRU expert weight (for tests and the
 // experiment harness).
 func (p *Policy) WeightLRU() float64 { return p.wLRU }
-
-func (p *Policy) bucket(freq int) *dlist.List[*entry] {
-	b, ok := p.buckets[freq]
-	if !ok {
-		b = dlist.New[*entry]()
-		p.buckets[freq] = b
-	}
-	return b
-}
-
-func (p *Policy) insert(e *entry) {
-	e.lruNode = p.lru.PushFront(e)
-	e.lfuNode = p.bucket(e.freq).PushFront(e)
-	if e.freq < p.minFreq || len(p.byKey) == 0 {
-		p.minFreq = e.freq
-	}
-	p.byKey[e.key] = e
-}
-
-func (p *Policy) bumpFreq(e *entry) {
-	b := p.buckets[e.freq]
-	b.Remove(e.lfuNode)
-	if b.Len() == 0 {
-		delete(p.buckets, e.freq)
-		if p.minFreq == e.freq {
-			p.minFreq = e.freq + 1
-		}
-	}
-	e.freq++
-	e.lfuNode = p.bucket(e.freq).PushFront(e)
-}
-
-func (p *Policy) remove(e *entry) {
-	p.lru.Remove(e.lruNode)
-	b := p.buckets[e.freq]
-	b.Remove(e.lfuNode)
-	if b.Len() == 0 {
-		delete(p.buckets, e.freq)
-	}
-	delete(p.byKey, e.key)
-}
 
 // adjust applies the regret update: the expert whose past eviction caused
 // this miss decays by exp(-λ·dᵗ).
@@ -191,24 +97,25 @@ func (p *Policy) adjust(lruMistake bool, sinceEvict int64) {
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if e, ok := p.byKey[r.Key]; ok {
-		p.lru.MoveToFront(e.lruNode)
-		p.bumpFreq(e)
+	if s := p.idx.Find(r.Key); s != 0 {
+		p.idx.MoveToFront(&p.lru, s)
+		p.lfu.Bump(r.Key)
 		p.Hit(r.Key, r.Time)
 		return true
 	}
 	freq := 1
-	if he, ok := p.histLRU.take(r.Key); ok {
-		p.adjust(true, r.Time-he.evictAt)
-		freq = he.freq + 1
-	} else if he, ok := p.histLFU.take(r.Key); ok {
-		p.adjust(false, r.Time-he.evictAt)
-		freq = he.freq + 1
+	if he, ok := p.histLRU.Take(r.Key); ok {
+		p.adjust(true, r.Time-he.EvictAt)
+		freq = he.Freq + 1
+	} else if he, ok := p.histLFU.Take(r.Key); ok {
+		p.adjust(false, r.Time-he.EvictAt)
+		freq = he.Freq + 1
 	}
-	if len(p.byKey) >= p.capacity {
+	if p.idx.Len() >= p.capacity {
 		p.evict(r.Time)
 	}
-	p.insert(&entry{key: r.Key, freq: freq})
+	p.idx.PushFront(&p.lru, p.idx.Insert(r.Key))
+	p.lfu.Add(r.Key, freq)
 	p.Insert(r.Key, r.Time)
 	return false
 }
@@ -216,24 +123,14 @@ func (p *Policy) Access(r *trace.Request) bool {
 // evict samples an expert by weight and removes its victim, recording it in
 // that expert's history.
 func (p *Policy) evict(now int64) {
-	var victim *entry
-	useLRU := p.rng.Float64() < p.wLRU
-	if useLRU {
-		victim = p.lru.Back().Value
+	var victim uint64
+	hist := p.histLFU
+	if p.rng.Float64() < p.wLRU {
+		victim, hist = p.idx.Key(p.lru.Back()), p.histLRU
 	} else {
-		b := p.buckets[p.minFreq]
-		for b == nil || b.Len() == 0 {
-			delete(p.buckets, p.minFreq)
-			p.minFreq++
-			b = p.buckets[p.minFreq]
-		}
-		victim = b.Back().Value
+		victim = p.lfu.Min(false)
 	}
-	p.remove(victim)
-	if useLRU {
-		p.histLRU.add(victim.key, victim.freq, now)
-	} else {
-		p.histLFU.add(victim.key, victim.freq, now)
-	}
-	p.Evict(victim.key, now)
+	p.idx.Remove(&p.lru, p.idx.Find(victim))
+	hist.Add(victim, p.lfu.Remove(victim), now)
+	p.Evict(victim, now)
 }

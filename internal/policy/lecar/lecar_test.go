@@ -56,33 +56,30 @@ func TestHistoryRestoresFrequency(t *testing.T) {
 	if !p.Contains(1) {
 		t.Skip("key 1 not readmitted under this seed's eviction choices")
 	}
-	e := p.byKey[1]
-	if e.freq < 2 {
-		t.Fatalf("readmitted key frequency = %d, want >= 2", e.freq)
+	if freq := p.lfu.Freq(1); freq < 2 {
+		t.Fatalf("readmitted key frequency = %d, want >= 2", freq)
 	}
 }
 
-// Internal bookkeeping: LRU list, LFU buckets, and map always agree.
+// Internal bookkeeping: LRU list, LFU buckets, and index always agree.
 func TestStructuralAgreement(t *testing.T) {
 	p := New(16, 1)
 	reqs := policytest.Workload(21, 8000, 200)
 	for i := range reqs {
 		p.Access(&reqs[i])
 	}
-	if p.lru.Len() != len(p.byKey) {
-		t.Fatalf("lru %d != map %d", p.lru.Len(), len(p.byKey))
+	if p.lru.Len() != p.idx.Len() {
+		t.Fatalf("lru %d != index %d", p.lru.Len(), p.idx.Len())
 	}
-	total := 0
-	for f, b := range p.buckets {
-		if b.Len() == 0 {
-			t.Fatalf("empty bucket %d retained", f)
+	if p.lfu.Len() != p.idx.Len() {
+		t.Fatalf("buckets %d != index %d", p.lfu.Len(), p.idx.Len())
+	}
+	for s := p.lru.Front(); s != 0; s = p.idx.Next(s) {
+		if p.lfu.Freq(p.idx.Key(s)) == 0 {
+			t.Fatalf("key %d on the LRU list is in no bucket", p.idx.Key(s))
 		}
-		total += b.Len()
 	}
-	if total != len(p.byKey) {
-		t.Fatalf("buckets %d != map %d", total, len(p.byKey))
-	}
-	if p.histLRU.fifo.Len() > p.capacity || p.histLFU.fifo.Len() > p.capacity {
+	if p.histLRU.Len() > p.capacity || p.histLFU.Len() > p.capacity {
 		t.Fatal("history overflow")
 	}
 }

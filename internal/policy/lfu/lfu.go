@@ -2,14 +2,14 @@
 // operations via frequency buckets.
 //
 // Ties within the minimum-frequency bucket break toward the least recently
-// used object. LFU is one of LeCaR's two experts; it is also registered
-// standalone as a baseline.
+// used object. LFU is registered standalone as a baseline; its Buckets are
+// also the frequency expert of LeCaR and CACHEUS.
 package lfu
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -17,111 +17,148 @@ func init() {
 	core.Register("lfu", func(capacity int) core.Policy { return New(capacity) })
 }
 
-type entry struct {
-	key  uint64
-	freq int
-	node *dlist.Node[*entry] // node within its frequency bucket list
+// Buckets orders keys by frequency and, within one frequency, by recency:
+// one keyed slab whose slots carry the frequency, threaded through one list
+// per populated frequency. It is all of LFU's state. LeCaR and CACHEUS,
+// whose entries sit on a recency list as well, keep that list in an index
+// of their own under the same keys.
+type Buckets struct {
+	idx     *slab.Index[int]   // value = frequency, which names the slot's list
+	lists   map[int]*slab.List // freq → slots, front = MRU; no empty lists
+	minFreq int                // no populated frequency is below it; may be stale
+}
+
+// NewBuckets returns buckets for at most bound keys.
+func NewBuckets(bound int) *Buckets {
+	return &Buckets{idx: slab.New[int](bound), lists: make(map[int]*slab.List)}
+}
+
+// Len returns the number of keys held.
+func (b *Buckets) Len() int { return b.idx.Len() }
+
+// Freq returns key's frequency, 0 when the key is absent.
+func (b *Buckets) Freq(key uint64) int {
+	if s := b.idx.Find(key); s != 0 {
+		return *b.idx.Value(s)
+	}
+	return 0
+}
+
+// Add inserts key, which must be absent, at the MRU end of freq's list.
+func (b *Buckets) Add(key uint64, freq int) {
+	if freq < b.minFreq || b.idx.Len() == 0 {
+		b.minFreq = freq
+	}
+	s := b.idx.Insert(key)
+	*b.idx.Value(s) = freq
+	b.push(s, freq)
+}
+
+func (b *Buckets) push(s int32, freq int) {
+	l, ok := b.lists[freq]
+	if !ok {
+		l = new(slab.List)
+		b.lists[freq] = l
+	}
+	b.idx.PushFront(l, s)
+}
+
+// unlink takes s off its list and drops the list if that empties it.
+func (b *Buckets) unlink(s int32, freq int) (emptied bool) {
+	l := b.lists[freq]
+	b.idx.Unlink(l, s)
+	if l.Len() == 0 {
+		delete(b.lists, freq)
+		return true
+	}
+	return false
+}
+
+// Bump moves key to the MRU end of the next frequency's list and reports
+// whether the key was present.
+func (b *Buckets) Bump(key uint64) bool {
+	s := b.idx.Find(key)
+	if s == 0 {
+		return false
+	}
+	freq := b.idx.Value(s)
+	if b.unlink(s, *freq) && b.minFreq == *freq {
+		b.minFreq++
+	}
+	*freq++
+	b.push(s, *freq)
+	return true
+}
+
+// Remove drops key, which must be present, and returns its frequency.
+func (b *Buckets) Remove(key uint64) int {
+	s := b.idx.Find(key)
+	freq := *b.idx.Value(s)
+	l := b.lists[freq]
+	b.idx.Remove(l, s)
+	if l.Len() == 0 {
+		delete(b.lists, freq)
+	}
+	return freq
+}
+
+// Min returns the least recently used key of the lowest populated
+// frequency, or with mru its most recently used one (CACHEUS's
+// churn-resistant tie-break). The buckets must not be empty.
+func (b *Buckets) Min(mru bool) uint64 {
+	l := b.lists[b.minFreq]
+	for l == nil {
+		// minFreq goes stale when a removal empties the lowest list;
+		// advance to the next populated one.
+		b.minFreq++
+		l = b.lists[b.minFreq]
+	}
+	if mru {
+		return b.idx.Key(l.Front())
+	}
+	return b.idx.Key(l.Back())
 }
 
 // Policy is an LFU cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	byKey    map[uint64]*entry
-	buckets  map[int]*dlist.List[*entry] // freq → entries, front = MRU
-	minFreq  int
+	freqs    *Buckets
 }
 
 // New returns an LFU policy with the given capacity in objects.
 func New(capacity int) *Policy {
-	return &Policy{
-		capacity: capacity,
-		byKey:    make(map[uint64]*entry, capacity),
-		buckets:  make(map[int]*dlist.List[*entry]),
-	}
+	return &Policy{capacity: capacity, freqs: NewBuckets(capacity)}
 }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "lfu" }
 
 // Len implements core.Policy.
-func (p *Policy) Len() int { return len(p.byKey) }
+func (p *Policy) Len() int { return p.freqs.Len() }
 
 // Capacity implements core.Policy.
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.freqs.Freq(key) != 0 }
 
 // Frequency returns the tracked frequency of key, or 0 if absent (for
 // tests).
-func (p *Policy) Frequency(key uint64) int {
-	if e, ok := p.byKey[key]; ok {
-		return e.freq
-	}
-	return 0
-}
-
-func (p *Policy) bucket(freq int) *dlist.List[*entry] {
-	b, ok := p.buckets[freq]
-	if !ok {
-		b = dlist.New[*entry]()
-		p.buckets[freq] = b
-	}
-	return b
-}
-
-func (p *Policy) promote(e *entry) {
-	old := p.buckets[e.freq]
-	old.Remove(e.node)
-	if old.Len() == 0 {
-		delete(p.buckets, e.freq)
-		if p.minFreq == e.freq {
-			p.minFreq = e.freq + 1
-		}
-	}
-	e.freq++
-	e.node = p.bucket(e.freq).PushFront(e)
-}
+func (p *Policy) Frequency(key uint64) int { return p.freqs.Freq(key) }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if e, ok := p.byKey[r.Key]; ok {
-		p.promote(e)
+	if p.freqs.Bump(r.Key) {
 		p.Hit(r.Key, r.Time)
 		return true
 	}
-	if len(p.byKey) >= p.capacity {
-		p.evictMin(r.Time)
+	if p.freqs.Len() >= p.capacity {
+		victim := p.freqs.Min(false)
+		p.freqs.Remove(victim)
+		p.Evict(victim, r.Time)
 	}
-	e := &entry{key: r.Key, freq: 1}
-	e.node = p.bucket(1).PushFront(e)
-	p.byKey[r.Key] = e
-	p.minFreq = 1
+	p.freqs.Add(r.Key, 1)
 	p.Insert(r.Key, r.Time)
 	return false
-}
-
-// evictMin removes the least recently used entry of the minimum-frequency
-// bucket.
-func (p *Policy) evictMin(now int64) {
-	b := p.buckets[p.minFreq]
-	for b == nil || b.Len() == 0 {
-		// minFreq can go stale after promotions emptied the bucket;
-		// advance to the next populated one.
-		delete(p.buckets, p.minFreq)
-		p.minFreq++
-		b = p.buckets[p.minFreq]
-	}
-	victim := b.Back() // LRU within the bucket
-	e := victim.Value
-	b.Remove(victim)
-	if b.Len() == 0 {
-		delete(p.buckets, e.freq)
-	}
-	delete(p.byKey, e.key)
-	p.Evict(e.key, now)
 }

@@ -14,8 +14,8 @@ package lirs
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -31,14 +31,6 @@ const (
 	hirNonResident
 )
 
-type entry struct {
-	key   uint64
-	state state
-	sNode *dlist.Node[*entry] // position in stack S (nil if pruned out)
-	qNode *dlist.Node[*entry] // position in queue Q (resident HIR only)
-	nNode *dlist.Node[*entry] // position in the nonresident FIFO bound
-}
-
 // Policy is a LIRS cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
@@ -47,10 +39,17 @@ type Policy struct {
 	hirCap   int // target resident-HIR population
 	nrCap    int // bound on nonresident entries retained in S
 
-	byKey    map[uint64]*entry
-	s        dlist.List[*entry] // stack S: front = top (MRU end)
-	q        dlist.List[*entry] // queue Q: front = oldest resident HIR
-	nonres   dlist.List[*entry] // FIFO over nonresident entries, for bounding
+	// A key can be on the stack and on a queue at once, so the two
+	// memberships live in two indexes over the same keys. stack holds S
+	// and, per slot, the key's state. queues holds every HIR key, on q
+	// while it is resident and on nonres while it is not: a nonresident
+	// key is always on the stack too, so the stack slot's state (or its
+	// absence) says which of the two lists a queues slot is on.
+	stack    *slab.Index[state]
+	s        slab.List // stack S: front = top (MRU end)
+	queues   *slab.Index[struct{}]
+	q        slab.List // queue Q: front = oldest resident HIR
+	nonres   slab.List // FIFO over nonresident entries, for bounding
 	lirCount int
 }
 
@@ -62,12 +61,16 @@ func New(capacity int) *Policy {
 		hirCap = 1
 	}
 	lirCap := capacity - hirCap
+	// Residents never exceed capacity; nonresidents exceed their bound by
+	// the one that enforceNonresidentCap is about to drop.
+	bound := capacity + 2*capacity + 1
 	return &Policy{
 		capacity: capacity,
 		lirCap:   lirCap,
 		hirCap:   hirCap,
 		nrCap:    2 * capacity,
-		byKey:    make(map[uint64]*entry, 3*capacity),
+		stack:    slab.New[state](bound),
+		queues:   slab.New[struct{}](bound),
 	}
 }
 
@@ -82,8 +85,10 @@ func (p *Policy) Len() int { return p.lirCount + p.q.Len() }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {
-	e, ok := p.byKey[key]
-	return ok && e.state != hirNonResident
+	if s := p.stack.Find(key); s != 0 {
+		return *p.stack.Value(s) != hirNonResident
+	}
+	return p.queues.Find(key) != 0 // resident HIR pruned out of the stack
 }
 
 // LIRCount reports the current LIR population (for tests).
@@ -91,99 +96,107 @@ func (p *Policy) LIRCount() int { return p.lirCount }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	e, ok := p.byKey[r.Key]
-	if ok && e.state == lir {
+	s := p.stack.Find(r.Key)
+	if s == 0 {
+		if q := p.queues.Find(r.Key); q != 0 {
+			// Resident HIR only in Q: stays HIR, refreshed in both
+			// structures.
+			p.Hit(r.Key, r.Time)
+			s = p.stack.Insert(r.Key)
+			*p.stack.Value(s) = hirResident
+			p.stack.PushFront(&p.s, s)
+			p.queues.MoveToBack(&p.q, q)
+			return true
+		}
+	} else if st := *p.stack.Value(s); st == lir {
 		// LIR hit: move to stack top; the bottom may need pruning if this
 		// was the bottom entry.
-		p.s.MoveToFront(e.sNode)
+		p.stack.MoveToFront(&p.s, s)
 		p.prune()
 		p.Hit(r.Key, r.Time)
 		return true
-	}
-	if ok && e.state == hirResident {
+	} else if st == hirResident {
+		// Resident HIR in S: upgrade to LIR; the stack bottom LIR demotes
+		// to Q.
 		p.Hit(r.Key, r.Time)
-		if e.sNode != nil {
-			// In S: upgrade to LIR; the stack bottom LIR demotes to Q.
-			p.s.MoveToFront(e.sNode)
-			p.q.Remove(e.qNode)
-			e.qNode = nil
-			e.state = lir
-			p.lirCount++
-			p.enforceLIRCap()
-			p.prune()
-		} else {
-			// Only in Q: stays HIR, refreshed in both structures.
-			e.sNode = p.s.PushFront(e)
-			p.q.MoveToBack(e.qNode)
-		}
+		p.queues.Remove(&p.q, p.queues.Find(r.Key))
+		p.promote(s)
 		return true
 	}
 
-	// Miss (new key or nonresident HIR).
+	// Miss (new key, or nonresident HIR in S).
 	if p.Len() >= p.capacity {
 		p.evict(r.Time)
-		// Eviction may have pruned the nonresident entry we just looked
-		// up; re-validate before using it.
-		e, ok = p.byKey[r.Key]
+		if s != 0 {
+			// Eviction may have pruned the nonresident entry we just
+			// looked up; re-validate before using it.
+			s = p.stack.Find(r.Key)
+		}
 	}
-	if ok {
+	if s != 0 {
 		// Nonresident HIR in S: its reuse distance beats the stack bottom
 		// LIR, so it comes back as LIR.
-		p.nonres.Remove(e.nNode)
-		e.nNode = nil
-		p.s.MoveToFront(e.sNode)
-		e.state = lir
-		p.lirCount++
-		p.enforceLIRCap()
-		p.prune()
+		p.queues.Remove(&p.nonres, p.queues.Find(r.Key))
+		p.promote(s)
 	} else {
-		e = &entry{key: r.Key}
-		p.byKey[r.Key] = e
-		e.sNode = p.s.PushFront(e)
+		s = p.stack.Insert(r.Key)
+		p.stack.PushFront(&p.s, s)
 		if p.lirCount < p.lirCap {
 			// Cold start: fill the LIR set first.
-			e.state = lir
-			p.lirCount++
+			p.lirCount++ // zero value = lir
 		} else {
-			e.state = hirResident
-			e.qNode = p.q.PushBack(e)
+			*p.stack.Value(s) = hirResident
+			p.queues.PushBack(&p.q, p.queues.Insert(r.Key))
 		}
 	}
 	p.Insert(r.Key, r.Time)
 	return false
 }
 
+// promote makes the HIR key in stack slot s, already off its queue, LIR at
+// the stack top.
+func (p *Policy) promote(s int32) {
+	p.stack.MoveToFront(&p.s, s)
+	*p.stack.Value(s) = lir
+	p.lirCount++
+	p.enforceLIRCap()
+	p.prune()
+}
+
+// bottomLIR returns the lowest LIR slot of the stack, 0 when there is none.
+func (p *Policy) bottomLIR() int32 {
+	s := p.s.Back()
+	for s != 0 && *p.stack.Value(s) != lir {
+		s = p.stack.Prev(s)
+	}
+	return s
+}
+
 // evict frees one resident slot: the front of Q (oldest resident HIR); if Q
 // is empty, the stack-bottom LIR demotes and is evicted directly.
 func (p *Policy) evict(now int64) {
-	if front := p.q.Front(); front != nil {
-		e := front.Value
-		p.q.Remove(front)
-		e.qNode = nil
-		if e.sNode != nil {
-			e.state = hirNonResident
-			e.nNode = p.nonres.PushBack(e)
+	if front := p.q.Front(); front != 0 {
+		key := p.queues.Key(front)
+		if s := p.stack.Find(key); s != 0 {
+			*p.stack.Value(s) = hirNonResident
+			p.queues.Unlink(&p.q, front)
+			p.queues.PushBack(&p.nonres, front)
 			p.enforceNonresidentCap()
 		} else {
-			delete(p.byKey, e.key)
+			p.queues.Remove(&p.q, front)
 		}
-		p.Evict(e.key, now)
+		p.Evict(key, now)
 		return
 	}
 	// Q empty: demote the bottom LIR and evict it.
-	bottom := p.s.Back()
-	for bottom != nil && bottom.Value.state != lir {
-		bottom = bottom.Prev()
-	}
-	if bottom == nil {
+	bottom := p.bottomLIR()
+	if bottom == 0 {
 		return // nothing resident; nothing to evict
 	}
-	e := bottom.Value
-	p.s.Remove(bottom)
-	e.sNode = nil
+	key := p.stack.Key(bottom)
+	p.stack.Remove(&p.s, bottom)
 	p.lirCount--
-	delete(p.byKey, e.key)
-	p.Evict(e.key, now)
+	p.Evict(key, now)
 	p.prune()
 }
 
@@ -191,18 +204,13 @@ func (p *Policy) evict(now int64) {
 // Q) while the LIR set exceeds its target.
 func (p *Policy) enforceLIRCap() {
 	for p.lirCount > p.lirCap {
-		bottom := p.s.Back()
-		for bottom != nil && bottom.Value.state != lir {
-			bottom = bottom.Prev()
-		}
-		if bottom == nil {
+		bottom := p.bottomLIR()
+		if bottom == 0 {
 			return
 		}
-		e := bottom.Value
-		p.s.Remove(bottom)
-		e.sNode = nil
-		e.state = hirResident
-		e.qNode = p.q.PushBack(e)
+		key := p.stack.Key(bottom)
+		p.stack.Remove(&p.s, bottom)
+		p.queues.PushBack(&p.q, p.queues.Insert(key))
 		p.lirCount--
 		p.prune()
 	}
@@ -214,19 +222,15 @@ func (p *Policy) enforceLIRCap() {
 func (p *Policy) prune() {
 	for {
 		bottom := p.s.Back()
-		if bottom == nil || bottom.Value.state == lir {
+		if bottom == 0 || *p.stack.Value(bottom) == lir {
 			return
 		}
-		e := bottom.Value
-		p.s.Remove(bottom)
-		e.sNode = nil
-		if e.state == hirNonResident {
-			p.nonres.Remove(e.nNode)
-			e.nNode = nil
-			delete(p.byKey, e.key)
+		if *p.stack.Value(bottom) == hirNonResident {
+			p.queues.Remove(&p.nonres, p.queues.Find(p.stack.Key(bottom)))
 		}
 		// hirResident entries stay resident via Q; only their stack
 		// presence (the fast-upgrade path) is lost.
+		p.stack.Remove(&p.s, bottom)
 	}
 }
 
@@ -235,14 +239,8 @@ func (p *Policy) prune() {
 func (p *Policy) enforceNonresidentCap() {
 	for p.nonres.Len() > p.nrCap {
 		oldest := p.nonres.Front()
-		e := oldest.Value
-		p.nonres.Remove(oldest)
-		e.nNode = nil
-		if e.sNode != nil {
-			p.s.Remove(e.sNode)
-			e.sNode = nil
-		}
-		delete(p.byKey, e.key)
+		p.stack.Remove(&p.s, p.stack.Find(p.queues.Key(oldest)))
+		p.queues.Remove(&p.nonres, oldest)
 		p.prune()
 	}
 }

@@ -23,7 +23,7 @@ func TestInvariants(t *testing.T) {
 		if p.lirCount > p.lirCap {
 			t.Fatalf("req %d: LIR count %d > cap %d", i, p.lirCount, p.lirCap)
 		}
-		if b := p.s.Back(); b != nil && b.Value.state != lir {
+		if b := p.s.Back(); b != 0 && *p.stack.Value(b) != lir {
 			t.Fatalf("req %d: stack bottom is not LIR", i)
 		}
 		if p.nonres.Len() > p.nrCap {
@@ -33,29 +33,41 @@ func TestInvariants(t *testing.T) {
 			t.Fatalf("req %d: residents %d > capacity", i, p.Len())
 		}
 	}
-	// Cross-check bookkeeping: count states in byKey.
+	// Cross-check bookkeeping: every stack slot's state against the queue
+	// its key is on, and every queue slot against the stack.
 	lirs, hirRes, hirNon := 0, 0, 0
-	for _, e := range p.byKey {
-		switch e.state {
+	for s := p.s.Front(); s != 0; s = p.stack.Next(s) {
+		queued := p.queues.Find(p.stack.Key(s)) != 0
+		switch *p.stack.Value(s) {
 		case lir:
 			lirs++
-			if e.sNode == nil {
-				t.Fatal("LIR entry not in stack")
-			}
-			if e.qNode != nil {
-				t.Fatal("LIR entry in queue Q")
+			if queued {
+				t.Fatal("LIR entry on a queue")
 			}
 		case hirResident:
-			hirRes++
-			if e.qNode == nil {
+			if !queued {
 				t.Fatal("resident HIR not in queue Q")
 			}
 		case hirNonResident:
-			hirNon++
-			if e.sNode == nil && e.nNode == nil {
-				t.Fatal("nonresident HIR tracked nowhere")
+			if !queued {
+				t.Fatal("nonresident HIR not on the nonresident FIFO")
 			}
 		}
+	}
+	for q := p.q.Front(); q != 0; q = p.queues.Next(q) {
+		hirRes++
+		if s := p.stack.Find(p.queues.Key(q)); s != 0 && *p.stack.Value(s) != hirResident {
+			t.Fatal("queue Q holds a key the stack does not call resident HIR")
+		}
+	}
+	for q := p.nonres.Front(); q != 0; q = p.queues.Next(q) {
+		hirNon++
+		if s := p.stack.Find(p.queues.Key(q)); s == 0 || *p.stack.Value(s) != hirNonResident {
+			t.Fatal("nonresident FIFO holds a key the stack does not call nonresident")
+		}
+	}
+	if p.s.Len() != p.stack.Len() || hirRes+hirNon != p.queues.Len() {
+		t.Fatal("a list and its index disagree on population")
 	}
 	if lirs != p.lirCount {
 		t.Fatalf("LIR count mismatch: %d vs %d", lirs, p.lirCount)
@@ -127,8 +139,7 @@ func TestNonresidentUpgrade(t *testing.T) {
 		p.Access(&reqs[i])
 	}
 	// 100 was nonresident-HIR in the stack when re-referenced → now LIR.
-	e, ok := p.byKey[100]
-	if !ok || e.state != lir {
-		t.Fatalf("re-referenced nonresident key not upgraded to LIR (entry %+v)", e)
+	if s := p.stack.Find(100); s == 0 || *p.stack.Value(s) != lir {
+		t.Fatal("re-referenced nonresident key not upgraded to LIR")
 	}
 }

@@ -16,8 +16,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -26,7 +26,6 @@ func init() {
 }
 
 type entry struct {
-	key uint64
 	gen int // generation the entry currently sits in
 	// target is the generation the entry earned by its last access;
 	// applied lazily at eviction time.
@@ -37,11 +36,10 @@ type entry struct {
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	numGens  int
-	byKey    map[uint64]*dlist.Node[entry]
+	idx      *slab.Index[entry]
 	// gens[0] is the oldest generation; gens[len-1] the youngest. Each
 	// list front = oldest insertion within the generation.
-	gens []*dlist.List[entry]
+	gens []slab.List
 	// maxGen is the id of the youngest generation; gens[i] holds
 	// generation maxGen-(len-1-i).
 	maxGen     int
@@ -59,61 +57,55 @@ func New(capacity, generations int) *Policy {
 	if agingEvery < 1 {
 		agingEvery = 1
 	}
-	p := &Policy{
+	return &Policy{
 		capacity:   capacity,
-		numGens:    generations,
-		byKey:      make(map[uint64]*dlist.Node[entry], capacity),
-		gens:       make([]*dlist.List[entry], generations),
+		idx:        slab.New[entry](capacity),
+		gens:       make([]slab.List, generations),
 		maxGen:     generations - 1,
 		agingEvery: agingEvery,
 	}
-	for i := range p.gens {
-		p.gens[i] = dlist.New[entry]()
-	}
-	return p
 }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string { return "mglru" }
 
 // Len implements core.Policy.
-func (p *Policy) Len() int { return len(p.byKey) }
+func (p *Policy) Len() int { return p.idx.Len() }
 
 // Capacity implements core.Policy.
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
-// listOf returns the queue holding generation g, or nil if g has aged out.
-func (p *Policy) listOf(g int) *dlist.List[entry] {
-	idx := len(p.gens) - 1 - (p.maxGen - g)
-	if idx < 0 || idx >= len(p.gens) {
-		return nil
+// listOf returns the index in gens of the queue holding generation g, or -1
+// if g has aged out.
+func (p *Policy) listOf(g int) int {
+	i := len(p.gens) - 1 - (p.maxGen - g)
+	if i < 0 || i >= len(p.gens) {
+		return -1
 	}
-	return p.gens[idx]
+	return i
 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
+	if s := p.idx.Find(r.Key); s != 0 {
 		// Lazy promotion: one field write, no list movement.
-		n.Value.target = p.maxGen
+		p.idx.Value(s).target = p.maxGen
 		p.Hit(r.Key, r.Time)
 		return true
 	}
-	if len(p.byKey) >= p.capacity {
+	if p.idx.Len() >= p.capacity {
 		p.evict(r.Time)
 	}
 	p.sinceAging++
 	if p.sinceAging >= p.agingEvery {
 		p.age()
 	}
-	n := p.gens[len(p.gens)-1].PushBack(entry{key: r.Key, gen: p.maxGen, target: p.maxGen})
-	p.byKey[r.Key] = n
+	s := p.idx.Insert(r.Key)
+	*p.idx.Value(s) = entry{gen: p.maxGen, target: p.maxGen}
+	p.idx.PushBack(&p.gens[len(p.gens)-1], s)
 	p.Insert(r.Key, r.Time)
 	return false
 }
@@ -123,48 +115,42 @@ func (p *Policy) Access(r *trace.Request) bool {
 func (p *Policy) age() {
 	p.sinceAging = 0
 	p.maxGen++
-	oldest := p.gens[0]
-	second := p.gens[1]
+	oldest, second := &p.gens[0], &p.gens[1]
 	// Merge oldest into the front of second (it is older material).
 	for oldest.Len() > 0 {
-		n := oldest.Back()
-		oldest.Remove(n)
-		second.PushNodeFront(n)
+		s := oldest.Back()
+		p.idx.Unlink(oldest, s)
+		p.idx.PushFront(second, s)
 	}
 	copy(p.gens, p.gens[1:])
-	p.gens[len(p.gens)-1] = oldest // reuse the emptied list as the new youngest
+	p.gens[len(p.gens)-1] = slab.List{} // the new youngest
 }
 
 // evict scans the oldest generation, applying deferred promotions and
 // evicting the first object whose target generation is also the oldest.
 func (p *Policy) evict(now int64) {
 	for {
-		var n *dlist.Node[entry]
-		var fromList *dlist.List[entry]
-		for _, l := range p.gens {
-			if l.Len() > 0 {
-				n = l.Front()
-				fromList = l
-				break
-			}
+		from := 0
+		for from < len(p.gens) && p.gens[from].Len() == 0 {
+			from++
 		}
-		if n == nil {
+		if from == len(p.gens) {
 			return
 		}
-		e := n.Value
+		s := p.gens[from].Front()
 		// Deferred promotion: the object earned a younger generation since
 		// it was queued here.
-		if e.target > e.gen {
-			if dest := p.listOf(e.target); dest != nil && dest != fromList {
-				fromList.Remove(n)
-				n.Value.gen = e.target
-				dest.PushNodeBack(n)
+		if e := p.idx.Value(s); e.target > e.gen {
+			if dest := p.listOf(e.target); dest >= 0 && dest != from {
+				e.gen = e.target
+				p.idx.Unlink(&p.gens[from], s)
+				p.idx.PushBack(&p.gens[dest], s)
 				continue
 			}
 		}
-		fromList.Remove(n)
-		delete(p.byKey, e.key)
-		p.Evict(e.key, now)
+		key := p.idx.Key(s)
+		p.idx.Remove(&p.gens[from], s)
+		p.Evict(key, now)
 		return
 	}
 }

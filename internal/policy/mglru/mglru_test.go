@@ -61,14 +61,15 @@ func TestGenerationConsistency(t *testing.T) {
 		for _, l := range p.gens {
 			total += l.Len()
 		}
-		if total != len(p.byKey) {
-			t.Fatalf("req %d: lists hold %d, map %d", i, total, len(p.byKey))
+		if total != p.idx.Len() {
+			t.Fatalf("req %d: lists hold %d, index %d", i, total, p.idx.Len())
 		}
 	}
 	for gi, l := range p.gens {
-		for n := l.Front(); n != nil; n = n.Next() {
-			if got := p.listOf(n.Value.gen); got != nil && got != l {
-				t.Fatalf("entry %d in list %d but gen %d maps elsewhere", n.Value.key, gi, n.Value.gen)
+		for s := l.Front(); s != 0; s = p.idx.Next(s) {
+			gen := p.idx.Value(s).gen
+			if got := p.listOf(gen); got >= 0 && got != gi {
+				t.Fatalf("entry %d in list %d but gen %d maps elsewhere", p.idx.Key(s), gi, gen)
 			}
 		}
 	}

@@ -14,9 +14,9 @@ package s3fifo
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/ghost"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -26,17 +26,9 @@ func init() {
 
 const maxFreq = 3
 
-type where uint8
-
-const (
-	inSmall where = iota
-	inMain
-)
-
 type entry struct {
-	key  uint64
-	freq uint8
-	loc  where
+	freq   uint8
+	inMain bool // which of the two queues the slot is on
 }
 
 // Policy is an S3-FIFO cache. Not safe for concurrent use.
@@ -44,9 +36,9 @@ type Policy struct {
 	policyutil.EventEmitter
 	capacity int
 	smallCap int
-	byKey    map[uint64]*dlist.Node[entry]
-	small    dlist.List[entry] // front = oldest
-	main     dlist.List[entry] // front = oldest
+	idx      *slab.Index[entry]
+	small    slab.List // front = oldest
+	main     slab.List // front = oldest
 	ghost    *ghost.Queue
 }
 
@@ -64,7 +56,7 @@ func New(capacity int) *Policy {
 	return &Policy{
 		capacity: capacity,
 		smallCap: smallCap,
-		byKey:    make(map[uint64]*dlist.Node[entry], capacity),
+		idx:      slab.New[entry](capacity),
 		ghost:    ghost.New(mainCap),
 	}
 }
@@ -79,41 +71,33 @@ func (p *Policy) Len() int { return p.small.Len() + p.main.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // GhostLen reports the ghost population (for tests).
 func (p *Policy) GhostLen() int { return p.ghost.Len() }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
-		if n.Value.freq < maxFreq {
-			n.Value.freq++
+	if s := p.idx.Find(r.Key); s != 0 {
+		if e := p.idx.Value(s); e.freq < maxFreq {
+			e.freq++
 		}
 		p.Hit(r.Key, r.Time)
 		return true
 	}
-	if p.ghost.Contains(r.Key) {
-		// Quick-demotion mistake: readmit directly into the main queue.
-		p.ghost.Remove(r.Key)
+	// A ghost hit is a quick-demotion mistake: readmit directly into the
+	// main queue, as does a cache too small to have a small queue.
+	if p.ghost.Remove(r.Key) || p.smallCap == 0 {
 		p.makeRoomMain(r.Time)
-		p.byKey[r.Key] = p.main.PushBack(entry{key: r.Key, loc: inMain})
-		p.Insert(r.Key, r.Time)
-		return false
+		s := p.idx.Insert(r.Key)
+		p.idx.Value(s).inMain = true
+		p.idx.PushBack(&p.main, s)
+	} else {
+		if p.small.Len() >= p.smallCap {
+			p.evictSmall(r.Time)
+		}
+		p.idx.PushBack(&p.small, p.idx.Insert(r.Key))
 	}
-	if p.smallCap == 0 {
-		p.makeRoomMain(r.Time)
-		p.byKey[r.Key] = p.main.PushBack(entry{key: r.Key, loc: inMain})
-		p.Insert(r.Key, r.Time)
-		return false
-	}
-	if p.small.Len() >= p.smallCap {
-		p.evictSmall(r.Time)
-	}
-	p.byKey[r.Key] = p.small.PushBack(entry{key: r.Key, loc: inSmall})
 	p.Insert(r.Key, r.Time)
 	return false
 }
@@ -124,18 +108,17 @@ func (p *Policy) Access(r *trace.Request) bool {
 func (p *Policy) evictSmall(now int64) {
 	for p.small.Len() > 0 {
 		oldest := p.small.Front()
-		e := oldest.Value
-		p.small.Remove(oldest)
-		if e.freq > 1 {
+		if p.idx.Value(oldest).freq > 1 {
+			p.idx.Unlink(&p.small, oldest)
 			p.makeRoomMain(now)
-			oldest.Value.freq = 0
-			oldest.Value.loc = inMain
-			p.main.PushNodeBack(oldest)
+			*p.idx.Value(oldest) = entry{inMain: true}
+			p.idx.PushBack(&p.main, oldest)
 			continue
 		}
-		delete(p.byKey, e.key)
-		p.ghost.Add(e.key)
-		p.Evict(e.key, now)
+		key := p.idx.Key(oldest)
+		p.idx.Remove(&p.small, oldest)
+		p.ghost.Add(key)
+		p.Evict(key, now)
 		return
 	}
 }
@@ -146,14 +129,13 @@ func (p *Policy) makeRoomMain(now int64) {
 	mainCap := p.capacity - p.smallCap
 	for p.main.Len() >= mainCap {
 		oldest := p.main.Front()
-		if oldest.Value.freq > 0 {
-			oldest.Value.freq--
-			p.main.MoveToBack(oldest)
+		if e := p.idx.Value(oldest); e.freq > 0 {
+			e.freq--
+			p.idx.MoveToBack(&p.main, oldest)
 			continue
 		}
-		e := oldest.Value
-		p.main.Remove(oldest)
-		delete(p.byKey, e.key)
-		p.Evict(e.key, now)
+		key := p.idx.Key(oldest)
+		p.idx.Remove(&p.main, oldest)
+		p.Evict(key, now)
 	}
 }

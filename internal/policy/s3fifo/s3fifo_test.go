@@ -42,8 +42,7 @@ func TestGhostReadmission(t *testing.T) {
 	for i := range reqs {
 		p.Access(&reqs[i])
 	}
-	n, ok := p.byKey[1]
-	if !ok || n.Value.loc != inMain {
+	if s := p.idx.Find(1); s == 0 || !p.idx.Value(s).inMain {
 		t.Fatal("ghost hit not readmitted into main")
 	}
 }
@@ -57,10 +56,10 @@ func TestPromotionThreshold(t *testing.T) {
 	for i := range reqs {
 		p.Access(&reqs[i])
 	}
-	if n, ok := p.byKey[1]; !ok || n.Value.loc != inMain {
+	if s := p.idx.Find(1); s == 0 || !p.idx.Value(s).inMain {
 		t.Fatal("twice-hit key 1 not promoted to main")
 	}
-	if _, ok := p.byKey[2]; ok {
+	if p.Contains(2) {
 		t.Fatal("once-hit key 2 should have been evicted to ghost")
 	}
 	if !p.ghost.Contains(2) {

@@ -12,8 +12,8 @@ package sieve
 
 import (
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -21,26 +21,18 @@ func init() {
 	core.Register("sieve", func(capacity int) core.Policy { return New(capacity) })
 }
 
-type entry struct {
-	key     uint64
-	visited bool
-}
-
 // Policy is a SIEVE cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	byKey    map[uint64]*dlist.Node[entry]
-	queue    dlist.List[entry] // front = newest (head), back = oldest (tail)
-	hand     *dlist.Node[entry]
+	idx      *slab.Index[bool] // value = visited bit
+	queue    slab.List         // front = newest (head), back = oldest (tail)
+	hand     int32             // retained sweep position, 0 = start from the tail
 }
 
 // New returns a SIEVE policy with the given capacity in objects.
 func New(capacity int) *Policy {
-	return &Policy{
-		capacity: capacity,
-		byKey:    make(map[uint64]*dlist.Node[entry], capacity),
-	}
+	return &Policy{capacity: capacity, idx: slab.New[bool](capacity)}
 }
 
 // Name implements core.Policy.
@@ -53,38 +45,34 @@ func (p *Policy) Len() int { return p.queue.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
-// Remove implements core.Remover. Removing the node under the hand moves
+// Remove implements core.Remover. Removing the slot under the hand moves
 // the hand one step toward the head first, preserving the sweep position.
 func (p *Policy) Remove(key uint64) bool {
-	n, ok := p.byKey[key]
-	if !ok {
+	s := p.idx.Find(key)
+	if s == 0 {
 		return false
 	}
-	if p.hand == n {
-		p.hand = n.Prev()
+	if p.hand == s {
+		p.hand = p.idx.Prev(s)
 	}
-	delete(p.byKey, key)
-	p.queue.Remove(n)
+	p.idx.Remove(&p.queue, s)
 	p.Evict(key, 0)
 	return true
 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
-		n.Value.visited = true
+	if s := p.idx.Find(r.Key); s != 0 {
+		*p.idx.Value(s) = true
 		p.Hit(r.Key, r.Time)
 		return true
 	}
 	if p.queue.Len() >= p.capacity {
 		p.evict(r.Time)
 	}
-	p.byKey[r.Key] = p.queue.PushFront(entry{key: r.Key})
+	p.idx.PushFront(&p.queue, p.idx.Insert(r.Key))
 	p.Insert(r.Key, r.Time)
 	return false
 }
@@ -93,20 +81,19 @@ func (p *Policy) Access(r *trace.Request) bool {
 // clearing visited bits, and evicts the first unvisited object. Objects are
 // never moved in the queue.
 func (p *Policy) evict(now int64) {
-	n := p.hand
-	if n == nil {
-		n = p.queue.Back()
+	s := p.hand
+	if s == 0 {
+		s = p.queue.Back()
 	}
-	for n.Value.visited {
-		n.Value.visited = false
-		prev := n.Prev() // toward the head (newer objects)
-		if prev == nil {
-			prev = p.queue.Back() // wrap to the tail
+	for visited := p.idx.Value(s); *visited; visited = p.idx.Value(s) {
+		*visited = false
+		s = p.idx.Prev(s) // toward the head (newer objects)
+		if s == 0 {
+			s = p.queue.Back() // wrap to the tail
 		}
-		n = prev
 	}
-	p.hand = n.Prev() // retained position: may be nil (head), next evict wraps
-	delete(p.byKey, n.Value.key)
-	p.queue.Remove(n)
-	p.Evict(n.Value.key, now)
+	p.hand = p.idx.Prev(s) // retained position: may be 0 (head), next evict wraps
+	key := p.idx.Key(s)
+	p.idx.Remove(&p.queue, s)
+	p.Evict(key, now)
 }

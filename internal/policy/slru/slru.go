@@ -11,8 +11,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -20,26 +20,14 @@ func init() {
 	core.Register("slru", func(capacity int) core.Policy { return New(capacity, 0.8) })
 }
 
-type segment uint8
-
-const (
-	probationary segment = iota
-	protected
-)
-
-type entry struct {
-	key uint64
-	seg segment
-}
-
 // Policy is an SLRU cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
 	capacity     int
 	protectedCap int
-	byKey        map[uint64]*dlist.Node[entry]
-	prob         dlist.List[entry] // front = MRU
-	prot         dlist.List[entry] // front = MRU
+	idx          *slab.Index[bool] // value = the slot is in the protected segment
+	prob         slab.List         // front = MRU
+	prot         slab.List         // front = MRU
 }
 
 // New returns an SLRU policy. protectedFrac is the fraction of capacity
@@ -59,7 +47,7 @@ func New(capacity int, protectedFrac float64) *Policy {
 	return &Policy{
 		capacity:     capacity,
 		protectedCap: pc,
-		byKey:        make(map[uint64]*dlist.Node[entry], capacity),
+		idx:          slab.New[bool](capacity),
 	}
 }
 
@@ -73,55 +61,52 @@ func (p *Policy) Len() int { return p.prob.Len() + p.prot.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // ProtectedLen reports the protected segment's population (for tests).
 func (p *Policy) ProtectedLen() int { return p.prot.Len() }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
+	if s := p.idx.Find(r.Key); s != 0 {
 		p.Hit(r.Key, r.Time)
-		if n.Value.seg == protected {
-			p.prot.MoveToFront(n)
+		if *p.idx.Value(s) {
+			p.idx.MoveToFront(&p.prot, s)
 			return true
 		}
 		// Promote probationary → protected.
-		p.prob.Remove(n)
-		n.Value.seg = protected
-		p.prot.PushNodeFront(n)
+		p.relink(s, &p.prob, &p.prot)
 		// If protected overflows, demote its LRU back to probationary MRU;
 		// no data leaves the cache.
 		if p.prot.Len() > p.protectedCap {
-			lru := p.prot.Back()
-			p.prot.Remove(lru)
-			lru.Value.seg = probationary
-			p.prob.PushNodeFront(lru)
+			p.relink(p.prot.Back(), &p.prot, &p.prob)
 		}
 		return true
 	}
 	if p.Len() >= p.capacity {
 		p.evict(r.Time)
 	}
-	p.byKey[r.Key] = p.prob.PushFront(entry{key: r.Key, seg: probationary})
+	p.idx.PushFront(&p.prob, p.idx.Insert(r.Key))
 	p.Insert(r.Key, r.Time)
 	return false
+}
+
+// relink moves s from one segment to the MRU end of the other.
+func (p *Policy) relink(s int32, from, to *slab.List) {
+	p.idx.Unlink(from, s)
+	*p.idx.Value(s) = to == &p.prot
+	p.idx.PushFront(to, s)
 }
 
 // evict removes the probationary LRU; if the probationary segment is empty
 // (possible when protectedCap is 0 or after demotions), the protected LRU
 // goes instead.
 func (p *Policy) evict(now int64) {
-	victim := p.prob.Back()
-	list := &p.prob
-	if victim == nil {
-		victim = p.prot.Back()
-		list = &p.prot
+	victim, list := p.prob.Back(), &p.prob
+	if victim == 0 {
+		victim, list = p.prot.Back(), &p.prot
 	}
-	delete(p.byKey, victim.Value.key)
-	list.Remove(victim)
-	p.Evict(victim.Value.key, now)
+	key := p.idx.Key(victim)
+	p.idx.Remove(list, victim)
+	p.Evict(key, now)
 }

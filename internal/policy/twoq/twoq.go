@@ -12,9 +12,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dlist"
 	"repro/internal/ghost"
 	"repro/internal/policy/policyutil"
+	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -24,26 +24,14 @@ func init() {
 	core.Register("2q", func(capacity int) core.Policy { return New(capacity, 0.25, 0.5) })
 }
 
-type where uint8
-
-const (
-	inA1 where = iota
-	inAm
-)
-
-type entry struct {
-	key uint64
-	loc where
-}
-
 // Policy is a 2Q cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
 	capacity int
-	kin      int // max population of a1in
-	byKey    map[uint64]*dlist.Node[entry]
-	a1in     dlist.List[entry] // FIFO: front = oldest
-	am       dlist.List[entry] // LRU: front = MRU
+	kin      int               // max population of a1in
+	idx      *slab.Index[bool] // value = the slot is on am, not a1in
+	a1in     slab.List         // FIFO: front = oldest
+	am       slab.List         // LRU: front = MRU
 	a1out    *ghost.Queue
 }
 
@@ -65,7 +53,7 @@ func New(capacity int, kinFrac, koutFrac float64) *Policy {
 	return &Policy{
 		capacity: capacity,
 		kin:      kin,
-		byKey:    make(map[uint64]*dlist.Node[entry], capacity),
+		idx:      slab.New[bool](capacity),
 		a1out:    ghost.New(kout),
 	}
 }
@@ -80,62 +68,49 @@ func (p *Policy) Len() int { return p.a1in.Len() + p.am.Len() }
 func (p *Policy) Capacity() int { return p.capacity }
 
 // Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool {
-	_, ok := p.byKey[key]
-	return ok
-}
+func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
 
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
-	if n, ok := p.byKey[r.Key]; ok {
+	if s := p.idx.Find(r.Key); s != 0 {
 		p.Hit(r.Key, r.Time)
-		if n.Value.loc == inAm {
-			p.am.MoveToFront(n)
+		if *p.idx.Value(s) {
+			p.idx.MoveToFront(&p.am, s)
 		}
 		// Hits in A1in deliberately do nothing (correlated references
 		// should not earn promotion — the 2Q paper's key insight).
 		return true
 	}
-	if p.a1out.Contains(r.Key) {
-		// Reference while remembered: admit directly into Am.
-		p.a1out.Remove(r.Key)
-		p.makeRoom(r.Time)
-		n := p.am.PushFront(entry{key: r.Key, loc: inAm})
-		p.byKey[r.Key] = n
-		p.Insert(r.Key, r.Time)
-		return false
-	}
+	// Reference while remembered: admit directly into Am.
+	remembered := p.a1out.Remove(r.Key)
 	p.makeRoom(r.Time)
-	p.byKey[r.Key] = p.a1in.PushBack(entry{key: r.Key, loc: inA1})
+	s := p.idx.Insert(r.Key)
+	if remembered {
+		*p.idx.Value(s) = true
+		p.idx.PushFront(&p.am, s)
+	} else {
+		p.idx.PushBack(&p.a1in, s)
+	}
 	p.Insert(r.Key, r.Time)
 	return false
 }
 
 // makeRoom frees one slot if the cache is full: prefer reclaiming from
 // A1in when it exceeds Kin (remembering the key in A1out), otherwise evict
-// the Am LRU.
+// the Am LRU; with Am empty, fall back to A1in regardless of Kin.
 func (p *Policy) makeRoom(now int64) {
 	if p.Len() < p.capacity {
 		return
 	}
-	if p.a1in.Len() >= p.kin && p.a1in.Len() > 0 {
-		victim := p.a1in.Front()
-		delete(p.byKey, victim.Value.key)
-		p.a1in.Remove(victim)
-		p.a1out.Add(victim.Value.key)
-		p.Evict(victim.Value.key, now)
-		return
+	var key uint64
+	if victim := p.am.Back(); victim != 0 && p.a1in.Len() < p.kin {
+		key = p.idx.Key(victim)
+		p.idx.Remove(&p.am, victim)
+	} else {
+		victim = p.a1in.Front()
+		key = p.idx.Key(victim)
+		p.idx.Remove(&p.a1in, victim)
+		p.a1out.Add(key)
 	}
-	if victim := p.am.Back(); victim != nil {
-		delete(p.byKey, victim.Value.key)
-		p.am.Remove(victim)
-		p.Evict(victim.Value.key, now)
-		return
-	}
-	// Am empty: fall back to A1in regardless of Kin.
-	victim := p.a1in.Front()
-	delete(p.byKey, victim.Value.key)
-	p.a1in.Remove(victim)
-	p.a1out.Add(victim.Value.key)
-	p.Evict(victim.Value.key, now)
+	p.Evict(key, now)
 }
