@@ -106,12 +106,3 @@ func (h *History) Add(key uint64, freq int, now int64) {
 
 // Take forgets key and returns its record, ok=false when it had none.
 func (h *History) Take(key uint64) (Record, bool) { return h.take(key) }
-
-// Oldest returns the oldest remembered key, or ok=false when empty.
-func (q *Queue) Oldest() (key uint64, ok bool) {
-	s := q.list.Front()
-	if s == 0 {
-		return 0, false
-	}
-	return q.idx.Key(s), true
-}

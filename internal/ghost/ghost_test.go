@@ -60,15 +60,31 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestOldest(t *testing.T) {
-	q := New(2)
-	if _, ok := q.Oldest(); ok {
-		t.Fatal("Oldest on empty queue reported ok")
+// A History is the same FIFO with a record per key: re-adding keeps the
+// position and takes the new record, Take forgets.
+func TestHistory(t *testing.T) {
+	h := NewHistory(2)
+	h.Add(1, 3, 10)
+	h.Add(2, 1, 11)
+	h.Add(1, 5, 12) // same position, new record
+	h.Add(3, 1, 13) // full: drops 1, the oldest
+	if _, ok := h.Take(1); ok {
+		t.Fatal("re-added key was refreshed; a history is FIFO")
 	}
-	q.Add(7)
-	q.Add(8)
-	if k, ok := q.Oldest(); !ok || k != 7 {
-		t.Fatalf("Oldest = %d,%v want 7,true", k, ok)
+	if r, ok := h.Take(2); !ok || r != (Record{Freq: 1, EvictAt: 11}) {
+		t.Fatalf("Take(2) = %+v, %v", r, ok)
+	}
+	if _, ok := h.Take(2); ok || h.Len() != 1 {
+		t.Fatalf("Take did not forget: len %d", h.Len())
+	}
+	h.Add(3, 7, 14)
+	if r, _ := h.Take(3); r != (Record{Freq: 7, EvictAt: 14}) {
+		t.Fatalf("re-added key kept its old record: %+v", r)
+	}
+	zero := NewHistory(0)
+	zero.Add(1, 1, 1)
+	if _, ok := zero.Take(1); ok {
+		t.Fatal("capacity 0 history retained a key")
 	}
 }
 

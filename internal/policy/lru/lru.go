@@ -23,14 +23,25 @@ func init() {
 // Policy is an LRU cache. Not safe for concurrent use.
 type Policy struct {
 	policyutil.EventEmitter
-	capacity int
-	idx      *slab.Index[struct{}]
-	queue    slab.List // front = most recently used
+	capacity int                 // in cost units: objects, or bytes under a byte cap
+	used     int                 // cost of the resident objects
+	byBytes  bool                // an object costs its Size rather than 1
+	idx      *slab.Index[uint32] // value = what the object was charged
+	queue    slab.List           // front = most recently used
 }
 
 // New returns an LRU policy with the given capacity in objects.
 func New(capacity int) *Policy {
-	return &Policy{capacity: capacity, idx: slab.New[struct{}](capacity)}
+	return &Policy{capacity: capacity, idx: slab.New[uint32](capacity)}
+}
+
+// NewBytes returns an LRU policy with the given capacity in bytes: an entry
+// cap is a byte cap at cost 1, so the one difference from New is that an
+// object is charged its Request.Size. One larger than the cache is never
+// admitted.
+func NewBytes(capacity int) *Policy {
+	// Bytes do not bound a count of objects: the index gets the slab's ceiling.
+	return &Policy{capacity: capacity, byBytes: true, idx: slab.New[uint32](1<<30 - 1)}
 }
 
 // Name implements core.Policy.
@@ -41,6 +52,10 @@ func (p *Policy) Len() int { return p.queue.Len() }
 
 // Capacity implements core.Policy.
 func (p *Policy) Capacity() int { return p.capacity }
+
+// Used returns the cost of the resident objects: their number, or under a
+// byte cap their total size.
+func (p *Policy) Used() int { return p.used }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
@@ -72,16 +87,27 @@ func (p *Policy) Access(r *trace.Request) bool {
 		p.Hit(r.Key, r.Time)
 		return true
 	}
-	if p.queue.Len() >= p.capacity {
+	cost := 1
+	if p.byBytes {
+		cost = int(r.Size)
+	}
+	if cost > p.capacity {
+		return false // larger than the cache: bypass
+	}
+	for p.used+cost > p.capacity {
 		p.drop(p.queue.Back(), r.Time)
 	}
-	p.idx.PushFront(&p.queue, p.idx.Insert(r.Key))
+	s := p.idx.Insert(r.Key)
+	*p.idx.Value(s) = uint32(cost)
+	p.idx.PushFront(&p.queue, s)
+	p.used += cost
 	p.Insert(r.Key, r.Time)
 	return false
 }
 
 func (p *Policy) drop(s int32, now int64) {
 	key := p.idx.Key(s)
+	p.used -= int(*p.idx.Value(s))
 	p.idx.Remove(&p.queue, s)
 	p.Evict(key, now)
 }

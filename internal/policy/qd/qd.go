@@ -65,6 +65,7 @@ type Options struct {
 type entry struct {
 	accessed bool // probation: requested since insertion
 	ghost    bool
+	cost     uint32 // probation: what the object was charged
 }
 
 // residentAccessor is implemented by main policies that can serve a request
@@ -79,9 +80,15 @@ type residentAccessor interface {
 type Policy struct {
 	policyutil.EventEmitter
 	name     string
-	capacity int
+	capacity int  // in cost units: objects, or bytes under a byte cap
+	byBytes  bool // an object costs its Size rather than 1
 	probCap  int
-	ghostCap int
+	probUsed int // cost of the objects on probation
+	mainCap  int
+	// ghostCap is the ghost's size in keys under an entry cap; under a
+	// byte cap it is ghostFactor that scales the ghost to main's population.
+	ghostCap    int
+	ghostFactor float64
 
 	main         core.Policy
 	mainResident residentAccessor // main, when it implements the interface
@@ -104,8 +111,30 @@ type Policy struct {
 }
 
 // New builds a QD wrapper around the main policy produced by mainNew, which
-// receives the main cache's capacity (total minus probation).
+// receives the main cache's capacity (total minus probation). Capacities are
+// in objects.
 func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
+	return build(capacity, false, opts, mainNew)
+}
+
+// NewBytes is New with capacities in bytes: an object is charged its
+// Request.Size in the probationary FIFO, mainNew must return a policy that
+// charges it the same way (clock.NewBytes, lru.NewBytes), and the ghost,
+// for which bytes fix no number of entries, holds as many keys as the main
+// cache holds objects at the time. An object too large for the probationary
+// FIFO goes straight to the main cache rather than flushing the whole of
+// probation; one too large for either is never admitted.
+//
+// Size-aware Quick Demotion inherits a pleasant property: a large
+// unrequested object occupies the probationary queue for fewer insertions
+// than a small one (it is a larger share of the queue), so the filter is
+// naturally harsher on big one-hit wonders — the objects that waste the
+// most bytes.
+func NewBytes(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
+	return build(capacity, true, opts, mainNew)
+}
+
+func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
 	if opts.ProbationFrac == 0 {
 		opts.ProbationFrac = 0.1
 	}
@@ -121,17 +150,25 @@ func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Pol
 	}
 	if probCap >= capacity {
 		// Degenerate tiny cache: give everything to the main policy and
-		// disable the probationary FIFO.
+		// disable the probationary FIFO — nothing costs less than 1, so
+		// every miss is too large for it.
 		probCap = 0
 	}
 	mainCap := capacity - probCap
 	ghostCap := max(int(float64(mainCap)*opts.GhostFactor), 0)
+	bound := probCap + ghostCap
+	if byBytes {
+		bound = 1<<30 - 1 // the slab's ceiling: bytes do not bound a count of objects
+	}
 	p := &Policy{
-		capacity: capacity,
-		probCap:  probCap,
-		ghostCap: ghostCap,
-		main:     mainNew(mainCap),
-		idx:      slab.New[entry](probCap + ghostCap),
+		capacity:    capacity,
+		byBytes:     byBytes,
+		probCap:     probCap,
+		mainCap:     mainCap,
+		ghostCap:    ghostCap,
+		ghostFactor: opts.GhostFactor,
+		main:        mainNew(mainCap),
+		idx:         slab.New[entry](bound),
 	}
 	p.name = "qd-" + p.main.Name()
 	p.mainResident, _ = p.main.(residentAccessor)
@@ -158,6 +195,15 @@ func (p *Policy) Len() int { return p.prob.Len() + p.main.Len() }
 // Capacity implements core.Policy.
 func (p *Policy) Capacity() int { return p.capacity }
 
+// Used returns the cost of the resident objects: their number, or under a
+// byte cap their total size.
+func (p *Policy) Used() int {
+	if m, ok := p.main.(interface{ Used() int }); ok {
+		return p.probUsed + m.Used()
+	}
+	return p.probUsed + p.main.Len()
+}
+
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {
 	if s := p.idx.Find(key); s != 0 && !p.idx.Value(s).ghost {
@@ -179,6 +225,7 @@ func (p *Policy) ProbationLen() int { return p.prob.Len() }
 // entries are removed directly; main-cache entries delegate.
 func (p *Policy) Remove(key uint64) bool {
 	if s := p.idx.Find(key); s != 0 && !p.idx.Value(s).ghost {
+		p.probUsed -= int(p.idx.Value(s).cost)
 		p.idx.Remove(&p.prob, s)
 		p.Evict(key, 0)
 		return true
@@ -201,52 +248,78 @@ func (p *Policy) Access(r *trace.Request) bool {
 	} else if p.main.Contains(r.Key) {
 		return p.main.Access(r)
 	}
-	if s := p.idx.Find(r.Key); s != 0 {
-		e := p.idx.Value(s)
-		if !e.ghost {
+	s := p.idx.Find(r.Key)
+	if s != 0 {
+		if e := p.idx.Value(s); !e.ghost {
 			// Probation hit: lazy — only a bit flips, no movement.
 			e.accessed = true
 			p.Hit(r.Key, r.Time)
 			return true
 		}
+	}
+	cost := 1
+	if p.byBytes {
+		cost = int(r.Size)
+	}
+	if cost > p.probCap && cost > p.mainCap {
+		return false // fits nowhere: bypass
+	}
+	if s != 0 {
 		// Demoted too quickly last time: admit straight into the main
 		// cache (a real insertion — the inner OnInsert surfaces).
 		p.idx.Remove(&p.ghost, s)
 		p.main.Access(r)
 		return false
 	}
-	if p.probCap == 0 {
-		// Degenerate tiny cache: no probation stage.
+	if cost > p.probCap {
+		// Too large for probation, as everything is in a degenerate tiny
+		// cache that has none: flushing probation for one object would
+		// help nobody.
 		p.main.Access(r)
 		return false
 	}
-	if p.prob.Len() >= p.probCap {
+	for p.probUsed+cost > p.probCap {
 		p.evictProbation(r.Time)
 	}
-	p.idx.PushBack(&p.prob, p.idx.Insert(r.Key))
+	s = p.idx.Insert(r.Key)
+	p.idx.Value(s).cost = uint32(cost)
+	p.idx.PushBack(&p.prob, s)
+	p.probUsed += cost
 	p.Insert(r.Key, r.Time)
 	return false
 }
 
+// ghostLimit is the number of keys the ghost may hold: fixed at GhostFactor ×
+// the main cache's entries under an entry cap (the paper's sizing), and the
+// same factor of the objects the main cache holds right now under a byte
+// cap, where bytes fix no entry count.
+func (p *Policy) ghostLimit() int {
+	if !p.byBytes {
+		return p.ghostCap
+	}
+	return max(int(float64(p.main.Len())*p.ghostFactor), 16)
+}
+
 // evictProbation handles the probationary FIFO tail: accessed objects are
 // promoted into the main cache (remaining resident throughout), untouched
-// objects are evicted and remembered in the ghost, whose oldest key is
-// forgotten when it is full.
+// objects are evicted and remembered in the ghost, whose oldest keys are
+// forgotten to make room.
 func (p *Policy) evictProbation(now int64) {
 	s := p.prob.Front()
 	key, e := p.idx.Key(s), p.idx.Value(s)
+	p.probUsed -= int(e.cost)
 	if e.accessed {
+		p.promo = trace.Request{Key: key, Size: e.cost, Time: now}
 		p.idx.Remove(&p.prob, s)
-		p.promo = trace.Request{Key: key, Size: 1, Time: now}
 		p.suppressInsert = true
 		p.main.Access(&p.promo)
 		p.suppressInsert = false
 		return
 	}
-	if p.ghostCap == 0 {
+	if limit := p.ghostLimit(); limit == 0 {
 		p.idx.Remove(&p.prob, s)
 	} else {
-		if p.ghost.Len() >= p.ghostCap {
+		for p.ghost.Len() >= limit {
 			p.idx.Remove(&p.ghost, p.ghost.Front())
 		}
 		p.idx.Unlink(&p.prob, s)

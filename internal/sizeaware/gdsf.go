@@ -44,11 +44,8 @@ func (h *gdsfHeap) Pop() any {
 }
 
 // NewGDSF returns a byte-capacity GDSF cache.
-func NewGDSF(capacityBytes int64) (*GDSF, error) {
-	if err := validateCapacity(capacityBytes); err != nil {
-		return nil, err
-	}
-	return &GDSF{capacity: capacityBytes, byKey: make(map[uint64]*gdsfEntry)}, nil
+func NewGDSF(capacityBytes int64) *GDSF {
+	return &GDSF{capacity: capacityBytes, byKey: make(map[uint64]*gdsfEntry)}
 }
 
 // Name implements Policy.

@@ -2,126 +2,58 @@ package sizeaware
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"repro/internal/core"
+	"repro/internal/policy/clock"
+	"repro/internal/policy/lru"
+	"repro/internal/policy/qd"
 )
 
-// config collects the functional options New applies before dispatching to
-// a policy factory, mirroring concurrent.New: an option that does not
-// apply to the chosen policy is an error, not a silent no-op.
-type config struct {
-	clockBits    int
-	clockBitsSet bool
+// byteCapped is what the simulator's lru, clock and qd are once built with
+// NewBytes: a core.Policy whose capacity and use are counted in bytes.
+type byteCapped interface {
+	core.Policy
+	Used() int
 }
 
-// Option configures New. Options validate eagerly: a bad value fails the
-// New call rather than being clamped.
-type Option func(*config) error
-
-// WithClockBits sets the CLOCK counter width in bits, 1–6 (1 =
-// FIFO-Reinsertion, 2 = the paper's choice). It applies to the clock
-// policy only; the size-aware qdlp's main ring is fixed at 2 bits.
-func WithClockBits(bits int) Option {
-	return func(c *config) error {
-		if bits < 1 || bits > 6 {
-			return fmt.Errorf("sizeaware: clock bits %d outside [1, 6]", bits)
-		}
-		c.clockBits = bits
-		c.clockBitsSet = true
-		return nil
-	}
+// sized presents a byte-capped simulator policy as a Policy.
+type sized struct {
+	byteCapped
+	name string
 }
 
-// Factory constructs one policy from the validated option set.
-type Factory func(capacityBytes int64, cfg config) (Policy, error)
+func (s sized) Name() string         { return s.name }
+func (s sized) UsedBytes() int64     { return int64(s.Used()) }
+func (s sized) CapacityBytes() int64 { return int64(s.Capacity()) }
 
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
+// Names returns the policy names New accepts, sorted.
+func Names() []string { return []string{"clock", "fifo", "gdsf", "lru", "qdlp"} }
 
-// Register adds a named policy factory to the registry. Like
-// concurrent.Register it panics on a duplicate name: registration happens
-// in init functions where a duplicate is a programming error.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("sizeaware: duplicate policy registration %q", name))
-	}
-	factories[name] = f
-}
-
-// Names returns the registered policy names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// New constructs the named size-aware policy — the byte-capacity
-// counterpart of concurrent.New, sharing its registry shape so simulation
-// drivers can select either family by name:
+// New constructs the named size-aware policy with the given capacity in
+// bytes:
 //
-//	p, err := sizeaware.New("qdlp", 512<<20)
-//	p, err := sizeaware.New("clock", 1<<30, sizeaware.WithClockBits(1))
-func New(policy string, capacityBytes int64, opts ...Option) (Policy, error) {
-	var cfg config
-	cfg.clockBits = 2
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+//	fifo   size-fifo        clock.NewBytes with a 0-bit counter
+//	clock  size-clock       clock.NewBytes with the paper's 2 bits
+//	lru    size-lru         lru.NewBytes
+//	qdlp   size-qd-lp-fifo  qd.NewBytes in front of a 2-bit clock.NewBytes
+//	gdsf   gdsf             NewGDSF
+func New(policy string, capacityBytes int64) (Policy, error) {
+	if capacityBytes <= 0 {
+		return nil, fmt.Errorf("sizeaware: capacity must be positive, got %d", capacityBytes)
 	}
-	regMu.RLock()
-	f, ok := factories[policy]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sizeaware: unknown policy %q (known: %v)", policy, Names())
+	capacity := int(capacityBytes)
+	switch policy {
+	case "fifo":
+		return sized{clock.NewBytes(capacity, 0), "size-fifo"}, nil
+	case "clock":
+		return sized{clock.NewBytes(capacity, 2), "size-clock"}, nil
+	case "lru":
+		return sized{lru.NewBytes(capacity), "size-lru"}, nil
+	case "qdlp":
+		main := func(mainCap int) core.Policy { return clock.NewBytes(mainCap, 2) }
+		return sized{qd.NewBytes(capacity, qd.Options{}, main), "size-qd-lp-fifo"}, nil
+	case "gdsf":
+		return NewGDSF(capacityBytes), nil
 	}
-	return f(capacityBytes, cfg)
-}
-
-// rejectClockBits errors when WithClockBits was set for a policy whose
-// counter width is not configurable.
-func rejectClockBits(policy string, cfg config) error {
-	if cfg.clockBitsSet {
-		return fmt.Errorf("sizeaware: policy %q does not take WithClockBits", policy)
-	}
-	return nil
-}
-
-func init() {
-	Register("fifo", func(capacityBytes int64, cfg config) (Policy, error) {
-		if err := rejectClockBits("fifo", cfg); err != nil {
-			return nil, err
-		}
-		return NewFIFO(capacityBytes)
-	})
-	Register("clock", func(capacityBytes int64, cfg config) (Policy, error) {
-		return NewClock(capacityBytes, cfg.clockBits)
-	})
-	Register("lru", func(capacityBytes int64, cfg config) (Policy, error) {
-		if err := rejectClockBits("lru", cfg); err != nil {
-			return nil, err
-		}
-		return NewLRU(capacityBytes)
-	})
-	Register("gdsf", func(capacityBytes int64, cfg config) (Policy, error) {
-		if err := rejectClockBits("gdsf", cfg); err != nil {
-			return nil, err
-		}
-		return NewGDSF(capacityBytes)
-	})
-	Register("qdlp", func(capacityBytes int64, cfg config) (Policy, error) {
-		if err := rejectClockBits("qdlp", cfg); err != nil {
-			return nil, err
-		}
-		return NewQDLP(capacityBytes)
-	})
+	return nil, fmt.Errorf("sizeaware: unknown policy %q (known: %v)", policy, Names())
 }

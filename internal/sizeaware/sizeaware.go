@@ -12,11 +12,7 @@
 // holds objects.
 package sizeaware
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Policy is a byte-capacity eviction policy. Implementations are not safe
 // for concurrent use.
@@ -79,11 +75,4 @@ func Run(p Policy, tr *trace.Trace) Result {
 	res.FinalBytes = p.UsedBytes()
 	res.FinalObjs = p.Len()
 	return res
-}
-
-func validateCapacity(capacityBytes int64) error {
-	if capacityBytes <= 0 {
-		return fmt.Errorf("sizeaware: capacity must be positive, got %d", capacityBytes)
-	}
-	return nil
 }

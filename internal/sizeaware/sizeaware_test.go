@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/policy/qd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -14,15 +15,18 @@ func sizedTrace(seed int64) *trace.Trace {
 	return tr
 }
 
-// mustPolicy panics on a constructor error — the helper every test with a
-// known-good capacity uses (its multi-value argument must be the call's
-// only one, so no *testing.T parameter).
-func mustPolicy[P Policy](p P, err error) P {
+// mustNew panics on a constructor error — the helper every test with a
+// known-good name and capacity uses.
+func mustNew(name string, capacity int64) Policy {
+	p, err := New(name, capacity)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
+
+// qdOf returns the Quick Demotion wrapper under New("qdlp", …).
+func qdOf(p Policy) *qd.Policy { return p.(sized).byteCapped.(*qd.Policy) }
 
 func policies(t *testing.T, capacity int64) []Policy {
 	t.Helper()
@@ -77,7 +81,7 @@ func TestOversizedObjectBypassed(t *testing.T) {
 }
 
 func TestEvictionFreesEnoughBytes(t *testing.T) {
-	p := mustPolicy(NewLRU(1000))
+	p := mustNew("lru", 1000)
 	reqs := []trace.Request{
 		{Key: 1, Size: 400}, {Key: 2, Size: 400},
 		{Key: 3, Size: 900}, // must evict both
@@ -96,7 +100,7 @@ func TestEvictionFreesEnoughBytes(t *testing.T) {
 // Size-aware CLOCK gives requested objects a second chance regardless of
 // size.
 func TestClockSizeAwareReinsertion(t *testing.T) {
-	p := mustPolicy(NewClock(1000, 1))
+	p := mustNew("clock", 1000)
 	reqs := []trace.Request{
 		{Key: 1, Size: 400}, {Key: 2, Size: 400},
 		{Key: 1, Size: 400},            // hit: sets freq
@@ -115,7 +119,7 @@ func TestClockSizeAwareReinsertion(t *testing.T) {
 
 // GDSF prefers evicting large objects at equal frequency.
 func TestGDSFPrefersEvictingLarge(t *testing.T) {
-	p := mustPolicy(NewGDSF(1000))
+	p := NewGDSF(1000)
 	reqs := []trace.Request{
 		{Key: 1, Size: 100}, {Key: 2, Size: 800},
 		{Key: 3, Size: 500},
@@ -133,19 +137,19 @@ func TestGDSFPrefersEvictingLarge(t *testing.T) {
 
 // The QDLP probation filters one-hit wonders before they reach main.
 func TestQDLPFiltersOneHitWonders(t *testing.T) {
-	p := mustPolicy(NewQDLP(1 << 16))
+	p := mustNew("qdlp", 1<<16)
 	for i := 0; i < 2000; i++ {
 		r := trace.Request{Key: uint64(i), Size: 256, Time: int64(i)}
 		p.Access(&r)
 	}
-	if p.main.Len() != 0 {
-		t.Fatalf("%d one-hit wonders reached the main cache", p.main.Len())
+	if main := qdOf(p).Main(); main.Len() != 0 {
+		t.Fatalf("%d one-hit wonders reached the main cache", main.Len())
 	}
 }
 
 // Ghost readmission works in the size-aware wrapper too.
 func TestQDLPGhostReadmission(t *testing.T) {
-	p := mustPolicy(NewQDLP(10000)) // probation 1000 bytes
+	p := mustNew("qdlp", 10000) // probation 1000 bytes
 	reqs := []trace.Request{
 		{Key: 1, Size: 400}, {Key: 2, Size: 400},
 		{Key: 3, Size: 400}, {Key: 4, Size: 400}, // push 1,2 into ghost
@@ -155,20 +159,21 @@ func TestQDLPGhostReadmission(t *testing.T) {
 		reqs[i].Time = int64(i)
 		p.Access(&reqs[i])
 	}
-	if !p.main.Contains(1) {
+	if !qdOf(p).Main().Contains(1) {
 		t.Fatal("ghost hit not admitted into main")
 	}
 }
 
-// The ghost's 1 Mi-key ceiling is a bound, not a reservation: a new policy
-// costs what it holds, which is nothing yet.
+// A byte cap bounds no count of objects, so the indexes are given the slab's
+// ceiling; that is a bound, not a reservation: a new policy costs what it
+// holds, which is nothing yet.
 func TestQDLPConstructionAllocatesLittle(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	p := mustPolicy(NewQDLP(1 << 30))
+	p := mustNew("qdlp", 1<<30)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-		t.Fatalf("NewQDLP allocated %d bytes, want at most 64 KiB", got)
+		t.Fatalf("New(qdlp) allocated %d bytes, want at most 64 KiB", got)
 	}
 	runtime.KeepAlive(p)
 }
@@ -180,10 +185,10 @@ func TestSizedWorkloadOrdering(t *testing.T) {
 	run := func(p Policy) Result {
 		return Run(p, sizedTrace(3))
 	}
-	lru := run(mustPolicy(NewLRU(capacity)))
-	qdlp := run(mustPolicy(NewQDLP(capacity)))
-	fifo := run(mustPolicy(NewFIFO(capacity)))
-	gdsf := run(mustPolicy(NewGDSF(capacity)))
+	lru := run(mustNew("lru", capacity))
+	qdlp := run(mustNew("qdlp", capacity))
+	fifo := run(mustNew("fifo", capacity))
+	gdsf := run(mustNew("gdsf", capacity))
 	if qdlp.ByteMissRatio() >= lru.ByteMissRatio() {
 		t.Errorf("size-qd-lp-fifo (%.4f) not better than size-lru (%.4f) on byte miss ratio",
 			qdlp.ByteMissRatio(), lru.ByteMissRatio())
@@ -195,38 +200,30 @@ func TestSizedWorkloadOrdering(t *testing.T) {
 }
 
 func TestBadCapacityErrors(t *testing.T) {
-	for name, f := range map[string]func() error{
-		"fifo":  func() error { _, err := NewFIFO(0); return err },
-		"clock": func() error { _, err := NewClock(-1, 2); return err },
-		"bits":  func() error { _, err := NewClock(100, 0); return err },
-		"lru":   func() error { _, err := NewLRU(0); return err },
-		"gdsf":  func() error { _, err := NewGDSF(0); return err },
-		"qdlp":  func() error { _, err := NewQDLP(0); return err },
-	} {
-		if f() == nil {
-			t.Errorf("%s: bad argument did not error", name)
+	for _, name := range Names() {
+		for _, capacity := range []int64{0, -1} {
+			if _, err := New(name, capacity); err == nil {
+				t.Errorf("New(%q, %d) did not error", name, capacity)
+			}
 		}
 	}
 }
 
-// TestNewRegistry pins the registry surface: every registered name
-// constructs, unknown names and irrelevant options error, and clock bits
-// flow through.
-func TestNewRegistry(t *testing.T) {
-	want := []string{"clock", "fifo", "gdsf", "lru", "qdlp"}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+// TestNew pins the constructor's surface: every name constructs a policy of
+// the capacity asked for under its size-aware name, and an unknown name is an
+// error.
+func TestNew(t *testing.T) {
+	names := map[string]string{
+		"clock": "size-clock", "fifo": "size-fifo", "gdsf": "gdsf",
+		"lru": "size-lru", "qdlp": "size-qd-lp-fifo",
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
+	if len(Names()) != len(names) {
+		t.Fatalf("Names() = %v, want the keys of %v", Names(), names)
 	}
-	for _, name := range want {
-		p, err := New(name, 1<<20)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+	for _, name := range Names() {
+		p := mustNew(name, 1<<20)
+		if p.Name() != names[name] {
+			t.Errorf("New(%q) is named %q, want %q", name, p.Name(), names[name])
 		}
 		if p.CapacityBytes() != 1<<20 {
 			t.Errorf("New(%q): capacity %d, want %d", name, p.CapacityBytes(), 1<<20)
@@ -234,22 +231,6 @@ func TestNewRegistry(t *testing.T) {
 	}
 	if _, err := New("nope", 1<<20); err == nil {
 		t.Error("unknown policy did not error")
-	}
-	if _, err := New("clock", 0); err == nil {
-		t.Error("zero capacity did not error")
-	}
-	if _, err := New("lru", 1<<20, WithClockBits(2)); err == nil {
-		t.Error("irrelevant WithClockBits did not error")
-	}
-	if _, err := New("clock", 1<<20, WithClockBits(7)); err == nil {
-		t.Error("out-of-range clock bits did not error")
-	}
-	p, err := New("clock", 1<<20, WithClockBits(1))
-	if err != nil {
-		t.Fatalf("New(clock, bits=1): %v", err)
-	}
-	if f, ok := p.(*FIFO); !ok || f.maxFreq != 1 {
-		t.Errorf("WithClockBits(1) not applied: %+v", p)
 	}
 }
 

@@ -1,17 +1,32 @@
 package slab
 
 import (
-	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// model is the reference: a Go map from key to list element, and one
-// container/list per slab list, each element's Value being its key.
+// model is the reference: each slab list as a plain slice of keys, front
+// first, and a Go map from key to the list it is on.
 type model struct {
-	where map[uint64]*list.Element
 	on    map[uint64]int // which list the key is on
-	lists []*list.List
+	lists [][]uint64
+}
+
+func (m *model) push(key uint64, l int, front bool) {
+	if front {
+		m.lists[l] = slices.Insert(m.lists[l], 0, key)
+	} else {
+		m.lists[l] = append(m.lists[l], key)
+	}
+	m.on[key] = l
+}
+
+func (m *model) remove(key uint64) {
+	l := m.on[key]
+	i := slices.Index(m.lists[l], key)
+	m.lists[l] = slices.Delete(m.lists[l], i, i+1)
+	delete(m.on, key)
 }
 
 type harness struct {
@@ -24,10 +39,7 @@ type harness struct {
 
 func newHarness(t *testing.T, bound, lists int) *harness {
 	h := &harness{t: t, x: New[uint64](bound), lists: make([]List, lists)}
-	h.m = model{where: map[uint64]*list.Element{}, on: map[uint64]int{}}
-	for i := 0; i < lists; i++ {
-		h.m.lists = append(h.m.lists, list.New())
-	}
+	h.m = model{on: map[uint64]int{}, lists: make([][]uint64, lists)}
 	return h
 }
 
@@ -36,12 +48,10 @@ func (h *harness) insert(key uint64, l int, front bool) {
 	*h.x.Value(s) = ^key
 	if front {
 		h.x.PushFront(&h.lists[l], s)
-		h.m.where[key] = h.m.lists[l].PushFront(key)
 	} else {
 		h.x.PushBack(&h.lists[l], s)
-		h.m.where[key] = h.m.lists[l].PushBack(key)
 	}
-	h.m.on[key] = l
+	h.m.push(key, l, front)
 	h.keys = append(h.keys, key)
 }
 
@@ -49,20 +59,16 @@ func (h *harness) remove(i int) {
 	key := h.keys[i]
 	h.keys[i] = h.keys[len(h.keys)-1]
 	h.keys = h.keys[:len(h.keys)-1]
-	s := h.x.Find(key)
-	l := h.m.on[key]
-	h.x.Remove(&h.lists[l], s)
-	h.m.lists[l].Remove(h.m.where[key])
-	delete(h.m.where, key)
-	delete(h.m.on, key)
+	h.x.Remove(&h.lists[h.m.on[key]], h.x.Find(key))
+	h.m.remove(key)
 }
 
 func (h *harness) check() {
 	h.t.Helper()
-	if h.x.Len() != len(h.m.where) {
-		h.t.Fatalf("Len %d, model %d", h.x.Len(), len(h.m.where))
+	if h.x.Len() != len(h.m.on) {
+		h.t.Fatalf("Len %d, model %d", h.x.Len(), len(h.m.on))
 	}
-	for key := range h.m.where {
+	for key := range h.m.on {
 		s := h.x.Find(key)
 		if s == 0 || h.x.Key(s) != key || *h.x.Value(s) != ^key {
 			h.t.Fatalf("key %d: slot %d holds key %d value %d", key, s, h.x.Key(s), *h.x.Value(s))
@@ -70,16 +76,16 @@ func (h *harness) check() {
 	}
 	for i := range h.lists {
 		l, ml := &h.lists[i], h.m.lists[i]
-		if l.Len() != ml.Len() {
-			h.t.Fatalf("list %d: Len %d, model %d", i, l.Len(), ml.Len())
+		if l.Len() != len(ml) {
+			h.t.Fatalf("list %d: Len %d, model %d", i, l.Len(), len(ml))
 		}
 		// Forward through Next, then backward through Prev: the walks a
 		// sweep's hand makes over a list it does not reorder.
 		s, prev := l.Front(), int32(0)
-		for e := ml.Front(); e != nil; e = e.Next() {
-			if s == 0 || h.x.Key(s) != e.Value.(uint64) || h.x.Prev(s) != prev {
+		for _, key := range ml {
+			if s == 0 || h.x.Key(s) != key || h.x.Prev(s) != prev {
 				h.t.Fatalf("list %d: slot %d (key %d, prev %d) where the model has key %d after slot %d",
-					i, s, h.x.Key(s), h.x.Prev(s), e.Value, prev)
+					i, s, h.x.Key(s), h.x.Prev(s), key, prev)
 			}
 			s, prev = h.x.Next(s), s
 		}
@@ -87,9 +93,9 @@ func (h *harness) check() {
 			h.t.Fatalf("list %d: ends at slot %d with Back %d, model ends after slot %d", i, s, l.Back(), prev)
 		}
 		s = l.Back()
-		for e := ml.Back(); e != nil; e = e.Prev() {
-			if s == 0 || h.x.Key(s) != e.Value.(uint64) {
-				h.t.Fatalf("list %d backward: slot %d (key %d) where the model has key %d", i, s, h.x.Key(s), e.Value)
+		for j := len(ml) - 1; j >= 0; j-- {
+			if s == 0 || h.x.Key(s) != ml[j] {
+				h.t.Fatalf("list %d backward: slot %d (key %d) where the model has key %d", i, s, h.x.Key(s), ml[j])
 			}
 			s = h.x.Prev(s)
 		}
@@ -111,7 +117,7 @@ func TestAgainstModel(t *testing.T) {
 		for op := 0; op < 20000; op++ {
 			key := uint64(rng.Intn(4*bound)) * 0x10001
 			l := rng.Intn(len(h.lists))
-			_, present := h.m.where[key]
+			_, present := h.m.on[key]
 			switch r := rng.Intn(10); {
 			case r < 4 && !present:
 				if len(h.keys) == bound {
@@ -122,20 +128,20 @@ func TestAgainstModel(t *testing.T) {
 				h.remove(rng.Intn(len(h.keys)))
 			case r < 8 && present:
 				s, on := h.x.Find(key), h.m.on[key]
-				if rng.Intn(2) == 0 {
+				front := rng.Intn(2) == 0
+				if front {
 					h.x.MoveToFront(&h.lists[on], s)
-					h.m.lists[on].MoveToFront(h.m.where[key])
 				} else {
 					h.x.MoveToBack(&h.lists[on], s)
-					h.m.lists[on].MoveToBack(h.m.where[key])
 				}
+				h.m.remove(key)
+				h.m.push(key, on, front)
 			case present: // to another list, the table untouched
 				s, on := h.x.Find(key), h.m.on[key]
 				h.x.Unlink(&h.lists[on], s)
 				h.x.PushFront(&h.lists[l], s)
-				h.m.lists[on].Remove(h.m.where[key])
-				h.m.where[key] = h.m.lists[l].PushFront(key)
-				h.m.on[key] = l
+				h.m.remove(key)
+				h.m.push(key, l, true)
 			default:
 				if h.x.Find(key) != 0 {
 					t.Fatalf("absent key %d found", key)
