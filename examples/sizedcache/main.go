@@ -4,8 +4,9 @@
 // Web objects vary over orders of magnitude in size, so a byte-bounded
 // cache must weigh a hit's value against its footprint. This example
 // replays a CDN-like trace with log-normal object sizes against the
-// size-aware policies in internal/sizeaware and reports both object and
-// byte miss ratios.
+// simulator's clock, lru and qd under a byte cap (and GDSF), as
+// internal/sizeaware names them, and reports both object and byte miss
+// ratios.
 //
 //	go run ./examples/sizedcache
 package main

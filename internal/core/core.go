@@ -40,7 +40,8 @@ type Policy interface {
 	Contains(key uint64) bool
 	// Len returns the number of objects whose data is currently cached.
 	Len() int
-	// Capacity returns the configured capacity in objects.
+	// Capacity returns the configured capacity: in objects, or in bytes for
+	// a policy built with its package's NewBytes (lru, clock, qd).
 	Capacity() int
 }
 

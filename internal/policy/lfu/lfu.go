@@ -25,6 +25,7 @@ func init() {
 type Buckets struct {
 	idx     *slab.Index[int]   // value = frequency, which names the slot's list
 	lists   map[int]*slab.List // freq → slots, front = MRU; no empty lists
+	spare   []*slab.List       // emptied lists, for the next frequency to appear
 	minFreq int                // no populated frequency is below it; may be stale
 }
 
@@ -57,21 +58,24 @@ func (b *Buckets) Add(key uint64, freq int) {
 func (b *Buckets) push(s int32, freq int) {
 	l, ok := b.lists[freq]
 	if !ok {
-		l = new(slab.List)
+		if n := len(b.spare); n > 0 {
+			l, b.spare = b.spare[n-1], b.spare[:n-1]
+		} else {
+			l = new(slab.List)
+		}
 		b.lists[freq] = l
 	}
 	b.idx.PushFront(l, s)
 }
 
-// unlink takes s off its list and drops the list if that empties it.
-func (b *Buckets) unlink(s int32, freq int) (emptied bool) {
-	l := b.lists[freq]
-	b.idx.Unlink(l, s)
-	if l.Len() == 0 {
-		delete(b.lists, freq)
-		return true
+// retire drops freq's list l if it has emptied, and reports whether it had.
+func (b *Buckets) retire(freq int, l *slab.List) bool {
+	if l.Len() > 0 {
+		return false
 	}
-	return false
+	delete(b.lists, freq)
+	b.spare = append(b.spare, l)
+	return true
 }
 
 // Bump moves key to the MRU end of the next frequency's list and reports
@@ -82,7 +86,9 @@ func (b *Buckets) Bump(key uint64) bool {
 		return false
 	}
 	freq := b.idx.Value(s)
-	if b.unlink(s, *freq) && b.minFreq == *freq {
+	l := b.lists[*freq]
+	b.idx.Unlink(l, s)
+	if b.retire(*freq, l) && b.minFreq == *freq {
 		b.minFreq++
 	}
 	*freq++
@@ -96,9 +102,7 @@ func (b *Buckets) Remove(key uint64) int {
 	freq := *b.idx.Value(s)
 	l := b.lists[freq]
 	b.idx.Remove(l, s)
-	if l.Len() == 0 {
-		delete(b.lists, freq)
-	}
+	b.retire(freq, l)
 	return freq
 }
 

@@ -70,3 +70,32 @@ func TestStaleHotObjectSticks(t *testing.T) {
 		t.Fatal("frequent key 1 evicted by one-hit stream")
 	}
 }
+
+// Buckets bookkeeping: every key is on the list its frequency names, no
+// empty list is retained, and the minimum is never above a populated one.
+func TestBucketsStructure(t *testing.T) {
+	p := New(16)
+	reqs := policytest.Workload(21, 8000, 200)
+	for i := range reqs {
+		p.Access(&reqs[i])
+	}
+	b := p.freqs
+	total := 0
+	for freq, l := range b.lists {
+		if l.Len() == 0 {
+			t.Fatalf("empty list %d retained", freq)
+		}
+		if freq < b.minFreq {
+			t.Fatalf("list %d below minFreq %d", freq, b.minFreq)
+		}
+		for s := l.Front(); s != 0; s = b.idx.Next(s) {
+			if *b.idx.Value(s) != freq {
+				t.Fatalf("key %d of frequency %d on list %d", b.idx.Key(s), *b.idx.Value(s), freq)
+			}
+			total++
+		}
+	}
+	if total != b.Len() {
+		t.Fatalf("lists hold %d keys, the index %d", total, b.Len())
+	}
+}

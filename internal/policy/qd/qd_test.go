@@ -7,6 +7,7 @@ import (
 	"repro/internal/policy/arc"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
+	"repro/internal/trace"
 )
 
 func newQDLRU(c int) *Policy {
@@ -162,5 +163,66 @@ func TestTinyCapacity(t *testing.T) {
 		if p.Len() > 1 {
 			t.Fatalf("capacity-1 wrapper holds %d", p.Len())
 		}
+	}
+}
+
+// The seams entry and byte caps share, shown under a byte cap where costs
+// differ: 1000 bytes split into 100 of probation and 900 of main.
+func TestCostSeams(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		reqs     []trace.Request
+		key      uint64 // the key the case is about, after reqs
+		inMain   bool
+		resident bool
+		mainUsed int
+		used     int
+	}{
+		{
+			name:   "too large for probation goes to main",
+			reqs:   []trace.Request{{Key: 1, Size: 200}},
+			key:    1,
+			inMain: true, resident: true, mainUsed: 200, used: 200,
+		},
+		{
+			name: "too large for probation and for main is bypassed",
+			reqs: []trace.Request{{Key: 1, Size: 950}},
+			key:  1,
+		},
+		{
+			name: "a ghost hit is admitted to main with its size",
+			reqs: []trace.Request{
+				{Key: 1, Size: 40}, {Key: 2, Size: 40},
+				{Key: 3, Size: 40}, // 120 > 100: 1 falls into the ghost
+				{Key: 1, Size: 40},
+			},
+			key:    1,
+			inMain: true, resident: true, mainUsed: 40, used: 120,
+		},
+		{
+			name: "a promoted probation object carries its size into main",
+			reqs: []trace.Request{
+				{Key: 1, Size: 40}, {Key: 1, Size: 40}, {Key: 2, Size: 40},
+				{Key: 3, Size: 40}, // 120 > 100: 1 was requested, so promoted
+			},
+			key:    1,
+			inMain: true, resident: true, mainUsed: 40, used: 120,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewBytes(1000, Options{}, func(mainCap int) core.Policy { return lru.NewBytes(mainCap) })
+			for i := range tc.reqs {
+				tc.reqs[i].Time = int64(i)
+				p.Access(&tc.reqs[i])
+			}
+			main := p.Main().(*lru.Policy)
+			if main.Contains(tc.key) != tc.inMain || p.Contains(tc.key) != tc.resident {
+				t.Errorf("key %d: in main %v, resident %v; want %v, %v",
+					tc.key, main.Contains(tc.key), p.Contains(tc.key), tc.inMain, tc.resident)
+			}
+			if main.Used() != tc.mainUsed || p.Used() != tc.used {
+				t.Errorf("main holds %d bytes, the cache %d; want %d, %d", main.Used(), p.Used(), tc.mainUsed, tc.used)
+			}
+		})
 	}
 }

@@ -1,15 +1,19 @@
-// Package sizeaware implements byte-capacity eviction policies — the
-// paper's stated future work ("designing size-aware Lazy Promotion and
-// Quick Demotion techniques are worth pursuing in the future", §5).
+// Package sizeaware replays sized traces against byte-capacity eviction
+// policies — the paper's stated future work ("designing size-aware Lazy
+// Promotion and Quick Demotion techniques are worth pursuing in the future",
+// §5).
 //
-// Unlike internal/policy, where the paper's uniform-size assumption makes
-// capacities object counts, these policies respect Request.Size and are
-// evaluated on both object miss ratio and byte miss ratio. The package
-// provides size-aware FIFO, LRU, k-bit CLOCK (size-aware Lazy Promotion),
-// GDSF (the classic size-aware web policy, as a baseline), and a
-// size-aware QD-LP-FIFO whose probationary FIFO and main CLOCK are both
-// byte-bounded and whose ghost tracks as many entries as the main cache
-// holds objects.
+// Unlike the rest of the simulator, where the paper's uniform-size
+// assumption makes capacities object counts, these policies respect
+// Request.Size and are evaluated on both object miss ratio and byte miss
+// ratio. What is this package's own is the Policy/Result/Run harness, GDSF
+// (the classic size-aware web policy, as a baseline) and New, which names
+// the rest. The queue algorithms are not reimplemented here: size-aware
+// FIFO and k-bit CLOCK (size-aware Lazy Promotion) are internal/policy/clock,
+// size-aware LRU is internal/policy/lru, and size-aware QD-LP-FIFO is
+// internal/policy/qd in front of a 2-bit clock, each built with its NewBytes
+// constructor — an entry cap is a byte cap at cost 1, so the byte-capacity
+// policy is the same code charging a miss its size.
 package sizeaware
 
 import "repro/internal/trace"

@@ -1,19 +1,24 @@
-// Package slab is the keyed queue primitive under the simulator's policies: a
-// bounded open-addressed table from uint64 keys to int32 slots of one node
-// slab, whose nodes carry int32 prev/next links so that any number of list
-// heads (FIFO's one queue; ARC's T1/T2/B1/B2; Quick Demotion's probation and
-// ghost) can be threaded through the same slab.
+// Package slab is the keyed queue primitive under the simulator's policies,
+// the ghost queues and internal/concurrent: a bounded open-addressed table
+// from uint64 keys to int32 slots of one node slab, whose nodes carry int32
+// prev/next links so that any number of list heads (FIFO's one queue; ARC's
+// T1/T2/B1/B2; Quick Demotion's probation and ghost; MGLRU's generations) can
+// be threaded through the same slab.
 //
-// It replaces the map[uint64]*dlist.Node[T] + dlist.List[T] pair: a lookup is
-// one multiplicative hash and a linear probe over 16-byte cells instead of a
-// Go map access, an insertion takes a slot from the free list instead of
-// allocating a node, and moving a node between lists (ARC's T1→B1, QD's
-// probation→ghost) never touches the table. Deletion shifts the following
-// cluster back instead of leaving a tombstone, so ghost churn does not
-// degrade probes. Table and slab start small and grow by doubling, up to
-// what the bound needs and never past it: a policy at steady state
-// allocates nothing per access, and a generous bound costs nothing until
-// it is used.
+// A lookup is one multiplicative hash and a linear probe over 16-byte cells,
+// an insertion takes a slot from the free list, and moving a slot between
+// lists (ARC's T1→B1, QD's probation→ghost) never touches the table.
+// Deletion shifts the following cluster back instead of leaving a tombstone,
+// so ghost churn does not degrade probes. Table and slab start small and
+// grow by doubling, up to what the bound needs and never past it: a policy
+// at steady state allocates nothing per access, and a generous bound costs
+// nothing until it is used.
+//
+// A slot is on at most one list at a time, and the Index does not record
+// which: a policy with several lists keeps a tag in the slot's value. A key
+// that must be on two lists at once (LIRS's stack and one of its queues;
+// LeCaR's recency list and a frequency bucket) gets a second Index over the
+// same keys, one per membership, rather than a second pair of links here.
 //
 // Slot 0 is the nil slot: Find returns it for an absent key, and the zero
 // List is empty. An Index is not safe for concurrent use.

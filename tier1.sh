@@ -3,35 +3,53 @@
 set -eu
 cd "$(dirname "$0")"
 
-echo '== gofmt -l'
+# phase NAME announces a phase and prints the wall seconds of the one before.
+t0=$(date +%s)
+tp=$t0
+started=
+phase() {
+    now=$(date +%s)
+    [ -z "$started" ] || echo "   ($((now - tp)) s)"
+    started=1
+    tp=$now
+    echo "== $1"
+}
+
+phase 'gofmt -l'
 fmt_out=$(gofmt -l .)
 if [ -n "$fmt_out" ]; then
     echo "gofmt: files need formatting:" >&2
     echo "$fmt_out" >&2
     exit 1
 fi
-echo '== go vet ./...'
+phase 'one queue primitive (no .go file imports internal/dlist or container/list)'
+if bad=$(grep -rlE --include='*.go' '"(repro/internal/dlist|container/list)"' .); then
+    echo "linked lists beside internal/slab:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+phase 'go vet ./...'
 go vet ./...
-echo '== go build ./...'
+phase 'go build ./...'
 go build ./...
-echo '== go test ./...'
+phase 'go test ./... (incl. both golden tables: policy/all hit counts, sizeaware byte counts)'
 go test ./...
-echo '== go test ./... (benchmark/: a nested module root go test skips, built against the packages above)'
+phase 'go test ./... (benchmark/: a nested module root go test skips, built against the packages above)'
 (cd benchmark && go test ./...)
-echo '== go test -race (concurrent incl. the KV model test and hammer + server + obs + chaos + cluster)'
+phase 'go test -race (concurrent incl. the KV model test and hammer + server + obs + chaos + cluster)'
 go test -race ./internal/concurrent/... ./internal/server/... ./internal/obs/... ./internal/chaos/... ./internal/cluster/...
-echo '== alloc guard (tracing disabled = 0 allocs, sampling on <= 1, ring lookup = 0)'
+phase 'alloc guard (tracing disabled = 0 allocs, sampling on <= 1, ring lookup = 0)'
 go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAllocsWithSampling|TestServerGetHitPathZeroAllocsWithMRCSampling' ./internal/server/
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
-echo '== alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; an evicting set allocates nothing)'
+phase 'alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; an evicting set allocates nothing)'
 go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler|TestKVSetZeroAllocsSteadyState' ./internal/concurrent/
-echo '== alloc guard (slab-backed sweep policies: 0 allocs per Access at steady state)'
+phase 'alloc guard (every registered simulator policy: 0 allocs per Access at steady state, or its stated budget)'
 go test -run 'TestSimPoliciesZeroAllocsSteadyState' ./internal/policy/all/
-echo '== bench smoke (one iteration per benchmark)'
+phase 'bench smoke (one iteration per benchmark)'
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
-echo '== throughput sweep smoke (one point)'
+phase 'throughput sweep smoke (one point)'
 go run ./cmd/throughput -cores 2 -caches sieve -ops 65536 -keyspace 16384 -json - > /dev/null
-echo '== events endpoint smoke (cacheserver + cacheload + /debug/events)'
+phase 'events endpoint smoke (cacheserver + cacheload + /debug/events)'
 tmpdir=$(mktemp -d)
 # Every server started below appends its pid; most are already gone (killed
 # as their section ends) when the trap runs, which must not fail the script.
@@ -61,7 +79,7 @@ grep -q 'kind=' "$tmpdir/events.txt" \
 curl -fsS 'http://127.0.0.1:21312/debug/events?format=json' > "$tmpdir/events.json"
 grep -q '"spans_total"' "$tmpdir/events.json" \
     || { echo "/debug/events json missing span counters" >&2; exit 1; }
-echo '== chaos soak smoke (cacheload -chaos against the live server)'
+phase 'chaos soak smoke (cacheload -chaos against the live server)'
 "$tmpdir/cacheload" -addr 127.0.0.1:21311 -conns 2 -ops 20000 -keyspace 8192 \
     -chaos 'seed=7,refuse=0.02,latency=500us,latency-p=0.05,partial=0.05,reset=0.002' \
     > "$tmpdir/chaosload.txt"
@@ -73,7 +91,7 @@ curl -fsS http://127.0.0.1:21312/metrics > "$tmpdir/metrics.txt"
 grep -q '^cache_server_panics_total 0$' "$tmpdir/metrics.txt" \
     || { echo "cache_server_panics_total != 0 after chaos soak" >&2; exit 1; }
 kill "$srv_pid"
-echo '== cluster smoke (3 nodes + router, healthz everywhere, routed counters move)'
+phase 'cluster smoke (3 nodes + router, healthz everywhere, routed counters move)'
 for n in 1 2 3; do
     "$tmpdir/cacheserver" -addr 127.0.0.1:$((21320 + n)) -admin-addr 127.0.0.1:$((21330 + n)) \
         -max-entries 16384 -shards 8 -log-level warn > "$tmpdir/node$n.log" 2>&1 &
@@ -107,7 +125,7 @@ for p in 21330 21331 21332 21333; do
     curl -fsS "http://127.0.0.1:$p/healthz" > /dev/null \
         || { echo "node admin :$p unhealthy after cluster load" >&2; exit 1; }
 done
-echo '== memory-pressure soak (byte-capped server: used <= max, heap stable)'
+phase 'memory-pressure soak (byte-capped server: used <= max, heap stable)'
 "$tmpdir/cacheserver" -addr 127.0.0.1:21341 -admin-addr 127.0.0.1:21342 \
     -cache qdlp -max-bytes 8mib -shards 8 -log-level warn > "$tmpdir/bytecap.log" 2>&1 &
 bytes_pid=$!
@@ -149,7 +167,7 @@ grep -q '^cache_expired_proactive_total' "$tmpdir/bytecap_metrics.txt" \
 [ "$heap2" -le $((heap1 * 4 + 33554432)) ] \
     || { echo "heap grew from $heap1 to $heap2 across soak rounds" >&2; exit 1; }
 kill "$bytes_pid"
-echo '== per-core data plane smoke (2 listeners: healthz, cross-core + writev counters move)'
+phase 'per-core data plane smoke (2 listeners: healthz, cross-core + writev counters move)'
 "$tmpdir/cacheserver" -addr 127.0.0.1:21351 -admin-addr 127.0.0.1:21352 \
     -max-entries 16384 -shards 8 -listeners 2 -log-level warn > "$tmpdir/percore.log" 2>&1 &
 percore_pid=$!
@@ -174,7 +192,7 @@ done
 grep -q '"listeners": 2' "$tmpdir/percore_bench.json" \
     || { echo "bench artifact missing server listener count" >&2; cat "$tmpdir/percore_bench.json" >&2; exit 1; }
 kill "$percore_pid"
-echo '== mrc analytics smoke (cacheserver -mrc-sample: monotone /debug/mrc curve, mrc + window metrics)'
+phase 'mrc analytics smoke (cacheserver -mrc-sample: monotone /debug/mrc curve, mrc + window metrics)'
 "$tmpdir/cacheserver" -addr 127.0.0.1:21361 -admin-addr 127.0.0.1:21362 \
     -max-entries 16384 -shards 8 -mrc-sample 0.25 -log-level warn > "$tmpdir/mrc.log" 2>&1 &
 mrc_pid=$!
@@ -209,7 +227,7 @@ grep -q '^cache_window_hit_ratio{window="1m"}' "$tmpdir/mrc_metrics.txt" \
 grep -q '"mrc_sample_rate"' "$tmpdir/mrc_bench.json" \
     || { echo "bench artifact missing mrc signals" >&2; cat "$tmpdir/mrc_bench.json" >&2; exit 1; }
 kill "$mrc_pid"
-echo '== overload smoke (-target-p99 server sheds a flood, stays healthy)'
+phase 'overload smoke (-target-p99 server sheds a flood, stays healthy)'
 "$tmpdir/cacheserver" -addr 127.0.0.1:21371 -admin-addr 127.0.0.1:21372 \
     -max-entries 16384 -shards 8 -target-p99 50ms -max-inflight 1 -max-pending 2 \
     -log-level warn > "$tmpdir/overload.log" 2>&1 &
@@ -240,8 +258,9 @@ grep -q '^cache_limiter_limit ' "$tmpdir/overload_metrics.txt" \
 curl -fsS http://127.0.0.1:21372/healthz > /dev/null \
     || { echo "server unhealthy after overload flood" >&2; exit 1; }
 kill "$ovl_pid"
-echo '== benchdiff smoke (artifact diffed against itself is all-zero)'
+phase 'benchdiff smoke (artifact diffed against itself is all-zero)'
 scripts/benchdiff "$tmpdir/percore_bench.json" "$tmpdir/percore_bench.json" > "$tmpdir/benchdiff.txt"
 grep -q '+0.0%' "$tmpdir/benchdiff.txt" \
     || { echo "benchdiff self-diff did not report zero delta" >&2; cat "$tmpdir/benchdiff.txt" >&2; exit 1; }
+phase "total: $(($(date +%s) - t0)) s"
 echo 'tier1: all green'
