@@ -85,10 +85,7 @@ type Policy struct {
 	probCap  int
 	probUsed int // cost of the objects on probation
 	mainCap  int
-	// ghostCap is the ghost's size in keys under an entry cap; under a
-	// byte cap it is ghostFactor that scales the ghost to main's population.
-	ghostCap    int
-	ghostFactor float64
+	ghostCap int // the ghost's size in keys under an entry cap; see ghostLimit
 
 	main         core.Policy
 	mainResident residentAccessor // main, when it implements the interface
@@ -121,9 +118,10 @@ func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Pol
 // Request.Size in the probationary FIFO, mainNew must return a policy that
 // charges it the same way (clock.NewBytes, lru.NewBytes), and the ghost,
 // for which bytes fix no number of entries, holds as many keys as the main
-// cache holds objects at the time. An object too large for the probationary
-// FIFO goes straight to the main cache rather than flushing the whole of
-// probation; one too large for either is never admitted.
+// cache holds objects at the time (GhostFactor does not apply). An object
+// too large for the probationary FIFO goes straight to the main cache rather
+// than flushing the whole of probation; one too large for either is never
+// admitted.
 //
 // Size-aware Quick Demotion inherits a pleasant property: a large
 // unrequested object occupies the probationary queue for fewer insertions
@@ -161,14 +159,13 @@ func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) c
 		bound = 1<<30 - 1 // the slab's ceiling: bytes do not bound a count of objects
 	}
 	p := &Policy{
-		capacity:    capacity,
-		byBytes:     byBytes,
-		probCap:     probCap,
-		mainCap:     mainCap,
-		ghostCap:    ghostCap,
-		ghostFactor: opts.GhostFactor,
-		main:        mainNew(mainCap),
-		idx:         slab.New[entry](bound),
+		capacity: capacity,
+		byBytes:  byBytes,
+		probCap:  probCap,
+		mainCap:  mainCap,
+		ghostCap: ghostCap,
+		main:     mainNew(mainCap),
+		idx:      slab.New[entry](bound),
 	}
 	p.name = "qd-" + p.main.Name()
 	p.mainResident, _ = p.main.(residentAccessor)
@@ -290,14 +287,14 @@ func (p *Policy) Access(r *trace.Request) bool {
 }
 
 // ghostLimit is the number of keys the ghost may hold: fixed at GhostFactor ×
-// the main cache's entries under an entry cap (the paper's sizing), and the
-// same factor of the objects the main cache holds right now under a byte
-// cap, where bytes fix no entry count.
+// the main cache's entries under an entry cap (the paper's sizing), and as
+// many as the main cache holds objects right now under a byte cap, where
+// bytes fix no entry count.
 func (p *Policy) ghostLimit() int {
 	if !p.byBytes {
 		return p.ghostCap
 	}
-	return max(int(float64(p.main.Len())*p.ghostFactor), 16)
+	return max(p.main.Len(), 16)
 }
 
 // evictProbation handles the probationary FIFO tail: accessed objects are
