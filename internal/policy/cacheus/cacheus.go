@@ -199,21 +199,19 @@ func (p *Policy) Access(r *trace.Request) bool {
 
 // evict samples an expert by weight and removes its victim.
 func (p *Policy) evict(now int64) {
-	var victim uint64
+	var s int32
 	hist := p.histLFU
 	if p.rng.Float64() < p.wSRLRU {
 		// SR-LRU victim: scan-resistant tail first, reused tail if empty.
-		lru := p.sr.Back()
-		if lru == 0 {
-			lru = p.rr.Back()
+		s, hist = p.sr.Back(), p.histSR
+		if s == 0 {
+			s = p.rr.Back()
 		}
-		victim, hist = p.idx.Key(lru), p.histSR
 	} else {
 		// CR-LFU victim: most recently used of the minimum frequency.
-		victim = p.lfu.Min(true)
+		s = p.idx.Find(p.lfu.Min(true))
 	}
-	s := p.idx.Find(victim)
-	list := &p.sr
+	victim, list := p.idx.Key(s), &p.sr
 	if *p.idx.Value(s) {
 		list = &p.rr
 	}

@@ -66,7 +66,7 @@ func build(capacity, bits int, byBytes bool) *Policy {
 	}
 	bound := capacity
 	if byBytes {
-		bound = 1<<30 - 1 // the slab's ceiling: bytes do not bound a count of objects
+		bound = policyutil.Unbounded
 	}
 	return &Policy{
 		capacity: capacity,

@@ -123,14 +123,12 @@ func (p *Policy) Access(r *trace.Request) bool {
 // evict samples an expert by weight and removes its victim, recording it in
 // that expert's history.
 func (p *Policy) evict(now int64) {
-	var victim uint64
-	hist := p.histLFU
-	if p.rng.Float64() < p.wLRU {
-		victim, hist = p.idx.Key(p.lru.Back()), p.histLRU
-	} else {
-		victim = p.lfu.Min(false)
+	s, hist := p.lru.Back(), p.histLRU
+	if p.rng.Float64() >= p.wLRU {
+		s, hist = p.idx.Find(p.lfu.Min(false)), p.histLFU
 	}
-	p.idx.Remove(&p.lru, p.idx.Find(victim))
+	victim := p.idx.Key(s)
+	p.idx.Remove(&p.lru, s)
 	hist.Add(victim, p.lfu.Remove(victim), now)
 	p.Evict(victim, now)
 }

@@ -40,8 +40,7 @@ func New(capacity int) *Policy {
 // object is charged its Request.Size. One larger than the cache is never
 // admitted.
 func NewBytes(capacity int) *Policy {
-	// Bytes do not bound a count of objects: the index gets the slab's ceiling.
-	return &Policy{capacity: capacity, byBytes: true, idx: slab.New[uint32](1<<30 - 1)}
+	return &Policy{capacity: capacity, byBytes: true, idx: slab.New[uint32](policyutil.Unbounded)}
 }
 
 // Name implements core.Policy.

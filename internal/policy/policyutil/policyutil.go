@@ -4,6 +4,11 @@ package policyutil
 
 import "repro/internal/core"
 
+// Unbounded is the index bound of a policy whose capacity is in bytes, which
+// fix no count of objects: the ceiling of internal/slab, whose tables grow
+// with the keys held, so that it costs nothing until it is used.
+const Unbounded = 1<<30 - 1
+
 // EventEmitter provides the optional core.EventSink behaviour for policies:
 // embed it and call Insert/Evict/Hit at the appropriate points. All calls
 // are no-ops until SetEvents is given a non-nil sink, so instrumentation

@@ -156,7 +156,7 @@ func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) c
 	ghostCap := max(int(float64(mainCap)*opts.GhostFactor), 0)
 	bound := probCap + ghostCap
 	if byBytes {
-		bound = 1<<30 - 1 // the slab's ceiling: bytes do not bound a count of objects
+		bound = policyutil.Unbounded
 	}
 	p := &Policy{
 		capacity: capacity,
