@@ -59,8 +59,8 @@ func main() {
 		shards      = flag.Int("shards", 64, "shard count (rounded up to a power of two)")
 		clockBits   = flag.Int("clock-bits", 0, "CLOCK counter bits for clock/qdlp (0 = policy default)")
 		maxConns    = flag.Int("max-conns", 1024, "max concurrent client connections")
-		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "close idle connections after this long")
-		writeTO     = flag.Duration("write-timeout", 30*time.Second, "close connections whose reads stall a response flush this long")
+		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "close idle connections after this long (armed lazily: no earlier than this, no later than 1.25x)")
+		writeTO     = flag.Duration("write-timeout", 30*time.Second, "close connections whose reads stall a response flush this long (armed lazily: no earlier than this, no later than 1.25x)")
 		maxItemSize = flag.Int("max-item-size", server.DefaultMaxValueLen, "max value size in bytes")
 		listeners   = flag.Int("listeners", 0, "SO_REUSEPORT listeners, one accept loop and shard partition each (0 = GOMAXPROCS)")
 		pinShards   = flag.Bool("pin-shards", false, "pin each connection handler's OS thread to its partition's core (Linux; costs a thread per connection)")

@@ -191,8 +191,9 @@ func (m *multiBuf) writeRef(v []byte) {
 }
 
 // maybeFlush bounds queued memory: one intra-batch flush when the pending
-// responses outgrow the budget. The caller's per-request write deadline is
-// already armed, so the syscall is bounded like any other flush.
+// responses outgrow the budget. The connection loop's lazy arm before each
+// request keeps the write deadline at least WriteTimeout ahead, so the
+// syscall is bounded like any other flush.
 func (m *multiBuf) maybeFlush() {
 	if m.Buffered() >= maxQueuedResp {
 		m.Flush()

@@ -44,9 +44,13 @@ type DialConfig struct {
 	Addr string
 	// ConnectTimeout bounds each dial. <=0 means 5 seconds.
 	ConnectTimeout time.Duration
-	// ReadTimeout bounds each response read; 0 means no deadline.
+	// ReadTimeout bounds each response read; 0 means no deadline. The
+	// deadline is re-armed lazily, at most once per quarter timeout, so an
+	// unanswered operation fails no earlier than ReadTimeout and no later
+	// than 1.25·ReadTimeout after it was sent.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each request flush; 0 means no deadline.
+	// WriteTimeout bounds each request flush, within the same
+	// [WriteTimeout, 1.25·WriteTimeout]; 0 means no deadline.
 	WriteTimeout time.Duration
 	// MaxRetries is the number of additional attempts after a transport
 	// failure (gets; dials use it too). 0 disables retrying entirely, which
@@ -92,6 +96,7 @@ func (cfg DialConfig) withDefaults() DialConfig {
 type Client struct {
 	cfg  DialConfig
 	conn net.Conn
+	dl   lazyDeadlines // conn's deadlines; a reconnect starts them afresh
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	buf  []byte
@@ -146,6 +151,7 @@ func (c *Client) connect() error {
 		return err
 	}
 	c.conn = conn
+	c.dl = newLazyDeadlines(conn, c.cfg.ReadTimeout, c.cfg.WriteTimeout)
 	if c.br == nil {
 		c.br = bufio.NewReaderSize(conn, 32<<10)
 		c.bw = bufio.NewWriterSize(conn, 32<<10)
@@ -251,19 +257,10 @@ func (c *Client) mutateAttempts() int {
 	return 2
 }
 
-// flush arms the write deadline and pushes the buffered request out.
+// flush keeps the write deadline armed and pushes the buffered request out.
 func (c *Client) flush() error {
-	if c.cfg.WriteTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	}
+	c.dl.armWrite()
 	return c.bw.Flush()
-}
-
-// armRead arms the response deadline for one operation.
-func (c *Client) armRead() {
-	if c.cfg.ReadTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-	}
 }
 
 // Close sends quit, flushes it, and closes the connection, surfacing any
@@ -326,7 +323,7 @@ func (c *Client) getExpOnce(key []byte) ([]byte, uint32, uint64, int64, bool, er
 	if err := c.flush(); err != nil {
 		return nil, 0, 0, 0, false, err
 	}
-	c.armRead()
+	c.dl.armRead()
 	var (
 		value    []byte
 		flags    uint32
@@ -386,7 +383,7 @@ func (c *Client) getOnce(verb string, key []byte) ([]byte, uint32, uint64, bool,
 	if err := c.flush(); err != nil {
 		return nil, 0, 0, false, err
 	}
-	c.armRead()
+	c.dl.armRead()
 	var (
 		value []byte
 		flags uint32
@@ -464,7 +461,7 @@ func (c *Client) getMultiOnce(keys [][]byte, out []MultiValue) error {
 	if err := c.flush(); err != nil {
 		return err
 	}
-	c.armRead()
+	c.dl.armRead()
 	idx := make(map[string]int, len(keys))
 	for i, k := range keys {
 		idx[string(k)] = i
@@ -533,7 +530,7 @@ func (c *Client) setOnce(key []byte, flags uint32, exptime int64, value []byte) 
 	if err := c.flush(); err != nil {
 		return err
 	}
-	c.armRead()
+	c.dl.armRead()
 	line, err := c.readLine()
 	if err != nil {
 		return err
@@ -567,7 +564,7 @@ func (c *Client) deleteOnce(key []byte) (bool, error) {
 	if err := c.flush(); err != nil {
 		return false, err
 	}
-	c.armRead()
+	c.dl.armRead()
 	line, err := c.readLine()
 	if err != nil {
 		return false, err
@@ -608,7 +605,7 @@ func (c *Client) touchOnce(key []byte, exptime int64) (bool, error) {
 	if err := c.flush(); err != nil {
 		return false, err
 	}
-	c.armRead()
+	c.dl.armRead()
 	line, err := c.readLine()
 	if err != nil {
 		return false, err
@@ -637,7 +634,7 @@ func (c *Client) Version() (string, error) {
 		if err := c.flush(); err != nil {
 			return err
 		}
-		c.armRead()
+		c.dl.armRead()
 		line, err := c.readLine()
 		if err != nil {
 			return err
@@ -681,7 +678,7 @@ func (c *Client) statsOnce(arg string) (map[string]string, error) {
 	if err := c.flush(); err != nil {
 		return nil, err
 	}
-	c.armRead()
+	c.dl.armRead()
 	out := make(map[string]string)
 	for {
 		line, err := c.readLine()

@@ -29,17 +29,23 @@ const (
 // request: on a wake we re-peek once with a short grace deadline to pick
 // up any bytes the client had already sent, and return an error only once
 // a full grace window passes with nothing arriving.
-func (s *Server) waitData(nc net.Conn, br *bufio.Reader) error {
+//
+// The idle deadline is armed lazily (a parked connection is closed between
+// IdleTimeout and 1.25·IdleTimeout after its last byte); the grace deadline
+// is always armed, and forgets the read stamp, because it is shorter than
+// what the stamp vouches for.
+func (s *Server) waitData(dl *lazyDeadlines, br *bufio.Reader) error {
 	for {
 		grace := s.draining.Load()
-		d := s.cfg.IdleTimeout
 		if grace {
-			d = drainGrace
+			dl.conn.SetReadDeadline(time.Now().Add(drainGrace))
+			dl.invalidateRead()
+		} else {
+			dl.armRead()
 		}
-		nc.SetReadDeadline(time.Now().Add(d))
-		// Re-check after storing the deadline: Shutdown sets draining and
-		// then overwrites deadlines with "now", so if it ran in between,
-		// go around and install the grace deadline instead.
+		// Re-check after arming: Shutdown sets draining and then overwrites
+		// deadlines with "now", so if it ran in between, go around and
+		// install the grace deadline instead.
 		if !grace && s.draining.Load() {
 			continue
 		}
@@ -59,22 +65,22 @@ func (s *Server) waitData(nc net.Conn, br *bufio.Reader) error {
 // deadline. A deadline miss means a reader that stopped draining while the
 // server holds its responses in memory; the slow client is counted and its
 // connection closed (by the caller, via the returned error).
-func (s *Server) flushOut(nc net.Conn, out connWriter) error {
+func (s *Server) flushOut(dl *lazyDeadlines, out connWriter) error {
 	if _, legacy := out.(*bufio.Writer); legacy && out.Buffered() > 0 {
 		// multiBuf counts its own writevs (including intra-batch
 		// auto-flushes); the legacy buffered writer is counted here.
 		s.counters.Flushes.Add(1)
 	}
-	nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	dl.armWrite()
 	err := out.Flush()
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			s.counters.SlowConnsClosed.Add(1)
 			s.log.Warn("slow reader evicted at write deadline",
-				"remote", nc.RemoteAddr().String(), "write_timeout", s.cfg.WriteTimeout.String())
+				"remote", dl.conn.RemoteAddr().String(), "write_timeout", s.cfg.WriteTimeout.String())
 		} else {
-			s.log.Debug("flush failed", "remote", nc.RemoteAddr().String(), "err", err)
+			s.log.Debug("flush failed", "remote", dl.conn.RemoteAddr().String(), "err", err)
 		}
 	}
 	return err
@@ -133,24 +139,30 @@ func (s *Server) handleConn(nc net.Conn, part int) {
 		out = mb
 	}
 	tr := s.newConnTracer()
+	dl := newLazyDeadlines(nc, s.cfg.IdleTimeout, s.cfg.WriteTimeout)
 	var req Request
 	for {
 		if br.Buffered() == 0 {
 			s.dispatchPending(mb, bt, &tr, part)
 			fs := tr.preFlush()
-			if err := s.flushOut(nc, out); err != nil {
+			if err := s.flushOut(&dl, out); err != nil {
 				return
 			}
 			tr.flushed(fs)
-			if err := s.waitData(nc, br); err != nil {
+			if err := s.waitData(&dl, br); err != nil {
 				return
 			}
 		}
-		// A request has started arriving; give the client one idle window to
-		// deliver the rest of it, and arm the write deadline so even writes
-		// that bypass the buffer (values larger than it) stay bounded.
-		nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		// A request has started arriving; give the client at least one idle
+		// window to deliver the rest of it, and keep the write deadline at
+		// least one write window ahead so even writes that bypass the buffer
+		// (values larger than it, multiBuf's intra-batch flushes) stay
+		// bounded. Shutdown overwrites read deadlines with "now" behind the
+		// stamp's back, so while draining the read side is armed every time.
+		if s.draining.Load() {
+			dl.invalidateRead()
+		}
+		dl.armBoth()
 		if bt != nil {
 			handled, berr := s.tryBatchParse(br, bt, &tr)
 			if handled {
@@ -167,7 +179,7 @@ func (s *Server) handleConn(nc net.Conn, part int) {
 					continue
 				}
 				writeServerError(out, "internal parse error")
-				s.flushOut(nc, out)
+				s.flushOut(&dl, out)
 				return
 			}
 			// Not batchable (a mutation, an incomplete line, a full batch):
@@ -198,7 +210,7 @@ func (s *Server) handleConn(nc net.Conn, part int) {
 			}
 			if !alive {
 				fs := tr.preFlush()
-				s.flushOut(nc, out)
+				s.flushOut(&dl, out)
 				tr.flushed(fs)
 				return
 			}
@@ -212,11 +224,11 @@ func (s *Server) handleConn(nc net.Conn, part int) {
 			// The oversized body was not consumed: report and close.
 			s.counters.BadCommands.Add(1)
 			writeServerError(out, "object too large for cache")
-			s.flushOut(nc, out)
+			s.flushOut(&dl, out)
 			return
 		default:
 			// I/O error, a client that stalled mid-request, or client gone.
-			s.flushOut(nc, out)
+			s.flushOut(&dl, out)
 			return
 		}
 	}

@@ -31,12 +31,16 @@ type Config struct {
 	// are answered with SERVER_ERROR and closed. <=0 means 1024.
 	MaxConns int
 	// IdleTimeout closes connections with no complete request for this
-	// long. <=0 means 5 minutes.
+	// long. <=0 means 5 minutes. Deadlines are re-armed lazily, at most
+	// once per quarter timeout, so the close comes no earlier than
+	// IdleTimeout and no later than 1.25·IdleTimeout after the last byte.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each flush of buffered responses to the socket.
 	// A reader that cannot drain its responses within it is a slow (or
 	// stalled) client holding server memory hostage; the connection is
-	// closed and counted in conns_slow_closed. <=0 means 30 seconds.
+	// closed and counted in conns_slow_closed. <=0 means 30 seconds. The
+	// same contract: a stalled flush is given at least WriteTimeout and
+	// at most 1.25·WriteTimeout.
 	WriteTimeout time.Duration
 	// MaxValueLen bounds set payloads. <=0 means DefaultMaxValueLen.
 	MaxValueLen int

@@ -17,7 +17,14 @@ import (
 
 // startServer launches a qdlp-backed server on a loopback listener and
 // returns it with its address. Cleanup shuts it down.
-func startServer(t *testing.T, mutate func(*Config)) (*Server, string) {
+func startServer(t testing.TB, mutate func(*Config)) (*Server, string) {
+	t.Helper()
+	return startServerOn(t, mutate, nil)
+}
+
+// startServerOn is startServer serving through wrap(listener) when wrap is
+// non-nil, for tests that observe the server's side of each connection.
+func startServerOn(t testing.TB, mutate func(*Config), wrap func(net.Listener) net.Listener) (*Server, string) {
 	t.Helper()
 	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
@@ -39,6 +46,10 @@ func startServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := ln.Addr().String()
+	if wrap != nil {
+		ln = wrap(ln)
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	// Wait for Serve to register the listener: a test fast enough to reach
@@ -57,7 +68,7 @@ func startServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv, addr
 }
 
 // rawConn is a line-level test client over a plain socket.
@@ -243,16 +254,30 @@ func TestServerMaxConns(t *testing.T) {
 	rc1.expect("STORED")
 }
 
+// An idle connection is closed between IdleTimeout and 1.25·IdleTimeout
+// after its last request. The version round trip comes first so the close
+// rides a read deadline armed before the idle period began — the lazy case,
+// where the deadline left over from an earlier arm must still cover a full
+// IdleTimeout.
 func TestServerIdleTimeout(t *testing.T) {
-	_, addr := startServer(t, func(cfg *Config) { cfg.IdleTimeout = 100 * time.Millisecond })
+	const idle = 200 * time.Millisecond
+	_, addr := startServer(t, func(cfg *Config) { cfg.IdleTimeout = idle })
 	rc := dialRaw(t, addr)
+	rc.send("version\r\n")
+	sent := time.Now()
+	rc.expect("VERSION " + Version)
+	answered := time.Now()
 	rc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	start := time.Now()
 	if _, err := rc.br.ReadByte(); err != io.EOF {
 		t.Fatalf("idle conn: got %v, want EOF", err)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("closed suspiciously fast: %v", elapsed)
+	closed := time.Now()
+	if early := closed.Sub(sent); early < idle-10*time.Millisecond {
+		t.Fatalf("closed %v after the last request, before IdleTimeout %v", early, idle)
+	}
+	// A second of scheduling slack: the suite runs in parallel under -race.
+	if late := closed.Sub(answered); late > idle+idle/4+time.Second {
+		t.Fatalf("closed %v after the last response, want within 1.25 x %v", late, idle)
 	}
 }
 

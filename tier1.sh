@@ -28,6 +28,18 @@ if bad=$(grep -rlE --include='*.go' '"(repro/internal/dlist|container/list)"' .)
     echo "$bad" >&2
     exit 1
 fi
+phase 'no build output checked in (no tracked file over 1 MiB or starting with the ELF magic)'
+git ls-files | while IFS= read -r f; do
+    [ -f "$f" ] || continue   # deleted in the working tree, not yet committed
+    if [ "$(wc -c < "$f")" -gt 1048576 ]; then
+        echo "tracked file over 1 MiB: $f" >&2
+        exit 1
+    fi
+    if [ "$(head -c 4 "$f" | od -An -c | tr -d ' ')" = '177ELF' ]; then
+        echo "tracked ELF binary: $f" >&2
+        exit 1
+    fi
+done
 phase 'go vet ./...'
 go vet ./...
 phase 'go build ./...'
