@@ -133,8 +133,7 @@ func TestKVSetAtMostOneAlloc(t *testing.T) {
 
 // An evicting set at a full byte-capped store allocates nothing, for every
 // policy: the key takes a free slab slot instead of a new node, and the
-// object takes the entry and the buffer its victim just returned to the
-// pools. (Two planes kept a map and a list node per key: one allocation.)
+// object takes the buffer its victim just returned to the pools. (Two planes kept a map and a list node per key: one allocation.)
 func TestKVSetZeroAllocsSteadyState(t *testing.T) {
 	for _, name := range Names() {
 		inner, err := New(name, 0, WithMaxBytes(64<<10), WithShards(1))

@@ -25,9 +25,9 @@ func newClock(cfg config) (Cache, error) {
 }
 
 // Set implements Cache.
-func (c *Clock) Set(key, value uint64) { c.set(key, value, nil) }
+func (c *Clock) Set(key, value uint64) { c.set(key, value, entry{}) }
 
-func (c *Clock) set(key, value uint64, e *kvEntry) { c.setQueue(key, value, e, evictClock) }
+func (c *Clock) set(key, value uint64, e entry) { c.setQueue(key, value, e, evictClock) }
 
 // evictClock rotates the main queue until its tail is evictable, then
 // evicts it: referenced objects are reinserted at the head with a

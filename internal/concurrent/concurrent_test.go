@@ -74,6 +74,15 @@ func TestShardPadding(t *testing.T) {
 	}
 }
 
+// Every key a shard remembers is a slot, ghosts included, and a KV object's
+// header lives inline in it: a slot that grows past 80 bytes makes every
+// ghost and every bare-Cache key pay for it.
+func TestSlotSize(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size > 80 {
+		t.Fatalf("slot is %d bytes, want at most 80", size)
+	}
+}
+
 func TestBasicGetSet(t *testing.T) {
 	eachMode(t, 1024, 4, func(t *testing.T, c Cache) {
 		if _, ok := c.Get(1); ok {

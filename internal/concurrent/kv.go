@@ -13,13 +13,13 @@ import (
 // KV is the byte-valued view of a Cache built by New: the same shards, the
 // same locks, the same index. Where the bare Cache keeps a uint64 value in a
 // key's slot, KV keeps there the object's accounted size (the cost a
-// byte-capped policy budgets) and a pointer to the object itself — full
-// key, value bytes, flags, cas token, expiry. There is no second structure:
-// the probe that finds a key's policy metadata has found its bytes, and
-// whatever evicts, demotes, overwrites or deletes a slot recycles its
-// object in the same critical section, so residency in the policy IS
-// residency of the data. The Cache handed to NewKV is thereafter driven
-// only through the KV.
+// byte-capped policy budgets) and the object itself: its header — flags,
+// cas token, expiry — inline in the slot, and its key and value in one
+// buffer the slot points at. There is no second structure: the probe that
+// finds a key's policy metadata has found its object, and whatever evicts,
+// demotes, overwrites or deletes a slot frees its buffer in the same
+// critical section, so residency in the policy IS residency of the data.
+// The Cache handed to NewKV is thereafter driven only through the KV.
 //
 // Locking. One sync.RWMutex per shard and no other lock on any operation;
 // AdvanceTTL's ttlMu is taken before, never inside, a shard's.
@@ -29,20 +29,19 @@ import (
 //     its one exclusive section, because its promotion relinks the queue.
 //     They never mutate anything else: a lazily expired object answers as a
 //     miss and is left for the wheel.
-//   - SetDigest builds the object outside the lock, then runs the policy's
-//     Set in one exclusive section: find or admit, evict until it fits,
-//     recycle every victim's buffer. Delete, Touch and the wheel's reclaim
-//     are single exclusive sections too.
+//   - SetDigest fills the object's buffer outside the lock, then runs the
+//     policy's Set in one exclusive section: find or admit, evict until it
+//     fits, free every victim's buffer. Delete, Touch and the wheel's
+//     reclaim are single exclusive sections too.
 //
-// The data is GC-light: every object's key and value share one size-classed
-// pooled buffer (see pool.go), and the kvEntry structs are pooled. The slot
-// holds the entry by pointer rather than by value because the entry embeds
-// the TTL wheel's intrusive node, which the wheel links by address and
-// which must not move when the slab grows. Recycling happens only under the
-// exclusive lock, after bumping the entry's seq epoch; readers re-check the
-// epoch after copying, which turns any future violation of that discipline
-// into a safe miss instead of cross-key corruption. Distinct keys colliding
-// on the 64-bit digest share a slot: the later Set wins it, and full-key
+// The data is GC-light: an object's only allocation is its size-classed
+// pooled buffer (see pool.go), and the slot is its only other home. The
+// shard's TTL wheel names each timer by its slot number, so slab growth may
+// move slots freely. Buffers are freed only under the exclusive lock, after
+// moving the slot to a fresh epoch; readers re-check the slot's epoch after
+// copying, which turns any future violation of that discipline into a safe
+// miss instead of cross-key corruption. Distinct keys colliding on the
+// 64-bit digest share a slot: the later Set wins it, and full-key
 // comparison serves the loser as a miss.
 type KV struct {
 	b      *base // the shards, shared with p
@@ -59,55 +58,36 @@ type KV struct {
 	ttlMu   sync.Mutex   // serializes AdvanceTTL (one ticker plus any manual calls)
 }
 
-// kvEntry is one cached object. key and value are subslices of *buf, a
-// pooled backing buffer. seq is the entry's recycle epoch: bumped (under
-// the shard's exclusive lock) every time the entry or its buffer is
-// returned to a pool, and monotonic across entry reuse. A reader snapshots
-// seq before copying value bytes and re-checks it after; a mismatch means
-// the bytes were (or are being) recycled and the copy is discarded as a
-// miss.
-type kvEntry struct {
-	seq   atomic.Uint64
-	buf   *[]byte
-	key   []byte
-	value []byte
-	flags uint32
-	cas   uint64
+// entry is one cached object, held by value in its key's slot. buf holds
+// the key and then the value, in a buffer from getBuf whose pool handle is
+// handle; buf is nil when the slot holds no object. The shard's exclusive
+// lock guards every field: readers see them only under the shared lock.
+type entry struct {
+	buf    []byte
+	handle *[]byte
+	cas    uint64
 	// expireAt is the absolute expiry (unix seconds), 0 = never. Readers
-	// compare it against KV.nowSec under the shared lock; it is written at
-	// entry construction (before the entry is published) and by
-	// TouchDigest under the shard's exclusive lock.
+	// compare it against KV.nowSec under the shared lock; it is written
+	// before the object is stored and by TouchDigest.
 	expireAt int64
-	// ttl is the entry's intrusive timer-wheel node, linked/unlinked only
-	// under the shard's exclusive lock.
-	ttl ttlwheel.Node
+	flags    uint32
+	keyLen   uint32
 }
 
-// newEntry builds a pooled entry holding private copies of key and value.
-func newEntry(key, value []byte, flags uint32, id, cas uint64, expireAt int64) *kvEntry {
-	e := entryPool.Get().(*kvEntry)
-	e.buf = getBuf(len(key) + len(value))
-	b := *e.buf
-	copy(b, key)
-	copy(b[len(key):], value)
-	e.key = b[:len(key):len(key)]
-	e.value = b[len(key) : len(key)+len(value)]
-	e.flags = flags
-	e.cas = cas
-	e.expireAt = expireAt
-	e.ttl.Key = id
-	return e
+// newEntry builds an object holding private copies of key and value.
+func newEntry(key, value []byte, flags uint32, cas uint64, expireAt int64) entry {
+	buf, handle := getBuf(len(key) + len(value))
+	copy(buf, key)
+	copy(buf[len(key):], value)
+	return entry{buf: buf, handle: handle, cas: cas, expireAt: expireAt, flags: flags, keyLen: uint32(len(key))}
 }
 
-// recycleEntry returns e's buffer and then e itself to their pools. The
-// caller holds the owning shard's exclusive lock, or e was never stored in
-// a slot; the seq bump is what readers validate against.
-func recycleEntry(e *kvEntry) {
-	e.seq.Add(1)
-	putBuf(e.buf)
-	e.buf, e.key, e.value = nil, nil, nil
-	entryPool.Put(e)
-}
+func (e *entry) key() []byte   { return e.buf[:e.keyLen] }
+func (e *entry) value() []byte { return e.buf[e.keyLen:] }
+
+// free returns e's buffer to its pool. The caller holds the owning shard's
+// exclusive lock and has moved the slot's epoch, or e was never stored.
+func (e *entry) free() { putBuf(e.handle, cap(e.buf)) }
 
 // NewKV returns the byte-valued view of inner, which must have been built
 // by New (anything else panics: there would be no shards to view) and must
@@ -152,11 +132,10 @@ func (kv *KV) lookup(s *shard, id uint64, key []byte) (int32, *slot) {
 		return 0, nil
 	}
 	v := s.idx.Value(n)
-	e := v.e
-	if e == nil || !bytes.Equal(e.key, key) {
+	if v.e.buf == nil || !bytes.Equal(v.e.key(), key) {
 		return 0, nil
 	}
-	if exp := e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
+	if exp := v.e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
 		return 0, nil
 	}
 	return n, v
@@ -200,31 +179,32 @@ func (kv *KV) appendHit(dst, key []byte, id uint64, hdr HitHeaderFunc) (_ []byte
 	kv.b.lockHit(s)
 	n, v := kv.lookup(s, id, key)
 	if n != 0 {
-		dst, ok = v.e.appendTo(dst, key, hdr)
+		dst, ok = v.appendTo(dst, key, hdr)
 	}
 	if !ok {
 		kv.b.unlockHit(s)
 		s.stats.misses.Add(1)
 		return dst, 0, 0, 0, false
 	}
-	valueLen, flags, cas = len(v.e.value), v.e.flags, v.e.cas
+	valueLen, flags, cas = len(v.e.value()), v.e.flags, v.e.cas
 	kv.b.touch(s, n, v)
 	kv.b.unlockHit(s)
 	s.stats.hits.Add(1)
 	return dst, valueLen, flags, cas, true
 }
 
-// appendTo appends hdr's header (when given) and e's value to dst under
-// the shard's lock, validating the recycle epoch around the copy.
-func (e *kvEntry) appendTo(dst, key []byte, hdr HitHeaderFunc) ([]byte, bool) {
-	seq := e.seq.Load()
+// appendTo appends hdr's header (when given) and the slot's value to dst
+// under the shard's lock, validating the slot's epoch around the copy.
+func (v *slot) appendTo(dst, key []byte, hdr HitHeaderFunc) ([]byte, bool) {
+	epoch := atomic.LoadUint32(&v.epoch)
 	base := len(dst)
+	value := v.e.value()
 	if hdr != nil {
-		dst = hdr(dst, key, len(e.value), e.flags, e.cas)
+		dst = hdr(dst, key, len(value), v.e.flags, v.e.cas)
 	}
-	dst = append(dst, e.value...)
-	if e.seq.Load() != seq {
-		// Entry recycled mid-copy: impossible while recycling requires this
+	dst = append(dst, value...)
+	if atomic.LoadUint32(&v.epoch) != epoch {
+		// Object freed mid-copy: impossible while freeing requires this
 		// shard's exclusive lock, but fail safe to a miss rather than serve
 		// another key's bytes.
 		return dst[:base], false
@@ -281,7 +261,7 @@ func (kv *KV) GetMulti(dst []byte, keys [][]byte, ids []uint64, out []MultiHit) 
 			}
 			start := len(dst)
 			var ok bool
-			if dst, ok = v.e.appendTo(dst, nil, nil); !ok {
+			if dst, ok = v.appendTo(dst, nil, nil); !ok {
 				continue
 			}
 			out[j] = MultiHit{Start: start, End: len(dst), Flags: v.e.flags, CAS: v.e.cas, Hit: true}
@@ -315,9 +295,9 @@ func (kv *KV) Set(key, value []byte, flags uint32) uint64 {
 // (size-aware admission, or no room at all) recycles it and stores nothing.
 func (kv *KV) SetDigest(key, value []byte, flags uint32, id uint64, expireAt int64) uint64 {
 	// The cas token lives in a local: once set returns a concurrent
-	// overwrite may have recycled the entry.
+	// overwrite may have replaced the object.
 	cas := kv.casSeq.Add(1)
-	kv.p.set(id, uint64(EntryCost(len(key), len(value))), newEntry(key, value, flags, id, cas, expireAt))
+	kv.p.set(id, uint64(EntryCost(len(key), len(value))), newEntry(key, value, flags, cas, expireAt))
 	return cas
 }
 
@@ -345,7 +325,7 @@ func (kv *KV) remove(key []byte, id uint64, kind obs.EventKind, reason obs.Reaso
 	s := kv.b.shard(id)
 	s.mu.Lock()
 	n, v := s.resident(id)
-	found := n != 0 && v.e != nil && bytes.Equal(v.e.key, key)
+	found := n != 0 && bytes.Equal(v.e.key(), key)
 	if found {
 		s.remove(kv.b, n, v)
 		s.stats.deletes++
@@ -358,7 +338,7 @@ func (kv *KV) remove(key []byte, id uint64, kind obs.EventKind, reason obs.Reaso
 }
 
 // TouchDigest updates key's expiry deadline in place (0 = never) and
-// reschedules its timer-wheel node, reporting whether the key was present
+// reschedules its slot's timer, reporting whether the key was present
 // and unexpired. Touch is the one mutation of expireAt after entry
 // construction, so it runs under the shard's exclusive lock — readers
 // compare expireAt only under the shared lock, which this excludes. An
@@ -374,9 +354,10 @@ func (kv *KV) TouchDigest(key []byte, id uint64, expireAt int64) bool {
 		return false
 	}
 	v.e.expireAt = expireAt
-	s.wheel.Remove(&v.e.ttl)
 	if expireAt > 0 {
-		s.wheel.Schedule(&v.e.ttl, expireAt)
+		s.wheel.Schedule(n, expireAt)
+	} else {
+		s.wheel.Remove(n)
 	}
 	kv.b.touch(s, n, v)
 	return true
@@ -417,15 +398,14 @@ func (kv *KV) AdvanceTTL(now int64) int {
 	for i := range kv.b.shards {
 		s := &kv.b.shards[i]
 		s.mu.Lock()
-		s.wheel.Advance(now, func(id uint64) {
-			// The wheel fires the node of the object now in id's slot (an
-			// overwritten or removed object's node was disarmed with it).
-			n, v := s.resident(id)
-			if n != 0 && v.e != nil && v.e.expireAt != 0 && v.e.expireAt <= now {
-				s.remove(kv.b, n, v)
-				kv.b.rec.Record(obs.Event{Key: id, Kind: obs.EvExpire, Reason: obs.ReasonExpired})
-				total++
-			}
+		s.wheel.Advance(now, func(n int32) {
+			// A slot's timer is armed exactly while its object has a
+			// deadline (releasing the object disarms it), so n holds the
+			// object whose deadline has come.
+			id := s.idx.Key(n)
+			s.remove(kv.b, n, s.idx.Value(n))
+			kv.b.rec.Record(obs.Event{Key: id, Kind: obs.EvExpire, Reason: obs.ReasonExpired})
+			total++
 		})
 		s.mu.Unlock()
 	}

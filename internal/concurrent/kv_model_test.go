@@ -14,36 +14,42 @@ import (
 // object the policy no longer holds, never reclaimed) and policy-only
 // residents (an admitted key with no object). walkKV proves it on a live
 // store: it walks every shard's queues and checks that each resident slot
-// carries exactly one object, that the ghosts carry none, and that Items,
-// Bytes and Stats are the sums over what it walked.
+// carries exactly one object with its timer armed exactly at its deadline,
+// that the ghosts carry neither, and that Items, Bytes and Stats are the
+// sums over what it walked.
 
 // walkKV returns the object in every resident slot, keyed by digest. Call
 // at quiescence.
-func walkKV(t *testing.T, kv *KV) map[uint64]*kvEntry {
+func walkKV(t *testing.T, kv *KV) map[uint64]entry {
 	t.Helper()
-	resident := map[uint64]*kvEntry{}
+	resident := map[uint64]entry{}
 	var valueBytes, used int64
 	for i := range kv.b.shards {
 		s := &kv.b.shards[i]
 		var shardUsed int64
+		armed := 0
 		for _, l := range []*region{&s.main, &s.small} {
 			var cost int64
 			for n := l.list.Front(); n != 0; n = s.idx.Next(n) {
 				id, v := s.idx.Key(n), s.idx.Value(n)
-				if v.e == nil {
+				if v.e.buf == nil {
 					t.Fatalf("shard %d: resident %#x holds no object", i, id)
 				}
-				if got := uint64(EntryCost(len(v.e.key), len(v.e.value))); v.value != got {
+				if got := uint64(EntryCost(len(v.e.key()), len(v.e.value()))); v.value != got {
 					t.Fatalf("shard %d: %#x accounted at %d, its object costs %d", i, id, v.value, got)
 				}
 				if kv.DataShardIndex(id) != i {
 					t.Fatalf("%#x sits in shard %d, maps to %d", id, i, kv.DataShardIndex(id))
 				}
-				if v.e.expireAt > 0 && v.e.ttl.ExpireAt() != v.e.expireAt {
-					t.Fatalf("%#x expires at %d, its timer is set for %d", id, v.e.expireAt, v.e.ttl.ExpireAt())
+				at, ok := s.wheel.ExpireAt(n)
+				if ok != (v.e.expireAt > 0) || at != v.e.expireAt {
+					t.Fatalf("%#x expires at %d, its timer is armed %v for %d", id, v.e.expireAt, ok, at)
+				}
+				if ok {
+					armed++
 				}
 				resident[id] = v.e
-				valueBytes += int64(len(v.e.value))
+				valueBytes += int64(len(v.e.value()))
 				shardUsed += int64(v.value)
 				cost += kv.b.cost(v.value)
 			}
@@ -52,9 +58,15 @@ func walkKV(t *testing.T, kv *KV) map[uint64]*kvEntry {
 			}
 		}
 		for n := s.ghost.Front(); n != 0; n = s.idx.Next(n) {
-			if v := s.idx.Value(n); v.e != nil || v.where != inGhost {
+			if v := s.idx.Value(n); v.e.buf != nil || v.e.handle != nil || v.e.expireAt != 0 || v.where != inGhost {
 				t.Fatalf("shard %d: ghost %#x holds an object or sits in list %d", i, s.idx.Key(n), v.where)
 			}
+			if _, ok := s.wheel.ExpireAt(n); ok {
+				t.Fatalf("shard %d: ghost %#x has an armed timer", i, s.idx.Key(n))
+			}
+		}
+		if s.wheel.Len() != armed {
+			t.Fatalf("shard %d: %d timers armed, %d residents have a deadline", i, s.wheel.Len(), armed)
 		}
 		if n := s.main.list.Len() + s.small.list.Len() + s.ghost.Len(); n != s.idx.Len() || n > s.slots {
 			t.Fatalf("shard %d: %d keys on lists, %d in the index, bound %d", i, n, s.idx.Len(), s.slots)
@@ -232,12 +244,12 @@ func TestKVAgainstModel(t *testing.T) {
 			resident := walkKV(t, kv)
 			for id, e := range resident {
 				o := model[id]
-				if o == nil || !bytes.Equal(e.key, o.key) || !bytes.Equal(e.value, o.value) || e.flags != o.flags || e.expireAt != o.expireAt {
-					t.Fatalf("step %d: resident %#x = %s (%d bytes, expires %d), model %+v", step, id, e.key, len(e.value), e.expireAt, o)
+				if o == nil || !bytes.Equal(e.key(), o.key) || !bytes.Equal(e.value(), o.value) || e.flags != o.flags || e.expireAt != o.expireAt {
+					t.Fatalf("step %d: resident %#x = %s (%d bytes, expires %d), model %+v", step, id, e.key(), len(e.value()), e.expireAt, o)
 				}
 			}
 			for id := range model {
-				if resident[id] == nil {
+				if _, ok := resident[id]; !ok {
 					delete(model, id) // evicted or refused
 				}
 			}
@@ -252,13 +264,28 @@ func TestKVAgainstModel(t *testing.T) {
 	})
 }
 
+// hammerKey is key n of TestKVHammerInvariants; every value stored under it
+// is some number of copies of the byte n.
+func hammerKey(n int) []byte { return []byte(fmt.Sprintf("h-%03d", n)) }
+
+// ownBytes reports whether v is a value stored under hammerKey(n).
+func ownBytes(v []byte, n int) bool {
+	return len(v) > 0 && bytes.Count(v, []byte{byte(n)}) == len(v)
+}
+
 // The same invariants at quiescence after eight goroutines hammered one
 // store (run under -race by tier1): whatever interleaving happened, every
-// resident slot ends with one object and the sums agree.
+// resident slot ends with one object and the sums agree. Meanwhile every
+// read — Get, AppendHit and GetMulti — must return only its own key's
+// bytes, every one of them, while writers overwrite, delete, touch and
+// expire the slots it reads from and free the buffers it copies from.
 func TestKVHammerInvariants(t *testing.T) {
 	eachKV(t, func(t *testing.T, kv *KV) {
 		now := time.Now().Unix() + 1
 		kv.AdvanceTTL(now)
+		hdr := func(dst, key []byte, valueLen int, flags uint32, cas uint64) []byte {
+			return append(append(dst, key...), ' ')
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -266,18 +293,45 @@ func TestKVHammerInvariants(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(g)))
 				var buf []byte
+				keys, ids, out := make([][]byte, 4), make([]uint64, 4), make([]MultiHit, 4)
+				nums := make([]int, 4)
 				for i := 0; i < 4000; i++ {
 					n := rng.Intn(96)
-					key := []byte(fmt.Sprintf("h-%03d", n))
+					key := hammerKey(n)
 					id := Digest(key)
 					switch op := rng.Intn(16); {
-					case op < 8:
+					case op < 4:
 						v, _, _, ok := kv.GetDigest(buf[:0], key, id)
-						if ok && (len(v) == 0 || int(v[0]) != n) {
-							t.Errorf("Get(%s) returned another key's bytes: %d", key, v[0])
+						if ok && !ownBytes(v, n) {
+							t.Errorf("Get(%s) returned bytes not its own: %v", key, v)
 							return
 						}
 						buf = v
+					case op < 6:
+						got, valueLen, ok := kv.AppendHit(buf[:0], key, id, hdr)
+						prefix := len(key) + 1
+						if ok && (len(got) != prefix+valueLen || !bytes.Equal(got[:len(key)], key) || !ownBytes(got[prefix:], n)) {
+							t.Errorf("AppendHit(%s) = %q, value length %d", key, got, valueLen)
+							return
+						}
+						if !ok && len(got) != 0 {
+							t.Errorf("AppendHit(%s) missed and appended %q", key, got)
+							return
+						}
+						buf = got
+					case op < 8:
+						for j := range keys {
+							nums[j] = rng.Intn(96)
+							keys[j] = hammerKey(nums[j])
+							ids[j] = Digest(keys[j])
+						}
+						buf = kv.GetMulti(buf[:0], keys, ids, out)
+						for j, h := range out {
+							if h.Hit && !ownBytes(buf[h.Start:h.End], nums[j]) {
+								t.Errorf("GetMulti[%d](%s) returned bytes not its own: %v", j, keys[j], buf[h.Start:h.End])
+								return
+							}
+						}
 					case op < 13:
 						var at int64
 						if rng.Intn(4) == 0 {

@@ -40,9 +40,9 @@ func (c *LRU) Get(key uint64) (uint64, bool) {
 }
 
 // Set implements Cache.
-func (c *LRU) Set(key, value uint64) { c.set(key, value, nil) }
+func (c *LRU) Set(key, value uint64) { c.set(key, value, entry{}) }
 
-func (c *LRU) set(key, value uint64, e *kvEntry) { c.setQueue(key, value, e, evictLRU) }
+func (c *LRU) set(key, value uint64, e entry) { c.setQueue(key, value, e, evictLRU) }
 
 func evictLRU(s *shard, b *base) {
 	s.drop(b, s.main.list.Back(), obs.ReasonCapacity)

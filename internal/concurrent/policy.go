@@ -12,8 +12,8 @@ import (
 
 // EntryOverhead is the fixed per-object byte cost added to
 // len(key)+len(value) when a byte-capped cache accounts an object: an
-// approximation of the index cell, slab slot, pooled entry struct and
-// buffer slack a cached object really costs beyond its payload.
+// approximation of the index cell, slab slot (which holds the object's
+// header) and buffer slack a cached object really costs beyond its payload.
 const EntryOverhead = 64
 
 // EntryCost is the accounted byte cost of one cached object — the value
@@ -28,19 +28,25 @@ const minShardBytes = 2 * EntryOverhead
 
 // slot is everything a shard knows about one key: the policy metadata and,
 // under a KV, the object itself. It lives by value in the shard's slab, so
-// the probe that finds a key has found its cost, its counter and its bytes.
+// the probe that finds a key has found its cost, its counter and, under a
+// KV, its object's header; the bytes are one load further.
 type slot struct {
 	value uint64 // the caller's value; under a KV the accounted cost
 	// freq is the CLOCK/SIEVE reference counter. The shared-lock hit path
 	// bumps it with sync/atomic functions; holders of the exclusive lock
 	// read and write it plainly. It is a bare word, not an atomic.Uint32,
 	// because the slab copies slots when it grows.
-	freq  uint32
+	freq uint32
+	// epoch is the slot's recycle epoch: moved to a fresh value, under the
+	// exclusive lock, whenever the slot's object is released or a new one
+	// placed, and read atomically around every copy out of the object (see
+	// appendTo). A bare word for the same reason as freq.
+	epoch uint32
 	where uint8 // which list holds the slot
-	// e is the KV payload, nil under a bare Cache and for ghosts. A pointer,
-	// not an inlined struct: the entry carries the TTL wheel's intrusive
-	// node, which the wheel links by address and slab growth would move.
-	e *kvEntry
+	// e is the KV object, zero under a bare Cache and for ghosts. Its timer
+	// on the shard's wheel is this slot's number, armed exactly while
+	// e.expireAt > 0.
+	e entry
 }
 
 // The lists a slot can be on. inMain is the zero value: the only queue of
@@ -73,11 +79,12 @@ type shard struct {
 	small region    // QDLP: probationary FIFO
 	ghost slab.List // QDLP: keys remembered without data, front = newest
 	hand  int32     // SIEVE: the next sweep resumes here; 0 = from the oldest
+	epoch uint32    // the last epoch handed to a slot, see slot.epoch
 
 	admitMax int64 // QDLP: size-aware admission threshold
 	ghostMin int   // QDLP: floor of the ghost's bound, see ghostRoom
 
-	wheel *ttlwheel.Wheel // TTL timers of the KV's entries; nil under a bare Cache
+	wheel *ttlwheel.Wheel // TTL timers of the KV's objects, by slot; nil under a bare Cache
 	// valueBytes is the KV's payload occupancy (sum of value lengths).
 	valueBytes int64
 	stats      opStats
@@ -108,7 +115,7 @@ type base struct {
 type plane interface {
 	Cache
 	shared() *base
-	set(key, value uint64, e *kvEntry)
+	set(key, value uint64, e entry)
 }
 
 func (b *base) shared() *base { return b }
@@ -323,46 +330,52 @@ func (s *shard) region(v *slot) *region {
 	return &s.main
 }
 
-// attach accounts e as the payload of a slot and arms its expiry.
-func (s *shard) attach(e *kvEntry) {
-	if e == nil {
-		return
-	}
-	s.valueBytes += int64(len(e.value))
-	if e.expireAt > 0 {
-		s.wheel.Schedule(&e.ttl, e.expireAt)
+// attach accounts slot n's new object and arms its expiry.
+func (s *shard) attach(n int32, v *slot) {
+	s.valueBytes += int64(len(v.e.value()))
+	if v.e.expireAt > 0 {
+		s.wheel.Schedule(n, v.e.expireAt)
 	}
 }
 
-// release un-accounts a slot's payload, disarms its expiry and recycles it.
-func (s *shard) release(e *kvEntry) {
-	if e == nil {
+// release un-accounts slot n's object, disarms its expiry and returns its
+// buffer, leaving the slot empty at a fresh epoch. The epoch moves before
+// the buffer is freed, so a reader's copy from it fails its check.
+func (s *shard) release(n int32, v *slot) {
+	if v.e.buf == nil {
 		return
 	}
-	s.valueBytes -= int64(len(e.value))
-	s.wheel.Remove(&e.ttl)
-	recycleEntry(e)
+	s.valueBytes -= int64(len(v.e.value()))
+	if v.e.expireAt > 0 {
+		s.wheel.Remove(n)
+	}
+	s.epoch++
+	atomic.StoreUint32(&v.epoch, s.epoch)
+	v.e.free()
+	v.e = entry{}
 }
 
 // insert admits a new key at the front of the queue `where` names. The
 // caller has made room, in the region and in the index.
-func (s *shard) insert(where uint8, key, value uint64, cost int64, e *kvEntry) {
+func (s *shard) insert(where uint8, key, value uint64, cost int64, e entry) {
 	s.place(s.idx.Insert(key), where, value, cost, e)
 }
 
 // place makes slot n, which is on no list, a resident of the queue `where`
-// names: value, payload, accounting, and expiry.
-func (s *shard) place(n int32, where uint8, value uint64, cost int64, e *kvEntry) {
+// names: value, object, accounting, and expiry. The slot takes the shard's
+// latest epoch, since Insert zeroed its own: no epoch a reader could have
+// seen on a former occupant of the slot comes back.
+func (s *shard) place(n int32, where uint8, value uint64, cost int64, e entry) {
 	v := s.idx.Value(n)
-	v.value, v.where, v.e = value, where, e
+	v.value, v.where, v.e, v.epoch = value, where, e, s.epoch
 	r := s.region(v)
 	s.idx.PushFront(&r.list, n)
 	r.used += cost
 	s.stats.usedBytes += int64(value)
-	s.attach(e)
+	s.attach(n, v)
 }
 
-// vacate un-accounts a resident slot, payload included, and returns the
+// vacate un-accounts a resident slot, object included, and returns the
 // region whose list the caller now takes it off.
 func (s *shard) vacate(b *base, n int32, v *slot) *region {
 	if s.hand == n {
@@ -371,19 +384,18 @@ func (s *shard) vacate(b *base, n int32, v *slot) *region {
 	r := s.region(v)
 	r.used -= b.cost(v.value)
 	s.stats.usedBytes -= int64(v.value)
-	s.release(v.e)
-	v.e = nil
+	s.release(n, v)
 	return r
 }
 
-// overwrite re-accounts a resident slot under a new value and payload. The
+// overwrite re-accounts resident slot n under a new value and object. The
 // caller evicts afterwards if the region now exceeds its budget.
-func (s *shard) overwrite(b *base, v *slot, value uint64, e *kvEntry) {
+func (s *shard) overwrite(b *base, n int32, v *slot, value uint64, e entry) {
 	s.region(v).used += b.cost(value) - b.cost(v.value)
 	s.stats.usedBytes += int64(value) - int64(v.value)
-	s.release(v.e)
+	s.release(n, v)
 	v.value, v.e = value, e
-	s.attach(e)
+	s.attach(n, v)
 }
 
 // remove forgets a resident key (Delete, expiry, and the first half of
@@ -399,18 +411,11 @@ func (s *shard) drop(b *base, n int32, reason obs.Reason) {
 	b.evicted(s, key, obs.EvEvict, reason)
 }
 
-// discard returns an object the policy did not store to the pools.
-func discard(e *kvEntry) {
-	if e != nil {
-		recycleEntry(e)
-	}
-}
-
 // setQueue is Set for the single-queue policies, which differ in how a hit
 // promotes (touch) and in which resident evictOne picks. An object that
 // cannot fit the shard's budget at all is refused, and takes the resident
 // version of its key with it.
-func (b *base) setQueue(key, value uint64, e *kvEntry, evictOne func(*shard, *base)) {
+func (b *base) setQueue(key, value uint64, e entry, evictOne func(*shard, *base)) {
 	cost := b.cost(value)
 	s := b.shard(key)
 	s.mu.Lock()
@@ -419,14 +424,14 @@ func (b *base) setQueue(key, value uint64, e *kvEntry, evictOne func(*shard, *ba
 	n, v := s.resident(key)
 	switch {
 	case cost > s.main.max:
-		discard(e)
+		e.free()
 		if n != 0 {
 			s.drop(b, n, obs.ReasonSizeAdmission)
 		} else {
 			b.evicted(s, key, obs.EvEvict, obs.ReasonSizeAdmission)
 		}
 	case n != 0:
-		s.overwrite(b, v, value, e)
+		s.overwrite(b, n, v, value, e)
 		b.touch(s, n, v)
 		for s.main.used > s.main.max {
 			evictOne(s, b)

@@ -5,12 +5,14 @@ import (
 	"sync"
 )
 
-// Size-classed buffer pools for the KV's objects. Every kvEntry's key and
-// value live in one backing buffer drawn from the pool whose class is the
-// smallest power of two that fits; eviction, Delete, and overwrite return
-// the buffer for reuse. Steady-state Set traffic therefore recycles a
-// fixed working set of buffers instead of feeding the garbage collector
-// one allocation per write.
+// Size-classed buffer pools for the KV's objects. An object lives in its
+// key's slab slot (see entry): the slot holds its header — flags, cas,
+// expiry — and one backing buffer holding its key and value, drawn from
+// the pool whose class is the smallest power of two that fits. Eviction,
+// Delete, and overwrite return the buffer for reuse, and there is no other
+// per-object allocation to return. Steady-state Set traffic therefore
+// recycles a fixed working set of buffers instead of feeding the garbage
+// collector one allocation per write.
 //
 // Classes run from 64 B to 2 MiB — the largest covers MaxKeyLen plus the
 // default 1 MiB value limit with room to spare. Requests beyond the top
@@ -21,9 +23,10 @@ const (
 	bufClasses = bufMaxBits - bufMinBits + 1
 )
 
-// bufPools[i] holds *[]byte buffers of exactly 1<<(bufMinBits+i) bytes.
-// Pointers (not raw slices) are pooled so Put does not box a new
-// interface value on every recycle.
+// bufPools[i] holds *[]byte buffers of exactly 1<<(bufMinBits+i) bytes,
+// each at full length. Pointers (not raw slices) are pooled so Put does
+// not box a new interface value on every recycle; the pointer is the
+// buffer's pool handle, and its header is never rewritten.
 var bufPools [bufClasses]sync.Pool
 
 func init() {
@@ -48,31 +51,21 @@ func bufClass(n int) int {
 	return bits.Len(uint(n-1)) - bufMinBits
 }
 
-// getBuf returns a buffer with len(buf) == n, pooled when a class fits.
-func getBuf(n int) *[]byte {
+// getBuf returns a buffer with len(buf) == n and its pool handle: pooled
+// when a class fits, else a plain allocation with a nil handle.
+func getBuf(n int) (buf []byte, handle *[]byte) {
 	cls := bufClass(n)
 	if cls < 0 {
-		b := make([]byte, n)
-		return &b
+		return make([]byte, n), nil
 	}
 	bp := bufPools[cls].Get().(*[]byte)
-	*bp = (*bp)[:n]
-	return bp
+	return (*bp)[:n], bp
 }
 
-// putBuf recycles a getBuf buffer. Oversize (unpooled) buffers are dropped
-// for the GC; class-sized buffers are restored to full length and pooled.
-func putBuf(bp *[]byte) {
-	c := cap(*bp)
-	if c < 1<<bufMinBits || c > 1<<bufMaxBits || c&(c-1) != 0 {
-		return
+// putBuf recycles a getBuf buffer of capacity c, given its handle. An
+// unpooled buffer (nil handle) is left to the GC.
+func putBuf(handle *[]byte, c int) {
+	if handle != nil {
+		bufPools[bufClass(c)].Put(handle)
 	}
-	*bp = (*bp)[:c]
-	bufPools[bufClass(c)].Put(bp)
 }
-
-// entryPool recycles kvEntry structs alongside their buffers. A recycled
-// entry keeps its seq counter (monotonic across reuses), which is what lets
-// a reader validate that the entry it is copying from was not recycled
-// underneath it — see kvEntry.
-var entryPool = sync.Pool{New: func() any { return new(kvEntry) }}

@@ -120,9 +120,9 @@ func newQDLP(cfg config) (Cache, error) {
 }
 
 // Set implements Cache.
-func (c *QDLP) Set(key, value uint64) { c.set(key, value, nil) }
+func (c *QDLP) Set(key, value uint64) { c.set(key, value, entry{}) }
 
-func (c *QDLP) set(key, value uint64, e *kvEntry) {
+func (c *QDLP) set(key, value uint64, e entry) {
 	cost := c.cost(value)
 	s := c.shard(key)
 	s.mu.Lock()
@@ -143,7 +143,7 @@ func (c *QDLP) set(key, value uint64, e *kvEntry) {
 	c.rec.Record(obs.Event{Key: key, Kind: obs.EvGhostReadmit})
 	if cost > s.main.max {
 		s.idx.Remove(&s.ghost, n) // fits nowhere
-		discard(e)
+		e.free()
 		c.evicted(s, key, obs.EvEvict, obs.ReasonSizeAdmission)
 		return
 	}
@@ -157,9 +157,9 @@ func (c *QDLP) set(key, value uint64, e *kvEntry) {
 // admit handles the first touch of a key the shard does not remember.
 // Size-aware admission: an object too large for its probation share is
 // demoted to the ghost without ever holding bytes.
-func (c *QDLP) admit(s *shard, key, value uint64, cost int64, e *kvEntry) {
+func (c *QDLP) admit(s *shard, key, value uint64, cost int64, e entry) {
 	if cost > s.admitMax {
-		discard(e)
+		e.free()
 		if s.ghostRoom(c) {
 			s.slotRoom(c)
 			n := s.idx.Insert(key)
@@ -179,13 +179,13 @@ func (c *QDLP) admit(s *shard, key, value uint64, cost int64, e *kvEntry) {
 
 // overwrite updates a resident object in place and rebalances its region.
 // A cost that no longer fits the region at all drops the object.
-func (c *QDLP) overwrite(s *shard, n int32, v *slot, value uint64, e *kvEntry) {
+func (c *QDLP) overwrite(s *shard, n int32, v *slot, value uint64, e entry) {
 	if c.cost(value) > s.region(v).max {
-		discard(e)
+		e.free()
 		s.drop(&c.base, n, obs.ReasonSizeAdmission)
 		return
 	}
-	s.overwrite(&c.base, v, value, e)
+	s.overwrite(&c.base, n, v, value, e)
 	c.touch(s, n, v)
 	for s.main.used > s.main.max {
 		evictClock(s, &c.base)

@@ -25,9 +25,9 @@ func newSieve(cfg config) (Cache, error) {
 }
 
 // Set implements Cache.
-func (c *Sieve) Set(key, value uint64) { c.set(key, value, nil) }
+func (c *Sieve) Set(key, value uint64) { c.set(key, value, entry{}) }
 
-func (c *Sieve) set(key, value uint64, e *kvEntry) { c.setQueue(key, value, e, evictSieve) }
+func (c *Sieve) set(key, value uint64, e entry) { c.setQueue(key, value, e, evictSieve) }
 
 // evictSieve runs the SIEVE sweep from the retained hand toward the head
 // (newer objects), sparing visited objects (recorded as lazy promotions

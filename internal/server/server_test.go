@@ -325,6 +325,12 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	if _, err := io.WriteString(c, b.String()); err != nil {
 		t.Fatal(err)
 	}
+	// A connection the accept loop has not yet registered when Shutdown
+	// starts is turned away, so wait until it is registered: the drain
+	// under test is of an in-flight burst, not of that race.
+	for srv.counters.CurrConns.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
 
 	// Shut down while the burst is (very likely) mid-flight.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -5,8 +5,13 @@
 // the coarsest level whose slot width still resolves it, and cascades
 // down one level each time the wheel's clock crosses that level's slot
 // boundary. Schedule, Remove, and Advance are all O(1) amortized — no
-// heap, no per-tick scan of pending timers, no allocation (nodes are
-// intrusive and owned by the caller).
+// heap, no per-tick scan of pending timers.
+//
+// Timers are named by int32 handles in [1, 2^30) the caller chooses — a cache
+// shard uses its slab slot numbers — and linked by handle in a slice the
+// wheel owns, so the wheel holds no pointer into the caller's memory and
+// the caller may move or copy whatever the handle names. The slice grows
+// to the largest handle ever scheduled and then allocates no more.
 //
 // The wheel is NOT thread-safe: the caller serializes access, typically
 // by embedding one wheel per cache shard and advancing it under that
@@ -25,45 +30,33 @@ const (
 	// range, so arbitrarily long TTLs still fire — just with extra
 	// (cheap) relink work every ~194 days.
 	maxSpan = int64(1) << (levels * slotBits)
+
+	// lists is the number of slot lists. Node 1+l is the sentinel of list l
+	// (level l/numSlots, slot l%numSlots), handle h is node lists+h, and
+	// node 0 stands for "on no list".
+	lists = levels * numSlots
 )
 
-// Node is one scheduled expiry, embedded by value in the caller's entry
-// struct so scheduling never allocates. Key carries the caller's handle
-// (the cache key digest) back through Advance's callback. A zero Node is
-// ready to use.
-type Node struct {
-	Key      uint64
-	expireAt int64
-	prev     *Node
-	next     *Node
+// node is one timer or one list's sentinel. Lists are circular through
+// their sentinel, so unlinking needs no list lookup.
+type node struct {
+	at         int64 // deadline; unused in sentinels
+	prev, next int32 // 0 when the timer is not armed
 }
-
-// ExpireAt returns the deadline the node was last scheduled for, in the
-// wheel's tick units (unix seconds for the cache), or 0 if never
-// scheduled.
-func (n *Node) ExpireAt() int64 { return n.expireAt }
-
-// linked reports whether the node is currently on a wheel slot list.
-func (n *Node) linked() bool { return n.next != nil }
 
 // Wheel is a hierarchical timer wheel. The zero value is unusable; use
 // New.
 type Wheel struct {
-	now   int64 // current tick (unix seconds); timers fire when now >= expireAt
+	now   int64 // current tick (unix seconds); timers fire when now >= at
 	count int
-	// slots[l][i] is a circular list threaded through its sentinel, so
-	// unlink needs no slot lookup.
-	slots [levels][numSlots]Node
+	nodes []node // sentinels, then one node per handle up to the largest scheduled
 }
 
 // New returns a wheel whose clock starts at now (unix seconds).
 func New(now int64) *Wheel {
-	w := &Wheel{now: now}
-	for l := range w.slots {
-		for i := range w.slots[l] {
-			s := &w.slots[l][i]
-			s.prev, s.next = s, s
-		}
+	w := &Wheel{now: now, nodes: make([]node, 1+lists)}
+	for i := int32(1); i <= lists; i++ {
+		w.nodes[i].prev, w.nodes[i].next = i, i
 	}
 	return w
 }
@@ -74,35 +67,63 @@ func (w *Wheel) Now() int64 { return w.now }
 // Len returns the number of scheduled timers.
 func (w *Wheel) Len() int { return w.count }
 
-// Schedule (re)arms n to fire at expireAt. A deadline at or before the
-// current tick fires on the next Advance. Scheduling an already-linked
-// node moves it.
-func (w *Wheel) Schedule(n *Node, expireAt int64) {
-	if n.linked() {
-		w.unlink(n)
+// maxHandle bounds the handles a wheel accepts (a slab's slot numbers stay
+// below it), so that no node index overflows.
+const maxHandle = 1<<30 - 1
+
+// handleNode returns handle h's node index, which may lie past the slice.
+func handleNode(h int32) int32 {
+	if h <= 0 || h > maxHandle {
+		panic("ttlwheel: handle outside [1, 2^30)")
+	}
+	return lists + h
+}
+
+// armed reports whether node i is on a slot list.
+func (w *Wheel) armed(i int32) bool {
+	return int(i) < len(w.nodes) && w.nodes[i].next != 0
+}
+
+// ExpireAt reports the deadline h is armed for, in the wheel's tick units
+// (unix seconds for the cache), and whether it is armed at all.
+func (w *Wheel) ExpireAt(h int32) (int64, bool) {
+	i := handleNode(h)
+	if !w.armed(i) {
+		return 0, false
+	}
+	return w.nodes[i].at, true
+}
+
+// Schedule (re)arms h to fire at at. A deadline at or before the current
+// tick fires on the next Advance. Scheduling an armed handle moves it.
+func (w *Wheel) Schedule(h int32, at int64) {
+	i := handleNode(h)
+	if int(i) >= len(w.nodes) {
+		w.nodes = append(w.nodes, make([]node, max(int(i)+1, 2*len(w.nodes))-len(w.nodes))...)
+	}
+	if w.nodes[i].next != 0 {
+		w.unlink(i)
+	} else {
+		w.count++
+	}
+	w.nodes[i].at = at
+	w.link(i)
+}
+
+// Remove disarms h if it is armed. Safe to call on an unarmed handle.
+func (w *Wheel) Remove(h int32) {
+	if i := handleNode(h); w.armed(i) {
+		w.unlink(i)
 		w.count--
 	}
-	n.expireAt = expireAt
-	w.link(n)
-	w.count++
 }
 
-// Remove disarms n if it is scheduled. Safe to call on an unscheduled
-// node.
-func (w *Wheel) Remove(n *Node) {
-	if !n.linked() {
-		return
-	}
-	w.unlink(n)
-	w.count--
-}
-
-// link places n in the coarsest level whose resolution still separates
-// n's deadline from the current tick. Slot indexing uses the deadline's
-// own digits (hashed wheel), so no per-level cursor state is needed:
-// level l's slot for time t is bits [l*6, l*6+6) of t.
-func (w *Wheel) link(n *Node) {
-	at := n.expireAt
+// link places node i in the coarsest level whose resolution still
+// separates its deadline from the current tick. Slot indexing uses the
+// deadline's own digits (hashed wheel), so no per-level cursor state is
+// needed: level l's slot for time t is bits [l*6, l*6+6) of t.
+func (w *Wheel) link(i int32) {
+	at := w.nodes[i].at
 	if at <= w.now {
 		at = w.now + 1 // already due: fire on the next tick
 	}
@@ -114,31 +135,36 @@ func (w *Wheel) link(n *Node) {
 	for lvl < levels-1 && d >= int64(1)<<uint((lvl+1)*slotBits) {
 		lvl++
 	}
-	idx := (at >> uint(lvl*slotBits)) & (numSlots - 1)
-	head := &w.slots[lvl][idx]
-	n.prev = head.prev
-	n.next = head
-	head.prev.next = n
-	head.prev = n
+	head := sentinel(lvl, at>>uint(lvl*slotBits))
+	tail := w.nodes[head].prev
+	w.nodes[i].prev, w.nodes[i].next = tail, head
+	w.nodes[tail].next = i
+	w.nodes[head].prev = i
 }
 
-func (w *Wheel) unlink(n *Node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
+// sentinel returns the sentinel node of level lvl's slot for digit t.
+func sentinel(lvl int, t int64) int32 {
+	return 1 + int32(lvl*numSlots) + int32(t&(numSlots-1))
+}
+
+func (w *Wheel) unlink(i int32) {
+	n := &w.nodes[i]
+	w.nodes[n.prev].next = n.next
+	w.nodes[n.next].prev = n.prev
+	n.prev, n.next = 0, 0
 }
 
 // Advance moves the clock to now, one tick at a time, calling expire for
 // every timer whose deadline has arrived and returning how many fired.
-// Expired nodes are unlinked before the callback runs, so the callback
-// may immediately reschedule them. Advancing to a past or current tick
-// is a no-op.
-func (w *Wheel) Advance(now int64, expire func(key uint64)) int {
+// Expired handles are disarmed before the callback runs, so the callback
+// may reschedule them, or schedule or remove any other handle. Advancing
+// to a past or current tick is a no-op.
+func (w *Wheel) Advance(now int64, expire func(h int32)) int {
 	fired := 0
 	for w.now < now {
 		w.now++
 		t := w.now
-		fired += w.expireSlot(&w.slots[0][t&(numSlots-1)], expire)
+		fired += w.expireSlot(sentinel(0, t), expire)
 		// When the tick crosses a level-l slot boundary (its low l*6 bits
 		// just wrapped to zero), that level's current slot covers the
 		// window starting now: cascade its timers down.
@@ -146,8 +172,7 @@ func (w *Wheel) Advance(now int64, expire func(key uint64)) int {
 			if t&(int64(1)<<uint(l*slotBits)-1) != 0 {
 				break
 			}
-			idx := (t >> uint(l*slotBits)) & (numSlots - 1)
-			fired += w.cascade(&w.slots[l][idx], expire)
+			fired += w.cascade(sentinel(l, t>>uint(l*slotBits)), expire)
 		}
 	}
 	return fired
@@ -156,14 +181,14 @@ func (w *Wheel) Advance(now int64, expire func(key uint64)) int {
 // expireSlot fires every timer in a level-0 slot. Timers here were
 // placed within 64 ticks of their deadline, so landing on the slot means
 // the deadline has arrived.
-func (w *Wheel) expireSlot(head *Node, expire func(key uint64)) int {
+func (w *Wheel) expireSlot(head int32, expire func(h int32)) int {
 	fired := 0
-	for head.next != head {
-		n := head.next
-		w.unlink(n)
+	for w.nodes[head].next != head {
+		i := w.nodes[head].next
+		w.unlink(i)
 		w.count--
 		fired++
-		expire(n.Key)
+		expire(i - lists)
 	}
 	return fired
 }
@@ -171,18 +196,18 @@ func (w *Wheel) expireSlot(head *Node, expire func(key uint64)) int {
 // cascade relinks a higher-level slot's timers relative to the new
 // current tick: due timers fire, the rest drop to a finer level (or stay
 // parked at the horizon).
-func (w *Wheel) cascade(head *Node, expire func(key uint64)) int {
+func (w *Wheel) cascade(head int32, expire func(h int32)) int {
 	fired := 0
-	for head.next != head {
-		n := head.next
-		w.unlink(n)
-		if n.expireAt <= w.now {
+	for w.nodes[head].next != head {
+		i := w.nodes[head].next
+		w.unlink(i)
+		if w.nodes[i].at <= w.now {
 			w.count--
 			fired++
-			expire(n.Key)
+			expire(i - lists)
 			continue
 		}
-		w.link(n)
+		w.link(i)
 	}
 	return fired
 }

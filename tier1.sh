@@ -50,6 +50,8 @@ phase 'go test ./... (benchmark/: a nested module root go test skips, built agai
 (cd benchmark && go test ./...)
 phase 'go test -race (concurrent incl. the KV model test and hammer + server + obs + chaos + cluster)'
 go test -race ./internal/concurrent/... ./internal/server/... ./internal/obs/... ./internal/chaos/... ./internal/cluster/...
+phase 'flake guard (graceful drain, 10 runs under -race: it once failed 1 run in 25-300)'
+go test -race -count=10 -run 'TestServerGracefulShutdownDrains$' ./internal/server/
 phase 'alloc guard (tracing disabled = 0 allocs, sampling on <= 1, ring lookup = 0)'
 go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAllocsWithSampling|TestServerGetHitPathZeroAllocsWithMRCSampling' ./internal/server/
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
