@@ -62,9 +62,7 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "close idle connections after this long (armed lazily: no earlier than this, no later than 1.25x)")
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "close connections whose reads stall a response flush this long (armed lazily: no earlier than this, no later than 1.25x)")
 		maxItemSize = flag.Int("max-item-size", server.DefaultMaxValueLen, "max value size in bytes")
-		listeners   = flag.Int("listeners", 0, "SO_REUSEPORT listeners, one accept loop and shard partition each (0 = GOMAXPROCS)")
-		pinShards   = flag.Bool("pin-shards", false, "pin each connection handler's OS thread to its partition's core (Linux; costs a thread per connection)")
-		batchIO     = flag.Bool("batch-io", true, "merge pipelined gets into shard-batched lookups and flush responses with writev")
+		listeners   = flag.Int("listeners", 0, "SO_REUSEPORT listeners, one accept loop each, spreading accepted connections (0 = GOMAXPROCS)")
 		adminAddr   = flag.String("admin-addr", "", "optional HTTP admin address (/metrics, /healthz, /debug/vars, /debug/events, /debug/trace, /debug/mrc, /debug/series, /debug/pprof)")
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
 		logLevel    = flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -208,8 +206,6 @@ func main() {
 		TraceSample:  *traceSample,
 		SlowRequest:  slow,
 		Listeners:    *listeners,
-		PinShards:    *pinShards,
-		NoBatch:      !*batchIO,
 		MRC:          mrcOnline,
 		TargetP99:    *targetP99,
 		MaxInflight:  *maxInflight,

@@ -38,8 +38,8 @@ func walkKV(t *testing.T, kv *KV) map[uint64]entry {
 				if got := uint64(EntryCost(len(v.e.key()), len(v.e.value()))); v.value != got {
 					t.Fatalf("shard %d: %#x accounted at %d, its object costs %d", i, id, v.value, got)
 				}
-				if kv.DataShardIndex(id) != i {
-					t.Fatalf("%#x sits in shard %d, maps to %d", id, i, kv.DataShardIndex(id))
+				if got := hash(id) & kv.b.mask; got != uint64(i) {
+					t.Fatalf("%#x sits in shard %d, maps to %d", id, i, got)
 				}
 				at, ok := s.wheel.ExpireAt(n)
 				if ok != (v.e.expireAt > 0) || at != v.e.expireAt {

@@ -128,16 +128,16 @@ func TestKVShardStatsTally(t *testing.T) {
 			kv := NewKV(inner, 4)
 			now := time.Now().Unix() + 1
 			kv.AdvanceTTL(now)
-			hits, misses := make([]int64, kv.NumDataShards()), make([]int64, kv.NumDataShards())
+			hits, misses := make([]int64, len(kv.b.shards)), make([]int64, len(kv.b.shards))
 			var sets, expired int64
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 5000; i++ {
 				key := []byte(fmt.Sprintf("tally-%03d", rng.Intn(200)))
 				id := Digest(key)
 				if _, _, _, ok := kv.GetDigest(nil, key, id); ok {
-					hits[kv.DataShardIndex(id)]++
+					hits[hash(id)&kv.b.mask]++
 				} else {
-					misses[kv.DataShardIndex(id)]++
+					misses[hash(id)&kv.b.mask]++
 					var at int64
 					if i%5 == 0 {
 						at = now + 1

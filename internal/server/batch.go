@@ -12,14 +12,13 @@ import (
 	"repro/internal/overload"
 )
 
-// Batched request/response I/O. The legacy data plane answered each
-// pipelined request by copying its response into a bufio.Writer; this file
-// replaces that with two amortizations:
+// Batched request/response I/O, the server's one data path. Two
+// amortizations:
 //
-//   - connBatch accumulates consecutive pipelined get/gets requests that
-//     are already fully buffered and dispatches them as ONE shard-batched
-//     GetMulti across the whole run, so each data shard's lock is taken
-//     once per pipelined batch instead of once per request.
+//   - connBatch accumulates consecutive pipelined get/gets requests and
+//     dispatches them as ONE shard-batched GetMulti across the whole run,
+//     so each data shard's lock is taken once per pipelined batch instead
+//     of once per request.
 //   - multiBuf assembles the responses as an iovec list (net.Buffers):
 //     headers and small values accumulate in pooled 64 KiB chunks, large
 //     values are queued as references into the GetMulti arena with no
@@ -27,14 +26,14 @@ import (
 //
 // Both are safe under the parser's aliasing rules: a get request's keys
 // point into the bufio.Reader's buffer, which is only compacted when the
-// reader refills from the socket — and the accumulator only parses a
-// request when its complete command line is already buffered (so no refill
-// can happen), and dispatches everything pending before any code path that
-// might refill (a set body read, a blocking parse, a wait for data).
+// reader refills from the socket. The accumulator only parses a request
+// when its complete command line is already buffered (so no refill can
+// happen); a get that needed a refill is parsed into an empty batch; and
+// everything pending is dispatched before any code path that might refill
+// (a set body read, a blocking parse, a wait for data).
 
 const (
-	// batchChunkSize is the multiBuf chunk size; matches the legacy write
-	// buffer so the two paths have comparable memory per connection.
+	// batchChunkSize is the multiBuf chunk size.
 	batchChunkSize = writeBufSize
 	// iovRefMin is the value size at which batched assembly stops copying
 	// the value into the chunk and queues it as its own iovec entry
@@ -230,15 +229,6 @@ func (m *multiBuf) Flush() error {
 	return m.err
 }
 
-// connWriter is what the connection loop needs from its response sink:
-// dispatch-facing respWriter plus the flush/buffered surface both
-// *bufio.Writer and *multiBuf provide.
-type connWriter interface {
-	respWriter
-	Flush() error
-	Buffered() int
-}
-
 // connBatch accumulates consecutive pipelined get/gets requests for one
 // merged shard-batched dispatch. Each pending request owns a Request slot
 // (so its keys, which alias the read buffer, survive until dispatch) and a
@@ -265,6 +255,14 @@ func newConnBatch() *connBatch {
 // full reports whether the next get must wait for a dispatch first.
 func (b *connBatch) full() bool {
 	return b.n == len(b.reqs) || b.nkeys+MaxKeysPerGet > maxBatchKeys
+}
+
+// push makes the get just parsed into the next free slot pending, stamped
+// with its parse start.
+func (b *connBatch) push(start time.Time) {
+	b.starts[b.n] = start
+	b.nkeys += len(b.reqs[b.n].Keys)
+	b.n++
 }
 
 var getPrefix = []byte("get")
@@ -306,13 +304,10 @@ func (s *Server) tryBatchParse(br *bufio.Reader, bt *connBatch, tr *connTracer) 
 		return false, nil
 	}
 	pStart := tr.begin()
-	req := &bt.reqs[bt.n]
-	if err := ParseRequest(br, req, s.cfg.MaxValueLen); err != nil {
+	if err := ParseRequest(br, &bt.reqs[bt.n], s.cfg.MaxValueLen); err != nil {
 		return false, err
 	}
-	bt.starts[bt.n] = pStart
-	bt.n++
-	bt.nkeys += len(req.Keys)
+	bt.push(pStart)
 	return true, nil
 }
 
@@ -321,8 +316,8 @@ func (s *Server) tryBatchParse(br *bufio.Reader, bt *connBatch, tr *connTracer) 
 // merged into one GetMulti covering the whole batch, with large values
 // delivered as iovec references into the arena (no copy between the shard
 // map and the socket).
-func (s *Server) dispatchPending(mb *multiBuf, bt *connBatch, tr *connTracer, part int) {
-	if bt == nil || bt.n == 0 {
+func (s *Server) dispatchPending(mb *multiBuf, bt *connBatch, tr *connTracer) {
+	if bt.n == 0 {
 		return
 	}
 	n := bt.n
@@ -338,7 +333,7 @@ func (s *Server) dispatchPending(mb *multiBuf, bt *connBatch, tr *connTracer, pa
 	}
 	if n == 1 && len(bt.reqs[0].Keys) == 1 {
 		req := &bt.reqs[0]
-		s.dispatch(mb, req, part)
+		s.dispatch(mb, req)
 		s.finishBatched(bt, 0, 1, start, tr)
 		return
 	}
@@ -380,7 +375,6 @@ func (s *Server) dispatchPending(mb *multiBuf, bt *connBatch, tr *connTracer, pa
 	}
 	mb.vals = s.cfg.Store.GetMulti(mb.vals, keys, ids, hits)
 	s.counters.Gets.Add(int64(nkeys))
-	s.countLocality(part, ids)
 
 	k := 0
 	for i := 0; i < n; i++ {

@@ -93,9 +93,15 @@ func TestServerNoopVersion(t *testing.T) {
 // orderingScript builds a deterministic pipelined workload that hits every
 // batching barrier: consecutive get runs (merged), sets and deletes between
 // them (barriers), multi-key gets, values straddling the iovec-reference
-// threshold, protocol errors mid-burst, and noop delimiters. It ends with a
-// final noop so the reader knows when the response stream is complete.
-func orderingScript() []byte {
+// threshold, protocol errors mid-burst, and noop delimiters. Right after
+// the first sets a multi-key get follows a run of pipelined gets and
+// precedes a set; split is an offset in the middle of one of its keys,
+// where the client breaks its write in two. The line reaches the server
+// incomplete, and the refill that completes it brings the rest of the
+// script over the buffer bytes the pending gets' keys point into. The
+// script ends with a noop so the reader knows when the response stream is
+// complete.
+func orderingScript() (script []byte, split int) {
 	var b bytes.Buffer
 	rng := rand.New(rand.NewSource(99))
 	val := func(n int) string {
@@ -111,6 +117,11 @@ func orderingScript() []byte {
 		v := val(sizes[i%len(sizes)])
 		b.WriteString("set " + k + " 0 0 " + itoa(len(v)) + "\r\n" + v + "\r\n")
 	}
+	b.WriteString("get alpha\r\ngets bravo charlie\r\nget delta\r\n")
+	multi := "gets " + strings.Join(keys, " ") + " nope\r\n"
+	split = b.Len() + strings.Index(multi, "echo") + 2
+	b.WriteString(multi)
+	b.WriteString("set echo 7 0 3\r\nnew\r\nget echo alpha\r\n")
 	for round := 0; round < 30; round++ {
 		// A run of consecutive gets — the merged-dispatch fodder.
 		for j := 0; j < 8; j++ {
@@ -142,20 +153,19 @@ func orderingScript() []byte {
 		}
 	}
 	b.WriteString("noop\r\n")
-	return b.Bytes()
+	return b.Bytes(), split
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
-// runOrderingWorkload plays script through a chaos proxy (every write
-// fragmented, latency jitter) against a server with or without batching,
-// returning the complete response stream.
-func runOrderingWorkload(t *testing.T, noBatch bool, script []byte) ([]byte, *Server) {
-	t.Helper()
-	srv, addr := startServer(t, func(c *Config) {
-		c.NoBatch = noBatch
-		c.WriteTimeout = 10 * time.Second
-	})
+// TestBatchedOrderingUnderChaos is the batching correctness capstone: a
+// pipelined workload, fragmented and delayed by the chaos proxy, must
+// produce byte for byte the response stream of the sequential protocol
+// model. Batching may only change how responses are delivered, never what
+// or in what order.
+func TestBatchedOrderingUnderChaos(t *testing.T) {
+	script, split := orderingScript()
+	srv, addr := startServer(t, func(c *Config) { c.WriteTimeout = 10 * time.Second })
 	proxy, err := chaos.NewProxy("", addr, chaos.Config{
 		Seed:        13,
 		PartialProb: 1, // fragment every write, both directions
@@ -172,7 +182,11 @@ func runOrderingWorkload(t *testing.T, noBatch bool, script []byte) ([]byte, *Se
 	}
 	defer c.Close()
 	go func() {
-		c.Write(script)
+		// The pause lets the server read the first part alone, so the line
+		// cut at split arrives incomplete behind a run of pending gets.
+		c.Write(script[:split])
+		time.Sleep(20 * time.Millisecond)
+		c.Write(script[split:])
 	}()
 	c.SetReadDeadline(time.Now().Add(30 * time.Second))
 	var resp bytes.Buffer
@@ -184,103 +198,113 @@ func runOrderingWorkload(t *testing.T, noBatch bool, script []byte) ([]byte, *Se
 			t.Fatalf("read after %d bytes: %v", resp.Len(), err)
 		}
 	}
-	return resp.Bytes(), srv
+	firstDiff(t, resp.Bytes(), newProtoModel().run(t, script))
+	if srv.Counters().Batches.Load() == 0 {
+		t.Fatal("server never merged a dispatch (batching not engaged)")
+	}
+	if srv.Counters().Flushes.Load() == 0 {
+		t.Fatal("flush counter never moved")
+	}
 }
 
-// TestBatchedOrderingUnderChaos is the batching correctness capstone: the
-// same pipelined workload, fragmented and delayed by the chaos proxy, must
-// produce a byte-for-byte identical response stream from the batched
-// writev path and the legacy per-request path — batching may only change
-// how responses are delivered, never what or in what order.
-func TestBatchedOrderingUnderChaos(t *testing.T) {
-	script := orderingScript()
-	batched, bsrv := runOrderingWorkload(t, false, script)
-	legacy, lsrv := runOrderingWorkload(t, true, script)
-	if !bytes.Equal(batched, legacy) {
-		i := 0
-		for i < len(batched) && i < len(legacy) && batched[i] == legacy[i] {
-			i++
-		}
-		lo := i - 50
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("response streams diverge at byte %d:\nbatched: %q\nlegacy:  %q",
-			i, batched[lo:min(i+50, len(batched))], legacy[lo:min(i+50, len(legacy))])
+// splitReader yields its payload in two reads, the first ending at split,
+// so the line straddling split reaches the parser incomplete.
+type splitReader struct {
+	payload    []byte
+	split, off int
+}
+
+func (r *splitReader) Read(p []byte) (int, error) {
+	if r.off == len(r.payload) {
+		return 0, io.EOF
 	}
-	if bsrv.Counters().Batches.Load() == 0 {
-		t.Fatal("batched server never merged a dispatch (batching not engaged)")
+	end := len(r.payload)
+	if r.off < r.split {
+		end = r.split
 	}
-	if lsrv.Counters().Batches.Load() != 0 {
-		t.Fatal("NoBatch server recorded merged dispatches")
-	}
-	if bsrv.Counters().Flushes.Load() == 0 || lsrv.Counters().Flushes.Load() == 0 {
-		t.Fatal("flush counters never moved")
-	}
+	n := copy(p, r.payload[r.off:end])
+	r.off += n
+	return n, nil
 }
 
 // TestServerBatchedPipelineZeroAllocs is the batched twin of the
 // single-dispatch alloc guards: a pipelined burst of gets accumulated,
 // merged, assembled, and flushed must not allocate in steady state — the
-// batching layer may not give back what the zero-copy hit path won.
+// batching layer may not give back what the zero-copy hit path won. The
+// burst runs through serveRequest exactly as the connection loop drives it
+// and includes both ways a get reaches the batch without the accumulator:
+// the 65th request finds the batch full, and a 16-key get arrives split
+// mid-key across two reads. Its response stream must equal the model's.
 func TestServerBatchedPipelineZeroAllocs(t *testing.T) {
 	inner, err := concurrent.New("qdlp", 1024, concurrent.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := concurrent.NewKV(inner, 4)
-	s, err := New(Config{Store: kv})
+	s, err := New(Config{Store: concurrent.NewKV(inner, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := bytes.Repeat([]byte("s"), 40)   // copied into the chunk
-	large := bytes.Repeat([]byte("L"), 1024) // queued as an iovec reference
-	kv.SetDigest([]byte("k1"), small, 0, concurrent.Digest([]byte("k1")), 0)
-	kv.SetDigest([]byte("k2"), large, 0, concurrent.Digest([]byte("k2")), 0)
-	kv.SetDigest([]byte("k3"), small, 0, concurrent.Digest([]byte("k3")), 0)
-	payload := []byte(strings.Repeat("get k1\r\nget k2 k3\r\ngets k3\r\n", 8))
+	small := strings.Repeat("s", 40)   // copied into the chunk
+	large := strings.Repeat("L", 1024) // queued as an iovec reference
+	var setup strings.Builder
+	for _, kv := range [][2]string{{"k1", small}, {"k2", large}, {"k3", small}} {
+		setup.WriteString("set " + kv[0] + " 0 0 " + itoa(len(kv[1])) + "\r\n" + kv[1] + "\r\n")
+	}
+	multi := "get"
+	for i := 0; i < 16; i++ {
+		k := "m" + itoa(i)
+		setup.WriteString("set " + k + " " + itoa(i) + " 0 2\r\nv" + itoa(i%10) + "\r\n")
+		multi += " " + k
+	}
+	multi += "\r\n"
+	burst := strings.Repeat("get k1\r\nget k2 k3\r\ngets k3\r\n", 24) // 72 requests
+	payload := []byte(burst + multi + burst)
+	split := len(burst) + strings.Index(multi, "m7") + 1
 
-	r := bytes.NewReader(payload)
-	br := bufio.NewReaderSize(r, readBufSize)
-	mb := newMultiBuf(io.Discard, &s.counters.Flushes)
+	var got bytes.Buffer
+	mb := newMultiBuf(&got, &s.counters.Flushes)
 	bt := newConnBatch()
 	tr := s.newConnTracer()
-	run := func() {
-		r.Seek(0, io.SeekStart)
-		br.Reset(r)
-		if _, err := br.Peek(len(payload)); err != nil {
-			t.Fatal(err)
-		}
+	src := &splitReader{}
+	br := bufio.NewReaderSize(src, readBufSize)
+	serve := func(script []byte, split int) {
+		*src = splitReader{payload: script, split: split}
+		br.Reset(src)
+		got.Reset()
 		for {
-			handled, err := s.tryBatchParse(br, bt, &tr)
-			if err != nil {
-				t.Fatal(err)
+			if br.Buffered() == 0 {
+				s.dispatchPending(mb, bt, &tr)
+				if _, err := br.Peek(1); err != nil {
+					break
+				}
 			}
-			if !handled {
-				break
-			}
-			if bt.full() {
-				s.dispatchPending(mb, bt, &tr, 0)
+			if !s.serveRequest(br, mb, bt, &tr) {
+				t.Fatal("connection closed")
 			}
 		}
-		s.dispatchPending(mb, bt, &tr, 0)
 		if err := mb.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm pools and scratch buffers
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+	serve([]byte(setup.String()), 0)
+	m := newProtoModel()
+	m.run(t, []byte(setup.String()))
+	serve(payload, split) // warm pools and scratch buffers
+	firstDiff(t, got.Bytes(), m.run(t, payload))
+	if allocs := testing.AllocsPerRun(50, func() { serve(payload, split) }); allocs != 0 {
 		t.Fatalf("batched pipelined get path allocates %.1f times per burst, want 0", allocs)
 	}
 	if s.counters.Batches.Load() == 0 || s.counters.BatchedReqs.Load() == 0 {
 		t.Fatal("merged dispatch counters never moved")
 	}
+	if n := s.counters.GetMisses.Load(); n != 0 {
+		t.Fatalf("unexpected misses: %d", n)
+	}
 }
 
 // TestServerMultiListener serves through ListenAndServe with two
-// SO_REUSEPORT listeners and checks the partition plumbing: traffic lands,
-// locality is accounted (local + cross == keys served), and shutdown
-// drains every accept loop.
+// SO_REUSEPORT listeners: both accept loops run, traffic lands, and
+// shutdown drains every accept loop.
 func TestServerMultiListener(t *testing.T) {
 	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
@@ -302,7 +326,9 @@ func TestServerMultiListener(t *testing.T) {
 	}
 	addr := srv.Addr().String()
 
-	var keyOps int64
+	if n := srv.numListeners(); n != 2 {
+		t.Fatalf("serving on %d listeners, want 2", n)
+	}
 	for i := 0; i < 3; i++ {
 		rc := dialRaw(t, addr)
 		for j := 0; j < 16; j++ {
@@ -313,15 +339,10 @@ func TestServerMultiListener(t *testing.T) {
 			rc.expect("VALUE " + k + " 0 2")
 			rc.expect("vv")
 			rc.expect("END")
-			keyOps += 2 // one set key + one get key
 		}
 	}
-	local, cross := srv.Counters().LocalOps.Load(), srv.Counters().CrossCoreOps.Load()
-	if local+cross != keyOps {
-		t.Fatalf("locality accounting: local %d + cross %d != %d key ops", local, cross, keyOps)
-	}
-	if local == 0 || cross == 0 {
-		t.Fatalf("expected both partitions hit: local %d, cross %d", local, cross)
+	if hits := srv.Counters().GetHits.Load(); hits != 48 {
+		t.Fatalf("%d get hits, want 48", hits)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/concurrent"
 	"repro/internal/overload"
 )
 
@@ -65,12 +64,7 @@ func (s *Server) waitData(dl *lazyDeadlines, br *bufio.Reader) error {
 // deadline. A deadline miss means a reader that stopped draining while the
 // server holds its responses in memory; the slow client is counted and its
 // connection closed (by the caller, via the returned error).
-func (s *Server) flushOut(dl *lazyDeadlines, out connWriter) error {
-	if _, legacy := out.(*bufio.Writer); legacy && out.Buffered() > 0 {
-		// multiBuf counts its own writevs (including intra-batch
-		// auto-flushes); the legacy buffered writer is counted here.
-		s.counters.Flushes.Add(1)
-	}
+func (s *Server) flushOut(dl *lazyDeadlines, out *multiBuf) error {
 	dl.armWrite()
 	err := out.Flush()
 	if err != nil {
@@ -86,25 +80,21 @@ func (s *Server) flushOut(dl *lazyDeadlines, out connWriter) error {
 	return err
 }
 
-// handleConn runs one connection's request loop. part is the index of the
-// listener that accepted the connection — the shard partition whose locks
-// this connection's traffic is expected to stay on.
+// handleConn runs one connection's request loop.
 //
-// Responses accumulate in the connection's writer (the batched multiBuf,
-// or a bufio.Writer with Config.NoBatch) and are delivered only when no
-// further pipelined request is already buffered — the flush-batching that
-// makes request bursts cost one syscall each way instead of one per
-// request. In batched mode, consecutive fully-buffered get/gets requests
-// additionally accumulate in a connBatch and are serviced as one merged
-// shard-batched lookup; any other command — or any line not yet fully
-// buffered — is a barrier that dispatches the pending run first, so
-// responses always come back in request order.
+// Responses accumulate in the connection's multiBuf and are delivered, in
+// one writev, only when no further pipelined request is already buffered —
+// the flush-batching that makes request bursts cost one syscall each way
+// instead of one per request. Every get/gets waits in the connection's
+// connBatch, and consecutive ones are serviced as one merged shard-batched
+// lookup; any other command is a barrier that dispatches the pending run
+// first, so responses always come back in request order.
 //
 // A panic anywhere below — a store bug, a parser edge the fuzzer missed —
 // is confined to this connection: it is counted, logged with its stack,
 // and the deferred cleanup closes only this conn while the rest of the
 // server keeps serving.
-func (s *Server) handleConn(nc net.Conn, part int) {
+func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.removeConn(nc)
@@ -119,31 +109,14 @@ func (s *Server) handleConn(nc net.Conn, part int) {
 				"stack", string(debug.Stack()))
 		}
 	}()
-	if s.cfg.PinShards {
-		// Opt-in hard affinity: the handler goroutine gets its own OS
-		// thread, bound to its partition's core. Costs one thread per
-		// connection; buys cache-resident shard locks.
-		runtime.LockOSThread()
-		pinToCore(part)
-		defer runtime.UnlockOSThread()
-	}
 	br := bufio.NewReaderSize(nc, readBufSize)
-	var out connWriter
-	var mb *multiBuf
-	var bt *connBatch
-	if s.cfg.NoBatch {
-		out = bufio.NewWriterSize(nc, writeBufSize)
-	} else {
-		mb = newMultiBuf(nc, &s.counters.Flushes)
-		bt = newConnBatch()
-		out = mb
-	}
+	out := newMultiBuf(nc, &s.counters.Flushes)
+	bt := newConnBatch()
 	tr := s.newConnTracer()
 	dl := newLazyDeadlines(nc, s.cfg.IdleTimeout, s.cfg.WriteTimeout)
-	var req Request
 	for {
 		if br.Buffered() == 0 {
-			s.dispatchPending(mb, bt, &tr, part)
+			s.dispatchPending(out, bt, &tr)
 			fs := tr.preFlush()
 			if err := s.flushOut(&dl, out); err != nil {
 				return
@@ -163,75 +136,87 @@ func (s *Server) handleConn(nc net.Conn, part int) {
 			dl.invalidateRead()
 		}
 		dl.armBoth()
-		if bt != nil {
-			handled, berr := s.tryBatchParse(br, bt, &tr)
-			if handled {
-				continue
-			}
-			if berr != nil {
-				// A complete get line that failed validation. Earlier
-				// pipelined responses must precede the error line.
-				s.dispatchPending(mb, bt, &tr, part)
-				s.counters.BadCommands.Add(1)
-				var cerr ClientError
-				if errors.As(berr, &cerr) {
-					writeClientError(out, string(cerr))
-					continue
-				}
-				writeServerError(out, "internal parse error")
-				s.flushOut(&dl, out)
-				return
-			}
-			// Not batchable (a mutation, an incomplete line, a full batch):
-			// the normal parse below may refill the read buffer, which would
-			// invalidate pending requests' keys — dispatch them first.
-			s.dispatchPending(mb, bt, &tr, part)
-		}
-		pStart := tr.begin()
-		err := ParseRequest(br, &req, s.cfg.MaxValueLen)
-		var cerr ClientError
-		switch {
-		case err == nil:
-			// Latency is measured around dispatch only: the parse above
-			// blocks on client bytes, so including it would measure the
-			// client's think time, not the server's service time. (Spans
-			// report the parse phase separately for the same reason.)
-			var start time.Time
-			if s.metrics != nil || tr.enabled() {
-				start = time.Now()
-			}
-			alive := s.dispatch(out, &req, part)
-			if m := s.metrics; m != nil && req.Op != OpInvalid {
-				m.requests[req.Op].Inc()
-				m.duration[req.Op].ObserveDuration(time.Since(start))
-			}
-			if tr.enabled() && req.Op != OpInvalid {
-				tr.observe(&req, pStart, start, time.Now())
-			}
-			if !alive {
-				fs := tr.preFlush()
-				s.flushOut(&dl, out)
-				tr.flushed(fs)
-				return
-			}
-		case errors.As(err, &cerr):
-			s.counters.BadCommands.Add(1)
-			writeClientError(out, string(cerr))
-		case errors.Is(err, ErrUnknownCommand):
-			s.counters.BadCommands.Add(1)
-			out.WriteString("ERROR\r\n")
-		case errors.Is(err, ErrValueTooLarge):
-			// The oversized body was not consumed: report and close.
-			s.counters.BadCommands.Add(1)
-			writeServerError(out, "object too large for cache")
+		if !s.serveRequest(br, out, bt, &tr) {
+			fs := tr.preFlush()
 			s.flushOut(&dl, out)
-			return
-		default:
-			// I/O error, a client that stalled mid-request, or client gone.
-			s.flushOut(&dl, out)
+			tr.flushed(fs)
 			return
 		}
 	}
+}
+
+// serveRequest takes the next request off br: a get joins the pending
+// batch, anything else is answered into out after the batch is. It
+// returns false when the connection must close once out is flushed: quit,
+// an oversized value (its body was not consumed), or an I/O error or
+// stall mid-request.
+func (s *Server) serveRequest(br *bufio.Reader, out *multiBuf, bt *connBatch, tr *connTracer) bool {
+	handled, berr := s.tryBatchParse(br, bt, tr)
+	if handled {
+		return true
+	}
+	// Not batchable (a mutation, an incomplete line, a full batch, a get
+	// line that failed validation): the parse below may refill the read
+	// buffer, which would invalidate pending requests' keys, and an error
+	// line must follow the responses before it — dispatch the pending run
+	// first. That leaves the batch empty.
+	s.dispatchPending(out, bt, tr)
+	if berr != nil {
+		s.counters.BadCommands.Add(1)
+		if cerr, ok := berr.(ClientError); ok {
+			writeClientError(out, string(cerr))
+			return true
+		}
+		writeServerError(out, "internal parse error")
+		return false
+	}
+	// The empty batch's first slot doubles as the connection's request.
+	req := &bt.reqs[0]
+	pStart := tr.begin()
+	err := ParseRequest(br, req, s.cfg.MaxValueLen)
+	// A type assertion, not errors.As: the parser returns ClientError
+	// unwrapped, and errors.As would move cerr to the heap on every request.
+	cerr, isClientErr := err.(ClientError)
+	switch {
+	case err == nil && (req.Op == OpGet || req.Op == OpGets):
+		// A get the accumulator declined (its line was not yet fully
+		// buffered, or the batch was full) becomes the first pending request
+		// of the next batch. Its keys alias the read buffer, which nothing
+		// refills before that batch is dispatched.
+		bt.push(pStart)
+	case err == nil:
+		// Latency is measured around dispatch only: the parse above blocks
+		// on client bytes, so including it would measure the client's think
+		// time, not the server's service time. (Spans report the parse phase
+		// separately for the same reason.)
+		var start time.Time
+		if s.metrics != nil || tr.enabled() {
+			start = time.Now()
+		}
+		alive := s.dispatch(out, req)
+		if m := s.metrics; m != nil {
+			m.requests[req.Op].Inc()
+			m.duration[req.Op].ObserveDuration(time.Since(start))
+		}
+		if tr.enabled() {
+			tr.observe(req, pStart, start, time.Now())
+		}
+		return alive
+	case isClientErr:
+		s.counters.BadCommands.Add(1)
+		writeClientError(out, string(cerr))
+	case errors.Is(err, ErrUnknownCommand):
+		s.counters.BadCommands.Add(1)
+		out.WriteString("ERROR\r\n")
+	case errors.Is(err, ErrValueTooLarge):
+		s.counters.BadCommands.Add(1)
+		writeServerError(out, "object too large for cache")
+		return false
+	default:
+		// I/O error, a client that stalled mid-request, or client gone.
+		return false
+	}
+	return true
 }
 
 // isDataOp reports whether op touches the store and is therefore subject
@@ -277,81 +262,46 @@ func writeShedReply(bw respWriter, req *Request, reason overload.ShedReason) {
 // release it with the observed service latency, which feeds the AIMD
 // adaptation. Refused requests answer with a shed reply instead of
 // queueing. With no limiter configured this is a direct call.
-func (s *Server) dispatch(bw respWriter, req *Request, part int) bool {
+func (s *Server) dispatch(bw respWriter, req *Request) bool {
 	if s.limiter == nil || !isDataOp(req.Op) {
-		return s.dispatchOp(bw, req, part)
+		return s.dispatchOp(bw, req)
 	}
 	if reason := s.limiter.Acquire(isWriteOp(req.Op)); reason != overload.ShedNone {
 		writeShedReply(bw, req, reason)
 		return true
 	}
 	start := time.Now()
-	alive := s.dispatchOp(bw, req, part)
+	alive := s.dispatchOp(bw, req)
 	s.limiter.Release(time.Since(start))
 	return alive
 }
 
-// dispatchOp executes one parsed request, writing the response. part is the
-// accepting listener's shard partition, used only for locality accounting.
-// It returns false when the connection should close (quit). Besides the
-// response it stamps req.outcome, which the connection tracer copies into
-// the request's span.
-func (s *Server) dispatchOp(bw respWriter, req *Request, part int) bool {
-	if len(req.Digests) > 0 {
-		s.countLocality(part, req.Digests)
-	}
+// dispatchOp executes one parsed request, writing the response. It returns
+// false when the connection should close (quit). Besides the response it
+// stamps req.outcome, which the connection tracer copies into the
+// request's span. A get or gets arrives here only with one key:
+// dispatchPending answers every other get through the merged lookup.
+func (s *Server) dispatchOp(bw respWriter, req *Request) bool {
 	req.outcome = OutcomeNone
 	switch req.Op {
 	case OpGet, OpGets:
-		withCAS := req.Op == OpGets
-		if len(req.Keys) == 1 {
-			// Single-key hit path is zero-copy: header and value are
-			// appended straight into the write buffer's available space, so
-			// the value bytes move shard map → socket buffer in one copy.
-			s.counters.Gets.Add(1)
-			hdr := appendGetHeader
-			if withCAS {
-				hdr = appendGetsHeader
-			}
-			out, vlen, ok := s.cfg.Store.AppendHit(bw.AvailableBuffer(), req.Keys[0], req.Digests[0], hdr)
-			if ok {
-				s.counters.GetHits.Add(1)
-				s.counters.BytesWritten.Add(int64(vlen))
-				req.outcome = OutcomeHit
-				bw.Write(append(out, '\r', '\n'))
-			} else {
-				s.counters.GetMisses.Add(1)
-				req.outcome = OutcomeMiss
-			}
-			writeEnd(bw)
-			return true
+		// The single-key hit path is zero-copy: header and value are
+		// appended straight into the write buffer's available space, so the
+		// value bytes move shard map → socket buffer in one copy.
+		s.counters.Gets.Add(1)
+		hdr := appendGetHeader
+		if req.Op == OpGets {
+			hdr = appendGetsHeader
 		}
-		// Pipelined multi-key gets are shard-batched: one lock acquisition
-		// per data shard per batch instead of one per key. Values land in a
-		// per-connection scratch buffer and stanzas are written in request
-		// order.
-		n := len(req.Keys)
-		if cap(req.multi) < n {
-			req.multi = make([]concurrent.MultiHit, n)
-		}
-		hits := req.multi[:n]
-		req.mgetBuf = s.cfg.Store.GetMulti(req.mgetBuf[:0], req.Keys, req.Digests, hits)
-		s.counters.Gets.Add(int64(n))
-		req.outcome = OutcomeMiss // hit if any key hit
-		for i, h := range hits {
-			if !h.Hit {
-				s.counters.GetMisses.Add(1)
-				continue
-			}
+		out, vlen, ok := s.cfg.Store.AppendHit(bw.AvailableBuffer(), req.Keys[0], req.Digests[0], hdr)
+		if ok {
 			s.counters.GetHits.Add(1)
+			s.counters.BytesWritten.Add(int64(vlen))
 			req.outcome = OutcomeHit
-			v := req.mgetBuf[h.Start:h.End]
-			s.counters.BytesWritten.Add(int64(len(v)))
-			writeValue(bw, req.Keys[i], h.Flags, v, h.CAS, withCAS)
-		}
-		if cap(req.mgetBuf) > DefaultMaxValueLen {
-			// Don't let one huge batch pin a connection-lifetime buffer.
-			req.mgetBuf = nil
+			bw.Write(append(out, '\r', '\n'))
+		} else {
+			s.counters.GetMisses.Add(1)
+			req.outcome = OutcomeMiss
 		}
 		writeEnd(bw)
 	case OpSet:
@@ -461,33 +411,6 @@ func (s *Server) dispatchOp(bw respWriter, req *Request, part int) bool {
 	return true
 }
 
-// countLocality attributes the keys of one request (or merged batch) to
-// the accepting listener's shard partition: keys whose data shard the
-// partition owns are local (their locks are only ever taken from this
-// core's connections), the rest crossed a partition boundary and may
-// contend. Disabled — both counters stay 0 — when the store exposes no
-// shard topology (cluster router mode) or the server runs one listener.
-func (s *Server) countLocality(part int, ids []uint64) {
-	owners := s.owners
-	if owners == nil {
-		return
-	}
-	var local, cross int64
-	for _, id := range ids {
-		if int(owners[s.topo.DataShardIndex(id)]) == part {
-			local++
-		} else {
-			cross++
-		}
-	}
-	if local != 0 {
-		s.counters.LocalOps.Add(local)
-	}
-	if cross != 0 {
-		s.counters.CrossCoreOps.Add(cross)
-	}
-}
-
 // exptimeAbsThreshold is memcached's 30-day boundary: a positive exptime up
 // to this value is a relative TTL in seconds; anything larger is an
 // absolute unix timestamp.
@@ -523,12 +446,7 @@ func (s *Server) writeStats(bw respWriter) {
 	writeStat(bw, "uptime_seconds", int64(time.Since(s.start).Seconds()))
 	writeStat(bw, "listeners", int64(s.numListeners()))
 	writeStat(bw, "gomaxprocs", int64(runtime.GOMAXPROCS(0)))
-	writeStat(bw, "data_shards", int64(s.numDataShards()))
-	if s.cfg.NoBatch {
-		writeStat(bw, "batch_io", 0)
-	} else {
-		writeStat(bw, "batch_io", 1)
-	}
+	writeStat(bw, "data_shards", int64(len(s.cfg.Store.ShardStats())))
 	writeStat(bw, "capacity_items", int64(s.cfg.Store.Capacity()))
 	writeStat(bw, "curr_items", s.cfg.Store.Items())
 	writeStat(bw, "curr_bytes", s.cfg.Store.Bytes())
@@ -556,8 +474,6 @@ func (s *Server) writeStats(bw respWriter) {
 	writeStat(bw, "flushes", s.counters.Flushes.Load())
 	writeStat(bw, "batches", s.counters.Batches.Load())
 	writeStat(bw, "batched_requests", s.counters.BatchedReqs.Load())
-	writeStat(bw, "local_ops", s.counters.LocalOps.Load())
-	writeStat(bw, "cross_core_ops", s.counters.CrossCoreOps.Load())
 	if l := s.limiter; l != nil {
 		lsnap := l.Snapshot()
 		writeStat(bw, "limiter_limit", int64(lsnap.Limit))

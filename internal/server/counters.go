@@ -39,20 +39,13 @@ type Counters struct {
 	Panics          atomic.Int64
 
 	// Batched data-plane counters. Flushes counts response deliveries to
-	// the socket (writev calls in batched mode, bufio flushes otherwise);
-	// Batches/BatchedReqs count merged get dispatches and the pipelined
-	// requests they covered, so BatchedReqs/Flushes is the syscall
-	// amortization ratio and BatchedReqs/Batches the merge depth.
+	// the socket (writev calls); Batches/BatchedReqs count merged get
+	// dispatches and the pipelined requests they covered, so
+	// BatchedReqs/Flushes is the syscall amortization ratio and
+	// BatchedReqs/Batches the merge depth.
 	Flushes     atomic.Int64
 	Batches     atomic.Int64
 	BatchedReqs atomic.Int64
-
-	// Shard-partition locality: keys served by the partition that owns
-	// their data shard vs keys that crossed partitions (and may contend on
-	// another core's shard locks). Both stay 0 when the store exposes no
-	// topology or a single listener serves.
-	LocalOps     atomic.Int64
-	CrossCoreOps atomic.Int64
 }
 
 // ExpvarMap exposes the server's counters plus the store gauges as an
@@ -84,8 +77,6 @@ func (s *Server) ExpvarMap() *expvar.Map {
 	gauge("flushes", s.counters.Flushes.Load)
 	gauge("batches", s.counters.Batches.Load)
 	gauge("batched_requests", s.counters.BatchedReqs.Load)
-	gauge("local_ops", s.counters.LocalOps.Load)
-	gauge("cross_core_ops", s.counters.CrossCoreOps.Load)
 	gauge("curr_items", s.cfg.Store.Items)
 	gauge("curr_bytes", s.cfg.Store.Bytes)
 	gauge("evictions", func() int64 { return s.cfg.Store.Stats().Evictions })

@@ -69,14 +69,10 @@ const (
 	MetricConnsSlowClosed = "cache_server_connections_slow_closed_total"
 
 	// Batched data-plane families. batched_requests / flushes is the
-	// syscall-amortization ratio the per-core data plane optimizes;
-	// local/cross_core partition key traffic by whether the accepting
-	// listener's partition owned the key's data shard.
-	MetricFlushes      = "cache_server_flushes_total"
-	MetricBatches      = "cache_server_batches_total"
-	MetricBatchedReqs  = "cache_server_batched_requests_total"
-	MetricLocalOps     = "cache_server_local_ops_total"
-	MetricCrossCoreOps = "cache_server_cross_core_ops_total"
+	// syscall-amortization ratio the batched data path optimizes.
+	MetricFlushes     = "cache_server_flushes_total"
+	MetricBatches     = "cache_server_batches_total"
+	MetricBatchedReqs = "cache_server_batched_requests_total"
 
 	// Live-analytics families. cache_mrc_* expose the online SHARDS
 	// miss-ratio estimator (-mrc-sample; absent without it);
@@ -191,16 +187,12 @@ func (s *Server) initMetrics(reg *metrics.Registry) {
 		s.counters.AcceptRetries.Load)
 	reg.CounterFunc(MetricConnsSlowClosed, "Slow readers evicted at the write deadline.",
 		s.counters.SlowConnsClosed.Load)
-	reg.CounterFunc(MetricFlushes, "Response deliveries to the socket (writev calls in batched mode).",
+	reg.CounterFunc(MetricFlushes, "Response deliveries to the socket (writev calls).",
 		s.counters.Flushes.Load)
 	reg.CounterFunc(MetricBatches, "Merged get dispatches (one shard-batched lookup each).",
 		s.counters.Batches.Load)
 	reg.CounterFunc(MetricBatchedReqs, "Pipelined requests covered by merged dispatches.",
 		s.counters.BatchedReqs.Load)
-	reg.CounterFunc(MetricLocalOps, "Keys served by the shard partition that owns them.",
-		s.counters.LocalOps.Load)
-	reg.CounterFunc(MetricCrossCoreOps, "Keys that crossed shard-partition boundaries.",
-		s.counters.CrossCoreOps.Load)
 
 	if l := s.limiter; l != nil {
 		for _, r := range overload.ShedReasons() {

@@ -101,10 +101,6 @@ type Request struct {
 	// outcome is the dispatch result code (Outcome* constants), read by the
 	// connection tracer when the request is sampled into a span.
 	outcome uint8
-
-	// Multi-get dispatch scratch, reused across requests on one connection.
-	multi   []concurrent.MultiHit
-	mgetBuf []byte
 }
 
 var (
@@ -125,7 +121,7 @@ var (
 // bounds set payloads (<=0 selects DefaultMaxValueLen). Errors are either
 // recoverable (ClientError, ErrUnknownCommand — report and continue),
 // desynchronizing (ErrValueTooLarge — report and close), or I/O errors
-// (close silently).
+// (close silently). A ClientError is always returned bare, never wrapped.
 func ParseRequest(br *bufio.Reader, req *Request, maxValueLen int) error {
 	if maxValueLen <= 0 {
 		maxValueLen = DefaultMaxValueLen
@@ -376,11 +372,11 @@ func parseUint(b []byte, limit uint64) (uint64, bool) {
 	return v, true
 }
 
-// respWriter is the response sink dispatch writes into: the legacy
-// per-connection bufio.Writer, or the batched multiBuf assembler that
-// flushes with writev. Both honor the bufio AvailableBuffer contract
-// (appending into the returned slice and Writing the result extends the
-// buffer in place), which is what keeps the hit path allocation-free.
+// respWriter is the response sink dispatch writes into: the connection's
+// multiBuf assembler, which flushes with writev (tests substitute a
+// bufio.Writer). Both honor the bufio AvailableBuffer contract (appending
+// into the returned slice and Writing the result extends the buffer in
+// place), which is what keeps the hit path allocation-free.
 type respWriter interface {
 	io.Writer
 	io.StringWriter
@@ -391,27 +387,6 @@ type respWriter interface {
 // Response writers. All write into the connection's response writer;
 // numbers are appended via the writer's AvailableBuffer so the hit path
 // allocates nothing.
-
-func writeUint(bw respWriter, v uint64) {
-	bw.Write(strconv.AppendUint(bw.AvailableBuffer(), v, 10))
-}
-
-// writeValue emits one VALUE stanza of a get/gets response.
-func writeValue(bw respWriter, key []byte, flags uint32, value []byte, cas uint64, withCAS bool) {
-	bw.WriteString("VALUE ")
-	bw.Write(key)
-	bw.WriteByte(' ')
-	writeUint(bw, uint64(flags))
-	bw.WriteByte(' ')
-	writeUint(bw, uint64(len(value)))
-	if withCAS {
-		bw.WriteByte(' ')
-		writeUint(bw, cas)
-	}
-	bw.WriteString("\r\n")
-	bw.Write(value)
-	bw.WriteString("\r\n")
-}
 
 // appendValueHeader appends "VALUE <key> <flags> <len>[ <cas>]\r\n" to dst
 // and returns the extended slice.

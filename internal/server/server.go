@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/concurrent"
 	"repro/internal/metrics"
 	"repro/internal/mrc"
 	"repro/internal/obs"
@@ -65,22 +64,12 @@ type Config struct {
 	// parse+dispatch time crosses it, regardless of sampling.
 	SlowRequest time.Duration
 	// Listeners is how many listeners ListenAndServe opens on Addr via
-	// SO_REUSEPORT — one accept loop per listener, each owning a shard
-	// partition (when the Store exposes ShardTopology) so a connection's
-	// partition-local keys never take a lock contended from another core.
-	// <=0 means GOMAXPROCS. On platforms without SO_REUSEPORT (or when the
-	// reuseport bind fails) the same count of accept loops shares one
-	// listener: partitioning still applies, kernel-level accept spreading
-	// doesn't.
+	// SO_REUSEPORT, one accept loop each, so the kernel spreads incoming
+	// connections across the loops. Every connection serves every key the
+	// same way, whichever loop accepted it. <=0 means GOMAXPROCS. On
+	// platforms without SO_REUSEPORT (or when the reuseport bind fails) the
+	// same count of accept loops shares one listener.
 	Listeners int
-	// PinShards additionally binds each connection handler's OS thread to
-	// its partition's core (sched_setaffinity; Linux only, no-op
-	// elsewhere). Opt-in: it costs one OS thread per connection.
-	PinShards bool
-	// NoBatch disables batched request dispatch and writev response
-	// assembly, restoring the per-request bufio path. For A/B measurement
-	// and as an escape hatch.
-	NoBatch bool
 	// MRC, if set, is the online miss-ratio estimator fed from the store's
 	// read path (cacheserver -mrc-sample wires it). The server only reads
 	// snapshots — /debug/mrc, the `stats mrc` subcommand, and the
@@ -129,14 +118,6 @@ type Server struct {
 	// ServeListeners and Shutdown like the telemetry sampler.
 	limiter     *overload.Limiter
 	limiterStop func()
-
-	// Shard-partition ownership, built by ServeListeners when the store
-	// exposes ShardTopology and more than one listener serves: owners[i] is
-	// the partition (listener index) owning data shard i. nil disables
-	// locality accounting. Written once before the accept loops start, read
-	// lock-free on the hit path.
-	topo   ShardTopology
-	owners []int32
 
 	mu    sync.Mutex
 	lns   []net.Listener
@@ -236,15 +217,6 @@ func (s *Server) numListeners() int {
 	return len(s.lns)
 }
 
-// numDataShards reports the store's data-shard count, or 0 when the store
-// exposes no topology.
-func (s *Server) numDataShards() int {
-	if topo, ok := s.cfg.Store.(ShardTopology); ok {
-		return topo.NumDataShards()
-	}
-	return 0
-}
-
 // ListenAndServe opens cfg.Listeners listeners on cfg.Addr and serves
 // until Shutdown. With more than one listener it binds each with
 // SO_REUSEPORT so the kernel spreads incoming connections across the
@@ -270,7 +242,7 @@ func (s *Server) listenAll() ([]net.Listener, error) {
 			return []net.Listener{ln}, nil
 		}
 		// Shared-listener fallback: n accept loops, one socket. Accept is
-		// safe concurrently; each loop keeps its own partition index.
+		// safe concurrently.
 		lns := make([]net.Listener, n)
 		for i := range lns {
 			lns[i] = ln
@@ -348,11 +320,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	return s.ServeListeners([]net.Listener{ln})
 }
 
-// ServeListeners runs one accept loop per listener (listener i owns shard
-// partition i) until Shutdown or a non-transient error on any loop; the
-// first such error closes every listener and is returned. Entries may
-// repeat — the shared-listener fallback passes the same listener N times —
-// in which case the loops share its accept queue.
+// ServeListeners runs one accept loop per listener until Shutdown or a
+// non-transient error on any loop; the first such error closes every
+// listener and is returned. The loops only spread accepts: every
+// connection is served the same way, whichever loop accepted it. Entries
+// may repeat — the shared-listener fallback passes the same listener N
+// times — in which case the loops share its accept queue.
 func (s *Server) ServeListeners(lns []net.Listener) error {
 	if len(lns) == 0 {
 		return errors.New("server: ServeListeners needs at least one listener")
@@ -360,19 +333,8 @@ func (s *Server) ServeListeners(lns []net.Listener) error {
 	s.mu.Lock()
 	s.lns = append(s.lns[:0], lns...)
 	s.mu.Unlock()
-	// Partition the store's data shards across the accept loops — built
-	// before the loops start so connection handlers read it race-free.
-	if topo, ok := s.cfg.Store.(ShardTopology); ok && len(lns) > 1 {
-		owners := concurrent.PartitionShards(topo.NumDataShards(), len(lns))
-		s.topo = topo
-		s.owners = make([]int32, len(owners))
-		for i, o := range owners {
-			s.owners[i] = int32(o)
-		}
-	}
 	s.log.Info("serving", "addr", lns[0].Addr().String(),
-		"listeners", len(lns), "batch_io", !s.cfg.NoBatch,
-		"cache", s.cfg.Store.Name())
+		"listeners", len(lns), "cache", s.cfg.Store.Name())
 	s.mu.Lock()
 	if s.seriesStop == nil {
 		s.seriesStop = s.series.Start(s.sampleTelemetry, time.Second)
@@ -382,11 +344,11 @@ func (s *Server) ServeListeners(lns []net.Listener) error {
 	}
 	s.mu.Unlock()
 	if len(lns) == 1 {
-		return s.acceptLoop(lns[0], 0)
+		return s.acceptLoop(lns[0])
 	}
 	errc := make(chan error, len(lns))
-	for i, ln := range lns {
-		go func(part int, ln net.Listener) { errc <- s.acceptLoop(ln, part) }(i, ln)
+	for _, ln := range lns {
+		go func() { errc <- s.acceptLoop(ln) }()
 	}
 	var first error
 	for range lns {
@@ -404,8 +366,8 @@ func (s *Server) ServeListeners(lns []net.Listener) error {
 	return first
 }
 
-// acceptLoop accepts connections on ln for shard partition part.
-func (s *Server) acceptLoop(ln net.Listener, part int) error {
+// acceptLoop accepts connections on ln and starts a handler for each.
+func (s *Server) acceptLoop(ln net.Listener) error {
 	var backoff time.Duration
 	for {
 		nc, err := ln.Accept()
@@ -457,7 +419,7 @@ func (s *Server) acceptLoop(ln net.Listener, part int) error {
 			continue
 		}
 		s.counters.CurrConns.Add(1)
-		go s.handleConn(nc, part)
+		go s.handleConn(nc)
 	}
 }
 

@@ -37,24 +37,5 @@ type Store interface {
 	Name() string
 }
 
-// ShardTopology is the optional store surface behind core-local shard
-// ownership: a store that can say how many data shards it has and which
-// shard a digest lands on lets ServeListeners partition those shards
-// across its accept loops and lets the request path count partition-local
-// versus cross-partition key traffic (cache_server_local_ops_total /
-// cache_server_cross_core_ops_total). Stores without it — the cluster
-// router, test doubles — serve identically; locality accounting is simply
-// disabled.
-type ShardTopology interface {
-	// NumDataShards reports the data-shard count.
-	NumDataShards() int
-	// DataShardIndex maps a key digest to its data shard, with the same
-	// mapping every store operation uses internally.
-	DataShardIndex(id uint64) int
-}
-
-// The production store satisfies the seam, including topology.
-var (
-	_ Store         = (*concurrent.KV)(nil)
-	_ ShardTopology = (*concurrent.KV)(nil)
-)
+// The production store satisfies the seam.
+var _ Store = (*concurrent.KV)(nil)
