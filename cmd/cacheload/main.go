@@ -148,7 +148,7 @@ func main() {
 	if *metricsF != "" {
 		reg = metrics.NewRegistry()
 		if budget != nil {
-			reg.CounterFunc(server.MetricRetryBudgetExhausted,
+			reg.CounterFunc("cache_retry_budget_exhausted_total",
 				"Retries refused because the shared retry budget was empty.",
 				budget.Exhausted, "side", "client")
 		}

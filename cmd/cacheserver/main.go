@@ -248,7 +248,7 @@ func main() {
 		} else {
 			lg.Info("starting",
 				"cache", store.Name(), "addr", *addr,
-				"capacity", store.Capacity(), "shards", *shards,
+				"capacity", snap.Capacity, "shards", *shards,
 				slog.Group("obs", "events", *events, "trace_sample", *traceSample, "slow_request", slow.String()))
 		}
 	}

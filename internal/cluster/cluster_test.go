@@ -298,6 +298,37 @@ func TestRouterForwardsAndReplicates(t *testing.T) {
 	}
 }
 
+// A key asked for twice in one multi-get through the router is answered
+// twice, and counted as two hits: the router forwards the duplicate to the
+// owner, whose reply carries one VALUE per occurrence.
+func TestRouterMultiGetDuplicateKey(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		addrs[i], _ = startBackend(t)
+	}
+	router, err := NewRouter(RouterConfig{Nodes: addrs, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	c := dialNode(t, startFront(t, router))
+	if err := c.Set([]byte("a"), 0, []byte("va")); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := c.GetMulti([][]byte{[]byte("a"), []byte("a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if !v.Found || string(v.Value) != "va" {
+			t.Fatalf("key %d: %q found=%v", i, v.Value, v.Found)
+		}
+	}
+	if st := router.Stats(); st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("router counted %d hits, %d misses; want 2, 0", st.Hits, st.Misses)
+	}
+}
+
 // A dead backend degrades like a cache should: reads of its keys miss,
 // writes drop, the front connection never sees an error, and the failure
 // is tallied per node. Removing the node rehomes its keys.

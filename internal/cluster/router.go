@@ -753,7 +753,17 @@ func (r *Router) TouchDigest(key []byte, id uint64, expireAt int64) bool {
 // ExpireAtDigest forwards the expiry lookup to the key's owner via gete.
 // The value rides along and is discarded — acceptable for the rare front
 // gete against a router, where the subsequent AppendHit re-fetches it.
+// A key it cannot find counts as a miss, since no AppendHit follows to
+// count it; a found one is counted by the AppendHit that serves it.
 func (r *Router) ExpireAtDigest(key []byte, id uint64) (int64, bool) {
+	expireAt, found := r.expireAt(key, id)
+	if !found {
+		r.misses.Add(1)
+	}
+	return expireAt, found
+}
+
+func (r *Router) expireAt(key []byte, id uint64) (int64, bool) {
 	addr := r.ring.Lookup(id)
 	n := r.node(addr)
 	if n == nil || !n.allow() {
@@ -781,15 +791,16 @@ func (r *Router) ExpireAtDigest(key []byte, id uint64) (int64, bool) {
 func (r *Router) Stats() concurrent.Snapshot {
 	fs := r.aggregate()
 	return concurrent.Snapshot{
-		Hits:      r.hits.Load(),
-		Misses:    r.misses.Load(),
-		Sets:      r.sets.Load(),
-		Deletes:   r.deletes.Load(),
-		Expired:   fs.expired,
-		Len:       int(fs.items),
-		Capacity:  int(fs.capacity),
-		UsedBytes: fs.usedBytes,
-		MaxBytes:  fs.maxBytes,
+		Hits:       r.hits.Load(),
+		Misses:     r.misses.Load(),
+		Sets:       r.sets.Load(),
+		Deletes:    r.deletes.Load(),
+		Expired:    fs.expired,
+		Len:        int(fs.items),
+		Capacity:   int(fs.capacity),
+		UsedBytes:  fs.usedBytes,
+		MaxBytes:   fs.maxBytes,
+		ValueBytes: fs.bytes,
 	}
 }
 
@@ -848,15 +859,6 @@ func (r *Router) aggregate() fleetStats {
 	r.statCache = fs
 	return fs
 }
-
-// Items reports the fleet-aggregate cached object count.
-func (r *Router) Items() int64 { return r.aggregate().items }
-
-// Bytes reports the fleet-aggregate cached value bytes.
-func (r *Router) Bytes() int64 { return r.aggregate().bytes }
-
-// Capacity reports the fleet-aggregate configured capacity.
-func (r *Router) Capacity() int { return int(r.aggregate().capacity) }
 
 // Name is the policy label the front server's metrics carry.
 func (r *Router) Name() string { return "router" }
@@ -954,17 +956,17 @@ func (r *Router) readmit(n *routerNode) {
 // registerMetrics publishes the cluster gauges and counters that are not
 // per-node (those register as nodes first appear).
 func (r *Router) registerMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc(server.MetricClusterNodes, "Nodes currently in the ring.",
+	reg.GaugeFunc("cache_cluster_nodes", "Nodes currently in the ring.",
 		func() float64 { return float64(r.ring.Len()) })
-	reg.GaugeFunc(server.MetricClusterHotKeys, "Keys currently classified hot.",
+	reg.GaugeFunc("cache_cluster_hot_keys", "Keys currently classified hot.",
 		func() float64 { return float64(r.hot.Len()) })
-	reg.CounterFunc(server.MetricClusterHotPromotions, "Keys promoted to hot and replicated.",
+	reg.CounterFunc("cache_cluster_hot_promotions_total", "Keys promoted to hot and replicated.",
 		r.hotPromotions.Load)
-	reg.CounterFunc(server.MetricClusterHotDemotions, "Hot keys demoted by sketch aging.",
+	reg.CounterFunc("cache_cluster_hot_demotions_total", "Hot keys demoted by sketch aging.",
 		r.hotDemotions.Load)
-	reg.CounterFunc(server.MetricClusterTopologyChanges, "Nodes added to the ring.",
+	reg.CounterFunc("cache_cluster_topology_changes_total", "Nodes added to the ring.",
 		r.topologyAdds.Load, "op", "add")
-	reg.CounterFunc(server.MetricClusterTopologyChanges, "Nodes removed from the ring.",
+	reg.CounterFunc("cache_cluster_topology_changes_total", "Nodes removed from the ring.",
 		r.topologyDrops.Load, "op", "remove")
 }
 
@@ -972,38 +974,38 @@ func (r *Router) registerMetrics(reg *metrics.Registry) {
 // called once per node name for the registry's lifetime (counters and
 // health state survive rejoin).
 func registerNodeMetrics(reg *metrics.Registry, addr string, ctr *nodeCounters, hp *nodeHealth) {
-	reg.CounterFunc(server.MetricClusterRouted, "Operations forwarded, by node and op.",
+	reg.CounterFunc("cache_cluster_routed_total", "Operations forwarded, by node and op.",
 		ctr.routedGet.Load, "node", addr, "op", "get")
-	reg.CounterFunc(server.MetricClusterRouted, "Operations forwarded, by node and op.",
+	reg.CounterFunc("cache_cluster_routed_total", "Operations forwarded, by node and op.",
 		ctr.routedSet.Load, "node", addr, "op", "set")
-	reg.CounterFunc(server.MetricClusterRouted, "Operations forwarded, by node and op.",
+	reg.CounterFunc("cache_cluster_routed_total", "Operations forwarded, by node and op.",
 		ctr.routedDelete.Load, "node", addr, "op", "delete")
-	reg.CounterFunc(server.MetricClusterForwardErrors, "Forwards that failed (reads miss, writes drop).",
+	reg.CounterFunc("cache_cluster_forward_errors_total", "Forwards that failed (reads miss, writes drop).",
 		ctr.forwardErrors.Load, "node", addr)
-	reg.CounterFunc(server.MetricClusterReplicaReads, "Hot-key reads served by a non-owner replica.",
+	reg.CounterFunc("cache_cluster_replica_reads_total", "Hot-key reads served by a non-owner replica.",
 		ctr.replicaReads.Load, "node", addr)
-	reg.CounterFunc(server.MetricClusterReplicaWrites, "Hot-key writes fanned to a non-owner replica.",
+	reg.CounterFunc("cache_cluster_replica_writes_total", "Hot-key writes fanned to a non-owner replica.",
 		ctr.replicaWrites.Load, "node", addr)
-	reg.GaugeFunc(server.MetricNodeHealthy, "1 while the failure detector considers the node healthy.",
+	reg.GaugeFunc("cache_cluster_node_healthy", "1 while the failure detector considers the node healthy.",
 		func() float64 {
 			if hp.det.Healthy() {
 				return 1
 			}
 			return 0
 		}, "node", addr)
-	reg.GaugeFunc(server.MetricNodePhi, "Phi-accrual suspicion level (eject above the configured threshold).",
+	reg.GaugeFunc("cache_cluster_node_phi", "Phi-accrual suspicion level (eject above the configured threshold).",
 		func() float64 { return hp.det.Phi(time.Now()) }, "node", addr)
-	reg.CounterFunc(server.MetricNodeEjections, "Times the failure detector pulled the node from the ring.",
+	reg.CounterFunc("cache_cluster_node_ejections_total", "Times the failure detector pulled the node from the ring.",
 		hp.ejections.Load, "node", addr)
-	reg.CounterFunc(server.MetricNodeReadmissions, "Times a recovered node was restored to the ring.",
+	reg.CounterFunc("cache_cluster_node_readmissions_total", "Times a recovered node was restored to the ring.",
 		hp.readmissions.Load, "node", addr)
-	reg.CounterFunc(server.MetricProbes, "Health probes, by node and result.",
+	reg.CounterFunc("cache_cluster_probes_total", "Health probes, by node and result.",
 		hp.probeOK.Load, "node", addr, "result", "ok")
-	reg.CounterFunc(server.MetricProbes, "Health probes, by node and result.",
+	reg.CounterFunc("cache_cluster_probes_total", "Health probes, by node and result.",
 		hp.probeFail.Load, "node", addr, "result", "fail")
-	reg.GaugeFunc(server.MetricBreakerState, "Forwarding breaker position (0 closed, 1 open, 2 half-open).",
+	reg.GaugeFunc("cache_breaker_state", "Forwarding breaker position (0 closed, 1 open, 2 half-open).",
 		func() float64 { return float64(hp.breaker.State()) }, "node", addr)
-	reg.CounterFunc(server.MetricBreakerOpens, "Times the node's forwarding breaker opened.",
+	reg.CounterFunc("cache_breaker_opens_total", "Times the node's forwarding breaker opened.",
 		hp.breaker.Opens, "node", addr)
 }
 

@@ -263,8 +263,8 @@ func TestKVSizeAwareAdmission(t *testing.T) {
 	if _, _, _, ok := kv.Get(nil, key); ok {
 		t.Fatal("oversized first store served")
 	}
-	if kv.Items() != 0 || kv.Bytes() != 0 {
-		t.Fatalf("data plane kept the rejected object: items=%d bytes=%d", kv.Items(), kv.Bytes())
+	if kv.Stats().Len != 0 || kv.Stats().ValueBytes != 0 {
+		t.Fatalf("data plane kept the rejected object: items=%d bytes=%d", kv.Stats().Len, kv.Stats().ValueBytes)
 	}
 	kv.Set(key, val, 0)
 	if v, _, _, ok := kv.Get(nil, key); !ok || len(v) != len(val) {
@@ -312,11 +312,11 @@ func TestKVByteModeBoundsBytes(t *testing.T) {
 			if st.MaxBytes != maxBytes {
 				t.Fatalf("MaxBytes = %d, want %d", st.MaxBytes, maxBytes)
 			}
-			if kv.Bytes() > maxBytes {
-				t.Fatalf("data-plane bytes %d exceed the byte budget %d", kv.Bytes(), maxBytes)
+			if kv.Stats().ValueBytes > maxBytes {
+				t.Fatalf("data-plane bytes %d exceed the byte budget %d", kv.Stats().ValueBytes, maxBytes)
 			}
-			if kv.Bytes() <= 0 || st.Evictions == 0 {
-				t.Fatalf("implausible end state: bytes=%d evictions=%d", kv.Bytes(), st.Evictions)
+			if kv.Stats().ValueBytes <= 0 || st.Evictions == 0 {
+				t.Fatalf("implausible end state: bytes=%d evictions=%d", kv.Stats().ValueBytes, st.Evictions)
 			}
 		})
 	}

@@ -366,12 +366,15 @@ func (kv *KV) TouchDigest(key []byte, id uint64, expireAt int64) bool {
 // ExpireAtDigest reports key's absolute expiry deadline (0 = never) and
 // whether the key is present and unexpired. It backs the gete command's
 // extended VALUE header, which hot-key replication uses to forward TTLs.
+// An absent key counts as a miss, since no AppendHit follows to count it;
+// a present one is counted by the AppendHit that serves it.
 func (kv *KV) ExpireAtDigest(key []byte, id uint64) (int64, bool) {
 	s := kv.b.shard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n, v := kv.lookup(s, id, key)
 	if n == 0 {
+		s.stats.misses.Add(1)
 		return 0, false
 	}
 	return v.e.expireAt, true
@@ -445,21 +448,6 @@ func (kv *KV) StartExpiry(interval time.Duration) (stop func()) {
 	}
 }
 
-// Items returns the number of cached objects.
-func (kv *KV) Items() int64 { return int64(kv.b.Len()) }
-
-// Bytes returns the total value bytes currently cached.
-func (kv *KV) Bytes() int64 {
-	var n int64
-	for i := range kv.b.shards {
-		s := &kv.b.shards[i]
-		s.mu.RLock()
-		n += s.valueBytes
-		s.mu.RUnlock()
-	}
-	return n
-}
-
 // Stats returns a point-in-time snapshot of the shards' counters — hits
 // and misses as observed at the byte-value API, so a colliding digest or a
 // lazily expired object counts as a miss — plus the wheel's reclaim count.
@@ -472,9 +460,6 @@ func (kv *KV) Stats() Snapshot {
 // ShardStats returns the per-shard snapshots: occupancy, eviction balance
 // and the hits and misses of the keys each shard owns.
 func (kv *KV) ShardStats() []Snapshot { return kv.b.ShardStats() }
-
-// Capacity returns the object capacity, 0 under a byte cap.
-func (kv *KV) Capacity() int { return kv.b.Capacity() }
 
 // Name identifies the eviction policy.
 func (kv *KV) Name() string { return kv.b.name }

@@ -35,11 +35,11 @@ func TestKVBasic(t *testing.T) {
 			if !ok || string(v) != "world!" || flags != 8 {
 				t.Fatalf("after overwrite: %q flags=%d ok=%v", v, flags, ok)
 			}
-			if kv.Items() != 1 {
-				t.Fatalf("Items = %d", kv.Items())
+			if kv.Stats().Len != 1 {
+				t.Fatalf("Items = %d", kv.Stats().Len)
 			}
-			if kv.Bytes() != int64(len("world!")) {
-				t.Fatalf("Bytes = %d", kv.Bytes())
+			if kv.Stats().ValueBytes != int64(len("world!")) {
+				t.Fatalf("Bytes = %d", kv.Stats().ValueBytes)
 			}
 			if !kv.Delete([]byte("a")) {
 				t.Fatal("delete failed")
@@ -47,8 +47,8 @@ func TestKVBasic(t *testing.T) {
 			if kv.Delete([]byte("a")) {
 				t.Fatal("double delete reported true")
 			}
-			if kv.Items() != 0 || kv.Bytes() != 0 {
-				t.Fatalf("after delete: items=%d bytes=%d", kv.Items(), kv.Bytes())
+			if kv.Stats().Len != 0 || kv.Stats().ValueBytes != 0 {
+				t.Fatalf("after delete: items=%d bytes=%d", kv.Stats().Len, kv.Stats().ValueBytes)
 			}
 		})
 	}
@@ -66,11 +66,11 @@ func TestKVEvictionDropsBytes(t *testing.T) {
 			if kv.Stats().Evictions == 0 {
 				t.Fatal("no evictions after overfilling")
 			}
-			if kv.Items() > int64(kv.Capacity()) {
-				t.Fatalf("Items %d > Capacity %d", kv.Items(), kv.Capacity())
+			if kv.Stats().Len > kv.Stats().Capacity {
+				t.Fatalf("Items %d > Capacity %d", kv.Stats().Len, kv.Stats().Capacity)
 			}
-			if kv.Bytes() != kv.Items()*valLen {
-				t.Fatalf("Bytes %d != Items %d * %d", kv.Bytes(), kv.Items(), valLen)
+			if kv.Stats().ValueBytes != int64(kv.Stats().Len)*valLen {
+				t.Fatalf("Bytes %d != Items %d * %d", kv.Stats().ValueBytes, kv.Stats().Len, valLen)
 			}
 		})
 	}
@@ -106,11 +106,11 @@ func TestKVConcurrentIntegrity(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			if kv.Items() > int64(kv.Capacity()) {
-				t.Fatalf("Items %d > Capacity %d", kv.Items(), kv.Capacity())
+			if kv.Stats().Len > kv.Stats().Capacity {
+				t.Fatalf("Items %d > Capacity %d", kv.Stats().Len, kv.Stats().Capacity)
 			}
-			if kv.Bytes() < 0 {
-				t.Fatalf("negative byte accounting: %d", kv.Bytes())
+			if kv.Stats().ValueBytes < 0 {
+				t.Fatalf("negative byte accounting: %d", kv.Stats().ValueBytes)
 			}
 		})
 	}

@@ -85,8 +85,8 @@ func TestKVAdvanceTTLReclaimsExpiredBytes(t *testing.T) {
 				key := ttlKey(i)
 				kv.SetDigest(key, val, 0, Digest(key), exp)
 			}
-			if kv.Bytes() != expiringBytes+liveBytes {
-				t.Fatalf("Bytes = %d before expiry, want %d", kv.Bytes(), expiringBytes+liveBytes)
+			if kv.Stats().ValueBytes != expiringBytes+liveBytes {
+				t.Fatalf("Bytes = %d before expiry, want %d", kv.Stats().ValueBytes, expiringBytes+liveBytes)
 			}
 
 			// Two ticks past the last clustered deadline.
@@ -94,13 +94,13 @@ func TestKVAdvanceTTLReclaimsExpiredBytes(t *testing.T) {
 			if reclaimed != expiring {
 				t.Errorf("AdvanceTTL reclaimed %d entries, want %d", reclaimed, expiring)
 			}
-			freed := expiringBytes + liveBytes - kv.Bytes()
+			freed := expiringBytes + liveBytes - kv.Stats().ValueBytes
 			if float64(freed) < 0.95*float64(expiringBytes) {
 				t.Errorf("reclaimed %d of %d expired bytes (< 95%%)", freed, expiringBytes)
 			}
-			if kv.Bytes() != liveBytes || kv.Items() != int64(n-expiring) {
+			if kv.Stats().ValueBytes != liveBytes || kv.Stats().Len != n-expiring {
 				t.Errorf("after expiry: bytes=%d items=%d, want %d/%d",
-					kv.Bytes(), kv.Items(), liveBytes, n-expiring)
+					kv.Stats().ValueBytes, kv.Stats().Len, liveBytes, n-expiring)
 			}
 			if exp := kv.Stats().Expired; exp != int64(expiring) {
 				t.Errorf("Stats().Expired = %d, want %d", exp, expiring)
@@ -261,7 +261,7 @@ func TestKVStartExpiry(t *testing.T) {
 	stop := kv.StartExpiry(10 * time.Millisecond)
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)
-	for kv.Items() != 0 {
+	for kv.Stats().Len != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("ticker never reclaimed the expired entry")
 		}
@@ -334,8 +334,8 @@ func TestKVTTLConcurrentHammer(t *testing.T) {
 	close(stop)
 	sweepWG.Wait()
 
-	if kv.Bytes() < 0 || kv.Items() < 0 {
-		t.Fatalf("negative accounting: bytes=%d items=%d", kv.Bytes(), kv.Items())
+	if kv.Stats().ValueBytes < 0 || kv.Stats().Len < 0 {
+		t.Fatalf("negative accounting: bytes=%d items=%d", kv.Stats().ValueBytes, kv.Stats().Len)
 	}
 	// Quiescent agreement: every resident entry is either immortal or not
 	// yet due, once a final sweep catches the clock up.
@@ -344,8 +344,5 @@ func TestKVTTLConcurrentHammer(t *testing.T) {
 	st := kv.Stats()
 	if st.Expired == 0 {
 		t.Error("hammer produced no proactive expiries")
-	}
-	if int64(st.Len) != kv.Items() {
-		t.Errorf("Stats.Len %d != Items %d", st.Len, kv.Items())
 	}
 }

@@ -296,6 +296,7 @@ func (b *base) ShardStats() []Snapshot {
 		s := &b.shards[i]
 		s.mu.RLock()
 		out[i] = s.stats.snapshot(s.main.list.Len() + s.small.list.Len())
+		out[i].ValueBytes = s.valueBytes
 		s.mu.RUnlock()
 		if b.byBytes {
 			out[i].MaxBytes = s.main.max + s.small.max

@@ -34,6 +34,9 @@ type Snapshot struct {
 	// byte budget, 0 for entry-capped caches.
 	UsedBytes int64
 	MaxBytes  int64
+	// ValueBytes is the raw value payload of the cached objects (the KV's;
+	// a bare Cache leaves it zero).
+	ValueBytes int64
 }
 
 // HitRatio returns Hits/(Hits+Misses), or 0 before any Get.
@@ -92,6 +95,7 @@ func sumSnapshots(shards []Snapshot) Snapshot {
 		out.Capacity += s.Capacity
 		out.UsedBytes += s.UsedBytes
 		out.MaxBytes += s.MaxBytes
+		out.ValueBytes += s.ValueBytes
 	}
 	return out
 }

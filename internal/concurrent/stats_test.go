@@ -100,7 +100,7 @@ func TestKVStats(t *testing.T) {
 			// Only "a"/"va" survives the delete; entry-capped policies still
 			// account its cost informationally.
 			want := Snapshot{Hits: 1, Misses: 1, Sets: 2, Deletes: 1,
-				Len: int(kv.Items()), Capacity: kv.Capacity(),
+				Len: kv.b.Len(), Capacity: kv.b.Capacity(), ValueBytes: int64(len("va")),
 				UsedBytes: EntryCost(len("a"), len("va"))}
 			if st != want {
 				t.Errorf("Stats = %+v, want %+v", st, want)

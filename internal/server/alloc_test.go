@@ -68,7 +68,7 @@ func TestServerGetHitPathZeroAllocs(t *testing.T) {
 	if avg := runRequests(t, s, []byte("gets key-11\r\n")); avg != 0 {
 		t.Fatalf("single-key gets hit path allocates %.1f/op, want 0", avg)
 	}
-	if n := s.counters.GetMisses.Load(); n != 0 {
+	if n := s.cfg.Store.Stats().Misses; n != 0 {
 		t.Fatalf("unexpected misses: %d", n)
 	}
 }
@@ -114,7 +114,7 @@ func TestServerMultiGetPathZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, serve); avg != 0 {
 		t.Fatalf("16-key multi-get path allocates %.1f/op, want 0", avg)
 	}
-	if n := s.counters.GetMisses.Load(); n != 0 {
+	if n := s.cfg.Store.Stats().Misses; n != 0 {
 		t.Fatalf("unexpected misses: %d", n)
 	}
 }
@@ -171,7 +171,7 @@ func TestServerGetHitPathZeroAllocsWithMRCSampling(t *testing.T) {
 	if avg := runRequests(t, s, []byte("get key-07\r\n")); avg != 0 {
 		t.Fatalf("get hit path with MRC sampling allocates %.1f/op, want 0", avg)
 	}
-	if n := s.counters.GetMisses.Load(); n != 0 {
+	if n := s.cfg.Store.Stats().Misses; n != 0 {
 		t.Fatalf("unexpected misses: %d", n)
 	}
 }

@@ -32,7 +32,7 @@ func (s *Server) sampleTelemetry() telemetry.Sample {
 		Evictions: snap.Evictions,
 		Expired:   snap.Expired,
 		UsedBytes: snap.UsedBytes,
-		Items:     s.cfg.Store.Items(),
+		Items:     int64(snap.Len),
 	}
 	if m := s.metrics; m != nil {
 		var counts []int64
@@ -50,32 +50,24 @@ func (s *Server) sampleTelemetry() telemetry.Sample {
 // it outside AdminMux.
 func (s *Server) Series() *telemetry.Series { return s.series }
 
-// capacityItems estimates the store's capacity in objects: the configured
-// entry capacity when there is one, otherwise the byte budget divided by
-// the current mean object size, otherwise the current item count.
-func (s *Server) capacityItems() int {
-	if c := s.cfg.Store.Capacity(); c > 0 {
-		return c
+// mrcScale evaluates an estimator snapshot at the store's current
+// capacity in objects — the configured entry capacity when there is one,
+// otherwise the byte budget divided by the current mean object size,
+// otherwise the current item count — read from one store snapshot.
+func (s *Server) mrcScale(sn *mrc.OnlineSnapshot) mrc.Signals {
+	st := s.cfg.Store.Stats()
+	capacity, perItem := st.Capacity, 0.0
+	if st.Len > 0 && st.UsedBytes > 0 {
+		perItem = float64(st.UsedBytes) / float64(st.Len)
 	}
-	snap := s.cfg.Store.Stats()
-	items := s.cfg.Store.Items()
-	if snap.MaxBytes > 0 && snap.UsedBytes > 0 && items > 0 {
-		return int(float64(snap.MaxBytes) * float64(items) / float64(snap.UsedBytes))
+	switch {
+	case capacity > 0:
+	case st.MaxBytes > 0 && perItem > 0:
+		capacity = int(float64(st.MaxBytes) * float64(st.Len) / float64(st.UsedBytes))
+	default:
+		capacity = st.Len
 	}
-	return int(items)
-}
-
-// bytesPerItem is the current mean accounted object size (0 when empty).
-func (s *Server) bytesPerItem() float64 {
-	items := s.cfg.Store.Items()
-	if items <= 0 {
-		return 0
-	}
-	used := s.cfg.Store.Stats().UsedBytes
-	if used <= 0 {
-		return 0
-	}
-	return float64(used) / float64(items)
+	return sn.Signals(capacity, perItem)
 }
 
 // mrcSignals refreshes the estimator and evaluates it at the store's
@@ -86,7 +78,7 @@ func (s *Server) mrcSignals() (*mrc.OnlineSnapshot, mrc.Signals, bool) {
 		return nil, mrc.Signals{}, false
 	}
 	sn := o.Publish()
-	return sn, sn.Signals(s.capacityItems(), s.bytesPerItem()), true
+	return sn, s.mrcScale(sn), true
 }
 
 // mrcDump is the /debug/mrc JSON payload.
@@ -280,15 +272,15 @@ func (s *Server) initAnalyticsMetrics(reg *metrics.Registry) {
 		wd := wd
 		label := windowLabel(wd)
 		window := func() telemetry.Agg { return s.series.Window(time.Now().Unix(), wd) }
-		reg.GaugeFunc(MetricWindowHitRatio, "Hit ratio over the sliding window.",
+		reg.GaugeFunc("cache_window_hit_ratio", "Hit ratio over the sliding window.",
 			func() float64 { return window().HitRatio }, "window", label)
-		reg.GaugeFunc(MetricWindowOpsPerSec, "Request rate over the sliding window.",
+		reg.GaugeFunc("cache_window_ops_per_sec", "Request rate over the sliding window.",
 			func() float64 { return window().OpsPerSec }, "window", label)
-		reg.GaugeFunc(MetricWindowEvictions, "Capacity evictions in the sliding window.",
+		reg.GaugeFunc("cache_window_evictions", "Capacity evictions in the sliding window.",
 			func() float64 { return float64(window().Evictions) }, "window", label)
-		reg.GaugeFunc(MetricWindowP50, "p50 request latency over the sliding window, seconds.",
+		reg.GaugeFunc("cache_window_p50_request_seconds", "p50 request latency over the sliding window, seconds.",
 			func() float64 { return window().P50 }, "window", label)
-		reg.GaugeFunc(MetricWindowP99, "p99 request latency over the sliding window, seconds.",
+		reg.GaugeFunc("cache_window_p99_request_seconds", "p99 request latency over the sliding window, seconds.",
 			func() float64 { return window().P99 }, "window", label)
 	}
 
@@ -296,13 +288,10 @@ func (s *Server) initAnalyticsMetrics(reg *metrics.Registry) {
 	if o == nil {
 		return
 	}
-	signals := func() mrc.Signals {
-		sn := o.Snapshot()
-		return sn.Signals(s.capacityItems(), s.bytesPerItem())
-	}
+	signals := func() mrc.Signals { return s.mrcScale(o.Snapshot()) }
 	for i, label := range mrc.ScaleLabels() {
 		i := i
-		reg.GaugeFunc(MetricMRCPredictedHitRatio,
+		reg.GaugeFunc("cache_mrc_predicted_hit_ratio",
 			"Predicted hit ratio at a multiple of current capacity (online SHARDS estimate).",
 			func() float64 {
 				sig := signals()
@@ -312,15 +301,15 @@ func (s *Server) initAnalyticsMetrics(reg *metrics.Registry) {
 				return sig.Scales[i].HitRatio
 			}, "scale", label)
 	}
-	reg.GaugeFunc(MetricMRCMarginalHit, "Predicted hit-ratio gain per extra MiB of capacity.",
+	reg.GaugeFunc("cache_mrc_marginal_hit_ratio_per_mib", "Predicted hit-ratio gain per extra MiB of capacity.",
 		func() float64 { return signals().MarginalHitPerMiB })
-	reg.GaugeFunc(MetricMRCSampleRate, "SHARDS spatial sampling rate.",
+	reg.GaugeFunc("cache_mrc_sample_rate", "SHARDS spatial sampling rate.",
 		func() float64 { return o.Rate() })
-	reg.GaugeFunc(MetricMRCTrackedKeys, "Sampled keys currently tracked by the estimator.",
+	reg.GaugeFunc("cache_mrc_tracked_keys", "Sampled keys currently tracked by the estimator.",
 		func() float64 { return float64(o.Snapshot().TrackedKeys) })
-	reg.CounterFunc(MetricMRCSampledTotal, "Accesses that passed the spatial sampling filter.",
+	reg.CounterFunc("cache_mrc_sampled_accesses_total", "Accesses that passed the spatial sampling filter.",
 		func() int64 { return o.Snapshot().SampledAccesses })
-	reg.CounterFunc(MetricMRCDroppedTotal, "Sampled accesses lost in the staging rings before the drain loop saw them.",
+	reg.CounterFunc("cache_mrc_samples_dropped_total", "Sampled accesses lost in the staging rings before the drain loop saw them.",
 		func() int64 { return o.Snapshot().Dropped })
 }
 

@@ -374,7 +374,6 @@ func (s *Server) dispatchPending(mb *multiBuf, bt *connBatch, tr *connTracer) {
 		}
 	}
 	mb.vals = s.cfg.Store.GetMulti(mb.vals, keys, ids, hits)
-	s.counters.Gets.Add(int64(nkeys))
 
 	k := 0
 	for i := 0; i < n; i++ {
@@ -385,10 +384,8 @@ func (s *Server) dispatchPending(mb *multiBuf, bt *connBatch, tr *connTracer) {
 			h := hits[k]
 			k++
 			if !h.Hit {
-				s.counters.GetMisses.Add(1)
 				continue
 			}
-			s.counters.GetHits.Add(1)
 			req.outcome = OutcomeHit
 			v := mb.vals[h.Start:h.End]
 			s.counters.BytesWritten.Add(int64(len(v)))

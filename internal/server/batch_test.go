@@ -297,7 +297,7 @@ func TestServerBatchedPipelineZeroAllocs(t *testing.T) {
 	if s.counters.Batches.Load() == 0 || s.counters.BatchedReqs.Load() == 0 {
 		t.Fatal("merged dispatch counters never moved")
 	}
-	if n := s.counters.GetMisses.Load(); n != 0 {
+	if n := s.cfg.Store.Stats().Misses; n != 0 {
 		t.Fatalf("unexpected misses: %d", n)
 	}
 }
@@ -341,7 +341,7 @@ func TestServerMultiListener(t *testing.T) {
 			rc.expect("END")
 		}
 	}
-	if hits := srv.Counters().GetHits.Load(); hits != 48 {
+	if hits := srv.cfg.Store.Stats().Hits; hits != 48 {
 		t.Fatalf("%d get hits, want 48", hits)
 	}
 

@@ -280,24 +280,18 @@ func (c *Client) Close() error {
 // Get fetches one key, returning (value, found). The returned slice is
 // owned by the caller.
 func (c *Client) Get(key []byte) (value []byte, found bool, err error) {
-	err = c.do(c.getAttempts(), func() error {
-		var e error
-		value, _, _, found, e = c.getOnce("get", key)
-		return e
-	})
-	return value, found, err
+	var res [1]MultiValue
+	err = c.do(c.getAttempts(), func() error { return c.getOnce("get", [][]byte{key}, res[:], nil) })
+	return res[0].Value, res[0].Found, err
 }
 
 // GetWith fetches one key along with its stored flags and cas token (it
 // issues a gets). It exists for proxies: a router re-serving a backend's
 // object must carry the backend's metadata through unchanged.
 func (c *Client) GetWith(key []byte) (value []byte, flags uint32, cas uint64, found bool, err error) {
-	err = c.do(c.getAttempts(), func() error {
-		var e error
-		value, flags, cas, found, e = c.getOnce("gets", key)
-		return e
-	})
-	return value, flags, cas, found, err
+	var res [1]MultiValue
+	err = c.do(c.getAttempts(), func() error { return c.getOnce("gets", [][]byte{key}, res[:], nil) })
+	return res[0].Value, res[0].Flags, res[0].CAS, res[0].Found, err
 }
 
 // GetExp fetches one key via gete, returning the stored metadata plus the
@@ -305,117 +299,9 @@ func (c *Client) GetWith(key []byte) (value []byte, flags uint32, cas uint64, fo
 // replicating an object to another node read through it so the copy can
 // carry the owner's real TTL instead of an immortal one.
 func (c *Client) GetExp(key []byte) (value []byte, flags uint32, cas uint64, expireAt int64, found bool, err error) {
-	err = c.do(c.getAttempts(), func() error {
-		var e error
-		value, flags, cas, expireAt, found, e = c.getExpOnce(key)
-		return e
-	})
-	return value, flags, cas, expireAt, found, err
-}
-
-func (c *Client) getExpOnce(key []byte) ([]byte, uint32, uint64, int64, bool, error) {
-	c.buf = append(c.buf[:0], "gete "...)
-	c.buf = append(c.buf, key...)
-	c.buf = append(c.buf, "\r\n"...)
-	if _, err := c.bw.Write(c.buf); err != nil {
-		return nil, 0, 0, 0, false, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, 0, 0, 0, false, err
-	}
-	c.dl.armRead()
-	var (
-		value    []byte
-		flags    uint32
-		cas      uint64
-		expireAt int64
-	)
-	found := false
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, 0, 0, 0, false, err
-		}
-		switch {
-		case bytes.Equal(line, []byte("END")):
-			return value, flags, cas, expireAt, found, nil
-		case bytes.HasPrefix(line, []byte("VALUE ")):
-			// "VALUE <key> <flags> <bytes> <cas> <exptime>" — the plain
-			// header parser ignores tokens past cas, so read the fifth
-			// token here.
-			_, f, n, cs, err := parseValueHeader(line)
-			if err != nil {
-				return nil, 0, 0, 0, false, err
-			}
-			rest := line[len("VALUE "):]
-			var tok []byte
-			for i := 0; i < 4; i++ {
-				_, rest = nextToken(rest)
-			}
-			tok, _ = nextToken(rest)
-			exp, ok := parseInt(tok)
-			if tok == nil || !ok {
-				return nil, 0, 0, 0, false, fmt.Errorf("server: bad exptime in %q", line)
-			}
-			value = make([]byte, n+2)
-			if _, err := io.ReadFull(c.br, value); err != nil {
-				return nil, 0, 0, 0, false, err
-			}
-			value = value[:n]
-			flags, cas, expireAt = f, cs, exp
-			found = true
-		case bytes.HasPrefix(line, busyPrefix):
-			return nil, 0, 0, 0, false, ErrServerBusy
-		default:
-			return nil, 0, 0, 0, false, fmt.Errorf("server: unexpected gete response %q", line)
-		}
-	}
-}
-
-func (c *Client) getOnce(verb string, key []byte) ([]byte, uint32, uint64, bool, error) {
-	c.buf = append(c.buf[:0], verb...)
-	c.buf = append(c.buf, ' ')
-	c.buf = append(c.buf, key...)
-	c.buf = append(c.buf, "\r\n"...)
-	if _, err := c.bw.Write(c.buf); err != nil {
-		return nil, 0, 0, false, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, 0, 0, false, err
-	}
-	c.dl.armRead()
-	var (
-		value []byte
-		flags uint32
-		cas   uint64
-	)
-	found := false
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		switch {
-		case bytes.Equal(line, []byte("END")):
-			return value, flags, cas, found, nil
-		case bytes.HasPrefix(line, []byte("VALUE ")):
-			_, f, n, cs, err := parseValueHeader(line)
-			if err != nil {
-				return nil, 0, 0, false, err
-			}
-			value = make([]byte, n+2)
-			if _, err := io.ReadFull(c.br, value); err != nil {
-				return nil, 0, 0, false, err
-			}
-			value = value[:n]
-			flags, cas = f, cs
-			found = true
-		case bytes.HasPrefix(line, busyPrefix):
-			return nil, 0, 0, false, ErrServerBusy
-		default:
-			return nil, 0, 0, false, fmt.Errorf("server: unexpected get response %q", line)
-		}
-	}
+	var res [1]MultiValue
+	err = c.do(c.getAttempts(), func() error { return c.getOnce("gete", [][]byte{key}, res[:], &expireAt) })
+	return res[0].Value, res[0].Flags, res[0].CAS, expireAt, res[0].Found, err
 }
 
 // MultiValue is one key's result in a GetMulti batch.
@@ -436,7 +322,7 @@ func (c *Client) GetMulti(keys [][]byte) ([]MultiValue, error) {
 	for start := 0; start < len(keys); start += MaxKeysPerGet {
 		end := min(start+MaxKeysPerGet, len(keys))
 		chunk, res := keys[start:end], out[start:end]
-		err := c.do(c.getAttempts(), func() error { return c.getMultiOnce(chunk, res) })
+		err := c.do(c.getAttempts(), func() error { return c.getOnce("gets", chunk, res, nil) })
 		if err != nil {
 			return nil, err
 		}
@@ -444,12 +330,15 @@ func (c *Client) GetMulti(keys [][]byte) ([]MultiValue, error) {
 	return out, nil
 }
 
-func (c *Client) getMultiOnce(keys [][]byte, out []MultiValue) error {
-	// A retried chunk starts over; clear anything a broken attempt filled.
-	for i := range out {
-		out[i] = MultiValue{}
-	}
-	c.buf = append(c.buf[:0], "gets"...)
+// getOnce sends one `verb key...` request and reads the VALUE…END reply
+// into out, one slot per key. The server answers hits in request order, so
+// each VALUE header fills the next requested key of its name, and a key
+// asked for twice is answered twice. For gete, expireAt receives the
+// header's fifth token, the absolute expiry.
+func (c *Client) getOnce(verb string, keys [][]byte, out []MultiValue, expireAt *int64) error {
+	// A retried request starts over; clear anything a broken attempt filled.
+	clear(out)
+	c.buf = append(c.buf[:0], verb...)
 	for _, k := range keys {
 		c.buf = append(c.buf, ' ')
 		c.buf = append(c.buf, k...)
@@ -462,10 +351,7 @@ func (c *Client) getMultiOnce(keys [][]byte, out []MultiValue) error {
 		return err
 	}
 	c.dl.armRead()
-	idx := make(map[string]int, len(keys))
-	for i, k := range keys {
-		idx[string(k)] = i
-	}
+	next := 0
 	for {
 		line, err := c.readLine()
 		if err != nil {
@@ -479,19 +365,38 @@ func (c *Client) getMultiOnce(keys [][]byte, out []MultiValue) error {
 			if err != nil {
 				return err
 			}
+			if expireAt != nil {
+				// "VALUE <key> <flags> <bytes> <cas> <exptime>": the plain
+				// header parser ignores tokens past cas.
+				rest := line[len("VALUE "):]
+				for i := 0; i < 4; i++ {
+					_, rest = nextToken(rest)
+				}
+				tok, _ := nextToken(rest)
+				exp, ok := parseInt(tok)
+				if tok == nil || !ok {
+					return fmt.Errorf("server: bad exptime in %q", line)
+				}
+				*expireAt = exp
+			}
+			// key aliases the read buffer: match it before reading the value.
+			i := next
+			for i < len(keys) && !bytes.Equal(keys[i], key) {
+				i++
+			}
+			if i == len(keys) {
+				return fmt.Errorf("server: unrequested key %q in %s response", key, verb)
+			}
+			next = i + 1
 			value := make([]byte, n+2)
 			if _, err := io.ReadFull(c.br, value); err != nil {
 				return err
-			}
-			i, ok := idx[string(key)]
-			if !ok {
-				return fmt.Errorf("server: unrequested key %q in multi-get response", key)
 			}
 			out[i] = MultiValue{Value: value[:n], Flags: flags, CAS: cas, Found: true}
 		case bytes.HasPrefix(line, busyPrefix):
 			return ErrServerBusy
 		default:
-			return fmt.Errorf("server: unexpected get response %q", line)
+			return fmt.Errorf("server: unexpected %s response %q", verb, line)
 		}
 	}
 }

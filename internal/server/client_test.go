@@ -370,6 +370,34 @@ func TestClientGetMultiAndGetWith(t *testing.T) {
 	}
 }
 
+// A key asked for twice in one multi-get is answered twice: the server
+// answers hits in request order, and the client pairs each VALUE with the
+// next requested key of its name.
+func TestClientGetMultiDuplicateKey(t *testing.T) {
+	_, addr := startServer(t, nil)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set([]byte("a"), 7, []byte("va")); err != nil {
+		t.Fatal(err)
+	}
+	keys := [][]byte{[]byte("a"), []byte("a"), []byte("b"), []byte("a")}
+	got, err := c.GetMulti(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, mv := range got {
+		if want := i != 2; mv.Found != want {
+			t.Fatalf("key %d %q: found=%v, want %v", i, keys[i], mv.Found, want)
+		}
+		if mv.Found && (string(mv.Value) != "va" || mv.Flags != 7) {
+			t.Fatalf("key %d: value %q flags %d", i, mv.Value, mv.Flags)
+		}
+	}
+}
+
 func TestClientGetMultiEmpty(t *testing.T) {
 	_, addr := startServer(t, nil)
 	c, err := Dial(addr)

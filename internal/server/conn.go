@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -288,19 +287,16 @@ func (s *Server) dispatchOp(bw respWriter, req *Request) bool {
 		// The single-key hit path is zero-copy: header and value are
 		// appended straight into the write buffer's available space, so the
 		// value bytes move shard map → socket buffer in one copy.
-		s.counters.Gets.Add(1)
 		hdr := appendGetHeader
 		if req.Op == OpGets {
 			hdr = appendGetsHeader
 		}
 		out, vlen, ok := s.cfg.Store.AppendHit(bw.AvailableBuffer(), req.Keys[0], req.Digests[0], hdr)
 		if ok {
-			s.counters.GetHits.Add(1)
 			s.counters.BytesWritten.Add(int64(vlen))
 			req.outcome = OutcomeHit
 			bw.Write(append(out, '\r', '\n'))
 		} else {
-			s.counters.GetMisses.Add(1)
 			req.outcome = OutcomeMiss
 		}
 		writeEnd(bw)
@@ -371,23 +367,16 @@ func (s *Server) dispatchOp(bw respWriter, req *Request) bool {
 		// append; a concurrent overwrite between the two can pair one
 		// version's expiry with the next's value, which replication (the
 		// only gete caller) tolerates — the replica self-corrects on the
-		// next promotion.
-		s.counters.Gets.Add(1)
-		expireAt, present := s.cfg.Store.ExpireAtDigest(req.Keys[0], req.Digests[0])
-		hit := false
-		if present {
+		// next promotion. The store counts the lookup once: ExpireAtDigest
+		// counts an absent key's miss, AppendHit a present key's hit or miss.
+		req.outcome = OutcomeMiss
+		if expireAt, present := s.cfg.Store.ExpireAtDigest(req.Keys[0], req.Digests[0]); present {
 			out, vlen, ok := s.cfg.Store.AppendHit(bw.AvailableBuffer(), req.Keys[0], req.Digests[0], geteHeader(expireAt))
 			if ok {
-				s.counters.GetHits.Add(1)
 				s.counters.BytesWritten.Add(int64(vlen))
 				req.outcome = OutcomeHit
 				bw.Write(append(out, '\r', '\n'))
-				hit = true
 			}
-		}
-		if !hit {
-			s.counters.GetMisses.Add(1)
-			req.outcome = OutcomeMiss
 		}
 		writeEnd(bw)
 	case OpStats:
@@ -434,54 +423,4 @@ func resolveExptime(exptime, now int64) (expireAt int64, expired bool) {
 	default:
 		return exptime, false
 	}
-}
-
-// writeStats renders the stats response: server counters plus the store's
-// gauges. The snapshot is not atomic across counters, but each counter is
-// itself exact.
-func (s *Server) writeStats(bw respWriter) {
-	snap := s.cfg.Store.Stats()
-	writeStatString(bw, "cache", s.cfg.Store.Name())
-	writeStatString(bw, "version", Version)
-	writeStat(bw, "uptime_seconds", int64(time.Since(s.start).Seconds()))
-	writeStat(bw, "listeners", int64(s.numListeners()))
-	writeStat(bw, "gomaxprocs", int64(runtime.GOMAXPROCS(0)))
-	writeStat(bw, "data_shards", int64(len(s.cfg.Store.ShardStats())))
-	writeStat(bw, "capacity_items", int64(s.cfg.Store.Capacity()))
-	writeStat(bw, "curr_items", s.cfg.Store.Items())
-	writeStat(bw, "curr_bytes", s.cfg.Store.Bytes())
-	writeStat(bw, "used_bytes", snap.UsedBytes)
-	writeStat(bw, "max_bytes", snap.MaxBytes)
-	writeStat(bw, "expired_proactive", snap.Expired)
-	writeStat(bw, "evictions", snap.Evictions)
-	writeStat(bw, "cmd_get", s.counters.Gets.Load())
-	writeStat(bw, "get_hits", s.counters.GetHits.Load())
-	writeStat(bw, "get_misses", s.counters.GetMisses.Load())
-	writeStat(bw, "cmd_set", s.counters.Sets.Load())
-	writeStat(bw, "cmd_delete", s.counters.Deletes.Load())
-	writeStat(bw, "delete_hits", s.counters.DeleteHits.Load())
-	writeStat(bw, "cmd_touch", s.counters.Touches.Load())
-	writeStat(bw, "touch_hits", s.counters.TouchHits.Load())
-	writeStat(bw, "bad_commands", s.counters.BadCommands.Load())
-	writeStat(bw, "bytes_read", s.counters.BytesRead.Load())
-	writeStat(bw, "bytes_written", s.counters.BytesWritten.Load())
-	writeStat(bw, "curr_connections", s.counters.CurrConns.Load())
-	writeStat(bw, "total_connections", s.counters.TotalConns.Load())
-	writeStat(bw, "rejected_connections", s.counters.RejectedConns.Load())
-	writeStat(bw, "conns_slow_closed", s.counters.SlowConnsClosed.Load())
-	writeStat(bw, "accept_retries", s.counters.AcceptRetries.Load())
-	writeStat(bw, "panics", s.counters.Panics.Load())
-	writeStat(bw, "flushes", s.counters.Flushes.Load())
-	writeStat(bw, "batches", s.counters.Batches.Load())
-	writeStat(bw, "batched_requests", s.counters.BatchedReqs.Load())
-	if l := s.limiter; l != nil {
-		lsnap := l.Snapshot()
-		writeStat(bw, "limiter_limit", int64(lsnap.Limit))
-		writeStat(bw, "limiter_inflight", int64(lsnap.Inflight))
-		writeStat(bw, "limiter_pending", int64(lsnap.Pending))
-		writeStat(bw, "pressure_level", int64(lsnap.Level))
-		writeStat(bw, "shed_total", lsnap.ShedTotal)
-		writeStat(bw, "breach_epochs", lsnap.BreachEpochs)
-	}
-	writeEnd(bw)
 }

@@ -94,25 +94,25 @@ type loadMetrics struct {
 
 func newLoadMetrics(reg *metrics.Registry) *loadMetrics {
 	return &loadMetrics{
-		getReqs: reg.Counter(MetricRequestsTotal, "Requests issued, by command.",
+		getReqs: reg.Counter(metricRequestsTotal, "Requests issued, by command.",
 			"side", "client", "cmd", "get"),
-		setReqs: reg.Counter(MetricRequestsTotal, "Requests issued, by command.",
+		setReqs: reg.Counter(metricRequestsTotal, "Requests issued, by command.",
 			"side", "client", "cmd", "set"),
-		getLat: reg.Histogram(MetricRequestDuration, "Request round-trip latency in seconds, by command.",
+		getLat: reg.Histogram(metricRequestDuration, "Request round-trip latency in seconds, by command.",
 			metrics.DefLatencyBuckets, "side", "client", "cmd", "get"),
-		setLat: reg.Histogram(MetricRequestDuration, "Request round-trip latency in seconds, by command.",
+		setLat: reg.Histogram(metricRequestDuration, "Request round-trip latency in seconds, by command.",
 			metrics.DefLatencyBuckets, "side", "client", "cmd", "set"),
-		hits: reg.Counter(MetricHits, "Gets that found the key.",
+		hits: reg.Counter(metricHits, "Gets that found the key.",
 			"side", "client"),
-		misses: reg.Counter(MetricMisses, "Gets that missed.",
+		misses: reg.Counter(metricMisses, "Gets that missed.",
 			"side", "client"),
-		sets: reg.Counter(MetricSets, "Cache-aside fills issued on misses.",
+		sets: reg.Counter(metricSets, "Cache-aside fills issued on misses.",
 			"side", "client"),
-		errs: reg.Counter(MetricClientErrors, "Operations failed after exhausting the retry budget.",
+		errs: reg.Counter("cache_client_errors_total", "Operations failed after exhausting the retry budget.",
 			"side", "client"),
-		retries: reg.Counter(MetricClientRetries, "Operation retries after transport failures.",
+		retries: reg.Counter("cache_client_retries_total", "Operation retries after transport failures.",
 			"side", "client"),
-		reconnects: reg.Counter(MetricClientReconnects, "Connections re-established after transport failures.",
+		reconnects: reg.Counter("cache_client_reconnects_total", "Connections re-established after transport failures.",
 			"side", "client"),
 	}
 }

@@ -103,6 +103,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	counters Counters
+	rows     []statRow      // the stat table, see statRows
 	metrics  *serverMetrics // nil unless Config.Metrics was set
 	log      *slog.Logger
 	spans    *obs.SpanBuffer // nil unless tracing was enabled
@@ -177,6 +178,7 @@ func New(cfg Config) (*Server, error) {
 			MaxPending: cfg.MaxPending,
 		})
 	}
+	s.rows = s.statRows()
 	if cfg.Metrics != nil {
 		s.initMetrics(cfg.Metrics)
 	}

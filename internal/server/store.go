@@ -28,12 +28,12 @@ type Store interface {
 	// the gete command, which replication uses to forward owner TTLs.
 	ExpireAtDigest(key []byte, id uint64) (int64, bool)
 
-	// Occupancy and accounting, served through stats and metrics.
-	Items() int64
-	Bytes() int64
+	// Stats is the one source of every store number the server exposes:
+	// hits and misses (one per looked-up key), occupancy (Len, ValueBytes,
+	// UsedBytes) and budget (Capacity, MaxBytes). ShardStats is per shard,
+	// empty for a store without local shards.
 	Stats() concurrent.Snapshot
 	ShardStats() []concurrent.Snapshot
-	Capacity() int
 	Name() string
 }
 

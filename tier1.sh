@@ -46,6 +46,9 @@ phase 'go build ./...'
 go build ./...
 phase 'go test ./... (incl. both golden tables: policy/all hit counts, sizeaware byte counts)'
 go test ./...
+phase 'exported-name census (exported names in internal/... that nothing outside their package names; fails above the checked-in count)'
+census=$(go test -count=1 -v -run 'TestExportCensus$' ./internal/census/) || { echo "$census" >&2; exit 1; }
+echo "$census" | grep 'census:'
 phase 'go test ./... (benchmark/: a nested module root go test skips, built against the packages above)'
 (cd benchmark && go test ./...)
 phase 'go test -race (concurrent incl. the KV model test and hammer + server + obs + chaos + cluster)'
