@@ -329,6 +329,52 @@ func TestRouterMultiGetDuplicateKey(t *testing.T) {
 	}
 }
 
+// The router's occupancy is the fleet's: its value and buffer bytes are
+// the sums of what its backends' stats report.
+func TestRouterStatsSumFleetOccupancy(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		addrs[i], _ = startBackend(t)
+	}
+	router, err := NewRouter(RouterConfig{Nodes: addrs, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	c := dialNode(t, startFront(t, router))
+	for i := 0; i < 40; i++ {
+		if err := c.Set([]byte(fmt.Sprintf("k%02d", i)), 0, make([]byte, 50*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var values, buffers int64
+	for _, a := range addrs {
+		st, err := dialNode(t, a).Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := server.StatInt(st, "curr_bytes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := server.StatInt(st, "buffer_bytes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		values, buffers = values+v, buffers+b
+	}
+	router.statsMu.Lock()
+	router.statsAt = time.Time{} // drop a poll cached before the sets
+	router.statsMu.Unlock()
+	st := router.Stats()
+	if st.ValueBytes != values || st.BufferBytes != buffers {
+		t.Fatalf("router reports %d value and %d buffer bytes, the backends %d and %d", st.ValueBytes, st.BufferBytes, values, buffers)
+	}
+	if buffers <= values {
+		t.Fatalf("backends hold %d buffer bytes for %d value bytes", buffers, values)
+	}
+}
+
 // A dead backend degrades like a cache should: reads of its keys miss,
 // writes drop, the front connection never sees an error, and the failure
 // is tallied per node. Removing the node rehomes its keys.

@@ -235,6 +235,7 @@ type Router struct {
 type fleetStats struct {
 	items, bytes, capacity       int64
 	usedBytes, maxBytes, expired int64
+	bufferBytes                  int64
 }
 
 // NewRouter validates cfg and connects the ring. Backends are dialed
@@ -791,16 +792,17 @@ func (r *Router) expireAt(key []byte, id uint64) (int64, bool) {
 func (r *Router) Stats() concurrent.Snapshot {
 	fs := r.aggregate()
 	return concurrent.Snapshot{
-		Hits:       r.hits.Load(),
-		Misses:     r.misses.Load(),
-		Sets:       r.sets.Load(),
-		Deletes:    r.deletes.Load(),
-		Expired:    fs.expired,
-		Len:        int(fs.items),
-		Capacity:   int(fs.capacity),
-		UsedBytes:  fs.usedBytes,
-		MaxBytes:   fs.maxBytes,
-		ValueBytes: fs.bytes,
+		Hits:        r.hits.Load(),
+		Misses:      r.misses.Load(),
+		Sets:        r.sets.Load(),
+		Deletes:     r.deletes.Load(),
+		Expired:     fs.expired,
+		Len:         int(fs.items),
+		Capacity:    int(fs.capacity),
+		UsedBytes:   fs.usedBytes,
+		MaxBytes:    fs.maxBytes,
+		ValueBytes:  fs.bytes,
+		BufferBytes: fs.bufferBytes,
 	}
 }
 
@@ -848,6 +850,7 @@ func (r *Router) aggregate() fleetStats {
 			{"capacity_items", &fs.capacity},
 			{"used_bytes", &fs.usedBytes},
 			{"max_bytes", &fs.maxBytes},
+			{"buffer_bytes", &fs.bufferBytes},
 			{"expired_proactive", &fs.expired},
 		} {
 			if v, err := server.StatInt(st, f.name); err == nil {

@@ -162,9 +162,9 @@ type HitHeaderFunc func(dst, key []byte, valueLen int, flags uint32, cas uint64)
 
 // AppendHit is the server's zero-copy hit path: on a hit it appends a
 // header (via hdr, which sees the value length before the bytes) followed
-// by the value to dst — typically the connection's bufio.Writer
-// AvailableBuffer, so the value bytes go straight into the socket buffer
-// with no intermediate copy. On a miss (or a failed epoch check) dst is
+// by the value to dst — typically the connection's multiBuf, whose
+// chunks go to the socket in one writev, so the value bytes need no
+// intermediate copy. On a miss (or a failed epoch check) dst is
 // returned unchanged. valueLen reports the appended value's length.
 func (kv *KV) AppendHit(dst, key []byte, id uint64, hdr HitHeaderFunc) (out []byte, valueLen int, ok bool) {
 	out, valueLen, _, _, ok = kv.appendHit(dst, key, id, hdr)
@@ -290,9 +290,14 @@ func (kv *KV) Set(key, value []byte, flags uint32) uint64 {
 // expiry deadline in unix seconds (0 = never). The deadline is stamped on
 // the entry (for the lazy check on the hit path) and scheduled on the
 // shard's timer wheel (for proactive reclaim via AdvanceTTL). The policy
-// cost is the full accounted footprint, not just the value length, so
-// byte-capped policies bound real memory; a policy that refuses the object
-// (size-aware admission, or no room at all) recycles it and stores nothing.
+// cost is EntryCost, key and value plus EntryOverhead, so under a byte cap
+// the resident keys and values fit the budget. Their buffers hold a little
+// more: each is its object's key and value rounded up by at most an eighth,
+// to at least 64 B and to what the Go allocator hands out for that size
+// (see pool.go); Stats reports their sum as BufferBytes. Slab nodes and
+// index cells come on top (see EntryOverhead). A policy that refuses the
+// object (size-aware admission, or no room at all) recycles it and stores
+// nothing.
 func (kv *KV) SetDigest(key, value []byte, flags uint32, id uint64, expireAt int64) uint64 {
 	// The cas token lives in a local: once set returns a concurrent
 	// overwrite may have replaced the object.

@@ -15,15 +15,15 @@ import (
 // residents (an admitted key with no object). walkKV proves it on a live
 // store: it walks every shard's queues and checks that each resident slot
 // carries exactly one object with its timer armed exactly at its deadline,
-// that the ghosts carry neither, and that Items, Bytes and Stats are the
-// sums over what it walked.
+// that the ghosts carry neither, and that Stats' occupancy — Len,
+// ValueBytes, BufferBytes, UsedBytes — is the sum over what it walked.
 
 // walkKV returns the object in every resident slot, keyed by digest. Call
 // at quiescence.
 func walkKV(t *testing.T, kv *KV) map[uint64]entry {
 	t.Helper()
 	resident := map[uint64]entry{}
-	var valueBytes, used int64
+	var valueBytes, bufferBytes, used int64
 	for i := range kv.b.shards {
 		s := &kv.b.shards[i]
 		var shardUsed int64
@@ -50,6 +50,7 @@ func walkKV(t *testing.T, kv *KV) map[uint64]entry {
 				}
 				resident[id] = v.e
 				valueBytes += int64(len(v.e.value()))
+				bufferBytes += int64(cap(v.e.buf))
 				shardUsed += int64(v.value)
 				cost += kv.b.cost(v.value)
 			}
@@ -82,6 +83,9 @@ func walkKV(t *testing.T, kv *KV) map[uint64]entry {
 	}
 	if st.ValueBytes != valueBytes {
 		t.Fatalf("Stats.ValueBytes %d, resident values sum to %d", st.ValueBytes, valueBytes)
+	}
+	if st.BufferBytes != bufferBytes {
+		t.Fatalf("Stats.BufferBytes %d, resident buffers sum to %d", st.BufferBytes, bufferBytes)
 	}
 	if st.UsedBytes != used || (st.MaxBytes > 0 && used > st.MaxBytes) || (st.Capacity > 0 && st.Len > st.Capacity) {
 		t.Fatalf("UsedBytes %d (residents %d), MaxBytes %d, Len %d, Capacity %d", st.UsedBytes, used, st.MaxBytes, st.Len, st.Capacity)

@@ -11,9 +11,14 @@ import (
 )
 
 // EntryOverhead is the fixed per-object byte cost added to
-// len(key)+len(value) when a byte-capped cache accounts an object: an
-// approximation of the index cell, slab slot (which holds the object's
-// header) and buffer slack a cached object really costs beyond its payload.
+// len(key)+len(value) when a byte-capped cache accounts an object. What an
+// object really costs beyond its payload is more: its 96 B slab node (the
+// slot that holds its header, plus key and list links), about 32 B of the
+// index's at most half-full 16 B cells, and its buffer's class slack: up to
+// an eighth of its payload, or the rest of the 64 B smallest class (see
+// pool.go). The constant stays 64 anyway:
+// changing it would move every byte-capped eviction decision and the
+// simulator's golden_sized.txt with them.
 const EntryOverhead = 64
 
 // EntryCost is the accounted byte cost of one cached object — the value
@@ -85,10 +90,12 @@ type shard struct {
 	ghostMin int   // QDLP: floor of the ghost's bound, see ghostRoom
 
 	wheel *ttlwheel.Wheel // TTL timers of the KV's objects, by slot; nil under a bare Cache
-	// valueBytes is the KV's payload occupancy (sum of value lengths).
-	valueBytes int64
-	stats      opStats
-	_          [48]byte // pad to 256 bytes (TestShardPadding) to limit false sharing between shards
+	// valueBytes is the KV's payload occupancy (sum of value lengths);
+	// bufferBytes what holds it (sum of its objects' buffer capacities).
+	valueBytes  int64
+	bufferBytes int64
+	stats       opStats
+	_           [40]byte // pad to 256 bytes (TestShardPadding) to limit false sharing between shards
 }
 
 // base is what every policy shares: the shards, a budget in cost units, the
@@ -297,6 +304,7 @@ func (b *base) ShardStats() []Snapshot {
 		s.mu.RLock()
 		out[i] = s.stats.snapshot(s.main.list.Len() + s.small.list.Len())
 		out[i].ValueBytes = s.valueBytes
+		out[i].BufferBytes = s.bufferBytes
 		s.mu.RUnlock()
 		if b.byBytes {
 			out[i].MaxBytes = s.main.max + s.small.max
@@ -334,6 +342,7 @@ func (s *shard) region(v *slot) *region {
 // attach accounts slot n's new object and arms its expiry.
 func (s *shard) attach(n int32, v *slot) {
 	s.valueBytes += int64(len(v.e.value()))
+	s.bufferBytes += int64(cap(v.e.buf))
 	if v.e.expireAt > 0 {
 		s.wheel.Schedule(n, v.e.expireAt)
 	}
@@ -347,6 +356,7 @@ func (s *shard) release(n int32, v *slot) {
 		return
 	}
 	s.valueBytes -= int64(len(v.e.value()))
+	s.bufferBytes -= int64(cap(v.e.buf))
 	if v.e.expireAt > 0 {
 		s.wheel.Remove(n)
 	}

@@ -37,6 +37,10 @@ type Snapshot struct {
 	// ValueBytes is the raw value payload of the cached objects (the KV's;
 	// a bare Cache leaves it zero).
 	ValueBytes int64
+	// BufferBytes is the capacity of the buffers holding the cached
+	// objects' keys and values: what ValueBytes really occupies, keys and
+	// size-class slack included (see pool.go).
+	BufferBytes int64
 }
 
 // HitRatio returns Hits/(Hits+Misses), or 0 before any Get.
@@ -96,6 +100,7 @@ func sumSnapshots(shards []Snapshot) Snapshot {
 		out.UsedBytes += s.UsedBytes
 		out.MaxBytes += s.MaxBytes
 		out.ValueBytes += s.ValueBytes
+		out.BufferBytes += s.BufferBytes
 	}
 	return out
 }

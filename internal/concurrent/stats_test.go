@@ -97,11 +97,12 @@ func TestKVStats(t *testing.T) {
 			kv.Delete([]byte("b")) // second delete: not counted
 
 			st := kv.Stats()
-			// Only "a"/"va" survives the delete; entry-capped policies still
-			// account its cost informationally.
+			// Only "a"/"va" survives the delete, in a buffer of the 64 B
+			// smallest class; entry-capped policies still account its cost
+			// informationally.
 			want := Snapshot{Hits: 1, Misses: 1, Sets: 2, Deletes: 1,
 				Len: kv.b.Len(), Capacity: kv.b.Capacity(), ValueBytes: int64(len("va")),
-				UsedBytes: EntryCost(len("a"), len("va"))}
+				BufferBytes: 64, UsedBytes: EntryCost(len("a"), len("va"))}
 			if st != want {
 				t.Errorf("Stats = %+v, want %+v", st, want)
 			}

@@ -24,9 +24,9 @@ const (
 // waitData parks until at least one request byte is buffered, without
 // consuming anything. Parking in Peek rather than in the parser means
 // Shutdown's SetReadDeadline(now) wake-up can never corrupt a half-read
-// request: on a wake we re-peek once with a short grace deadline to pick
-// up any bytes the client had already sent, and return an error only once
-// a full grace window passes with nothing arriving.
+// request: on a wake we re-peek with a short grace deadline to pick up any
+// bytes the client had already sent, and return an error only once a full
+// grace window passes with nothing arriving.
 //
 // The idle deadline is armed lazily (a parked connection is closed between
 // IdleTimeout and 1.25·IdleTimeout after its last byte); the grace deadline
@@ -35,8 +35,10 @@ const (
 func (s *Server) waitData(dl *lazyDeadlines, br *bufio.Reader) error {
 	for {
 		grace := s.draining.Load()
+		var graceEnd time.Time
 		if grace {
-			dl.conn.SetReadDeadline(time.Now().Add(drainGrace))
+			graceEnd = time.Now().Add(drainGrace)
+			dl.conn.SetReadDeadline(graceEnd)
 			dl.invalidateRead()
 		} else {
 			dl.armRead()
@@ -51,9 +53,12 @@ func (s *Server) waitData(dl *lazyDeadlines, br *bufio.Reader) error {
 		if err == nil {
 			return nil
 		}
+		// A timeout while draining is Shutdown's wake-up, not idleness, and
+		// the wake-up may land after the grace deadline was armed: only a
+		// grace window that really elapsed means drained dry.
 		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() && !grace && s.draining.Load() {
-			continue // woken for drain, not idle: one grace re-peek
+		if errors.As(err, &ne) && ne.Timeout() && s.draining.Load() && (!grace || time.Now().Before(graceEnd)) {
+			continue
 		}
 		return err // EOF, idle timeout, or drained dry
 	}

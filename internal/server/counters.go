@@ -135,6 +135,7 @@ func (s *Server) statRows() []statRow {
 		gauge("curr_items", "cache_items", "Objects currently cached.", policyOnly, func(v *statView) int64 { return int64(v.store().Len) }),
 		gauge("curr_bytes", "cache_value_bytes", "Value bytes currently cached.", policyOnly, func(v *statView) int64 { return v.store().ValueBytes }),
 		gauge("used_bytes", "cache_used_bytes", "Accounted bytes currently cached (key+value+overhead).", policyOnly, func(v *statView) int64 { return v.store().UsedBytes }),
+		gauge("buffer_bytes", "cache_buffer_bytes", "Capacity of the pooled buffers holding cached keys and values.", policyOnly, func(v *statView) int64 { return v.store().BufferBytes }),
 		gauge("max_bytes", "cache_max_bytes", "Configured byte budget (0 when capped by entries).", policyOnly, func(v *statView) int64 { return v.store().MaxBytes }),
 		counter("expired_proactive", "cache_expired_proactive_total", "Objects reclaimed proactively by the TTL timer wheel.", sidePolicy, func(v *statView) int64 { return v.store().Expired }),
 		counter("evictions", "cache_evictions_total", "Objects evicted to make room.", sidePolicy, func(v *statView) int64 { return v.store().Evictions }),

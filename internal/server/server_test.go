@@ -212,6 +212,9 @@ func TestServerStatsConsistency(t *testing.T) {
 	if bytes != 50 { // 10 items × len("value")
 		t.Fatalf("curr_bytes = %d", bytes)
 	}
+	if buf, _ := StatInt(st, "buffer_bytes"); buf != 640 { // 10 items × the 64 B smallest class
+		t.Fatalf("buffer_bytes = %d", buf)
+	}
 	if got := srv.Counters().Sets.Load(); got != 10 {
 		t.Fatalf("cmd_set = %d", got)
 	}

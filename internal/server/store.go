@@ -30,8 +30,8 @@ type Store interface {
 
 	// Stats is the one source of every store number the server exposes:
 	// hits and misses (one per looked-up key), occupancy (Len, ValueBytes,
-	// UsedBytes) and budget (Capacity, MaxBytes). ShardStats is per shard,
-	// empty for a store without local shards.
+	// BufferBytes, UsedBytes) and budget (Capacity, MaxBytes). ShardStats
+	// is per shard, empty for a store without local shards.
 	Stats() concurrent.Snapshot
 	ShardStats() []concurrent.Snapshot
 	Name() string

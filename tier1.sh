@@ -60,8 +60,8 @@ go test -count=50 -run 'TestProxyLatencyAndFragmentationPreserveBytes$' ./intern
 phase 'alloc guard (tracing disabled = 0 allocs, sampling on <= 1, multi-key get = 0, batched pipeline incl. multi-key and split gets = 0, ring lookup = 0)'
 go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAllocsWithSampling|TestServerGetHitPathZeroAllocsWithMRCSampling|TestServerMultiGetPathZeroAllocs|TestServerBatchedPipelineZeroAllocs' ./internal/server/
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
-phase 'alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; an evicting set allocates nothing)'
-go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler|TestKVSetZeroAllocsSteadyState' ./internal/concurrent/
+phase 'alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; an evicting set allocates nothing) + buffer classes (eighth-step ladder; resident buffers within 9/8 of key+value)'
+go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler|TestKVSetZeroAllocsSteadyState|TestBufClassLadder|TestKVBufferFootprint' ./internal/concurrent/
 phase 'alloc guard (every registered simulator policy: 0 allocs per Access at steady state, or its stated budget)'
 go test -run 'TestSimPoliciesZeroAllocsSteadyState' ./internal/policy/all/
 phase 'bench smoke (one iteration per benchmark)'
