@@ -15,8 +15,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mrc"
+	"repro/internal/policy/clock"
+	"repro/internal/policy/gdsf"
+	"repro/internal/policy/lru"
+	"repro/internal/policy/qd"
 	"repro/internal/sim"
-	"repro/internal/sizeaware"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -216,22 +219,20 @@ func BenchmarkSizeAware(b *testing.B) {
 	}
 	const capacity = 6000 * 4096 / 10
 	for _, tc := range []struct {
-		name   string
-		policy string
+		name string
+		new  func() core.Policy
 	}{
-		{"size-lru", "lru"},
-		{"gdsf", "gdsf"},
-		{"size-qd-lp-fifo", "qdlp"},
+		{"size-lru", func() core.Policy { return lru.NewBytes(capacity) }},
+		{"gdsf", func() core.Policy { return gdsf.NewBytes(capacity) }},
+		{"size-qd-lp-fifo", func() core.Policy {
+			return qd.NewBytes(capacity, qd.Options{}, func(m int) core.Policy { return clock.NewBytes(m, 2) })
+		}},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				p, err := sizeaware.New(tc.policy, capacity)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = sizeaware.Run(p, mkTrace()).ByteMissRatio()
+				last = sim.Run(tc.new(), mkTrace()).ByteMissRatio()
 			}
 			b.ReportMetric(last, "byte-missratio")
 		})

@@ -4,10 +4,10 @@
 //
 // The repository contains:
 //
-//   - seventeen eviction policies (FIFO, LRU, CLOCK/FIFO-Reinsertion and
-//     k-bit variants, SIEVE, S3-FIFO, SLRU, 2Q, ARC, LIRS, LFU, LeCaR,
-//     CACHEUS, LHD, Hyperbolic, Belady's MIN, the paper's QD wrapper and
-//     QD-LP-FIFO), all under internal/policy;
+//   - fourteen eviction policies (FIFO, LRU, CLOCK/FIFO-Reinsertion and
+//     k-bit variants, SIEVE, S3-FIFO, ARC, LIRS, LFU, LeCaR, CACHEUS, LHD,
+//     Belady's MIN, the paper's QD wrapper and QD-LP-FIFO), all under
+//     internal/policy;
 //   - synthetic workload families standing in for the paper's ten
 //     production trace collections (internal/workload);
 //   - a deterministic simulator with sweeps and a resource-consumption

@@ -3,9 +3,9 @@
 //
 // Web objects vary over orders of magnitude in size, so a byte-bounded
 // cache must weigh a hit's value against its footprint. This example
-// replays a CDN-like trace with log-normal object sizes against the
-// simulator's clock, lru and qd under a byte cap (and GDSF), as
-// internal/sizeaware names them, and reports both object and byte miss
+// replays a CDN-like trace with log-normal object sizes through sim.Run
+// against the simulator's clock, lru and qd built with their byte-capped
+// NewBytes constructors (and GDSF), and reports both object and byte miss
 // ratios.
 //
 //	go run ./examples/sizedcache
@@ -13,9 +13,13 @@ package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/sizeaware"
+	"repro/internal/core"
+	"repro/internal/policy/clock"
+	"repro/internal/policy/gdsf"
+	"repro/internal/policy/lru"
+	"repro/internal/policy/qd"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -33,12 +37,12 @@ func main() {
 		return tr
 	}
 	probe := mkTrace()
-	var footprint int64
+	footprint := 0
 	seen := map[uint64]bool{}
 	for _, r := range probe.Requests {
 		if !seen[r.Key] {
 			seen[r.Key] = true
-			footprint += int64(r.Size)
+			footprint += int(r.Size)
 		}
 	}
 	capacity := footprint / 10
@@ -46,13 +50,18 @@ func main() {
 		len(probe.Requests), len(seen), float64(footprint)/(1<<20), float64(capacity)/(1<<20))
 
 	tb := stats.NewTable("policy", "object miss ratio", "byte miss ratio")
-	for _, name := range []string{"fifo", "lru", "clock", "gdsf", "qdlp"} {
-		p, err := sizeaware.New(name, capacity)
-		if err != nil {
-			log.Fatalf("sizeaware.New(%q): %v", name, err)
-		}
-		res := sizeaware.Run(p, mkTrace())
-		tb.AddRow(res.Policy, res.MissRatio(), res.ByteMissRatio())
+	for _, p := range []struct {
+		name   string
+		policy core.Policy
+	}{
+		{"size-fifo", clock.NewBytes(capacity, 0)},
+		{"size-lru", lru.NewBytes(capacity)},
+		{"size-clock", clock.NewBytes(capacity, 2)},
+		{"gdsf", gdsf.NewBytes(capacity)},
+		{"size-qd-lp-fifo", qd.NewBytes(capacity, qd.Options{}, func(m int) core.Policy { return clock.NewBytes(m, 2) })},
+	} {
+		res := sim.Run(p.policy, mkTrace())
+		tb.AddRow(p.name, res.MissRatio(), res.ByteMissRatio())
 	}
 	fmt.Print(tb)
 	fmt.Println("\nGDSF trades byte hits for object hits (evicting large objects first);")

@@ -2,16 +2,15 @@ package concurrent
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
 )
 
 // config collects the functional options New applies before dispatching to
-// a policy factory. Option relevance is tracked explicitly so a factory can
-// reject options that do not apply to its policy instead of silently
-// ignoring them — a misconfigured benchmark is worse than a loud error.
+// a policy's constructor. Option relevance is tracked explicitly so a
+// constructor can reject options that do not apply to its policy instead of
+// silently ignoring them — a misconfigured benchmark is worse than a loud
+// error.
 type config struct {
 	shards       int
 	clockBits    int
@@ -122,37 +121,8 @@ func WithRecorder(rec *obs.Recorder) Option {
 	}
 }
 
-// Factory constructs one policy's cache from the validated option set.
-type Factory func(cfg config) (Cache, error)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
-
-// Register adds a named cache factory to the registry. Like core.Register
-// it panics on a duplicate name: registration happens in init functions
-// where a duplicate is a programming error.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("concurrent: duplicate cache registration %q", name))
-	}
-	factories[name] = f
-}
-
-// Names returns the registered cache policy names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the cache policy names New accepts, in sorted order.
+func Names() []string { return []string{"clock", "lru", "qdlp", "sieve"} }
 
 // New constructs the named thread-safe cache — the concurrent counterpart
 // of core.New. Policy-specific knobs are functional options; an option that
@@ -186,13 +156,20 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	default:
 		return nil, fmt.Errorf("concurrent: capacity must be set via WithMaxBytes, WithMaxEntries, or the positional argument")
 	}
-	regMu.RLock()
-	f, ok := factories[policy]
-	regMu.RUnlock()
-	if !ok {
+	var build func(config) (Cache, error)
+	switch policy {
+	case "clock":
+		build = newClock
+	case "lru":
+		build = newLRU
+	case "qdlp":
+		build = newQDLP
+	case "sieve":
+		build = newSieve
+	default:
 		return nil, fmt.Errorf("concurrent: unknown cache policy %q (known: %v)", policy, Names())
 	}
-	c, err := f(cfg)
+	c, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -211,11 +188,4 @@ func rejectOptions(policy string, cfg config, clockBits, qdlp bool) error {
 		return fmt.Errorf("concurrent: policy %q does not take WithQDLPOptions", policy)
 	}
 	return nil
-}
-
-func init() {
-	Register("lru", newLRU)
-	Register("clock", newClock)
-	Register("sieve", newSieve)
-	Register("qdlp", newQDLP)
 }

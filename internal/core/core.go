@@ -41,7 +41,7 @@ type Policy interface {
 	// Len returns the number of objects whose data is currently cached.
 	Len() int
 	// Capacity returns the configured capacity: in objects, or in bytes for
-	// a policy built with its package's NewBytes (lru, clock, qd).
+	// a policy built with its package's NewBytes (lru, clock, qd, gdsf).
 	Capacity() int
 }
 
@@ -59,8 +59,8 @@ type Events struct {
 	OnHit    func(key uint64, now int64)
 }
 
-// EventSink is implemented by policies that support event callbacks. All
-// policies in internal/policy implement it.
+// EventSink is implemented by policies that support event callbacks. Every
+// registered policy implements it.
 type EventSink interface {
 	SetEvents(*Events)
 }

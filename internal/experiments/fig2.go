@@ -102,7 +102,8 @@ func printFig2(cfg Config, res Fig2Result) {
 			fmt.Fprintln(w, tb)
 		}
 	}
-	for sz, won := range res.DatasetsWon {
+	for _, sz := range []string{"small", "large"} { // not map order: the transcript is diffed
+		won := res.DatasetsWon[sz]
 		fmt.Fprintf(w, "datasets won (majority of traces, %s size): fifo-reinsertion %d/10, clock-2bit %d/10\n",
 			sz, won["fifo-reinsertion"], won["clock-2bit"])
 	}

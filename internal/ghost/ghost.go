@@ -4,9 +4,9 @@
 // their data. The paper's Quick Demotion technique uses one to distinguish
 // "new" objects (which must prove themselves in the probationary FIFO) from
 // objects that were demoted too quickly and deserve direct admission into
-// the main cache. 2Q's A1out and S3-FIFO's ghost are a Queue; the per-expert
-// eviction histories of LeCaR and CACHEUS are a History, the same queue with
-// a record per key. (internal/policy/qd itself keeps its ghost in the index
+// the main cache. S3-FIFO's ghost is a Queue; the per-expert eviction
+// histories of LeCaR and CACHEUS are a History, the same queue with a record
+// per key. (internal/policy/qd itself keeps its ghost in the index
 // that holds its probation keys, so a request costs it one probe for both.)
 package ghost
 

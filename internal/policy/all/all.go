@@ -13,7 +13,6 @@ import (
 	_ "repro/internal/policy/car"
 	_ "repro/internal/policy/clock"
 	_ "repro/internal/policy/fifo"
-	_ "repro/internal/policy/hyperbolic"
 	_ "repro/internal/policy/lazylru"
 	_ "repro/internal/policy/lecar"
 	_ "repro/internal/policy/lfu"
@@ -25,7 +24,5 @@ import (
 	_ "repro/internal/policy/qdlp"
 	_ "repro/internal/policy/s3fifo"
 	_ "repro/internal/policy/sieve"
-	_ "repro/internal/policy/slru"
 	_ "repro/internal/policy/ttl"
-	_ "repro/internal/policy/twoq"
 )

@@ -17,10 +17,10 @@ var allocBudget = map[string]float64{
 	// reused. Measured 5–19.
 	"lfu": 64, "lecar": 64, "cacheus": 64, "qd-lecar": 64, "qd-cacheus": 64,
 	// Never on a linked list, so not part of the slab migration: a Go map
-	// of heap-allocated entries (belady, lhd, hyperbolic) or of expiry
-	// times beside the wrapped policy (ttl). Measured 71 869, 36 635,
-	// 7 124, 38 066, 76 271 and 77 363.
-	"belady": 85000, "lhd": 43000, "qd-lhd": 8500, "hyperbolic": 44000,
+	// of heap-allocated entries (belady, lhd) or of expiry times beside the
+	// wrapped policy (ttl). Measured 71 869, 36 635, 7 124, 76 271 and
+	// 77 363.
+	"belady": 85000, "lhd": 43000, "qd-lhd": 8500,
 	"ttl-clock-2bit": 88000, "ttl-lru": 89000,
 }
 

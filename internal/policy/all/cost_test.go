@@ -31,13 +31,9 @@ func sameDecisions(t *testing.T, a, b core.Policy, capacity int) {
 // is the old `if Len >= capacity` at cost 1, not one off either way.
 // (qd is not here by design: under a byte cap its ghost tracks main's
 // population while main fills, so the two modes differ during warm-up. Its
-// entry mode is pinned by golden_hits.txt, its byte mode by sizeaware's
+// entry mode is pinned by golden_hits.txt, its byte mode by
 // golden_sized.txt.)
 func TestEntryCapIsByteCapAtCostOne(t *testing.T) {
-	type byteCapped interface {
-		core.Policy
-		Used() int
-	}
 	for name, build := range map[string]func(capacity int) (core.Policy, byteCapped){
 		"lru":        func(c int) (core.Policy, byteCapped) { return lru.New(c), lru.NewBytes(c) },
 		"clock-1bit": func(c int) (core.Policy, byteCapped) { return clock.New(c, 1), clock.NewBytes(c, 1) },

@@ -34,23 +34,29 @@ func goldenCells() []goldenCell {
 	return append(cells, goldenCell{"policytest@64", mixed, 64}, goldenCell{"policytest@333", mixed, 333})
 }
 
+// readGolden reads a golden table: one "key<TAB>counts" row a line, by key.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, counts, ok := strings.Cut(line, "\t"); ok {
+			rows[key] = counts
+		}
+	}
+	return rows
+}
+
 // TestGoldenHitCounts pins the exact hit count of every registered policy on
 // every cell to testdata/golden_hits.txt, so that a change of data structure
 // under a policy is shown to change no eviction decision. A policy whose
 // decisions are meant to change gets its lines replaced by the ones this test
 // prints.
 func TestGoldenHitCounts(t *testing.T) {
-	want := map[string]string{}
-	data, err := os.ReadFile("testdata/golden_hits.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if key, hits, ok := strings.Cut(line, "\t"); ok {
-			want[key] = hits
-		}
-	}
-
+	want := readGolden(t, "testdata/golden_hits.txt")
 	seen := 0
 	for _, c := range goldenCells() {
 		for _, name := range core.Names() {
@@ -65,5 +71,56 @@ func TestGoldenHitCounts(t *testing.T) {
 	}
 	if seen != len(want) {
 		t.Errorf("golden table has %d rows, the registry produced %d", len(want), seen)
+	}
+}
+
+// sizedGoldenTraces are the sized traces of the sized golden table: a CDN
+// trace and a block-storage one, both with per-key log-normal sizes around a
+// 4 KiB median.
+func sizedGoldenTraces() []*trace.Trace {
+	cdn := workload.MajorCDNLike().Generate(1, 6000, 100000)
+	msr := workload.MSRLike().Generate(1, 6000, 100000)
+	for _, tr := range []*trace.Trace{cdn, msr} {
+		workload.AssignSizes(tr, 4096)
+	}
+	return []*trace.Trace{cdn, msr}
+}
+
+// footprint is the total size of a trace's distinct objects.
+func footprint(tr *trace.Trace) int {
+	seen := make(map[uint64]bool)
+	bytes := 0
+	for _, r := range tr.Requests {
+		if !seen[r.Key] {
+			seen[r.Key] = true
+			bytes += int(r.Size)
+		}
+	}
+	return bytes
+}
+
+// TestGoldenSizedCounts pins the exact object and byte hit counts of every
+// byte-capped policy at 1 % and 10 % of two sized traces' footprints to
+// testdata/golden_sized.txt, as TestGoldenHitCounts does for the registry.
+func TestGoldenSizedCounts(t *testing.T) {
+	want := readGolden(t, "testdata/golden_sized.txt")
+	seen := 0
+	for _, tr := range sizedGoldenTraces() {
+		total := footprint(tr)
+		for _, div := range []int{100, 10} {
+			capacity := total / div
+			for _, sp := range sizedPolicies {
+				res := sim.Run(sp.new(capacity), tr)
+				key := fmt.Sprintf("%s %s cap=%d", sp.name, tr.Name, capacity)
+				got := fmt.Sprintf("%d/%d\t%d/%d", res.Hits, res.Requests, res.ByteHits, res.Bytes)
+				seen++
+				if want[key] != got {
+					t.Errorf("%s\t%s (golden: %q)", key, got, want[key])
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("golden table has %d rows, the policies produced %d", len(want), seen)
 	}
 }

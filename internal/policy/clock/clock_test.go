@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy/policytest"
+	"repro/internal/trace"
 )
 
 func TestConformance1Bit(t *testing.T) {
@@ -124,5 +125,25 @@ func TestAccessResident(t *testing.T) {
 	p.Access(&reqs[2]) // the hand reinserts 1 and evicts 2
 	if !p.Contains(1) || p.Contains(2) {
 		t.Fatal("the hit through AccessResident did not set the reference bit")
+	}
+}
+
+// Under a byte cap a requested object still earns its second chance,
+// whatever its size.
+func TestClockSizeAwareReinsertion(t *testing.T) {
+	p := NewBytes(1000, 2)
+	reqs := []trace.Request{
+		{Key: 1, Size: 400}, {Key: 2, Size: 400},
+		{Key: 1, Size: 400},            // hit: sets freq
+		{Key: 3, Size: 600, Time: 100}, // forces eviction
+	}
+	for i := range reqs {
+		p.Access(&reqs[i])
+	}
+	if !p.Contains(1) {
+		t.Fatal("requested object not reinserted")
+	}
+	if p.Contains(2) {
+		t.Fatal("unrequested object survived over requested one")
 	}
 }

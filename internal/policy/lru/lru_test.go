@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy/policytest"
+	"repro/internal/trace"
 )
 
 func TestConformance(t *testing.T) {
@@ -62,5 +63,23 @@ func TestLoopPathology(t *testing.T) {
 	mr := policytest.MissRatio(p, reqs)
 	if mr != 1.0 {
 		t.Fatalf("loop miss ratio = %v, want 1.0 (LRU thrashes on loops)", mr)
+	}
+}
+
+// Under a byte cap one large insert evicts as many objects as it needs.
+func TestEvictionFreesEnoughBytes(t *testing.T) {
+	p := NewBytes(1000)
+	reqs := []trace.Request{
+		{Key: 1, Size: 400}, {Key: 2, Size: 400},
+		{Key: 3, Size: 900}, // must evict both
+	}
+	for i := range reqs {
+		p.Access(&reqs[i])
+	}
+	if p.Contains(1) || p.Contains(2) || !p.Contains(3) {
+		t.Fatal("multi-eviction for a large insert failed")
+	}
+	if p.Used() != 900 {
+		t.Fatalf("used = %d", p.Used())
 	}
 }

@@ -1,10 +1,12 @@
 package qd
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/policy/arc"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
 	"repro/internal/trace"
@@ -225,4 +227,54 @@ func TestCostSeams(t *testing.T) {
 			}
 		})
 	}
+}
+
+// newSizeQDLP is size-aware QD-LP-FIFO: a byte-capped probation FIFO in
+// front of a byte-capped 2-bit CLOCK.
+func newSizeQDLP(capacity int) *Policy {
+	return NewBytes(capacity, Options{}, func(mainCap int) core.Policy { return clock.NewBytes(mainCap, 2) })
+}
+
+// Under a byte cap too, probation filters one-hit wonders before they reach
+// main.
+func TestQDLPFiltersOneHitWonders(t *testing.T) {
+	p := newSizeQDLP(1 << 16)
+	for i := 0; i < 2000; i++ {
+		r := trace.Request{Key: uint64(i), Size: 256, Time: int64(i)}
+		p.Access(&r)
+	}
+	if main := p.Main(); main.Len() != 0 {
+		t.Fatalf("%d one-hit wonders reached the main cache", main.Len())
+	}
+}
+
+// Under a byte cap too, a ghost hit is admitted into main.
+func TestQDLPGhostReadmission(t *testing.T) {
+	p := newSizeQDLP(10000) // probation 1000 bytes
+	reqs := []trace.Request{
+		{Key: 1, Size: 400}, {Key: 2, Size: 400},
+		{Key: 3, Size: 400}, {Key: 4, Size: 400}, // push 1,2 into ghost
+		{Key: 1, Size: 400}, // ghost hit → main
+	}
+	for i := range reqs {
+		reqs[i].Time = int64(i)
+		p.Access(&reqs[i])
+	}
+	if !p.Main().Contains(1) {
+		t.Fatal("ghost hit not admitted into main")
+	}
+}
+
+// A byte cap bounds no count of objects, so the indexes are given the slab's
+// ceiling; that is a bound, not a reservation: a new policy costs what it
+// holds, which is nothing yet.
+func TestQDLPConstructionAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := newSizeQDLP(1 << 30)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("NewBytes allocated %d bytes, want at most 64 KiB", got)
+	}
+	runtime.KeepAlive(p)
 }

@@ -285,16 +285,19 @@ func TestSlowRequestAlwaysRecorded(t *testing.T) {
 	rc := dialRaw(t, addr)
 	rc.send("set s 0 0 1\r\nx\r\n")
 	rc.expect("STORED")
+	// Record counts a slow span before it publishes the slot, so wait for
+	// the span itself, not for the count.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Spans().SlowCount() == 0 {
+	spans := srv.Spans().Snapshot(0)
+	for len(spans) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no slow span recorded")
+			t.Fatal("no span recorded")
 		}
 		time.Sleep(10 * time.Millisecond)
+		spans = srv.Spans().Snapshot(0)
 	}
-	spans := srv.Spans().Snapshot(0)
-	if len(spans) == 0 || !spans[0].Slow {
-		t.Fatalf("spans = %+v", spans)
+	if !spans[0].Slow || srv.Spans().SlowCount() == 0 {
+		t.Fatalf("spans = %+v, slow count %d", spans, srv.Spans().SlowCount())
 	}
 	// Sampling was off, so only the slow path recorded.
 	if srv.cfg.TraceSample != 0 {

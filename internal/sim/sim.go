@@ -12,7 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Result summarizes one policy run over one trace.
+// Result summarizes one policy run over one trace. Bytes and ByteHits sum
+// Request.Size over the requests and the hits; they are what a byte-capped
+// policy (one built with its package's NewBytes) is judged by.
 type Result struct {
 	Trace    string
 	Class    trace.Class
@@ -20,6 +22,8 @@ type Result struct {
 	Capacity int
 	Requests int64
 	Hits     int64
+	Bytes    int64
+	ByteHits int64
 }
 
 // MissRatio returns misses/requests (1 for an empty run).
@@ -28,6 +32,15 @@ func (r Result) MissRatio() float64 {
 		return 1
 	}
 	return float64(r.Requests-r.Hits) / float64(r.Requests)
+}
+
+// ByteMissRatio returns missed bytes/requested bytes (1 for a run of no
+// bytes).
+func (r Result) ByteMissRatio() float64 {
+	if r.Bytes == 0 {
+		return 1
+	}
+	return float64(r.Bytes-r.ByteHits) / float64(r.Bytes)
 }
 
 // String renders the result as a one-line report.
@@ -53,14 +66,14 @@ func Prepare(tr *trace.Trace, future bool) {
 	}
 }
 
-// Run replays tr against p and returns the result. If p is an offline
-// policy the trace is annotated first. Run mutates only Request.Time /
-// Request.NextAccess (via Prepare) — use Prepare upfront when sharing a
-// trace across goroutines.
+// Run replays tr against p and returns the result. Like RunSweep it first
+// prepares the trace, so time is the request index for every policy (a TTL
+// counts requests whatever the trace's own clock), and an offline policy's
+// trace is annotated. Run mutates only Request.Time / Request.NextAccess
+// (via Prepare); do not share the trace with a concurrent run.
 func Run(p core.Policy, tr *trace.Trace) Result {
-	if nf, ok := p.(needsFuture); ok && nf.NeedsFuture() {
-		Prepare(tr, true)
-	}
+	nf, ok := p.(needsFuture)
+	Prepare(tr, ok && nf.NeedsFuture())
 	return runPrepared(p, tr)
 }
 
@@ -75,8 +88,11 @@ func runPrepared(p core.Policy, tr *trace.Trace) Result {
 		Requests: int64(len(tr.Requests)),
 	}
 	for i := range tr.Requests {
-		if p.Access(&tr.Requests[i]) {
+		r := &tr.Requests[i]
+		res.Bytes += int64(r.Size)
+		if p.Access(r) {
 			res.Hits++
+			res.ByteHits += int64(r.Size)
 		}
 	}
 	return res

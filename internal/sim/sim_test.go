@@ -33,8 +33,8 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestMissRatioEmptyRun(t *testing.T) {
-	if (Result{}).MissRatio() != 1 {
-		t.Fatal("empty run miss ratio should be 1")
+	if (Result{}).MissRatio() != 1 || (Result{}).ByteMissRatio() != 1 {
+		t.Fatal("empty run miss ratios should be 1")
 	}
 }
 
@@ -51,6 +51,41 @@ func TestRunAnnotatesForOfflinePolicies(t *testing.T) {
 	}
 	if tr.Requests[0].Time != 0 {
 		t.Fatal("times not normalized")
+	}
+}
+
+// Run and RunSweep share one time base, the request index: on a trace whose
+// own clock is not that (a seconds column, here 100 requests a second), a TTL
+// in requests expires the same objects through either.
+func TestRunAndRunSweepShareTimeBase(t *testing.T) {
+	seconds := func() *trace.Trace {
+		tr := smallTrace()
+		for i := range tr.Requests {
+			tr.Requests[i].Time = int64(i / 100)
+		}
+		return tr
+	}
+	direct := Run(core.MustNew("ttl-lru", 200), seconds())
+	swept, err := RunSweep([]Job{{Trace: seconds(), Policy: "ttl-lru", Capacity: 200}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Hits != swept[0].Hits {
+		t.Fatalf("ttl-lru: Run %d hits, RunSweep %d hits", direct.Hits, swept[0].Hits)
+	}
+}
+
+// Bytes and ByteHits sum Request.Size over the requests and the hits.
+func TestRunCountsBytes(t *testing.T) {
+	tr := &trace.Trace{Requests: []trace.Request{
+		{Key: 1, Size: 100}, {Key: 2, Size: 300}, {Key: 1, Size: 100},
+	}}
+	res := Run(core.MustNew("lru", 2), tr)
+	if res.Hits != 1 || res.Bytes != 500 || res.ByteHits != 100 {
+		t.Fatalf("hits %d, bytes %d, byte hits %d; want 1, 500, 100", res.Hits, res.Bytes, res.ByteHits)
+	}
+	if got := res.ByteMissRatio(); got != 0.8 {
+		t.Fatalf("byte miss ratio %v, want 0.8", got)
 	}
 }
 

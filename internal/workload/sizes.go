@@ -13,7 +13,8 @@ import (
 // clamped to [64, 64·median] to keep single objects from dwarfing a cache.
 //
 // The paper's experiments assume uniform sizes; sized traces feed the
-// size-aware extension in internal/sizeaware.
+// size-aware extension: the byte-capped policies (clock, lru and qd built
+// with NewBytes, and gdsf) replayed by internal/sim.
 func AssignSizes(tr *trace.Trace, medianBytes int) {
 	if medianBytes < 64 {
 		medianBytes = 64

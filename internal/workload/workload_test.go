@@ -227,3 +227,25 @@ func TestDecay(t *testing.T) {
 		t.Fatalf("decayed keys still account for %.2f of late requests", frac)
 	}
 }
+
+func TestAssignSizesDeterministicPerKey(t *testing.T) {
+	tr := TwitterLike().Generate(1, 1000, 20000)
+	AssignSizes(tr, 4096)
+	sizes := map[uint64]uint32{}
+	var total int64
+	for _, r := range tr.Requests {
+		if s, ok := sizes[r.Key]; ok && s != r.Size {
+			t.Fatalf("key %d has two sizes: %d and %d", r.Key, s, r.Size)
+		}
+		sizes[r.Key] = r.Size
+		if r.Size < 64 {
+			t.Fatalf("size %d below floor", r.Size)
+		}
+		total += int64(r.Size)
+	}
+	mean := float64(total) / float64(len(tr.Requests))
+	// Log-normal with sigma 1.2: mean ≈ median × e^(σ²/2) ≈ 2× median.
+	if mean < 2048 || mean > 32768 {
+		t.Fatalf("implausible mean size %.0f", mean)
+	}
+}

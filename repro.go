@@ -93,7 +93,7 @@ type CacheStats = concurrent.Snapshot
 // and WithQDLPOptions in internal/concurrent.
 type ConcurrentOption = concurrent.Option
 
-// NewConcurrent constructs a registered thread-safe cache by policy name —
+// NewConcurrent constructs a thread-safe cache by policy name —
 // the concurrent counterpart of NewPolicy:
 //
 //	c, err := repro.NewConcurrent("qdlp", 1<<20, repro.WithConcurrentShards(64))
@@ -101,7 +101,7 @@ func NewConcurrent(policy string, capacity int, opts ...ConcurrentOption) (Concu
 	return concurrent.New(policy, capacity, opts...)
 }
 
-// ConcurrentNames lists every registered thread-safe cache policy.
+// ConcurrentNames lists the thread-safe cache policies NewConcurrent accepts.
 func ConcurrentNames() []string { return concurrent.Names() }
 
 // WithConcurrentShards sets the shard count for NewConcurrent.

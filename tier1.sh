@@ -44,7 +44,7 @@ phase 'go vet ./...'
 go vet ./...
 phase 'go build ./...'
 go build ./...
-phase 'go test ./... (incl. both golden tables: policy/all hit counts, sizeaware byte counts)'
+phase 'go test ./... (incl. both golden tables in internal/policy/all: registry hit counts, byte-capped object and byte hit counts)'
 go test ./...
 phase 'exported-name census (exported names in internal/... that nothing outside their package names; fails above the checked-in count)'
 census=$(go test -count=1 -v -run 'TestExportCensus$' ./internal/census/) || { echo "$census" >&2; exit 1; }
