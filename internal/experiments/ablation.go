@@ -7,7 +7,6 @@ import (
 	"repro/internal/policy/qdlp"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -36,8 +35,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 	var traces []*traceWithCap
 	for _, fam := range fams {
 		for s := 0; s < cfg.Seeds; s++ {
-			tr := fam.Generate(int64(s+1), cfg.Objects, cfg.Requests)
-			traces = append(traces, &traceWithCap{tr: tr, unique: tr.UniqueObjects()})
+			traces = append(traces, newTraceWithCap(fam.Generate(int64(s+1), cfg.Objects, cfg.Requests)))
 		}
 	}
 
@@ -137,9 +135,4 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 	}
 	fmt.Fprintf(cfg.out(), "Ablations (§5 design choices)\n%s\n", tb)
 	return rows, nil
-}
-
-type traceWithCap struct {
-	tr     *trace.Trace
-	unique int
 }

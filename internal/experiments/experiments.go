@@ -73,12 +73,23 @@ func (c *Config) normalize() {
 	}
 }
 
+// traceWithCap is a generated trace with its unique-object count, which
+// sizes every cache run on it; counted once per trace.
+type traceWithCap struct {
+	tr     *trace.Trace
+	unique int
+}
+
+func newTraceWithCap(tr *trace.Trace) *traceWithCap {
+	return &traceWithCap{tr: tr, unique: tr.UniqueObjects()}
+}
+
 // generateAll produces Seeds traces for every family.
-func (c Config) generateAll() map[string][]*trace.Trace {
-	out := make(map[string][]*trace.Trace)
+func (c Config) generateAll() map[string][]*traceWithCap {
+	out := make(map[string][]*traceWithCap)
 	for _, fam := range workload.Families() {
 		for s := 0; s < c.Seeds; s++ {
-			out[fam.Name] = append(out[fam.Name], fam.Generate(int64(s+1), c.Objects, c.Requests))
+			out[fam.Name] = append(out[fam.Name], newTraceWithCap(fam.Generate(int64(s+1), c.Objects, c.Requests)))
 		}
 	}
 	return out

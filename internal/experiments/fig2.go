@@ -45,11 +45,11 @@ func Fig2(cfg Config) (Fig2Result, error) {
 		out.DatasetsWon[sz] = map[string]int{}
 		for _, fam := range workload.Families() {
 			var jobs []sim.Job
-			for _, tr := range traces[fam.Name] {
-				capacity := workload.CacheSize(tr.UniqueObjects(), frac)
-				jobs = append(jobs, sim.Job{Trace: tr, Policy: "lru", Capacity: capacity})
+			for _, t := range traces[fam.Name] {
+				capacity := workload.CacheSize(t.unique, frac)
+				jobs = append(jobs, sim.Job{Trace: t.tr, Policy: "lru", Capacity: capacity})
 				for _, pol := range fig2Policies {
-					jobs = append(jobs, sim.Job{Trace: tr, Policy: pol, Capacity: capacity})
+					jobs = append(jobs, sim.Job{Trace: t.tr, Policy: pol, Capacity: capacity})
 				}
 			}
 			results, err := sim.RunSweep(jobs, cfg.Workers)

@@ -71,10 +71,10 @@ func Fig5(cfg Config) (Fig5Result, error) {
 	for _, frac := range []float64{workload.SmallCacheFrac, workload.LargeCacheFrac} {
 		for _, fam := range workload.Families() {
 			var jobs []sim.Job
-			for _, tr := range traces[fam.Name] {
-				capacity := workload.CacheSize(tr.UniqueObjects(), frac)
+			for _, t := range traces[fam.Name] {
+				capacity := workload.CacheSize(t.unique, frac)
 				for _, pol := range policies {
-					jobs = append(jobs, sim.Job{Trace: tr, Policy: pol, Capacity: capacity})
+					jobs = append(jobs, sim.Job{Trace: t.tr, Policy: pol, Capacity: capacity})
 				}
 			}
 			results, err := sim.RunSweep(jobs, cfg.Workers)

@@ -74,26 +74,26 @@ func (t *Trace) Len() int { return len(t.Requests) }
 
 // UniqueObjects returns the number of distinct keys in the trace.
 func (t *Trace) UniqueObjects() int {
-	seen := make(map[uint64]struct{}, len(t.Requests)/4+1)
+	seen := newKeyTable[struct{}](len(t.Requests) / 4)
 	for i := range t.Requests {
-		seen[t.Requests[i].Key] = struct{}{}
+		seen.ref(t.Requests[i].Key)
 	}
-	return len(seen)
+	return seen.len()
 }
 
 // Annotate fills NextAccess for every request in one backward pass and
 // normalizes Time to the request index. It must be called before replaying
 // a trace against an offline policy.
 func Annotate(reqs []Request) {
-	last := make(map[uint64]int64, len(reqs)/4+1)
+	last := newKeyTable[int64](len(reqs) / 4)
 	for i := len(reqs) - 1; i >= 0; i-- {
-		k := reqs[i].Key
-		if nxt, ok := last[k]; ok {
-			reqs[i].NextAccess = nxt
-		} else {
+		next, added := last.ref(reqs[i].Key)
+		if added {
 			reqs[i].NextAccess = NoFutureAccess
+		} else {
+			reqs[i].NextAccess = *next
 		}
-		last[k] = int64(i)
+		*next = int64(i)
 		reqs[i].Time = int64(i)
 	}
 }
@@ -117,16 +117,17 @@ type Stats struct {
 
 // ComputeStats scans the trace once and returns its Stats.
 func (t *Trace) ComputeStats() Stats {
-	freq := make(map[uint64]int, len(t.Requests)/4+1)
+	freq := newKeyTable[int](len(t.Requests) / 4)
 	for i := range t.Requests {
-		freq[t.Requests[i].Key]++
+		c, _ := freq.ref(t.Requests[i].Key)
+		*c++
 	}
-	s := Stats{Requests: len(t.Requests), Objects: len(freq)}
+	s := Stats{Requests: len(t.Requests), Objects: freq.len()}
 	if s.Objects == 0 {
 		return s
 	}
-	counts := make([]int, 0, len(freq))
-	for _, c := range freq {
+	counts := make([]int, 0, s.Objects)
+	freq.values(func(c int) {
 		counts = append(counts, c)
 		if c == 1 {
 			s.OneHitWonders++
@@ -134,7 +135,7 @@ func (t *Trace) ComputeStats() Stats {
 		if c > s.MaxFrequency {
 			s.MaxFrequency = c
 		}
-	}
+	})
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	s.MeanFrequency = float64(s.Requests) / float64(s.Objects)
 	top := len(counts) / 100

@@ -111,24 +111,38 @@ func (f Family) Generate(seed int64, objects, requests int) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := NewZipf(rng, objects, f.Alpha)
 
-	tr := &trace.Trace{
-		Name:     fmt.Sprintf("%s-%d", f.Name, seed),
-		Class:    f.Class,
-		Requests: make([]trace.Request, 0, requests),
-	}
+	reqs := make([]trace.Request, requests)
 
 	// Component thresholds for a single uniform draw per request. A scan,
 	// once started, occupies the next ScanLen requests, so the start
 	// probability is ScanFrac/ScanLen to make ScanFrac the approximate
 	// share of requests that belong to scans.
-	scanLenForProb := f.ScanLen
-	if scanLenForProb <= 0 {
-		scanLenForProb = 64
+	scanLen := f.ScanLen
+	if scanLen <= 0 {
+		scanLen = 64
 	}
 	pOneHit := f.OneHitFrac
-	pScan := pOneHit + f.ScanFrac/float64(scanLenForProb)
+	pScan := pOneHit + f.ScanFrac/float64(scanLen)
 	pLoop := pScan + f.LoopFrac
 	pRecency := pLoop + f.RecencyFrac
+
+	loopLen := f.LoopLen
+	if loopLen <= 0 {
+		loopLen = max(objects/2, 1) // a one-object catalog loops over one key
+	}
+	recencyMean := max(f.RecencyScale*float64(objects), 1)
+	// Phase changes come every PhaseEvery requests, at nextPhase; -1 is
+	// never.
+	nextPhase := -1
+	if f.PhaseEvery > 0 {
+		nextPhase = f.PhaseEvery
+	}
+	phaseShift := uint64(f.PhaseShiftFrac * float64(objects))
+
+	// history is a ring of the last histLen emitted keys; the next one goes
+	// to histPos.
+	history := make([]uint64, min(4*objects, 1<<16))
+	histPos, histLen := 0, 0
 
 	var (
 		catalogBase   float64 // drift position
@@ -137,90 +151,61 @@ func (f Family) Generate(seed int64, objects, requests int) *trace.Trace {
 		scanCursor    uint64
 		scanRemaining int
 		loopPos       int
-		history       []uint64 // ring of recently emitted keys
-		histPos       int
 	)
-	histCap := 4 * objects
-	if histCap > 1<<16 {
-		histCap = 1 << 16
-	}
-	history = make([]uint64, 0, histCap)
-
-	loopLen := f.LoopLen
-	if loopLen <= 0 {
-		loopLen = objects / 2
-	}
-	scanLen := f.ScanLen
-	if scanLen <= 0 {
-		scanLen = 64
-	}
-
-	emit := func(key uint64, i int) {
-		tr.Requests = append(tr.Requests, trace.Request{Key: key, Size: 1, Time: int64(i)})
-		if histCap > 0 {
-			if len(history) < histCap {
-				history = append(history, key)
-			} else {
-				history[histPos] = key
-				histPos = (histPos + 1) % histCap
-			}
-		}
-	}
-
-	catalogKey := func(rank int) uint64 {
-		// rank 0 is the most popular; map it to the newest arrival so
-		// popularity decays smoothly as the catalog drifts.
-		idx := uint64(int(catalogBase)+objects-1-rank) + phaseOffset
-		return makeKey(tagCatalog, idx)
-	}
-
-	for i := 0; i < requests; i++ {
-		if f.PhaseEvery > 0 && i > 0 && i%f.PhaseEvery == 0 {
-			phaseOffset += uint64(f.PhaseShiftFrac * float64(objects))
+	for i := range reqs {
+		if i == nextPhase {
+			phaseOffset += phaseShift
+			nextPhase += f.PhaseEvery
 		}
 		catalogBase += f.DecayRate
 
+		var key uint64
 		if scanRemaining > 0 {
 			scanRemaining--
 			scanCursor++
-			emit(makeKey(tagScan, scanCursor), i)
-			continue
+			key = makeKey(tagScan, scanCursor)
+		} else {
+			u := rng.Float64()
+			switch {
+			case u < pOneHit:
+				oneHitCounter++
+				key = makeKey(tagOneHit, oneHitCounter)
+			case u < pScan:
+				scanRemaining = scanLen - 1
+				scanCursor++
+				key = makeKey(tagScan, scanCursor)
+			case u < pLoop:
+				if loopPos++; loopPos == loopLen {
+					loopPos = 0
+				}
+				key = makeKey(tagLoop, uint64(loopPos))
+			case u < pRecency && histLen > 0:
+				// d steps back from the newest key in the ring.
+				d := min(int(rng.ExpFloat64()*recencyMean), histLen-1)
+				idx := histPos - 1 - d
+				if idx < 0 {
+					idx += len(history)
+				}
+				key = history[idx]
+			default:
+				// rank 0 is the most popular; map it to the newest
+				// arrival so popularity decays smoothly as the catalog
+				// drifts.
+				rank := zipf.Next()
+				key = makeKey(tagCatalog, uint64(int(catalogBase)+objects-1-rank)+phaseOffset)
+			}
 		}
 
-		u := rng.Float64()
-		switch {
-		case u < pOneHit:
-			oneHitCounter++
-			emit(makeKey(tagOneHit, oneHitCounter), i)
-		case u < pScan:
-			scanRemaining = scanLen - 1
-			scanCursor++
-			emit(makeKey(tagScan, scanCursor), i)
-		case u < pLoop:
-			loopPos = (loopPos + 1) % loopLen
-			emit(makeKey(tagLoop, uint64(loopPos)), i)
-		case u < pRecency && len(history) > 0:
-			mean := f.RecencyScale * float64(objects)
-			if mean < 1 {
-				mean = 1
-			}
-			d := int(rng.ExpFloat64() * mean)
-			if d >= len(history) {
-				d = len(history) - 1
-			}
-			// history is a ring; index d steps back from the newest.
-			var idx int
-			if len(history) < histCap {
-				idx = len(history) - 1 - d
-			} else {
-				idx = ((histPos-1-d)%histCap + histCap) % histCap
-			}
-			emit(history[idx], i)
-		default:
-			emit(catalogKey(zipf.Next()), i)
+		reqs[i] = trace.Request{Key: key, Size: 1, Time: int64(i)}
+		history[histPos] = key
+		if histPos++; histPos == len(history) {
+			histPos = 0
+		}
+		if histLen < len(history) {
+			histLen++
 		}
 	}
-	return tr
+	return &trace.Trace{Name: fmt.Sprintf("%s-%d", f.Name, seed), Class: f.Class, Requests: reqs}
 }
 
 // GenerateDefault produces a trace at the family's canonical scale divided

@@ -185,6 +185,20 @@ func TestGeneratePanicsOnBadSizes(t *testing.T) {
 	}
 }
 
+// A one- or two-object catalog is valid: the loop of the families whose
+// loop spans half the catalog (LoopLen 0) is then one key long.
+func TestGenerateTinyCatalogs(t *testing.T) {
+	for _, f := range Families() {
+		for _, objects := range []int{1, 2} {
+			for _, seed := range []int64{1, 3} {
+				if tr := f.Generate(seed, objects, 2000); tr.Len() != 2000 {
+					t.Fatalf("%s at %d objects: %d requests", f.Name, objects, tr.Len())
+				}
+			}
+		}
+	}
+}
+
 // Property: key namespaces never collide — catalog, one-hit, scan, and
 // loop keys are disjoint by construction (top two bits).
 func TestKeyNamespaces(t *testing.T) {

@@ -44,6 +44,9 @@ phase 'go vet ./...'
 go vet ./...
 phase 'go build ./...'
 go build ./...
+phase 'trace identity (fingerprints + Zipf exactness): the keys of every family at seeds 1 and 3 hash as pinned, the guide table finds the rank binary search finds, key counting matches Go maps'
+go test -count=1 -run 'TestTraceFingerprints|TestZipfStreamFingerprints|TestZipfGuideExact|TestGenerateTinyCatalogs' ./internal/workload/
+go test -count=1 -run 'TestKeyTableAgainstMap|TestCountingAgainstMaps' ./internal/trace/
 phase 'go test ./... (incl. both golden tables in internal/policy/all: registry hit counts, byte-capped object and byte hit counts)'
 go test ./...
 phase 'exported-name census (exported names in internal/... that nothing outside their package names; fails above the checked-in count)'
@@ -62,8 +65,9 @@ go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAll
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
 phase 'alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; an evicting set allocates nothing) + buffer classes (eighth-step ladder; resident buffers within 9/8 of key+value)'
 go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler|TestKVSetZeroAllocsSteadyState|TestBufClassLadder|TestKVBufferFootprint' ./internal/concurrent/
-phase 'alloc guard (every registered simulator policy: 0 allocs per Access at steady state, or its stated budget)'
+phase 'alloc guard (every registered simulator policy: 0 allocs per Access at steady state, or its stated budget; a Zipf draw allocates nothing)'
 go test -run 'TestSimPoliciesZeroAllocsSteadyState' ./internal/policy/all/
+go test -run 'TestZipfNextZeroAllocs' ./internal/workload/
 phase 'bench smoke (one iteration per benchmark)'
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
 phase 'throughput sweep smoke (one point)'
