@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 
 	"repro/internal/concurrent"
 	"repro/internal/overload"
@@ -37,32 +35,25 @@ type ClientConfig struct {
 	Breaker overload.BreakerConfig
 }
 
-// ErrBreakerOpen is returned for operations routed to an endpoint whose
-// circuit breaker is open: the endpoint failed repeatedly and the client
-// refuses to spend a timeout on it until the cooldown lets a probe through.
-var ErrBreakerOpen = errors.New("cluster: endpoint circuit breaker open")
-
 // Client routes cache operations across a ring of servers. Each key is
-// digested once (the same xxHash64 the server parses into) and sent to the
-// node its digest lands on; each endpoint is served by one self-healing
-// server.Client, dialed lazily on first use. Multi-key gets fan out to the
-// owning nodes concurrently and fan back in, preserving request order.
+// digested once (the same xxHash64 the server parses into) and sent through
+// the endpoint its digest lands on; endpoints dial lazily on first use.
+// Multi-key gets fan out to the owning nodes concurrently and fan back in,
+// preserving request order.
 //
 // Like server.Client, a Client is synchronous and not safe for concurrent
-// use: open one per goroutine. (GetMulti's internal fan-out is safe — each
-// endpoint client is driven by exactly one goroutine per batch.)
+// use: open one per goroutine. (GetMulti's internal fan-out is safe — the
+// endpoints it drives are.)
 type Client struct {
-	cfg   ClientConfig
-	ring  *Ring
-	conns map[string]*server.Client
-	// breakers persist across RemoveNode/AddNode of the same endpoint so a
-	// flapping node rejoins with its failure history intact.
-	breakers map[string]*overload.Breaker
-	// closed endpoint clients keep their retry/reconnect tallies counted.
-	drainedRetries    int64
-	drainedReconnects int64
-	ownerBuf          []string
+	cfg  ClientConfig
+	ring *Ring
+	// eps persist across RemoveNode/AddNode of the same address, so a
+	// flapping node rejoins with its breaker history intact and the
+	// retry and reconnect tallies of its closed clients stay counted.
+	eps map[string]*endpoint
 }
+
+var errEmptyRing = errors.New("cluster: empty ring")
 
 // NewClient builds a cluster client over cfg.Endpoints. Connections are
 // dialed lazily, so constructing a client against a partially-up fleet
@@ -77,10 +68,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	return &Client{
-		cfg:      cfg,
-		ring:     ring,
-		conns:    make(map[string]*server.Client, len(cfg.Endpoints)),
-		breakers: make(map[string]*overload.Breaker, len(cfg.Endpoints)),
+		cfg:  cfg,
+		ring: ring,
+		eps:  make(map[string]*endpoint, len(cfg.Endpoints)),
 	}, nil
 }
 
@@ -88,165 +78,85 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // tooling.
 func (c *Client) Ring() *Ring { return c.ring }
 
-// breaker returns (creating if needed) the endpoint's circuit breaker.
-func (c *Client) breaker(addr string) *overload.Breaker {
-	b, ok := c.breakers[addr]
-	if !ok {
-		b = overload.NewBreaker(c.cfg.Breaker)
-		c.breakers[addr] = b
+// endpoint returns addr's endpoint, creating it on first use.
+func (c *Client) endpoint(addr string) *endpoint {
+	e := c.eps[addr]
+	if e == nil {
+		dc := c.cfg.Dial
+		if dc.Seed == 0 {
+			dc.Seed = c.cfg.Seed
+		}
+		if dc.Budget == nil {
+			dc.Budget = c.cfg.Budget
+		}
+		e = newEndpoint(addr, dc, c.cfg.Breaker)
+		c.eps[addr] = e
 	}
-	return b
+	return e
 }
 
-// conn returns (dialing if needed) the endpoint's client.
-func (c *Client) conn(addr string) (*server.Client, error) {
-	if sc, ok := c.conns[addr]; ok {
-		return sc, nil
-	}
-	dc := c.cfg.Dial
-	dc.Addr = addr
-	if dc.Seed == 0 {
-		dc.Seed = c.cfg.Seed
-	}
-	if dc.Budget == nil {
-		dc.Budget = c.cfg.Budget
-	}
-	sc, err := server.DialWithConfig(dc)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
-	}
-	c.conns[addr] = sc
-	return sc, nil
-}
-
-// route returns the connection owning key's digest plus its breaker,
-// failing fast with ErrBreakerOpen when the breaker refuses.
-func (c *Client) route(key []byte) (*server.Client, *overload.Breaker, error) {
+// owner returns the endpoint owning key's digest.
+func (c *Client) owner(key []byte) (*endpoint, error) {
 	addr := c.ring.Lookup(concurrent.Digest(key))
 	if addr == "" {
-		return nil, nil, errors.New("cluster: empty ring")
+		return nil, errEmptyRing
 	}
-	brk := c.breaker(addr)
-	if !brk.Allow() {
-		return nil, nil, ErrBreakerOpen
-	}
-	sc, err := c.conn(addr)
-	if err != nil {
-		brk.Failure()
-		return nil, nil, err
-	}
-	return sc, brk, nil
+	return c.endpoint(addr), nil
 }
 
-// observe feeds an operation's outcome to the endpoint's breaker: only
-// transport errors count as failures — a protocol answer (including a
-// busy shed) proves the endpoint alive.
-func observe(brk *overload.Breaker, err error) {
-	if err != nil && server.IsTransportErr(err) {
-		brk.Failure()
-		return
+// forward runs op through the endpoint owning key.
+func (c *Client) forward(key []byte, op func(*server.Client) error) error {
+	e, err := c.owner(key)
+	if err != nil {
+		return err
 	}
-	brk.Success()
+	return e.do(op)
 }
 
 // Get fetches key from its owner node.
 func (c *Client) Get(key []byte) (value []byte, found bool, err error) {
-	sc, brk, err := c.route(key)
-	if err != nil {
-		return nil, false, err
-	}
-	value, found, err = sc.Get(key)
-	observe(brk, err)
+	err = c.forward(key, func(sc *server.Client) (err error) {
+		value, found, err = sc.Get(key)
+		return err
+	})
 	return value, found, err
 }
 
 // Set stores key on its owner node.
 func (c *Client) Set(key []byte, flags uint32, value []byte) error {
-	sc, brk, err := c.route(key)
-	if err != nil {
-		return err
-	}
-	err = sc.Set(key, flags, value)
-	observe(brk, err)
-	return err
+	return c.forward(key, func(sc *server.Client) error { return sc.Set(key, flags, value) })
 }
 
 // Delete removes key from its owner node.
 func (c *Client) Delete(key []byte) (found bool, err error) {
-	sc, brk, err := c.route(key)
-	if err != nil {
-		return false, err
-	}
-	found, err = sc.Delete(key)
-	observe(brk, err)
+	err = c.forward(key, func(sc *server.Client) (err error) {
+		found, err = sc.Delete(key)
+		return err
+	})
 	return found, err
 }
 
 // GetMulti fetches keys across the ring: keys are grouped by owner node,
 // each node's batch issued as one pipelined multi-get on its own goroutine,
 // and results fanned back in request order. A node whose batch fails takes
-// only its own keys down; the first node error is returned after all
-// batches settle, with the surviving nodes' results intact.
+// only its own keys down; the first failed key's error is returned with
+// the surviving nodes' results intact.
 func (c *Client) GetMulti(keys [][]byte) ([]server.MultiValue, error) {
-	out := make([]server.MultiValue, len(keys))
-	if len(keys) == 0 {
-		return out, nil
-	}
-	groups := make(map[string][]int)
+	eps := make([]*endpoint, len(keys))
 	for i, k := range keys {
-		addr := c.ring.Lookup(concurrent.Digest(k))
-		if addr == "" {
-			return nil, errors.New("cluster: empty ring")
-		}
-		groups[addr] = append(groups[addr], i)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for addr, idxs := range groups {
-		// Dial and breaker lookup on the caller's goroutine: c.conns and
-		// c.breakers are not concurrency-safe (the breaker itself is).
-		brk := c.breaker(addr)
-		if !brk.Allow() {
-			if firstErr == nil {
-				firstErr = ErrBreakerOpen
-			}
-			continue
-		}
-		sc, err := c.conn(addr)
+		e, err := c.owner(k)
 		if err != nil {
-			brk.Failure()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+			return nil, err
 		}
-		wg.Add(1)
-		go func(sc *server.Client, brk *overload.Breaker, idxs []int) {
-			defer wg.Done()
-			batch := make([][]byte, len(idxs))
-			for j, i := range idxs {
-				batch[j] = keys[i]
-			}
-			vals, err := sc.GetMulti(batch)
-			observe(brk, err)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for j, i := range idxs {
-				out[i] = vals[j]
-			}
-		}(sc, brk, idxs)
+		eps[i] = e
 	}
-	wg.Wait()
-	return out, firstErr
+	vals, errs := getMulti(keys, eps)
+	for _, err := range errs {
+		if err != nil {
+			return vals, err
+		}
+	}
+	return vals, nil
 }
 
 // Stats fetches per-node stats maps, keyed by endpoint.
@@ -254,15 +164,14 @@ func (c *Client) Stats() (map[string]map[string]string, error) {
 	out := make(map[string]map[string]string)
 	var firstErr error
 	for _, addr := range c.ring.Nodes() {
-		sc, err := c.conn(addr)
+		var st map[string]string
+		err := c.endpoint(addr).do(func(sc *server.Client) (err error) {
+			st, err = sc.Stats()
+			return err
+		})
 		if err == nil {
-			var st map[string]string
-			if st, err = sc.Stats(); err == nil {
-				out[addr] = st
-				continue
-			}
-		}
-		if firstErr == nil {
+			out[addr] = st
+		} else if firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -271,19 +180,24 @@ func (c *Client) Stats() (map[string]map[string]string, error) {
 
 // AddNode joins addr to the client's ring; subsequent operations route
 // ~K/n of the keyspace to it.
-func (c *Client) AddNode(addr string) error { return c.ring.Add(addr) }
+func (c *Client) AddNode(addr string) error {
+	if err := c.ring.Add(addr); err != nil {
+		return err
+	}
+	if e := c.eps[addr]; e != nil {
+		e.reopen()
+	}
+	return nil
+}
 
-// RemoveNode drops addr from the ring and closes its connection; its
+// RemoveNode drops addr from the ring and closes its connections; its
 // former keys route to the surviving nodes.
 func (c *Client) RemoveNode(addr string) error {
 	if err := c.ring.Remove(addr); err != nil {
 		return err
 	}
-	if sc, ok := c.conns[addr]; ok {
-		c.drainedRetries += sc.Retries()
-		c.drainedReconnects += sc.Reconnects()
-		sc.Close()
-		delete(c.conns, addr)
+	if e := c.eps[addr]; e != nil {
+		e.close()
 	}
 	return nil
 }
@@ -295,36 +209,41 @@ func (c *Client) RetryBudgetExhausted() int64 { return c.cfg.Budget.Exhausted() 
 // BreakerState reports an endpoint's current breaker position (closed for
 // endpoints never routed to).
 func (c *Client) BreakerState(addr string) overload.BreakerState {
-	return c.breakers[addr].State()
+	if e := c.eps[addr]; e != nil {
+		return e.brk.State()
+	}
+	return overload.BreakerClosed
 }
 
 // Retries sums transport retries across all endpoint clients, past and
 // present.
 func (c *Client) Retries() int64 {
-	n := c.drainedRetries
-	for _, sc := range c.conns {
-		n += sc.Retries()
+	var n int64
+	for _, e := range c.eps {
+		r, _ := e.clientCounts()
+		n += r
 	}
 	return n
 }
 
-// Reconnects sums re-established connections across all endpoint clients.
+// Reconnects sums re-established connections across all endpoint clients,
+// past and present.
 func (c *Client) Reconnects() int64 {
-	n := c.drainedReconnects
-	for _, sc := range c.conns {
-		n += sc.Reconnects()
+	var n int64
+	for _, e := range c.eps {
+		_, r := e.clientCounts()
+		n += r
 	}
 	return n
 }
 
-// Close closes every endpoint connection, returning the first error.
+// Close closes every endpoint's connections, returning the first error.
 func (c *Client) Close() error {
 	var firstErr error
-	for addr, sc := range c.conns {
-		if err := sc.Close(); err != nil && firstErr == nil {
+	for _, e := range c.eps {
+		if err := e.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(c.conns, addr)
 	}
 	return firstErr
 }

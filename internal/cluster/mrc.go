@@ -163,29 +163,22 @@ func (r *Router) FleetMRC() FleetMRC {
 	if time.Since(r.mrcAt) < 2*time.Second {
 		return r.mrcCache
 	}
-	r.mu.RLock()
-	nodes := make([]*routerNode, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	r.mu.RUnlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
 	var reports []NodeMRC
-	for _, n := range nodes {
-		c, err := n.get()
+	for _, n := range r.nodeList(true) {
+		var st map[string]string
+		err := n.do(func(c *server.Client) (err error) {
+			st, err = c.StatsArg("mrc")
+			if err != nil && !server.IsTransportErr(err) {
+				// An old backend answers `stats mrc` with CLIENT_ERROR;
+				// treat it like a disabled estimator rather than a
+				// forwarding failure.
+				st, err = nil, nil
+			}
+			return err
+		})
 		if err != nil {
-			n.ctr.forwardErrors.Add(1)
 			continue
 		}
-		st, err := c.StatsArg("mrc")
-		if err != nil {
-			// An old backend answers `stats mrc` with CLIENT_ERROR, which
-			// parses as an error here; treat it like a disabled estimator
-			// rather than a forwarding failure.
-			c.Close()
-			continue
-		}
-		n.put(c)
 		if rep, ok := parseMRCStats(n.addr, st); ok {
 			reports = append(reports, rep)
 		}

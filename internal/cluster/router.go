@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +39,6 @@ type RouterConfig struct {
 	// HotThreshold is the count-min estimate at which a key turns hot.
 	// <=0 means 8.
 	HotThreshold int
-	// HotKeyspace sizes the hot-key sketch. <=0 means 1<<16.
-	HotKeyspace int
-	// PoolSize bounds idle pooled connections per node. <=0 means 16.
-	PoolSize int
 	// Metrics, if set, receives the per-node route/replica/forward counter
 	// families and the cluster gauges.
 	Metrics *metrics.Registry
@@ -64,131 +61,30 @@ type RouterConfig struct {
 	// probes, so keep this near the latency SLO, not the transport limit.
 	// <=0 means 250ms.
 	ProbeTimeout time.Duration
-	// Detector tunes the failure detector (zero fields get overload
-	// package defaults: eject after 3 failures or phi>8, readmit after 3
-	// successes).
-	Detector overload.DetectorConfig
-	// Breaker tunes the per-node circuit breakers on the forwarding path
-	// (zero fields get overload defaults: open after 5 consecutive
-	// transport failures, 1s cooldown).
-	Breaker overload.BreakerConfig
 }
 
-// nodeCounters is one node's live tally. Counters persist across a
-// remove/rejoin of the same node name, so metric series stay monotonic.
-type nodeCounters struct {
-	routedGet, routedSet, routedDelete atomic.Int64
-	forwardErrors                      atomic.Int64
-	replicaReads, replicaWrites        atomic.Int64
-}
+// hotKeyspace sizes the hot-key sketch. The failure detector and the
+// forwarding breakers run on the overload package defaults: eject after 3
+// failures or phi>8 and readmit after 3 successes; open after 5
+// consecutive transport failures for a 1s cooldown.
+const hotKeyspace = 1 << 16
 
-// nodeHealth is one node's failure-detection state: its forwarding-path
-// circuit breaker, its probe-fed phi-accrual detector, and the ejection
-// bookkeeping. Like nodeCounters it persists across remove/rejoin of the
-// same node name so metric series stay monotonic and registered closures
-// stay valid.
-type nodeHealth struct {
-	breaker *overload.Breaker
-	det     *overload.Detector
+// routerNode is one backend the router has ever routed to: its endpoint
+// plus the failure-detection state. Records persist across a remove and
+// rejoin of the same address, so metric series stay monotonic and the
+// closures registered for them stay valid.
+type routerNode struct {
+	*endpoint
+	// live is true while the node is administered: added and not since
+	// removed.
+	live atomic.Bool
+	det  *overload.Detector
 	// ejected is true while the failure detector has pulled the node's
-	// points from the ring (the node record itself stays, so probes keep
-	// running and recovery can re-admit it).
+	// points from the ring (the node stays live, so probes keep running
+	// and recovery can re-admit it).
 	ejected                 atomic.Bool
 	ejections, readmissions atomic.Int64
 	probeOK, probeFail      atomic.Int64
-}
-
-// routerNode is one live backend: its address and a bounded pool of
-// self-healing clients. Store methods run on many connection goroutines, so
-// forwarding clients are borrowed from the pool and returned after use.
-type routerNode struct {
-	addr   string
-	dial   server.DialConfig
-	pool   chan *server.Client
-	closed atomic.Bool
-	ctr    *nodeCounters
-	hp     *nodeHealth
-}
-
-func (n *routerNode) get() (*server.Client, error) {
-	select {
-	case c := <-n.pool:
-		return c, nil
-	default:
-		dc := n.dial
-		dc.Addr = n.addr
-		return server.DialWithConfig(dc)
-	}
-}
-
-func (n *routerNode) put(c *server.Client) {
-	if n.closed.Load() {
-		c.Close()
-		return
-	}
-	select {
-	case n.pool <- c:
-	default:
-		c.Close()
-	}
-}
-
-func (n *routerNode) close() {
-	n.closed.Store(true)
-	for {
-		select {
-		case c := <-n.pool:
-			c.Close()
-		default:
-			return
-		}
-	}
-}
-
-// fail charges a forward failure against the node: the error counter
-// always, the breaker only for transport errors (a protocol answer means
-// the node is up, just unhelpful — tripping the breaker on it would eject
-// healthy capacity).
-func (n *routerNode) fail(err error) {
-	n.ctr.forwardErrors.Add(1)
-	if server.IsTransportErr(err) {
-		n.hp.breaker.Failure()
-	}
-}
-
-// ok records a successful forward, closing the breaker if it was probing.
-func (n *routerNode) ok() {
-	n.hp.breaker.Success()
-}
-
-// allow asks the node's breaker whether a forward may proceed. A denial is
-// not a forward error: nothing was attempted, the cost is exactly the
-// point.
-func (n *routerNode) allow() bool {
-	return n.hp.breaker.Allow()
-}
-
-// probeOnce is one health-check round trip: a fresh connection under the
-// probe timeout and a version exchange. A dedicated dial (never the pool)
-// keeps the probe honest — a pooled connection could be healthy while the
-// node refuses new ones, and vice versa — and the tight deadline makes a
-// slow node indistinguishable from a dead one, which is the operator
-// contract: browned-out capacity leaves the ring too.
-func (n *routerNode) probeOnce(timeout time.Duration) error {
-	dc := n.dial
-	dc.Addr = n.addr
-	dc.ConnectTimeout = timeout
-	dc.ReadTimeout = timeout
-	dc.WriteTimeout = timeout
-	dc.MaxRetries = 0
-	dc.Budget = nil
-	c, err := server.DialWithConfig(dc)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	_, err = c.Version()
-	return err
 }
 
 // Router is a cluster-aware server.Store: a cacheserver running in -route
@@ -209,10 +105,8 @@ type Router struct {
 	hot  *sketch.HotKeys
 	log  *slog.Logger
 
-	mu       sync.RWMutex
-	nodes    map[string]*routerNode
-	counters map[string]*nodeCounters // persists across remove/rejoin
-	health   map[string]*nodeHealth   // persists across remove/rejoin
+	mu    sync.RWMutex
+	nodes map[string]*routerNode // every node ever added, by address
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -250,12 +144,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.HotThreshold <= 0 {
 		cfg.HotThreshold = 8
 	}
-	if cfg.HotKeyspace <= 0 {
-		cfg.HotKeyspace = 1 << 16
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 16
-	}
 	if cfg.Dial.ConnectTimeout == 0 {
 		cfg.Dial.ConnectTimeout = time.Second
 	}
@@ -276,19 +164,17 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.ProbeTimeout = 250 * time.Millisecond
 	}
 	r := &Router{
-		cfg:      cfg,
-		ring:     ring,
-		hot:      sketch.NewHotKeys(cfg.HotKeyspace, cfg.HotThreshold),
-		log:      cfg.Logger,
-		nodes:    make(map[string]*routerNode, len(cfg.Nodes)),
-		counters: make(map[string]*nodeCounters, len(cfg.Nodes)),
-		health:   make(map[string]*nodeHealth, len(cfg.Nodes)),
+		cfg:   cfg,
+		ring:  ring,
+		hot:   sketch.NewHotKeys(hotKeyspace, cfg.HotThreshold),
+		log:   cfg.Logger,
+		nodes: make(map[string]*routerNode, len(cfg.Nodes)),
 	}
+	r.mu.Lock()
 	for _, addr := range cfg.Nodes {
-		r.mu.Lock()
 		r.addLocked(addr)
-		r.mu.Unlock()
 	}
+	r.mu.Unlock()
 	if cfg.Metrics != nil {
 		r.registerMetrics(cfg.Metrics)
 	}
@@ -306,46 +192,36 @@ func (r *Router) Ring() *Ring { return r.ring }
 // HotKeyCount reports the current hot-set size.
 func (r *Router) HotKeyCount() int { return r.hot.Len() }
 
-// addLocked creates the node record and its (possibly pre-existing)
-// counters and health state. Caller holds r.mu and has verified absence.
-// An explicit (re)add wipes the health slate: the operator vouched for the
-// node, so it starts healthy, in the ring, with a closed breaker — the
-// prober will re-eject it if the operator was wrong.
+// addLocked marks addr's record live, creating it (and registering its
+// metric series) on first sight. Caller holds r.mu and has verified the
+// node is not live. An explicit (re)add wipes the health slate: the
+// operator vouched for the node, so it starts healthy, in the ring, with a
+// closed breaker — the prober will re-eject it if the operator was wrong.
 func (r *Router) addLocked(addr string) {
-	ctr, ok := r.counters[addr]
-	if !ok {
-		ctr = &nodeCounters{}
-		r.counters[addr] = ctr
-	}
-	hp, ok := r.health[addr]
-	if !ok {
-		hp = &nodeHealth{
-			breaker: overload.NewBreaker(r.cfg.Breaker),
-			det:     overload.NewDetector(r.cfg.Detector),
+	n := r.nodes[addr]
+	if n == nil {
+		n = &routerNode{
+			endpoint: newEndpoint(addr, r.cfg.Dial, overload.BreakerConfig{}),
+			det:      overload.NewDetector(overload.DetectorConfig{}),
 		}
-		r.health[addr] = hp
+		r.nodes[addr] = n
 		if reg := r.cfg.Metrics; reg != nil {
-			registerNodeMetrics(reg, addr, ctr, hp)
+			registerNodeMetrics(reg, n)
 		}
 	} else {
-		hp.det.Reset()
-		hp.breaker.Success()
-		hp.ejected.Store(false)
+		n.det.Reset()
+		n.brk.Success()
+		n.ejected.Store(false)
+		n.reopen()
 	}
-	r.nodes[addr] = &routerNode{
-		addr: addr,
-		dial: r.cfg.Dial,
-		pool: make(chan *server.Client, r.cfg.PoolSize),
-		ctr:  ctr,
-		hp:   hp,
-	}
+	n.live.Store(true)
 }
 
 // AddNode joins a backend to the ring under load. The ring swap is atomic;
 // in-flight operations complete against whichever snapshot they read.
 func (r *Router) AddNode(addr string) error {
 	r.mu.Lock()
-	if _, ok := r.nodes[addr]; ok {
+	if n := r.nodes[addr]; n != nil && n.live.Load() {
 		r.mu.Unlock()
 		return fmt.Errorf("cluster: node %q already routed", addr)
 	}
@@ -364,21 +240,21 @@ func (r *Router) AddNode(addr string) error {
 // remap, to the surviving successors) and its pooled connections close.
 func (r *Router) RemoveNode(addr string) error {
 	r.mu.Lock()
-	n, ok := r.nodes[addr]
-	if !ok {
+	n := r.nodes[addr]
+	if n == nil || !n.live.Load() {
 		r.mu.Unlock()
 		return fmt.Errorf("cluster: node %q not routed", addr)
 	}
-	// An ejected node's ring points are already gone; removing the record
+	// An ejected node's ring points are already gone; retiring the record
 	// is all that is left to do.
-	if !n.hp.ejected.Load() {
+	if !n.ejected.Load() {
 		if err := r.ring.Remove(addr); err != nil {
 			r.mu.Unlock()
 			return err
 		}
 	}
-	n.hp.ejected.Store(false)
-	delete(r.nodes, addr)
+	n.ejected.Store(false)
+	n.live.Store(false)
 	r.mu.Unlock()
 	n.close()
 	r.topologyDrops.Add(1)
@@ -392,67 +268,68 @@ func (r *Router) node(addr string) *routerNode {
 	r.mu.RLock()
 	n := r.nodes[addr]
 	r.mu.RUnlock()
+	if n == nil || !n.live.Load() {
+		return nil
+	}
 	return n
 }
 
-var (
-	errNodeGone    = errors.New("cluster: node left the ring mid-operation")
-	errBreakerOpen = errors.New("cluster: node breaker open")
-)
-
-// fetch forwards one get to addr through its pool.
-func (r *Router) fetch(addr string, key []byte) (value []byte, flags uint32, cas uint64, found bool, err error) {
-	n := r.node(addr)
-	if n == nil {
-		return nil, 0, 0, false, errNodeGone
+// nodeList snapshots the node records in address order, every record ever
+// added or only the live ones.
+func (r *Router) nodeList(liveOnly bool) []*routerNode {
+	r.mu.RLock()
+	addrs := make([]string, 0, len(r.nodes))
+	for addr, n := range r.nodes {
+		if n.live.Load() || !liveOnly {
+			addrs = append(addrs, addr)
+		}
 	}
-	if !n.allow() {
-		return nil, 0, 0, false, errBreakerOpen
+	slices.Sort(addrs)
+	nodes := make([]*routerNode, len(addrs))
+	for i, addr := range addrs {
+		nodes[i] = r.nodes[addr]
 	}
-	c, err := n.get()
-	if err != nil {
-		n.fail(err)
-		return nil, 0, 0, false, err
-	}
-	n.ctr.routedGet.Add(1)
-	value, flags, cas, found, err = c.GetWith(key)
-	if err != nil {
-		n.fail(err)
-		c.Close()
-		return nil, 0, 0, false, err
-	}
-	n.ok()
-	n.put(c)
-	return value, flags, cas, found, nil
+	r.mu.RUnlock()
+	return nodes
 }
 
-// send forwards one set to addr through its pool. expireAt is the absolute
-// unix-seconds deadline (0 = never), forwarded on the wire as an absolute
-// exptime — always above memcached's 30-day relative threshold, so the
-// backend reads it back as absolute and every node agrees on the deadline
-// regardless of clock-skew-free forwarding latency.
-func (r *Router) send(addr string, key, value []byte, flags uint32, expireAt int64) error {
+var errNodeGone = errors.New("cluster: node left the ring mid-operation")
+
+// forward runs op through addr's endpoint, or fails with errNodeGone if
+// the node is not live.
+func (r *Router) forward(addr string, op func(*routerNode, *server.Client) error) error {
 	n := r.node(addr)
 	if n == nil {
 		return errNodeGone
 	}
-	if !n.allow() {
-		return errBreakerOpen
-	}
-	c, err := n.get()
-	if err != nil {
-		n.fail(err)
+	return n.do(func(c *server.Client) error { return op(n, c) })
+}
+
+// fetch forwards one get to addr.
+func (r *Router) fetch(addr string, key []byte) (mv server.MultiValue, err error) {
+	err = r.forward(addr, func(n *routerNode, c *server.Client) (err error) {
+		n.ctr.routedGet.Add(1)
+		mv.Value, mv.Flags, mv.CAS, mv.Found, err = c.GetWith(key)
 		return err
-	}
-	n.ctr.routedSet.Add(1)
-	if err := c.SetExp(key, flags, expireAt, value); err != nil {
-		n.fail(err)
-		c.Close()
+	})
+	return mv, err
+}
+
+// send forwards one set to addr, counting a replica write on success when
+// replica is set. expireAt is the absolute unix-seconds deadline (0 =
+// never), forwarded on the wire as an absolute exptime — always above
+// memcached's 30-day relative threshold, so the backend reads it back as
+// absolute and every node agrees on the deadline regardless of
+// clock-skew-free forwarding latency.
+func (r *Router) send(addr string, key, value []byte, flags uint32, expireAt int64, replica bool) {
+	r.forward(addr, func(n *routerNode, c *server.Client) error {
+		n.ctr.routedSet.Add(1)
+		err := c.SetExp(key, flags, expireAt, value)
+		if err == nil && replica {
+			n.ctr.replicaWrites.Add(1)
+		}
 		return err
-	}
-	n.ok()
-	n.put(c)
-	return nil
+	})
 }
 
 // touch records one access in the hot-key sketch and drains any demotions
@@ -491,44 +368,55 @@ func (r *Router) readTarget(id uint64, hot bool, scratch []string) (addr, primar
 // the old, weaker behavior — and the next write refreshes the whole
 // replica set with the client's deadline.
 func (r *Router) replicate(key, value []byte, flags uint32, id uint64, src string) {
-	expireAt := int64(0)
-	if n := r.node(src); n != nil && n.allow() {
-		if c, err := n.get(); err == nil {
-			v, f, _, exp, found, err := c.GetExp(key)
-			switch {
-			case err != nil:
-				n.fail(err)
-				c.Close()
-			case !found:
-				// Vanished between the serving read and this one: there is
-				// nothing current to copy.
-				n.ok()
-				n.put(c)
-				return
-			default:
-				n.ok()
-				n.put(c)
-				value, flags, expireAt = v, f, exp
-			}
-		} else {
-			n.fail(err)
+	var cur server.MultiValue
+	var exp, expireAt int64
+	if r.forward(src, func(_ *routerNode, c *server.Client) (err error) {
+		cur.Value, cur.Flags, _, exp, cur.Found, err = c.GetExp(key)
+		return err
+	}) == nil {
+		if !cur.Found {
+			// Vanished between the serving read and this one: there is
+			// nothing current to copy.
+			return
 		}
+		value, flags, expireAt = cur.Value, cur.Flags, exp
 	}
 	var ob [8]string
 	owners := r.ring.LookupN(id, r.cfg.Replicas, ob[:0])
 	for _, addr := range owners {
-		if addr == src {
-			continue
-		}
-		if err := r.send(addr, key, value, flags, expireAt); err == nil {
-			if n := r.node(addr); n != nil {
-				n.ctr.replicaWrites.Add(1)
-			}
+		if addr != src {
+			r.send(addr, key, value, flags, expireAt, true)
 		}
 	}
 	r.hotPromotions.Add(1)
 	r.cfg.Events.Record(obs.Event{Key: id, Kind: obs.EvHotReplicate})
 	r.log.Debug("hot key replicated", "key", id, "replicas", len(owners)-1, "expire_at", expireAt)
+}
+
+// settle applies the read rule to one key's answer from addr: a replica's
+// miss or failure is re-read from the primary owner, the source of truth;
+// a replica's hit counts as a replica read; and a key this read promoted
+// is replicated from whichever node served it. ok reports a hit.
+func (r *Router) settle(key []byte, id uint64, addr, primary string, promoted bool, mv server.MultiValue, err error) (_ server.MultiValue, ok bool) {
+	if addr != primary {
+		if err == nil && mv.Found {
+			if n := r.node(addr); n != nil {
+				n.ctr.replicaReads.Add(1)
+			}
+		} else {
+			// addr tracks who actually served the value, so replicate
+			// doesn't mistake the empty replica for the source.
+			addr = primary
+			mv, err = r.fetch(primary, key)
+		}
+	}
+	if err != nil || !mv.Found {
+		return mv, false
+	}
+	if promoted {
+		r.replicate(key, mv.Value, mv.Flags, id, addr)
+	}
+	return mv, true
 }
 
 // AppendHit implements the server's single-key hit path by forwarding to
@@ -538,113 +426,51 @@ func (r *Router) AppendHit(dst, key []byte, id uint64, hdr concurrent.HitHeaderF
 	hot, promoted := r.touch(id)
 	var ob [8]string
 	addr, primary := r.readTarget(id, hot, ob[:])
-	if addr == "" {
+	mv, err := r.fetch(addr, key)
+	if mv, ok = r.settle(key, id, addr, primary, promoted, mv, err); !ok {
 		r.misses.Add(1)
 		return dst, 0, false
-	}
-	value, flags, cas, found, err := r.fetch(addr, key)
-	if (err != nil || !found) && addr != primary {
-		// Replica miss or failure: the owner is the source of truth. addr
-		// tracks who actually served the value, so a later replicate
-		// doesn't mistake the empty replica for the source.
-		addr = primary
-		value, flags, cas, found, err = r.fetch(primary, key)
-	} else if addr != primary && found {
-		if n := r.node(addr); n != nil {
-			n.ctr.replicaReads.Add(1)
-		}
-	}
-	if err != nil || !found {
-		r.misses.Add(1)
-		return dst, 0, false
-	}
-	if promoted {
-		r.replicate(key, value, flags, id, addr)
 	}
 	r.hits.Add(1)
-	out = hdr(dst, key, len(value), flags, cas)
-	out = append(out, value...)
-	return out, len(value), true
+	out = hdr(dst, key, len(mv.Value), mv.Flags, mv.CAS)
+	out = append(out, mv.Value...)
+	return out, len(mv.Value), true
 }
 
-// GetMulti groups keys by target node, forwards each group as one
-// pipelined multi-get on its own goroutine, and fans the results back into
-// request order — the per-node fan-out/fan-in that keeps a 64-key batch at
-// one round trip per node instead of one per key.
+// GetMulti reads every key from the node AppendHit would, as one
+// pipelined multi-get per node on its own goroutine — the fan-out/fan-in
+// that keeps a 64-key batch at one round trip per node instead of one per
+// key — then settles each answer by AppendHit's rule (owner fallback,
+// replica-read counting, replication of a key this batch promoted) and
+// lays the hits out in request order. A failed node's keys miss.
 func (r *Router) GetMulti(dst []byte, keys [][]byte, ids []uint64, out []concurrent.MultiHit) []byte {
-	type group struct {
-		idxs []int
-		vals []server.MultiValue
+	type read struct {
+		addr, primary string
+		promoted      bool
 	}
-	groups := make(map[string]*group)
+	reads := make([]read, len(ids))
+	eps := make([]*endpoint, len(ids))
 	var ob [8]string
 	for i, id := range ids {
-		hot, _ := r.touch(id)
-		addr, _ := r.readTarget(id, hot, ob[:])
-		g := groups[addr]
-		if g == nil {
-			g = &group{}
-			groups[addr] = g
-		}
-		g.idxs = append(g.idxs, i)
-	}
-	var wg sync.WaitGroup
-	for addr, g := range groups {
-		wg.Add(1)
-		go func(addr string, g *group) {
-			defer wg.Done()
-			n := r.node(addr)
-			if n == nil || addr == "" || !n.allow() {
-				return
-			}
-			c, err := n.get()
-			if err != nil {
-				n.fail(err)
-				return
-			}
-			batch := make([][]byte, len(g.idxs))
-			for j, i := range g.idxs {
-				batch[j] = keys[i]
-			}
-			n.ctr.routedGet.Add(int64(len(batch)))
-			vals, err := c.GetMulti(batch)
-			if err != nil {
-				n.fail(err)
-				c.Close()
-				return
-			}
-			n.ok()
-			n.put(c)
-			g.vals = vals
-		}(addr, g)
-	}
-	wg.Wait()
-	for i := range out {
-		out[i] = concurrent.MultiHit{}
-	}
-	for _, g := range groups {
-		if g.vals == nil {
-			continue // node failed: its keys stay misses
-		}
-		for j, i := range g.idxs {
-			mv := g.vals[j]
-			if !mv.Found {
-				continue
-			}
-			start := len(dst)
-			dst = append(dst, mv.Value...)
-			out[i] = concurrent.MultiHit{
-				Start: start, End: len(dst),
-				Flags: mv.Flags, CAS: mv.CAS, Hit: true,
-			}
+		hot, promoted := r.touch(id)
+		addr, primary := r.readTarget(id, hot, ob[:])
+		reads[i] = read{addr, primary, promoted}
+		if n := r.node(addr); n != nil {
+			eps[i] = n.endpoint
 		}
 	}
-	for i := range out {
-		if out[i].Hit {
-			r.hits.Add(1)
-		} else {
+	vals, errs := getMulti(keys, eps)
+	for i, rd := range reads {
+		mv, ok := r.settle(keys[i], ids[i], rd.addr, rd.primary, rd.promoted, vals[i], errs[i])
+		if !ok {
+			out[i] = concurrent.MultiHit{}
 			r.misses.Add(1)
+			continue
 		}
+		start := len(dst)
+		dst = append(dst, mv.Value...)
+		out[i] = concurrent.MultiHit{Start: start, End: len(dst), Flags: mv.Flags, CAS: mv.CAS, Hit: true}
+		r.hits.Add(1)
 	}
 	return dst
 }
@@ -658,51 +484,40 @@ func (r *Router) SetDigest(key, value []byte, flags uint32, id uint64, expireAt 
 	r.sets.Add(1)
 	var ob [8]string
 	if hot && r.cfg.Replicas > 1 {
-		owners := r.ring.LookupN(id, r.cfg.Replicas, ob[:0])
-		for i, addr := range owners {
-			if err := r.send(addr, key, value, flags, expireAt); err == nil && i > 0 {
-				if n := r.node(addr); n != nil {
-					n.ctr.replicaWrites.Add(1)
-				}
-			}
+		for i, addr := range r.ring.LookupN(id, r.cfg.Replicas, ob[:0]) {
+			r.send(addr, key, value, flags, expireAt, i > 0)
 		}
 		return 0
 	}
 	if addr := r.ring.Lookup(id); addr != "" {
-		r.send(addr, key, value, flags, expireAt)
+		r.send(addr, key, value, flags, expireAt, false)
 	}
 	return 0
 }
 
-// deleteFan removes key from every node in its replica set (replicas may
-// hold copies from a past hot episode; deleting everywhere is cheap and
-// always correct). found reports whether any node had it.
-func (r *Router) deleteFan(key []byte, id uint64) bool {
+// fan runs op against every live node of id's replica set: replicas may
+// hold copies from a past hot episode, so a delete or a touch that only
+// reached the owner would leave a stale copy behind (going everywhere is
+// cheap and always correct). found reports whether any node answered
+// true.
+func (r *Router) fan(id uint64, op func(*routerNode, *server.Client) (bool, error)) (found bool) {
 	var ob [8]string
-	owners := r.ring.LookupN(id, r.cfg.Replicas, ob[:0])
-	found := false
-	for _, addr := range owners {
-		n := r.node(addr)
-		if n == nil || !n.allow() {
-			continue
-		}
-		c, err := n.get()
-		if err != nil {
-			n.fail(err)
-			continue
-		}
-		n.ctr.routedDelete.Add(1)
-		ok, err := c.Delete(key)
-		if err != nil {
-			n.fail(err)
-			c.Close()
-			continue
-		}
-		n.ok()
-		n.put(c)
-		found = found || ok
+	for _, addr := range r.ring.LookupN(id, r.cfg.Replicas, ob[:0]) {
+		r.forward(addr, func(n *routerNode, c *server.Client) error {
+			ok, err := op(n, c)
+			found = found || ok
+			return err
+		})
 	}
 	return found
+}
+
+// deleteFan removes key from every node in its replica set.
+func (r *Router) deleteFan(key []byte, id uint64) bool {
+	return r.fan(id, func(n *routerNode, c *server.Client) (bool, error) {
+		n.ctr.routedDelete.Add(1)
+		return c.Delete(key)
+	})
 }
 
 // DeleteDigest implements explicit deletes.
@@ -721,34 +536,12 @@ func (r *Router) ExpireDigest(key []byte, id uint64) bool {
 }
 
 // TouchDigest forwards a TTL refresh to every node in the key's replica
-// set: replicas may hold copies from a hot episode, and a touch that only
-// reached the owner would let a replica's copy expire out from under a
-// still-live key. found reports whether any node had a live entry.
+// set, so a replica's copy cannot expire out from under a still-live key.
+// found reports whether any node had a live entry.
 func (r *Router) TouchDigest(key []byte, id uint64, expireAt int64) bool {
-	var ob [8]string
-	owners := r.ring.LookupN(id, r.cfg.Replicas, ob[:0])
-	found := false
-	for _, addr := range owners {
-		n := r.node(addr)
-		if n == nil || !n.allow() {
-			continue
-		}
-		c, err := n.get()
-		if err != nil {
-			n.fail(err)
-			continue
-		}
-		ok, err := c.Touch(key, expireAt)
-		if err != nil {
-			n.fail(err)
-			c.Close()
-			continue
-		}
-		n.ok()
-		n.put(c)
-		found = found || ok
-	}
-	return found
+	return r.fan(id, func(_ *routerNode, c *server.Client) (bool, error) {
+		return c.Touch(key, expireAt)
+	})
 }
 
 // ExpireAtDigest forwards the expiry lookup to the key's owner via gete.
@@ -756,34 +549,16 @@ func (r *Router) TouchDigest(key []byte, id uint64, expireAt int64) bool {
 // gete against a router, where the subsequent AppendHit re-fetches it.
 // A key it cannot find counts as a miss, since no AppendHit follows to
 // count it; a found one is counted by the AppendHit that serves it.
-func (r *Router) ExpireAtDigest(key []byte, id uint64) (int64, bool) {
-	expireAt, found := r.expireAt(key, id)
-	if !found {
+func (r *Router) ExpireAtDigest(key []byte, id uint64) (expireAt int64, found bool) {
+	err := r.forward(r.ring.Lookup(id), func(_ *routerNode, c *server.Client) (err error) {
+		_, _, _, expireAt, found, err = c.GetExp(key)
+		return err
+	})
+	if err != nil || !found {
 		r.misses.Add(1)
-	}
-	return expireAt, found
-}
-
-func (r *Router) expireAt(key []byte, id uint64) (int64, bool) {
-	addr := r.ring.Lookup(id)
-	n := r.node(addr)
-	if n == nil || !n.allow() {
 		return 0, false
 	}
-	c, err := n.get()
-	if err != nil {
-		n.fail(err)
-		return 0, false
-	}
-	_, _, _, expireAt, found, err := c.GetExp(key)
-	if err != nil {
-		n.fail(err)
-		c.Close()
-		return 0, false
-	}
-	n.ok()
-	n.put(c)
-	return expireAt, found
+	return expireAt, true
 }
 
 // Stats reports the router's own operation counters (hits and misses as
@@ -818,29 +593,18 @@ func (r *Router) aggregate() fleetStats {
 	if time.Since(r.statsAt) < 2*time.Second {
 		return r.statCache
 	}
-	r.mu.RLock()
-	nodes := make([]*routerNode, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	r.mu.RUnlock()
 	var fs fleetStats
-	for _, n := range nodes {
-		if n.hp.ejected.Load() || !n.allow() {
+	for _, n := range r.nodeList(true) {
+		if n.ejected.Load() {
 			continue // don't let the occupancy poll hammer a dead node
 		}
-		c, err := n.get()
-		if err != nil {
-			n.ctr.forwardErrors.Add(1)
+		var st map[string]string
+		if err := n.do(func(c *server.Client) (err error) {
+			st, err = c.Stats()
+			return err
+		}); err != nil {
 			continue
 		}
-		st, err := c.Stats()
-		if err != nil {
-			n.ctr.forwardErrors.Add(1)
-			c.Close()
-			continue
-		}
-		n.put(c)
 		for _, f := range []struct {
 			name string
 			dst  *int64
@@ -882,13 +646,7 @@ func (r *Router) probeLoop() {
 			return
 		case <-t.C:
 		}
-		r.mu.RLock()
-		nodes := make([]*routerNode, 0, len(r.nodes))
-		for _, n := range r.nodes {
-			nodes = append(nodes, n)
-		}
-		r.mu.RUnlock()
-		for _, n := range nodes {
+		for _, n := range r.nodeList(true) {
 			r.probeNode(n)
 		}
 	}
@@ -896,20 +654,20 @@ func (r *Router) probeLoop() {
 
 // probeNode runs one probe and applies its verdict.
 func (r *Router) probeNode(n *routerNode) {
-	err := n.probeOnce(r.cfg.ProbeTimeout)
+	err := n.probe(r.cfg.ProbeTimeout)
 	now := time.Now()
 	if err == nil {
-		n.hp.probeOK.Add(1)
+		n.probeOK.Add(1)
 		// A node the prober can reach is a node the data path may try:
 		// close the breaker rather than waiting out its cooldown.
-		n.hp.breaker.Success()
-		if n.hp.det.ObserveSuccess(now) {
+		n.brk.Success()
+		if n.det.ObserveSuccess(now) {
 			r.readmit(n)
 		}
 		return
 	}
-	n.hp.probeFail.Add(1)
-	if n.hp.det.ObserveFailure(now) {
+	n.probeFail.Add(1)
+	if n.det.ObserveFailure(now) {
 		r.eject(n)
 	}
 }
@@ -921,7 +679,7 @@ func (r *Router) probeNode(n *routerNode) {
 // a suspect node beats routing everything to nobody.
 func (r *Router) eject(n *routerNode) {
 	r.mu.Lock()
-	if n.hp.ejected.Load() || r.nodes[n.addr] != n || r.ring.Len() <= 1 {
+	if n.ejected.Load() || !n.live.Load() || r.ring.Len() <= 1 {
 		r.mu.Unlock()
 		return
 	}
@@ -929,18 +687,18 @@ func (r *Router) eject(n *routerNode) {
 		r.mu.Unlock()
 		return
 	}
-	n.hp.ejected.Store(true)
+	n.ejected.Store(true)
 	r.mu.Unlock()
-	n.hp.ejections.Add(1)
+	n.ejections.Add(1)
 	r.topologyDrops.Add(1)
 	r.log.Warn("cluster node ejected by failure detector",
-		"node", n.addr, "phi", n.hp.det.Phi(time.Now()), "nodes", r.ring.Len())
+		"node", n.addr, "phi", n.det.Phi(time.Now()), "nodes", r.ring.Len())
 }
 
 // readmit restores a recovered node's ring points.
 func (r *Router) readmit(n *routerNode) {
 	r.mu.Lock()
-	if !n.hp.ejected.Load() || r.nodes[n.addr] != n {
+	if !n.ejected.Load() || !n.live.Load() {
 		r.mu.Unlock()
 		return
 	}
@@ -948,9 +706,9 @@ func (r *Router) readmit(n *routerNode) {
 		r.mu.Unlock()
 		return
 	}
-	n.hp.ejected.Store(false)
+	n.ejected.Store(false)
 	r.mu.Unlock()
-	n.hp.readmissions.Add(1)
+	n.readmissions.Add(1)
 	r.topologyAdds.Add(1)
 	r.log.Info("cluster node readmitted after recovery",
 		"node", n.addr, "nodes", r.ring.Len())
@@ -976,7 +734,8 @@ func (r *Router) registerMetrics(reg *metrics.Registry) {
 // registerNodeMetrics publishes one node's counter and health series;
 // called once per node name for the registry's lifetime (counters and
 // health state survive rejoin).
-func registerNodeMetrics(reg *metrics.Registry, addr string, ctr *nodeCounters, hp *nodeHealth) {
+func registerNodeMetrics(reg *metrics.Registry, n *routerNode) {
+	addr, ctr := n.addr, &n.ctr
 	reg.CounterFunc("cache_cluster_routed_total", "Operations forwarded, by node and op.",
 		ctr.routedGet.Load, "node", addr, "op", "get")
 	reg.CounterFunc("cache_cluster_routed_total", "Operations forwarded, by node and op.",
@@ -991,25 +750,25 @@ func registerNodeMetrics(reg *metrics.Registry, addr string, ctr *nodeCounters, 
 		ctr.replicaWrites.Load, "node", addr)
 	reg.GaugeFunc("cache_cluster_node_healthy", "1 while the failure detector considers the node healthy.",
 		func() float64 {
-			if hp.det.Healthy() {
+			if n.det.Healthy() {
 				return 1
 			}
 			return 0
 		}, "node", addr)
 	reg.GaugeFunc("cache_cluster_node_phi", "Phi-accrual suspicion level (eject above the configured threshold).",
-		func() float64 { return hp.det.Phi(time.Now()) }, "node", addr)
+		func() float64 { return n.det.Phi(time.Now()) }, "node", addr)
 	reg.CounterFunc("cache_cluster_node_ejections_total", "Times the failure detector pulled the node from the ring.",
-		hp.ejections.Load, "node", addr)
+		n.ejections.Load, "node", addr)
 	reg.CounterFunc("cache_cluster_node_readmissions_total", "Times a recovered node was restored to the ring.",
-		hp.readmissions.Load, "node", addr)
+		n.readmissions.Load, "node", addr)
 	reg.CounterFunc("cache_cluster_probes_total", "Health probes, by node and result.",
-		hp.probeOK.Load, "node", addr, "result", "ok")
+		n.probeOK.Load, "node", addr, "result", "ok")
 	reg.CounterFunc("cache_cluster_probes_total", "Health probes, by node and result.",
-		hp.probeFail.Load, "node", addr, "result", "fail")
+		n.probeFail.Load, "node", addr, "result", "fail")
 	reg.GaugeFunc("cache_breaker_state", "Forwarding breaker position (0 closed, 1 open, 2 half-open).",
-		func() float64 { return float64(hp.breaker.State()) }, "node", addr)
+		func() float64 { return float64(n.brk.State()) }, "node", addr)
 	reg.CounterFunc("cache_breaker_opens_total", "Times the node's forwarding breaker opened.",
-		hp.breaker.Opens, "node", addr)
+		n.brk.Opens, "node", addr)
 }
 
 // NodeSnapshot is one node's counter snapshot for the /cluster page.
@@ -1037,44 +796,16 @@ type NodeSnapshot struct {
 // Snapshot captures the router's topology and counters. Nodes that were
 // removed keep reporting their historical counters with Live=false.
 func (r *Router) Snapshot() (nodes []NodeSnapshot, hotKeys int, promotions, demotions, adds, drops int64) {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.counters))
-	for addr := range r.counters {
-		names = append(names, addr)
-	}
-	live := make(map[string]bool, len(r.nodes))
-	for addr := range r.nodes {
-		live[addr] = true
-	}
-	ctrs := make(map[string]*nodeCounters, len(r.counters))
-	for addr, c := range r.counters {
-		ctrs[addr] = c
-	}
-	hps := make(map[string]*nodeHealth, len(r.health))
-	for addr, hp := range r.health {
-		hps[addr] = hp
-	}
-	r.mu.RUnlock()
-	sortStrings(names)
 	now := time.Now()
-	for _, addr := range names {
-		c := ctrs[addr]
-		ns := NodeSnapshot{
-			Addr: addr, Live: live[addr],
-			RoutedGet: c.routedGet.Load(), RoutedSet: c.routedSet.Load(),
-			RoutedDelete: c.routedDelete.Load(), ForwardErrors: c.forwardErrors.Load(),
-			ReplicaReads: c.replicaReads.Load(), ReplicaWrites: c.replicaWrites.Load(),
-			Healthy: true, Breaker: overload.BreakerClosed.String(),
-		}
-		if hp := hps[addr]; hp != nil {
-			ns.Healthy = hp.det.Healthy()
-			ns.Ejected = hp.ejected.Load()
-			ns.Phi = hp.det.Phi(now)
-			ns.Breaker = hp.breaker.State().String()
-			ns.Ejections = hp.ejections.Load()
-			ns.Readmissions = hp.readmissions.Load()
-		}
-		nodes = append(nodes, ns)
+	for _, n := range r.nodeList(false) {
+		nodes = append(nodes, NodeSnapshot{
+			Addr: n.addr, Live: n.live.Load(),
+			RoutedGet: n.ctr.routedGet.Load(), RoutedSet: n.ctr.routedSet.Load(),
+			RoutedDelete: n.ctr.routedDelete.Load(), ForwardErrors: n.ctr.forwardErrors.Load(),
+			ReplicaReads: n.ctr.replicaReads.Load(), ReplicaWrites: n.ctr.replicaWrites.Load(),
+			Healthy: n.det.Healthy(), Ejected: n.ejected.Load(), Phi: n.det.Phi(now),
+			Breaker: n.brk.State().String(), Ejections: n.ejections.Load(), Readmissions: n.readmissions.Load(),
+		})
 	}
 	return nodes, r.hot.Len(), r.hotPromotions.Load(), r.hotDemotions.Load(),
 		r.topologyAdds.Load(), r.topologyDrops.Load()
@@ -1087,25 +818,8 @@ func (r *Router) Close() {
 		<-r.probeDone
 		r.probeStop = nil
 	}
-	r.mu.Lock()
-	nodes := make([]*routerNode, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	r.nodes = make(map[string]*routerNode)
-	r.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range r.nodeList(false) {
 		n.close()
-	}
-}
-
-// sortStrings is strconv-free sort.Strings (kept local so the import list
-// stays honest about what the hot path uses).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

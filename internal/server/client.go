@@ -237,11 +237,16 @@ func (c *Client) do(maxAttempts int, op func() error) error {
 			c.cfg.Budget.Deposit()
 			return nil
 		}
+		// Only a busy shed is a whole reply: any other error may leave
+		// bytes of this reply unread, so the next call starts on a new
+		// connection instead of reading them as its own.
+		if err != ErrServerBusy {
+			c.markBroken()
+		}
 		if !IsTransportErr(err) {
 			c.cfg.Budget.Deposit()
 			return err
 		}
-		c.markBroken()
 	}
 	return err
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,5 +409,56 @@ func TestClientGetMultiEmpty(t *testing.T) {
 	got, err := c.GetMulti(nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("GetMulti(nil) = %v, %v", got, err)
+	}
+}
+
+// TestClientResyncAfterUnparsableReply: a reply the client rejects part way
+// through leaves the rest of it unread, so the next call must start on a
+// fresh connection rather than read those leftovers as its own answer. The
+// fake server answers the first `get a` with another key's VALUE block and
+// every later one correctly.
+func TestClientResyncAfterUnparsableReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var answered atomic.Bool
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					line, err := br.ReadString('\n')
+					if err != nil || strings.TrimSpace(line) == "quit" {
+						return
+					}
+					reply := "VALUE a 0 1\r\ny\r\nEND\r\n"
+					if !answered.Swap(true) {
+						reply = "VALUE b 0 1\r\nx\r\nEND\r\n"
+					}
+					conn.Write([]byte(reply))
+				}
+			}()
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Get([]byte("a")); err == nil {
+		t.Fatal("get answered with another key's VALUE succeeded")
+	}
+	for i := 0; i < 3; i++ {
+		v, found, err := c.Get([]byte("a"))
+		if err != nil || !found || string(v) != "y" {
+			t.Fatalf("get %d after the bad reply = (%q, %v, %v), want (y, true, nil)", i, v, found, err)
+		}
 	}
 }

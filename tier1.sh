@@ -28,6 +28,12 @@ if bad=$(grep -rlE --include='*.go' '"(repro/internal/dlist|container/list)"' .)
     echo "$bad" >&2
     exit 1
 fi
+phase 'one way to reach a backend (no non-test file in internal/cluster but endpoint.go names server.Dial or server.DialWithConfig)'
+if bad=$(grep -lE 'server\.Dial(WithConfig)?\b' internal/cluster/*.go | grep -v -e '_test\.go$' -e '/endpoint\.go$'); then
+    echo "backend dials outside internal/cluster/endpoint.go:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
 phase 'no build output checked in (no tracked file over 1 MiB or starting with the ELF magic)'
 git ls-files | while IFS= read -r f; do
     [ -f "$f" ] || continue   # deleted in the working tree, not yet committed
