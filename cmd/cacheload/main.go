@@ -36,8 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -62,7 +60,6 @@ func main() {
 		family    = flag.String("family", "", "workload family name (empty = Zipf)")
 		valueLenF = flag.String("valuesize", "64", "value payload size, human-readable (64, 4kib, 1mib)")
 		metricsF  = flag.String("metrics", "", `write client-side Prometheus exposition here after the run ("-" = stdout); families match the server's, labeled side="client"`)
-		jsonOut   = flag.String("json", "", `write the run as a bench JSON artifact here ("-" = stdout); same shape as BENCH_throughput.json, with wire latency percentiles`)
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFmt    = flag.String("log-format", "text", "log encoding: text|json")
 
@@ -94,6 +91,9 @@ func main() {
 		fatal("bad -valuesize", fmt.Errorf("value size %d outside (0, %d]", valueBytes, server.DefaultMaxValueLen))
 	}
 	valueLen := int(valueBytes)
+	if *conns < 1 {
+		fatal("bad -conns", fmt.Errorf("connection count %d must be at least 1", *conns))
+	}
 
 	// -chaos interposes the fault proxy between the clients and the server.
 	// A chaos run without a retry budget or op deadline would just measure
@@ -222,73 +222,6 @@ func main() {
 		fmt.Printf("chaos faults injected: %s\n", proxy.Counters())
 	}
 
-	if *jsonOut != "" {
-		// The served cache's config comes from the server itself — policy
-		// name, shard count, listener count — so the artifact records what
-		// was actually measured and perf trajectories are diffable across
-		// PRs (best-effort: a server without a stat leaves it zero).
-		cacheName := ""
-		srvShards, srvListeners, srvProcs := 0, 0, 0
-		var mrcStats map[string]string
-		statsAddr := *addr
-		if *servers != "" {
-			statsAddr = splitEndpoints(*servers)[0]
-		}
-		if c, err := server.Dial(statsAddr); err == nil {
-			if st, err := c.Stats(); err == nil {
-				cacheName = st["cache"]
-				srvShards = atoiStat(st, "data_shards")
-				srvListeners = atoiStat(st, "listeners")
-				srvProcs = atoiStat(st, "gomaxprocs")
-			}
-			// A server running with -mrc-sample carries capacity-planning
-			// signals; one without (or an older one answering CLIENT_ERROR)
-			// simply leaves them zero in the artifact.
-			if st, err := c.StatsArg("mrc"); err == nil {
-				if enabled, err := server.StatInt(st, "enabled"); err == nil && enabled == 1 {
-					mrcStats = st
-				}
-			}
-			c.Close()
-		}
-		file := &stats.BenchFile{
-			Bench:      "cacheload",
-			GoVersion:  runtime.Version(),
-			NumCPU:     runtime.NumCPU(),
-			GoMaxProcs: srvProcs,
-			Shards:     srvShards,
-			Listeners:  srvListeners,
-			KeySpace:   *keySpace,
-			ValueLen:   valueLen,
-			Regenerate: fmt.Sprintf("go run ./cmd/cacheload -addr %s -conns %d -ops %d -json <path>", *addr, *conns, *ops),
-			Entries: []stats.BenchEntry{{
-				Cache:       cacheName,
-				Conns:       *conns,
-				Listeners:   srvListeners,
-				Ops:         res.Ops,
-				OpsPerSec:   res.OpsPerSecond(),
-				NsPerOp:     float64(res.Elapsed.Nanoseconds()) / float64(max(res.Ops, 1)),
-				HitRatio:    res.HitRatio(),
-				P50Ns:       float64(res.Latency.Percentile(50).Nanoseconds()),
-				P99Ns:       float64(res.Latency.Percentile(99).Nanoseconds()),
-				P999Ns:      float64(res.Latency.Percentile(99.9).Nanoseconds()),
-				AllocsPerOp: 0, // not observable across the wire
-			}},
-		}
-		if mrcStats != nil {
-			e := &file.Entries[0]
-			e.MRCSampleRate = floatStat(mrcStats, "rate")
-			e.PredictedHit05x = floatStat(mrcStats, "predicted_hit_0.5x")
-			e.PredictedHit1x = floatStat(mrcStats, "predicted_hit_1x")
-			e.PredictedHit2x = floatStat(mrcStats, "predicted_hit_2x")
-			e.PredictedHit4x = floatStat(mrcStats, "predicted_hit_4x")
-			e.MarginalHitPerMiB = floatStat(mrcStats, "marginal_hit_per_mib")
-		}
-		if err := stats.WriteBenchFile(*jsonOut, file); err != nil {
-			fatal("bench artifact write failed", err)
-		}
-	}
-
 	if reg != nil {
 		out := os.Stdout
 		if *metricsF != "-" {
@@ -305,25 +238,6 @@ func main() {
 			fatal("metrics write failed", err)
 		}
 	}
-}
-
-// atoiStat reads an integer STAT value, zero when absent or malformed —
-// older servers simply don't report the newer config stats.
-func atoiStat(st map[string]string, key string) int {
-	n, err := strconv.Atoi(st[key])
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// floatStat reads a float STAT value, zero when absent or malformed.
-func floatStat(st map[string]string, key string) float64 {
-	v, err := strconv.ParseFloat(st[key], 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // splitEndpoints parses -servers, trimming blanks so trailing commas are

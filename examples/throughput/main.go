@@ -1,11 +1,11 @@
 // Throughput: the scalability argument of §1–§3, measured.
 //
 // Each LRU hit splices a list node to the queue head — six pointer writes
-// under an exclusive lock — so concurrent readers serialize. CLOCK and
-// QD-LP-FIFO hits store one atomic counter under a shared lock, so readers
-// proceed in parallel. This example drives identical Zipf load through the
-// three thread-safe caches in internal/concurrent at increasing goroutine
-// counts and prints the aggregate op rate.
+// under an exclusive lock — so concurrent readers serialize. CLOCK, SIEVE
+// and QD-LP-FIFO hits store one atomic counter under a shared lock, so
+// readers proceed in parallel. This example drives identical Zipf load
+// through the four thread-safe caches in internal/concurrent at increasing
+// goroutine counts and prints the aggregate op rate.
 //
 //	go run ./examples/throughput
 package main
@@ -50,7 +50,7 @@ func main() {
 	}
 	fmt.Print(tb)
 	fmt.Println("\nThe hit paths differ: concurrent-lru locks exclusively per hit;")
-	fmt.Println("concurrent-clock and concurrent-qdlp take a shared lock and do one")
+	fmt.Println("the other three (clock, qdlp, sieve) take a shared lock and do one")
 	fmt.Println("atomic store — the lazy-promotion discipline from the paper.")
 }
 

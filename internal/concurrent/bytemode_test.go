@@ -75,7 +75,6 @@ func TestNewCapacityModes(t *testing.T) {
 				{"no capacity", 0, nil},
 				{"zero bytes", 0, []Option{WithMaxBytes(0)}},
 				{"zero entries", 0, []Option{WithMaxEntries(0)}},
-				{"admit fraction under an entry cap", 512, []Option{WithQDLPOptions(QDLPOptions{AdmitFrac: 0.5})}},
 			} {
 				if _, err := New(name, bad.cap, bad.opts...); err == nil {
 					t.Errorf("%s did not error", bad.desc)
@@ -147,12 +146,12 @@ func TestByteModeTinyCostsEvictForSlots(t *testing.T) {
 }
 
 // QDLP size-aware admission: a first-touch object costing more than
-// AdmitFrac of the probation budget goes straight to the ghost — it never
+// admitFrac of the probation budget goes straight to the ghost — it never
 // holds bytes — and a second touch earns it a main-region slot like any
 // quick-demotion mistake.
 func TestByteQDLPSizeAwareAdmission(t *testing.T) {
 	// One shard, 10000 bytes: probation 1000, admission threshold 500
-	// (default AdmitFrac 0.5), main 9000.
+	// (admitFrac 0.5), main 9000.
 	c, err := New("qdlp", 0, WithMaxBytes(10000), WithShards(1))
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ type Clock struct {
 }
 
 func newClock(cfg config) (Cache, error) {
-	if err := rejectOptions("clock", cfg, true, false); err != nil {
+	if err := rejectOptions("clock", cfg, true); err != nil {
 		return nil, err
 	}
 	b, err := newQueues("concurrent-clock", cfg, uint32(1<<cfg.clockBits-1))

@@ -109,8 +109,8 @@ func TestEvictionSequenceMatchesReference(t *testing.T) {
 		{"clock", "clock-2bit"},
 		{"sieve", "sieve"},
 		// Exact only because an entry cap fixes the ghost at the reference's
-		// mainCap × GhostFactor entries; under a byte cap the ghost follows
-		// the main region's current population instead (see ghostAdd).
+		// mainCap entries; under a byte cap the ghost follows the main
+		// region's current population instead (see ghostRoom).
 		{"qdlp", "qd-lp-fifo"},
 	} {
 		for name, keys := range traces {

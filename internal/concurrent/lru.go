@@ -12,7 +12,7 @@ type LRU struct {
 }
 
 func newLRU(cfg config) (Cache, error) {
-	if err := rejectOptions("lru", cfg, false, false); err != nil {
+	if err := rejectOptions("lru", cfg, false); err != nil {
 		return nil, err
 	}
 	b, err := newQueues("concurrent-lru", cfg, 0)

@@ -15,8 +15,6 @@ type config struct {
 	shards       int
 	clockBits    int
 	clockBitsSet bool
-	qdlp         QDLPOptions
-	qdlpSet      bool
 	recorder     *obs.Recorder
 	maxBytes     int64
 	maxEntries   int
@@ -64,21 +62,6 @@ func WithClockBits(bits int) Option {
 		}
 		c.clockBits = bits
 		c.clockBitsSet = true
-		c.qdlp.ClockBits = bits
-		return nil
-	}
-}
-
-// WithQDLPOptions sets the QD-LP-FIFO parameters (probation share, ghost
-// factor, main-region CLOCK bits, size-aware admission). It applies only to
-// the qdlp policy.
-func WithQDLPOptions(opts QDLPOptions) Option {
-	return func(c *config) error {
-		if c.clockBitsSet && opts.ClockBits == 0 {
-			opts.ClockBits = c.clockBits // compose with an earlier WithClockBits
-		}
-		c.qdlp = opts
-		c.qdlpSet = true
 		return nil
 	}
 }
@@ -180,12 +163,9 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 }
 
 // rejectOptions errors when an option irrelevant to the policy was set.
-func rejectOptions(policy string, cfg config, clockBits, qdlp bool) error {
+func rejectOptions(policy string, cfg config, clockBits bool) error {
 	if cfg.clockBitsSet && !clockBits {
 		return fmt.Errorf("concurrent: policy %q does not take WithClockBits", policy)
-	}
-	if cfg.qdlpSet && !qdlp {
-		return fmt.Errorf("concurrent: policy %q does not take WithQDLPOptions", policy)
 	}
 	return nil
 }

@@ -40,14 +40,10 @@ func TestNewOptionMatrix(t *testing.T) {
 		{"bad clock bits", "clock", []Option{WithClockBits(7)}, "outside [1, 6]"},
 		{"clock bits on lru", "lru", []Option{WithClockBits(2)}, "does not take WithClockBits"},
 		{"clock bits on sieve", "sieve", []Option{WithClockBits(2)}, "does not take WithClockBits"},
-		{"qdlp options on clock", "clock", []Option{WithQDLPOptions(QDLPOptions{})}, "does not take WithQDLPOptions"},
-		{"bad probation", "qdlp", []Option{WithQDLPOptions(QDLPOptions{ProbationFrac: 1.5})}, "probation fraction"},
-		{"bad ghost factor", "qdlp", []Option{WithQDLPOptions(QDLPOptions{GhostFactor: -1})}, "ghost factor"},
 		{"capacity below shards", "lru", []Option{WithShards(64)}, "below shard count"},
 
 		{"clock with bits", "clock", []Option{WithClockBits(1)}, ""},
 		{"qdlp with bits", "qdlp", []Option{WithClockBits(3)}, ""},
-		{"qdlp full options", "qdlp", []Option{WithQDLPOptions(QDLPOptions{ProbationFrac: 0.25, GhostFactor: 2, ClockBits: 1})}, ""},
 		{"defaults", "sieve", nil, ""},
 	}
 	for _, tc := range cases {

@@ -1,114 +1,65 @@
 package concurrent
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // QDLP is a sharded thread-safe QD-LP-FIFO cache: a probationary FIFO
-// holding a configurable fraction of each shard's budget, a CLOCK main
-// region holding the rest, and a metadata-only ghost. Hits perform at most
-// one atomic counter store under a shared lock — "at most one metadata
-// update on a cache hit and no locking for any cache operation" (§4) —
-// while misses take the exclusive lock.
+// holding a tenth of each shard's budget, a CLOCK main region holding the
+// rest, and a metadata-only ghost. Hits perform at most one atomic counter
+// store under a shared lock — "at most one metadata update on a cache hit
+// and no locking for any cache operation" (§4) — while misses take the
+// exclusive lock.
 //
 // A byte cap adds one policy decision an entry cap cannot express:
-// size-aware admission. A first-touch object costing more than AdmitFrac
-// of the probation budget is never admitted — it goes straight to the
-// ghost (quick demotion applied to bytes), so one giant one-hit object
-// cannot flush many small hot ones; a second touch while ghosted earns it
-// a main-region slot like any other quick-demotion mistake.
+// size-aware admission. A first-touch object costing more than half the
+// probation budget is never admitted — it goes straight to the ghost
+// (quick demotion applied to bytes), so one giant one-hit object cannot
+// flush many small hot ones; a second touch while ghosted earns it a
+// main-region slot like any other quick-demotion mistake.
 type QDLP struct {
-	base     // small = probation, main = CLOCK (front = newest / reinserted)
-	ghostFac float64
+	base // small = probation, main = CLOCK (front = newest / reinserted)
 }
 
-// QDLPOptions tunes the thread-safe QD-LP-FIFO. Zero values select the
-// paper's parameters, mirroring the single-threaded qdlp.Options.
-type QDLPOptions struct {
-	// ProbationFrac is the probationary FIFO's share of each shard,
-	// in (0, 1). 0 selects the paper's 10%.
-	ProbationFrac float64
-	// GhostFactor scales ghost entries relative to the main region's
-	// object count. 0 selects the paper's 1.0 (the ghost remembers one
-	// main region's worth).
-	GhostFactor float64
-	// ClockBits is the main region's counter width in bits, 1–6
-	// (1 = FIFO-Reinsertion). 0 selects the paper's 2.
-	ClockBits int
-	// AdmitFrac is the size-aware admission threshold for byte-capped
-	// caches (WithMaxBytes), as a fraction of the probation byte budget
-	// in (0, 1]: a first-touch object costing more than
-	// AdmitFrac × probation-bytes goes straight to the ghost instead of
-	// flushing probation. 0 selects 0.5. Entry-capped caches have no
-	// byte budget to take a fraction of and reject a nonzero value.
-	AdmitFrac float64
-}
+// The paper's sizing: probation's share of each shard, and the share of
+// probation's byte budget above which a first touch is ghosted instead of
+// admitted (byte caps only).
+const (
+	probationFrac = 0.1
+	admitFrac     = 0.5
+)
 
-// newQDLP builds the cache with the paper's sizing unless the options say
-// otherwise: probation gets 10% of each shard, the CLOCK main region the
-// rest, and the ghost remembers as many keys as the main region holds
-// objects. Each shard needs room for both regions.
+// newQDLP builds the cache with the paper's sizing: probation gets 10% of
+// each shard, the CLOCK main region the rest, and the ghost remembers as
+// many keys as the main region holds objects. Each shard needs room for
+// both regions.
 func newQDLP(cfg config) (Cache, error) {
-	if err := rejectOptions("qdlp", cfg, true, true); err != nil {
+	if err := rejectOptions("qdlp", cfg, true); err != nil {
 		return nil, err
 	}
-	opts := cfg.qdlp
-	frac := opts.ProbationFrac
-	if frac == 0 {
-		frac = 0.1
+	// Under an entry cap every object costs one unit, so no object is
+	// "large": a fraction of a small probation budget would round to zero
+	// and ghost every first touch. The threshold sits at the whole
+	// probation budget, which no unit-cost object exceeds.
+	admit := 1.0
+	if cfg.byBytes {
+		admit = admitFrac
 	}
-	if frac < 0 || frac >= 1 {
-		return nil, fmt.Errorf("concurrent: qdlp probation fraction %v outside (0, 1)", frac)
-	}
-	ghostFactor := opts.GhostFactor
-	if ghostFactor == 0 {
-		ghostFactor = 1
-	}
-	if ghostFactor < 0 {
-		return nil, fmt.Errorf("concurrent: qdlp ghost factor %v is negative", ghostFactor)
-	}
-	bits := opts.ClockBits
-	if bits == 0 {
-		bits = 2
-	}
-	if bits < 1 || bits > 6 {
-		return nil, fmt.Errorf("concurrent: qdlp clock bits %d outside [1, 6]", bits)
-	}
-	admitFrac := opts.AdmitFrac
-	switch {
-	case !cfg.byBytes && admitFrac != 0:
-		return nil, fmt.Errorf("concurrent: qdlp admit fraction applies only to byte-capped caches (WithMaxBytes)")
-	case !cfg.byBytes:
-		// Every object costs one unit, so no object is "large": a fraction
-		// of a small probation budget would round to zero and ghost every
-		// first touch. The threshold sits at the whole probation budget,
-		// which no unit-cost object exceeds.
-		admitFrac = 1
-	case admitFrac == 0:
-		admitFrac = 0.5
-	}
-	if admitFrac < 0 || admitFrac > 1 {
-		return nil, fmt.Errorf("concurrent: qdlp admit fraction %v outside (0, 1]", admitFrac)
-	}
-	b, err := newBase("concurrent-qdlp", cfg, 2*cfg.minRegion, uint32(1<<bits-1))
+	b, err := newBase("concurrent-qdlp", cfg, 2*cfg.minRegion, uint32(1<<cfg.clockBits-1))
 	if err != nil {
 		return nil, err
 	}
-	c := &QDLP{base: b, ghostFac: ghostFactor}
+	c := &QDLP{base: b}
 	for i := range c.shards {
 		s := &c.shards[i]
 		per := s.main.max
-		s.small.max = min(max(int64(float64(per)*frac), cfg.minRegion), per-cfg.minRegion)
+		s.small.max = min(max(int64(float64(per)*probationFrac), cfg.minRegion), per-cfg.minRegion)
 		s.main.max = per - s.small.max
-		s.admitMax = int64(float64(s.small.max) * admitFrac)
-		// The ghost holds GhostFactor × as many keys as the main region
-		// holds objects. Under an entry cap main.max is that count, so the
-		// ghost is the paper's fixed size from the first request; under a
-		// byte cap the bound follows the region's population (see ghostRoom),
-		// which no KV's objects push past main.max/(EntryOverhead+1).
-		s.ghostMin = int(ghostFactor * float64(s.main.max))
+		s.admitMax = int64(float64(s.small.max) * admit)
+		// The ghost holds as many keys as the main region holds objects.
+		// Under an entry cap main.max is that count, so the ghost is the
+		// paper's fixed size from the first request; under a byte cap the
+		// bound follows the region's population (see ghostRoom), which no
+		// KV's objects push past main.max/(EntryOverhead+1).
+		s.ghostMin = int(s.main.max)
 		ghost := s.ghostMin
 		if cfg.byBytes {
 			s.ghostMin = 16
@@ -160,12 +111,11 @@ func (c *QDLP) set(key, value uint64, e entry) {
 func (c *QDLP) admit(s *shard, key, value uint64, cost int64, e entry) {
 	if cost > s.admitMax {
 		e.free()
-		if s.ghostRoom(c) {
-			s.slotRoom(c)
-			n := s.idx.Insert(key)
-			s.idx.Value(n).where = inGhost
-			s.idx.PushFront(&s.ghost, n)
-		}
+		s.ghostRoom()
+		s.slotRoom(c)
+		n := s.idx.Insert(key)
+		s.idx.Value(n).where = inGhost
+		s.idx.PushFront(&s.ghost, n)
 		c.evicted(s, key, obs.EvDemoteGhost, obs.ReasonSizeAdmission)
 		return
 	}
@@ -206,13 +156,10 @@ func (c *QDLP) evictSmallOne(s *shard) {
 	if v.freq == 0 {
 		// Quick demotion: never re-requested — this is the eviction.
 		s.vacate(&c.base, n, v)
-		if s.ghostRoom(c) {
-			s.idx.Unlink(&s.small.list, n)
-			v.value, v.where = 0, inGhost
-			s.idx.PushFront(&s.ghost, n)
-		} else {
-			s.idx.Remove(&s.small.list, n)
-		}
+		s.ghostRoom()
+		s.idx.Unlink(&s.small.list, n)
+		v.value, v.where = 0, inGhost
+		s.idx.PushFront(&s.ghost, n)
 		c.evicted(s, key, obs.EvDemoteGhost, obs.ReasonProbationOverflow)
 		return
 	}
@@ -235,17 +182,15 @@ func (c *QDLP) evictSmallOne(s *shard) {
 }
 
 // ghostRoom makes room for one more remembered key, forgetting the oldest
-// beyond the bound, and reports whether the ghost remembers anything at
-// all (a small GhostFactor can round it away). The bound is GhostFactor ×
-// the main region's current population, at least ghostMin. The ghost is an
-// exact FIFO: a readmitted key leaves it at once, so a key demoted again is
-// remembered for a full `limit` further demotions.
-func (s *shard) ghostRoom(c *QDLP) bool {
-	limit := max(int(c.ghostFac*float64(s.main.list.Len())), s.ghostMin)
+// beyond the bound: the main region's current population, at least
+// ghostMin (which is positive, so the ghost always remembers something).
+// The ghost is an exact FIFO: a readmitted key leaves it at once, so a key
+// demoted again is remembered for a full `limit` further demotions.
+func (s *shard) ghostRoom() {
+	limit := max(s.main.list.Len(), s.ghostMin)
 	for s.ghost.Len() > 0 && s.ghost.Len() >= limit {
 		s.idx.Remove(&s.ghost, s.ghost.Back())
 	}
-	return limit > 0
 }
 
 // slotRoom frees an index slot for an admission when the shard holds

@@ -14,7 +14,7 @@ type Sieve struct {
 }
 
 func newSieve(cfg config) (Cache, error) {
-	if err := rejectOptions("sieve", cfg, false, false); err != nil {
+	if err := rejectOptions("sieve", cfg, false); err != nil {
 		return nil, err
 	}
 	b, err := newQueues("concurrent-sieve", cfg, 1)

@@ -2,7 +2,6 @@ package concurrent
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,18 +11,9 @@ import (
 
 // ThroughputResult reports one load-generation run.
 type ThroughputResult struct {
-	Cache string `json:"cache"`
-	// Cores is the GOMAXPROCS the run was pinned to (0 when the caller did
-	// not pin, i.e. plain MeasureThroughput).
-	Cores      int           `json:"cores,omitempty"`
-	Goroutines int           `json:"goroutines"`
-	Ops        int64         `json:"ops"`
-	Hits       int64         `json:"hits"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	// AllocsPerOp is heap allocations per operation over the measured loop
-	// (runtime mallocs delta / ops), the scalar that shows the pooled data
-	// plane staying off the garbage collector's books.
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Ops     int64
+	Hits    int64
+	Elapsed time.Duration
 }
 
 // OpsPerSecond returns the aggregate operation rate.
@@ -32,14 +22,6 @@ func (r ThroughputResult) OpsPerSecond() float64 {
 		return 0
 	}
 	return float64(r.Ops) / r.Elapsed.Seconds()
-}
-
-// NsPerOp returns mean wall nanoseconds per operation across workers.
-func (r ThroughputResult) NsPerOp() float64 {
-	if r.Ops == 0 {
-		return 0
-	}
-	return float64(r.Elapsed.Nanoseconds()) / float64(r.Ops)
 }
 
 // HitRatio returns hits/ops.
@@ -90,12 +72,6 @@ func MeasureThroughput(cache Cache, goroutines, totalOps, keySpace int, seed int
 	// generator work.
 	streams := ZipfStreams(goroutines, totalOps, keySpace, seed)
 
-	// Allocation accounting brackets only the measured loop: streams are
-	// already generated, so the mallocs delta is the cache's own (plus one
-	// stack-spawn per worker, noise at totalOps scale).
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-
 	var hits atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -116,45 +92,9 @@ func MeasureThroughput(cache Cache, goroutines, totalOps, keySpace int, seed int
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
 	issued := int64(0)
 	for _, s := range streams {
 		issued += int64(len(s))
 	}
-	res := ThroughputResult{
-		Cache:      cache.Name(),
-		Goroutines: goroutines,
-		Ops:        issued,
-		Hits:       hits.Load(),
-		Elapsed:    elapsed,
-	}
-	if issued > 0 {
-		res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(issued)
-	}
-	return res
-}
-
-// MeasureThroughputAtCores is MeasureThroughput pinned to a core count: it
-// sets GOMAXPROCS to cores for the duration of the run (restoring the
-// previous value after) and stamps Cores on the result. This is the sweep
-// primitive behind cmd/throughput's core-scaling experiment: the paper's
-// scalability argument is about how the hit path behaves as parallelism
-// grows, and GOMAXPROCS is the knob that makes one machine emulate the
-// 1..N-core X axis.
-//
-// cores is clamped to [1, runtime.NumCPU()]: the scheduler cannot deliver
-// more parallelism than the machine has. Callers interleaving other
-// goroutine work must not rely on GOMAXPROCS mid-run.
-func MeasureThroughputAtCores(cache Cache, cores, goroutines, totalOps, keySpace int, seed int64) ThroughputResult {
-	if cores < 1 {
-		cores = 1
-	}
-	if n := runtime.NumCPU(); cores > n {
-		cores = n
-	}
-	prev := runtime.GOMAXPROCS(cores)
-	defer runtime.GOMAXPROCS(prev)
-	res := MeasureThroughput(cache, goroutines, totalOps, keySpace, seed)
-	res.Cores = cores
-	return res
+	return ThroughputResult{Ops: issued, Hits: hits.Load(), Elapsed: elapsed}
 }

@@ -24,7 +24,8 @@ type LoadConfig struct {
 	// TotalOps is the aggregate number of get operations across all
 	// connections (distributed exactly, like MeasureThroughput).
 	TotalOps int
-	// KeySpace is the distinct-key count (Zipf) or catalog size (family).
+	// KeySpace is the distinct-key count (Zipf) or catalog size (family);
+	// it must be positive.
 	KeySpace int
 	// Seed makes the run deterministic.
 	Seed int64
@@ -178,6 +179,14 @@ func loadStreams(cfg LoadConfig) ([][]uint64, error) {
 // (prefix "key:") and are verified on every hit, so any cross-key
 // corruption in the serving stack fails the run.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
+	switch {
+	case cfg.KeySpace <= 0:
+		return nil, fmt.Errorf("server: load key space %d must be positive", cfg.KeySpace)
+	case cfg.TotalOps < 0:
+		return nil, fmt.Errorf("server: load op count %d is negative", cfg.TotalOps)
+	case cfg.Rate < 0:
+		return nil, fmt.Errorf("server: load rate %v is negative", cfg.Rate)
+	}
 	if cfg.Conns <= 0 {
 		cfg.Conns = 1
 	}

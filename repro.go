@@ -90,7 +90,7 @@ type ConcurrentCache = concurrent.Cache
 type CacheStats = concurrent.Snapshot
 
 // ConcurrentOption configures NewConcurrent; see WithShards, WithClockBits,
-// and WithQDLPOptions in internal/concurrent.
+// WithMaxBytes and WithMaxEntries in internal/concurrent.
 type ConcurrentOption = concurrent.Option
 
 // NewConcurrent constructs a thread-safe cache by policy name —
