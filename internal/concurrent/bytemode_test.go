@@ -134,7 +134,7 @@ func TestByteModeTinyCostsEvictForSlots(t *testing.T) {
 				}
 			}
 			st := c.Stats()
-			slots := c.(plane).shared().shards[0].slots
+			slots := c.(interface{ shared() *base }).shared().shards[0].Slots()
 			if st.Len == 0 || st.Len > slots || st.Evictions == 0 {
 				t.Fatalf("Len %d with %d slots after 2000 one-byte sets, %d evictions", st.Len, slots, st.Evictions)
 			}

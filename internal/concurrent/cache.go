@@ -15,16 +15,17 @@
 // paper's argument.
 //
 // One structure. A shard (policy.go) is one sync.RWMutex over one
-// slab.Index: an open-addressed table from key to slot, and a slab of slots
-// threaded onto the policy's queues by int32 links. A slot carries the
+// internal/evict Engine, the eviction decisions the simulator's policies
+// run too, and its slab.Index: an open-addressed table from key to slot,
+// and a slab of slots threaded onto the policy's queues by int32 links. A slot carries the
 // policy's metadata (value or cost, reference counter, which queue) and,
 // when the cache is viewed through a KV (kv.go), a pointer to the object's
 // bytes — so a key is probed once per operation, under one lock, and
 // nothing is allocated to admit it. QDLP's ghost lives in the same index as
 // its residents: quick demotion relinks a slot, readmission relinks it
-// back, and neither touches the table. The four policies are four Set
-// functions (lru.go, clock.go, sieve.go, qdlp.go) over that shard; Get,
-// Delete and the accounting are written once, in policy.go.
+// back, and neither touches the table. The four policies are four of the
+// engine's rules over that shard (new.go); Get, Set, Delete and the
+// accounting are written once, in policy.go.
 //
 // Lock order: a shard's mu is the only lock an operation takes, and no
 // operation holds two shards' locks. What runs under the shared lock: the

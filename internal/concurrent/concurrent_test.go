@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/evict"
 	"repro/internal/obs"
 )
 
@@ -224,7 +225,7 @@ func TestQDLPGhostReadmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := cache.(*QDLP)
+		c := cache.(*base)
 		var reason obs.Reason
 		c.SetEvictHook(func(key uint64, r obs.Reason) {
 			if key == 1 {
@@ -246,7 +247,7 @@ func TestQDLPGhostReadmission(t *testing.T) {
 			t.Fatal("key 1 should have been demoted")
 		}
 		c.Set(1, 11)
-		if n, v := c.shard(1).resident(1); n == 0 || v.where != inMain {
+		if n, v := c.shard(1).resident(1); n == 0 || v.Where != evict.InMain {
 			t.Fatalf("capacity %d: ghost readmission failed: resident=%v", tc.capacity, n != 0)
 		}
 		if v, ok := c.Get(1); !ok || v != 11 {

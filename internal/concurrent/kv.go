@@ -44,8 +44,7 @@ import (
 // 64-bit digest share a slot: the later Set wins it, and full-key
 // comparison serves the loser as a miss.
 type KV struct {
-	b      *base // the shards, shared with p
-	p      plane
+	b      *base // the shards, shared with the Cache it views
 	casSeq atomic.Uint64
 	smp    *obs.KeySampler
 
@@ -94,11 +93,11 @@ func (e *entry) free() { putBuf(e.handle, cap(e.buf)) }
 // not be shared with another KV. dataShards is ignored — the KV's shards
 // are inner's — and stays in the signature only for its callers' sake.
 func NewKV(inner Cache, dataShards int) *KV {
-	p, ok := inner.(plane)
+	p, ok := inner.(interface{ shared() *base })
 	if !ok {
 		panic("concurrent: NewKV needs a Cache built by concurrent.New, got " + inner.Name())
 	}
-	kv := &KV{b: p.shared(), p: p}
+	kv := &KV{b: p.shared()}
 	now := time.Now().Unix()
 	kv.nowSec.Store(now)
 	for i := range kv.b.shards {
@@ -127,15 +126,15 @@ func (kv *KV) SetSampler(smp *obs.KeySampler) {
 // lazily expired object (left for the wheel) are all misses. Caller holds
 // the shard's lock.
 func (kv *KV) lookup(s *shard, id uint64, key []byte) (int32, *slot) {
-	n := s.idx.Find(id)
+	n := s.X.Find(id)
 	if n == 0 {
 		return 0, nil
 	}
-	v := s.idx.Value(n)
-	if v.e.buf == nil || !bytes.Equal(v.e.key(), key) {
+	v := s.X.Value(n)
+	if v.P.e.buf == nil || !bytes.Equal(v.P.e.key(), key) {
 		return 0, nil
 	}
-	if exp := v.e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
+	if exp := v.P.e.expireAt; exp != 0 && exp <= kv.nowSec.Load() {
 		return 0, nil
 	}
 	return n, v
@@ -179,14 +178,14 @@ func (kv *KV) appendHit(dst, key []byte, id uint64, hdr HitHeaderFunc) (_ []byte
 	kv.b.lockHit(s)
 	n, v := kv.lookup(s, id, key)
 	if n != 0 {
-		dst, ok = v.appendTo(dst, key, hdr)
+		dst, ok = v.P.appendTo(dst, key, hdr)
 	}
 	if !ok {
 		kv.b.unlockHit(s)
 		s.stats.misses.Add(1)
 		return dst, 0, 0, 0, false
 	}
-	valueLen, flags, cas = len(v.e.value()), v.e.flags, v.e.cas
+	valueLen, flags, cas = len(v.P.e.value()), v.P.e.flags, v.P.e.cas
 	kv.b.touch(s, n, v)
 	kv.b.unlockHit(s)
 	s.stats.hits.Add(1)
@@ -195,7 +194,7 @@ func (kv *KV) appendHit(dst, key []byte, id uint64, hdr HitHeaderFunc) (_ []byte
 
 // appendTo appends hdr's header (when given) and the slot's value to dst
 // under the shard's lock, validating the slot's epoch around the copy.
-func (v *slot) appendTo(dst, key []byte, hdr HitHeaderFunc) ([]byte, bool) {
+func (v *payload) appendTo(dst, key []byte, hdr HitHeaderFunc) ([]byte, bool) {
 	epoch := atomic.LoadUint32(&v.epoch)
 	base := len(dst)
 	value := v.e.value()
@@ -261,10 +260,10 @@ func (kv *KV) GetMulti(dst []byte, keys [][]byte, ids []uint64, out []MultiHit) 
 			}
 			start := len(dst)
 			var ok bool
-			if dst, ok = v.appendTo(dst, nil, nil); !ok {
+			if dst, ok = v.P.appendTo(dst, nil, nil); !ok {
 				continue
 			}
-			out[j] = MultiHit{Start: start, End: len(dst), Flags: v.e.flags, CAS: v.e.cas, Hit: true}
+			out[j] = MultiHit{Start: start, End: len(dst), Flags: v.P.e.flags, CAS: v.P.e.cas, Hit: true}
 			kv.b.touch(s, n, v)
 			hits++
 		}
@@ -302,7 +301,7 @@ func (kv *KV) SetDigest(key, value []byte, flags uint32, id uint64, expireAt int
 	// The cas token lives in a local: once set returns a concurrent
 	// overwrite may have replaced the object.
 	cas := kv.casSeq.Add(1)
-	kv.p.set(id, uint64(EntryCost(len(key), len(value))), newEntry(key, value, flags, cas, expireAt))
+	kv.b.set(id, uint64(EntryCost(len(key), len(value))), newEntry(key, value, flags, cas, expireAt))
 	return cas
 }
 
@@ -330,9 +329,9 @@ func (kv *KV) remove(key []byte, id uint64, kind obs.EventKind, reason obs.Reaso
 	s := kv.b.shard(id)
 	s.mu.Lock()
 	n, v := s.resident(id)
-	found := n != 0 && bytes.Equal(v.e.key(), key)
+	found := n != 0 && bytes.Equal(v.P.e.key(), key)
 	if found {
-		s.remove(kv.b, n, v)
+		s.remove(n, v)
 		s.stats.deletes++
 	}
 	s.mu.Unlock()
@@ -358,7 +357,7 @@ func (kv *KV) TouchDigest(key []byte, id uint64, expireAt int64) bool {
 	if n == 0 {
 		return false
 	}
-	v.e.expireAt = expireAt
+	v.P.e.expireAt = expireAt
 	if expireAt > 0 {
 		s.wheel.Schedule(n, expireAt)
 	} else {
@@ -382,7 +381,7 @@ func (kv *KV) ExpireAtDigest(key []byte, id uint64) (int64, bool) {
 		s.stats.misses.Add(1)
 		return 0, false
 	}
-	return v.e.expireAt, true
+	return v.P.e.expireAt, true
 }
 
 // SetNow moves the TTL clock without running the wheel — a test hook for
@@ -410,8 +409,8 @@ func (kv *KV) AdvanceTTL(now int64) int {
 			// A slot's timer is armed exactly while its object has a
 			// deadline (releasing the object disarms it), so n holds the
 			// object whose deadline has come.
-			id := s.idx.Key(n)
-			s.remove(kv.b, n, s.idx.Value(n))
+			id := s.X.Key(n)
+			s.remove(n, s.X.Value(n))
 			kv.b.rec.Record(obs.Event{Key: id, Kind: obs.EvExpire, Reason: obs.ReasonExpired})
 			total++
 		})

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/evict"
 )
 
 // The KV and the policy are one structure, so two failure shapes are ruled
@@ -28,49 +30,53 @@ func walkKV(t *testing.T, kv *KV) map[uint64]entry {
 		s := &kv.b.shards[i]
 		var shardUsed int64
 		armed := 0
-		for _, l := range []*region{&s.main, &s.small} {
+		for _, l := range []*evict.Region{&s.Main, &s.Prob} {
 			var cost int64
-			for n := l.list.Front(); n != 0; n = s.idx.Next(n) {
-				id, v := s.idx.Key(n), s.idx.Value(n)
-				if v.e.buf == nil {
+			for n := l.List.Front(); n != 0; n = s.X.Next(n) {
+				id, v := s.X.Key(n), s.X.Value(n)
+				if v.P.e.buf == nil {
 					t.Fatalf("shard %d: resident %#x holds no object", i, id)
 				}
-				if got := uint64(EntryCost(len(v.e.key()), len(v.e.value()))); v.value != got {
-					t.Fatalf("shard %d: %#x accounted at %d, its object costs %d", i, id, v.value, got)
+				if got := uint64(EntryCost(len(v.P.e.key()), len(v.P.e.value()))); v.Size != got {
+					t.Fatalf("shard %d: %#x accounted at %d, its object costs %d", i, id, v.Size, got)
 				}
 				if got := hash(id) & kv.b.mask; got != uint64(i) {
 					t.Fatalf("%#x sits in shard %d, maps to %d", id, i, got)
 				}
 				at, ok := s.wheel.ExpireAt(n)
-				if ok != (v.e.expireAt > 0) || at != v.e.expireAt {
-					t.Fatalf("%#x expires at %d, its timer is armed %v for %d", id, v.e.expireAt, ok, at)
+				if ok != (v.P.e.expireAt > 0) || at != v.P.e.expireAt {
+					t.Fatalf("%#x expires at %d, its timer is armed %v for %d", id, v.P.e.expireAt, ok, at)
 				}
 				if ok {
 					armed++
 				}
-				resident[id] = v.e
-				valueBytes += int64(len(v.e.value()))
-				bufferBytes += int64(cap(v.e.buf))
-				shardUsed += int64(v.value)
-				cost += kv.b.cost(v.value)
+				resident[id] = v.P.e
+				valueBytes += int64(len(v.P.e.value()))
+				bufferBytes += int64(cap(v.P.e.buf))
+				shardUsed += int64(v.Size)
+				if kv.b.byBytes {
+					cost += int64(v.Size)
+				} else {
+					cost++
+				}
 			}
-			if cost != l.used || cost > l.max {
-				t.Fatalf("shard %d: region holds %d cost units, accounts %d, budget %d", i, cost, l.used, l.max)
+			if cost != l.Used || cost > l.Max {
+				t.Fatalf("shard %d: region holds %d cost units, accounts %d, budget %d", i, cost, l.Used, l.Max)
 			}
 		}
-		for n := s.ghost.Front(); n != 0; n = s.idx.Next(n) {
-			if v := s.idx.Value(n); v.e.buf != nil || v.e.handle != nil || v.e.expireAt != 0 || v.where != inGhost {
-				t.Fatalf("shard %d: ghost %#x holds an object or sits in list %d", i, s.idx.Key(n), v.where)
+		for n := s.Ghost.Front(); n != 0; n = s.X.Next(n) {
+			if v := s.X.Value(n); v.P.e.buf != nil || v.P.e.handle != nil || v.P.e.expireAt != 0 || v.Where != evict.InGhost {
+				t.Fatalf("shard %d: ghost %#x holds an object or sits in list %d", i, s.X.Key(n), v.Where)
 			}
 			if _, ok := s.wheel.ExpireAt(n); ok {
-				t.Fatalf("shard %d: ghost %#x has an armed timer", i, s.idx.Key(n))
+				t.Fatalf("shard %d: ghost %#x has an armed timer", i, s.X.Key(n))
 			}
 		}
 		if s.wheel.Len() != armed {
 			t.Fatalf("shard %d: %d timers armed, %d residents have a deadline", i, s.wheel.Len(), armed)
 		}
-		if n := s.main.list.Len() + s.small.list.Len() + s.ghost.Len(); n != s.idx.Len() || n > s.slots {
-			t.Fatalf("shard %d: %d keys on lists, %d in the index, bound %d", i, n, s.idx.Len(), s.slots)
+		if n := s.Main.List.Len() + s.Prob.List.Len() + s.Ghost.Len(); n != s.X.Len() || n > s.Slots() {
+			t.Fatalf("shard %d: %d keys on lists, %d in the index, bound %d", i, n, s.X.Len(), s.Slots())
 		}
 		if got := s.stats.usedBytes; got != shardUsed {
 			t.Fatalf("shard %d: UsedBytes %d, residents sum to %d", i, got, shardUsed)

@@ -3,6 +3,7 @@ package concurrent
 import (
 	"fmt"
 
+	"repro/internal/evict"
 	"repro/internal/obs"
 )
 
@@ -139,20 +140,7 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	default:
 		return nil, fmt.Errorf("concurrent: capacity must be set via WithMaxBytes, WithMaxEntries, or the positional argument")
 	}
-	var build func(config) (Cache, error)
-	switch policy {
-	case "clock":
-		build = newClock
-	case "lru":
-		build = newLRU
-	case "qdlp":
-		build = newQDLP
-	case "sieve":
-		build = newSieve
-	default:
-		return nil, fmt.Errorf("concurrent: unknown cache policy %q (known: %v)", policy, Names())
-	}
-	c, err := build(cfg)
+	c, err := build(policy, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +150,36 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	return c, nil
 }
 
-// rejectOptions errors when an option irrelevant to the policy was set.
-func rejectOptions(policy string, cfg config, clockBits bool) error {
-	if cfg.clockBitsSet && !clockBits {
-		return fmt.Errorf("concurrent: policy %q does not take WithClockBits", policy)
+// build makes the named cache: one rule of internal/evict over the shards.
+// An LRU hit relinks under the exclusive lock (lruCache.Get). A clock, sieve or
+// qdlp hit is one atomic counter store under the shared lock:
+// FIFO-Reinsertion "only needs to update a Boolean field upon the first
+// request to a cached object without locking" (§3), and QD-LP-FIFO needs
+// "at most one metadata update on a cache hit" (§4). A qdlp shard needs
+// room for both regions; under a byte cap it ghosts a first touch larger
+// than half of probation (evict.Config.GhostLarge).
+func build(policy string, cfg config) (Cache, error) {
+	rule, bits, min := evict.CLOCK, cfg.clockBits, cfg.minShard
+	switch policy {
+	case "lru":
+		rule, bits = evict.LRU, 0
+	case "clock":
+	case "sieve":
+		rule, bits = evict.SIEVE, 1
+	case "qdlp":
+		rule, min = evict.QDLP, 2*cfg.minRegion
+	default:
+		return nil, fmt.Errorf("concurrent: unknown cache policy %q (known: %v)", policy, Names())
 	}
-	return nil
+	if cfg.clockBitsSet && rule != evict.CLOCK && rule != evict.QDLP {
+		return nil, fmt.Errorf("concurrent: policy %q does not take WithClockBits", policy)
+	}
+	b, err := newBase("concurrent-"+policy, cfg, min, rule, bits)
+	if err != nil {
+		return nil, err
+	}
+	if rule == evict.LRU {
+		return lruCache{b}, nil
+	}
+	return b, nil
 }

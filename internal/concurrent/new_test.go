@@ -80,7 +80,7 @@ func TestWithClockBitsApplied(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.(*Clock).maxFreq; got != tc.maxFreq {
+		if got := c.(*base).maxFreq; got != tc.maxFreq {
 			t.Errorf("bits=%d: maxFreq = %d, want %d", tc.bits, got, tc.maxFreq)
 		}
 	}

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy/clock"
-	"repro/internal/policy/fifo"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
+	"repro/internal/trace"
 )
 
 // sameDecisions replays reqs through both policies and fails on the first
@@ -51,9 +51,34 @@ func TestEntryCapIsByteCapAtCostOne(t *testing.T) {
 	}
 }
 
-// A 0-bit CLOCK never reinserts: it is FIFO.
+// A 0-bit CLOCK never reinserts: it is FIFO, which "fifo" registers. The
+// reference is the textbook queue: a set and the insertion order.
 func TestZeroBitClockIsFIFO(t *testing.T) {
 	for _, capacity := range []int{1, 7, 64} {
-		sameDecisions(t, fifo.New(capacity), clock.New(capacity, 0), capacity)
+		sameDecisions(t, &refFIFO{capacity: capacity, in: map[uint64]bool{}}, core.MustNew("fifo", capacity), capacity)
 	}
+}
+
+type refFIFO struct {
+	capacity int
+	in       map[uint64]bool
+	order    []uint64
+}
+
+func (f *refFIFO) Name() string             { return "fifo-reference" }
+func (f *refFIFO) Len() int                 { return len(f.order) }
+func (f *refFIFO) Capacity() int            { return f.capacity }
+func (f *refFIFO) Contains(key uint64) bool { return f.in[key] }
+
+func (f *refFIFO) Access(r *trace.Request) bool {
+	if f.in[r.Key] {
+		return true
+	}
+	if len(f.order) == f.capacity {
+		delete(f.in, f.order[0])
+		f.order = f.order[1:]
+	}
+	f.in[r.Key] = true
+	f.order = append(f.order, r.Key)
+	return false
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy/arc"
 	"repro/internal/policy/clock"
-	"repro/internal/policy/fifo"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
 	"repro/internal/workload"
@@ -62,7 +61,7 @@ func TestLowerBound(t *testing.T) {
 		cap := 300
 		minMR := policytest.MissRatio(New(cap), tr.Requests)
 		for _, online := range []core.Policy{
-			lru.New(cap), fifo.New(cap), clock.New(cap, 2), arc.New(cap),
+			lru.New(cap), clock.New(cap, 0), clock.New(cap, 2), arc.New(cap),
 		} {
 			if mr := policytest.MissRatio(online, tr.Requests); mr < minMR {
 				t.Fatalf("%s: %s (%.4f) beat Belady (%.4f)", fam.Name, online.Name(), mr, minMR)

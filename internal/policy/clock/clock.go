@@ -11,15 +11,17 @@
 // The k-bit variant tracks frequency up to 2^k−1 (at k=0 nothing is ever
 // reinserted and the queue is plain FIFO); the paper's 2-bit CLOCK
 // tracks frequency up to three and converts the social-network workloads
-// that favour LRU over FIFO-Reinsertion into wins for LP-FIFO (§3).
+// that favour LRU over FIFO-Reinsertion into wins for LP-FIFO (§3). The
+// sweep itself is internal/evict's; this package is its hit path and its
+// core.Policy face.
 package clock
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/evict"
 	"repro/internal/policy/policyutil"
-	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -30,21 +32,10 @@ func init() {
 	core.Register("clock-3bit", func(capacity int) core.Policy { return New(capacity, 3) })
 }
 
-type entry struct {
-	freq uint8  // reference counter
-	cost uint32 // what the object was charged
-}
-
 // Policy is a k-bit CLOCK cache. Not safe for concurrent use.
 type Policy struct {
-	policyutil.EventEmitter
-	capacity int  // in cost units: objects, or bytes under a byte cap
-	used     int  // cost of the resident objects
-	byBytes  bool // an object costs its Size rather than 1
-	maxFreq  uint8
-	bits     int
-	idx      *slab.Index[entry]
-	queue    slab.List // front = oldest (next eviction candidate)
+	policyutil.Adapter
+	bits int
 }
 
 // New returns a CLOCK policy with the given capacity in objects and counter
@@ -64,48 +55,20 @@ func build(capacity, bits int, byBytes bool) *Policy {
 	if bits < 0 || bits > 6 {
 		panic(fmt.Sprintf("clock: bits must be in [0,6], got %d", bits))
 	}
-	bound := capacity
-	if byBytes {
-		bound = policyutil.Unbounded
-	}
-	return &Policy{
-		capacity: capacity,
-		byBytes:  byBytes,
-		maxFreq:  uint8(1<<bits - 1),
-		bits:     bits,
-		idx:      slab.New[entry](bound),
-	}
+	p := &Policy{bits: bits}
+	p.Init(evict.Config{Rule: evict.CLOCK, Budget: int64(capacity), Bytes: byBytes, Bits: bits, MinCost: 1}, &p.Adapter)
+	return p
 }
 
 // Name implements core.Policy.
 func (p *Policy) Name() string {
-	if p.bits == 1 {
+	switch p.bits {
+	case 0:
+		return "fifo"
+	case 1:
 		return "fifo-reinsertion"
 	}
 	return fmt.Sprintf("clock-%dbit", p.bits)
-}
-
-// Len implements core.Policy.
-func (p *Policy) Len() int { return p.queue.Len() }
-
-// Capacity implements core.Policy.
-func (p *Policy) Capacity() int { return p.capacity }
-
-// Used returns the cost of the resident objects: their number, or under a
-// byte cap their total size.
-func (p *Policy) Used() int { return p.used }
-
-// Contains implements core.Policy.
-func (p *Policy) Contains(key uint64) bool { return p.idx.Find(key) != 0 }
-
-// Remove implements core.Remover.
-func (p *Policy) Remove(key uint64) bool {
-	s := p.idx.Find(key)
-	if s == 0 {
-		return false
-	}
-	p.drop(s, 0)
-	return true
 }
 
 // Access implements core.Policy.
@@ -113,21 +76,7 @@ func (p *Policy) Access(r *trace.Request) bool {
 	if p.AccessResident(r) {
 		return true
 	}
-	cost := 1
-	if p.byBytes {
-		cost = int(r.Size)
-	}
-	if cost > p.capacity {
-		return false // larger than the cache: bypass
-	}
-	for p.used+cost > p.capacity {
-		p.evict(r.Time)
-	}
-	s := p.idx.Insert(r.Key)
-	p.idx.Value(s).cost = uint32(cost)
-	p.idx.PushBack(&p.queue, s)
-	p.used += cost
-	p.Insert(r.Key, r.Time)
+	p.Miss(r, 0)
 	return false
 }
 
@@ -135,38 +84,17 @@ func (p *Policy) Access(r *trace.Request) bool {
 // it was: Access without the miss path, for wrappers (Quick Demotion) that
 // admit elsewhere on a miss.
 func (p *Policy) AccessResident(r *trace.Request) bool {
-	s := p.idx.Find(r.Key)
-	if s == 0 {
+	n := p.E.X.Find(r.Key)
+	if n == 0 {
 		return false
 	}
 	// Lazy promotion: only the counter is touched; the object's queue
-	// position is unchanged until eviction time.
-	if e := p.idx.Value(s); e.freq < p.maxFreq {
-		e.freq++
+	// position is unchanged until eviction time. FIFO touches nothing.
+	if m := p.E.MaxFreq(); m > 0 {
+		if v := p.E.X.Value(n); v.Freq < m {
+			v.Freq++
+		}
 	}
 	p.Hit(r.Key, r.Time)
 	return true
-}
-
-// evict advances the clock hand: requested-since-insertion objects are
-// reinserted with a decremented counter; the first zero-counter object is
-// evicted. Terminates because every pass decrements a counter.
-func (p *Policy) evict(now int64) {
-	for {
-		hand := p.queue.Front()
-		if e := p.idx.Value(hand); e.freq > 0 {
-			e.freq--
-			p.idx.MoveToBack(&p.queue, hand) // reinsertion
-			continue
-		}
-		p.drop(hand, now)
-		return
-	}
-}
-
-func (p *Policy) drop(s int32, now int64) {
-	key := p.idx.Key(s)
-	p.used -= int(p.idx.Value(s).cost)
-	p.idx.Remove(&p.queue, s)
-	p.Evict(key, now)
 }

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/policytest"
 )
 
 func TestConformance(t *testing.T) {
-	policytest.RunConformance(t, func(c int) core.Policy { return New(c) })
+	policytest.RunConformance(t, func(c int) core.Policy { return clock.New(c, 0) })
 }
 
 func TestRegistered(t *testing.T) {
@@ -21,7 +22,7 @@ func TestRegistered(t *testing.T) {
 // A hit must not change eviction order: after hitting the oldest object it
 // is still the first evicted.
 func TestNoPromotionOnHit(t *testing.T) {
-	p := New(3)
+	p := clock.New(3, 0)
 	reqs := policytest.KeysToRequests([]uint64{1, 2, 3, 1, 4})
 	for i := range reqs {
 		p.Access(&reqs[i])
@@ -37,7 +38,7 @@ func TestNoPromotionOnHit(t *testing.T) {
 }
 
 func TestEvictionIsInsertionOrder(t *testing.T) {
-	p := New(2)
+	p := clock.New(2, 0)
 	var evicted []uint64
 	p.SetEvents(&core.Events{OnEvict: func(k uint64, _ int64) { evicted = append(evicted, k) }})
 	reqs := policytest.KeysToRequests([]uint64{10, 20, 30, 40})
@@ -57,7 +58,7 @@ func TestEvictionIsInsertionOrder(t *testing.T) {
 
 // On a pure scan (no reuse), FIFO's miss ratio is 1.
 func TestScanMissRatio(t *testing.T) {
-	p := New(16)
+	p := clock.New(16, 0)
 	mr := policytest.MissRatio(p, policytest.SequentialRequests(1000))
 	if mr != 1.0 {
 		t.Fatalf("scan miss ratio = %v, want 1.0", mr)

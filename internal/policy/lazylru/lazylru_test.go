@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/policy/fifo"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
 	"repro/internal/workload"
@@ -93,7 +93,7 @@ func TestBatchedDefersPromotions(t *testing.T) {
 func TestMissRatioBetweenFIFOAndLRUish(t *testing.T) {
 	tr := workload.SocialLike().Generate(3, 8000, 150000)
 	capacity := workload.CacheSize(tr.UniqueObjects(), workload.LargeCacheFrac)
-	fifoMR := policytest.MissRatio(fifo.New(capacity), tr.Requests)
+	fifoMR := policytest.MissRatio(clock.New(capacity, 0), tr.Requests)
 	lruMR := policytest.MissRatio(lru.New(capacity), tr.Requests)
 	for _, mode := range []Mode{Periodic, OldOnly, Batched} {
 		mr := policytest.MissRatio(New(capacity, mode), tr.Requests)

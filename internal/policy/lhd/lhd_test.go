@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/policy/fifo"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/policytest"
 	"repro/internal/workload"
 )
@@ -20,7 +20,7 @@ func TestBeatsFIFOOnZipf(t *testing.T) {
 	tr := workload.Family{Name: "zipf", Alpha: 1.0, OneHitFrac: 0.3}.Generate(5, 5000, 120000)
 	cap := 250
 	lhdMR := policytest.MissRatio(New(cap, 1), tr.Requests)
-	fifoMR := policytest.MissRatio(fifo.New(cap), tr.Requests)
+	fifoMR := policytest.MissRatio(clock.New(cap, 0), tr.Requests)
 	if lhdMR >= fifoMR {
 		t.Fatalf("LHD (%.4f) not better than FIFO (%.4f) on zipf+one-hit workload", lhdMR, fifoMR)
 	}

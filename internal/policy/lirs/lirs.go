@@ -91,9 +91,6 @@ func (p *Policy) Contains(key uint64) bool {
 	return p.queues.Find(key) != 0 // resident HIR pruned out of the stack
 }
 
-// LIRCount reports the current LIR population (for tests).
-func (p *Policy) LIRCount() int { return p.lirCount }
-
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
 	s := p.stack.Find(r.Key)

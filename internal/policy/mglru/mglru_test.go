@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/policy/fifo"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
 	"repro/internal/workload"
@@ -81,7 +81,7 @@ func TestMissRatioBand(t *testing.T) {
 	tr := workload.SocialLike().Generate(9, 8000, 150000)
 	capacity := workload.CacheSize(tr.UniqueObjects(), workload.LargeCacheFrac)
 	mg := policytest.MissRatio(New(capacity, 4), tr.Requests)
-	f := policytest.MissRatio(fifo.New(capacity), tr.Requests)
+	f := policytest.MissRatio(clock.New(capacity, 0), tr.Requests)
 	l := policytest.MissRatio(lru.New(capacity), tr.Requests)
 	if mg >= f {
 		t.Errorf("mglru (%.4f) not better than fifo (%.4f)", mg, f)

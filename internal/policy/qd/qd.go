@@ -16,19 +16,20 @@
 // Wrapping ARC, LIRS, CACHEUS, LeCaR, and LHD this way is exactly the
 // paper's QD-X construction; §4 reports it reduces the state-of-the-art
 // miss ratios by 2.7% on average over 5307 traces, with maxima near 60%.
+// Probation, the ghost and their decisions are internal/evict's; in front
+// of CLOCK (QD-LP-FIFO, see NewLPFIFO) the main region lives in the same
+// index too.
 package qd
 
 import (
-	"fmt"
-
 	"repro/internal/core"
+	"repro/internal/evict"
 	"repro/internal/policy/arc"
 	"repro/internal/policy/cacheus"
 	"repro/internal/policy/lecar"
 	"repro/internal/policy/lhd"
 	"repro/internal/policy/lirs"
 	"repro/internal/policy/policyutil"
-	"repro/internal/slab"
 	"repro/internal/trace"
 )
 
@@ -60,13 +61,7 @@ type Options struct {
 	GhostFactor float64
 }
 
-// entry is the state of a key the wrapper itself tracks: on probation
-// (data cached) or remembered in the ghost (metadata only).
-type entry struct {
-	accessed bool // probation: requested since insertion
-	ghost    bool
-	cost     uint32 // probation: what the object was charged
-}
+var _ evict.Outer = (*Policy)(nil)
 
 // residentAccessor is implemented by main policies that can serve a request
 // only when it hits (clock, arc): a main-cache hit then costs one lookup in
@@ -78,25 +73,16 @@ type residentAccessor interface {
 // Policy wraps a main policy with Quick Demotion. Not safe for concurrent
 // use.
 type Policy struct {
-	policyutil.EventEmitter
-	name     string
-	capacity int  // in cost units: objects, or bytes under a byte cap
-	byBytes  bool // an object costs its Size rather than 1
-	probCap  int
-	probUsed int // cost of the objects on probation
-	mainCap  int
-	ghostCap int // the ghost's size in keys under an entry cap; see ghostLimit
-
-	main         core.Policy
+	// Adapter's engine holds probation and ghost keys in one index, so a
+	// request costs one probe to place among the two, and demotion to the
+	// ghost relinks the entry without touching the table. Under QD-LP-FIFO
+	// it holds the CLOCK main region too.
+	policyutil.Adapter
+	name         string
+	main         core.Policy      // nil under QD-LP-FIFO
 	mainResident residentAccessor // main, when it implements the interface
 
-	// One index holds probation and ghost keys, so a request costs one
-	// probe to place among the two, and demotion to the ghost relinks the
-	// entry without touching the table.
-	idx   *slab.Index[entry]
-	prob  slab.List // front = oldest
-	ghost slab.List // front = oldest
-
+	req *trace.Request // the request being served
 	// promo is the request a promotion presents to the main policy; a
 	// field, because a local handed to an interface method would escape to
 	// the heap on every promotion.
@@ -111,7 +97,7 @@ type Policy struct {
 // receives the main cache's capacity (total minus probation). Capacities are
 // in objects.
 func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
-	return build(capacity, false, opts, mainNew)
+	return build(capacity, false, opts, mainNew, 1)
 }
 
 // NewBytes is New with capacities in bytes: an object is charged its
@@ -129,44 +115,36 @@ func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Pol
 // naturally harsher on big one-hit wonders — the objects that waste the
 // most bytes.
 func NewBytes(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
-	return build(capacity, true, opts, mainNew)
+	return build(capacity, true, opts, mainNew, 1)
 }
 
-func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
+// NewLPFIFO returns QD-LP-FIFO: Quick Demotion in front of a bits-bit
+// CLOCK main region that shares probation's index, so that a request costs
+// one probe wherever its key is. It decides exactly as New over clock.New.
+func NewLPFIFO(capacity int, opts Options, bits int) *Policy {
+	return build(capacity, false, opts, nil, bits)
+}
+
+func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) core.Policy, bits int) *Policy {
 	if opts.ProbationFrac == 0 {
 		opts.ProbationFrac = 0.1
 	}
 	if opts.GhostFactor == 0 {
 		opts.GhostFactor = 1.0
 	}
-	if opts.ProbationFrac < 0 || opts.ProbationFrac >= 1 {
-		panic(fmt.Sprintf("qd: ProbationFrac must be in (0,1), got %v", opts.ProbationFrac))
+	p := &Policy{name: "qd-lp-fifo"}
+	// MinRegion 1: in a degenerate tiny cache probation gets nothing and
+	// every first touch, too large for it, goes to the main region.
+	cfg := evict.Config{
+		Rule: evict.QDLP, Budget: int64(capacity), Bytes: byBytes, Bits: bits, MinCost: 1,
+		ProbationFrac: opts.ProbationFrac, GhostFactor: opts.GhostFactor, MinRegion: 1,
 	}
-	probCap := int(float64(capacity) * opts.ProbationFrac)
-	if probCap < 1 {
-		probCap = 1
+	if mainNew == nil {
+		p.Init(cfg, &p.Adapter)
+		return p
 	}
-	if probCap >= capacity {
-		// Degenerate tiny cache: give everything to the main policy and
-		// disable the probationary FIFO — nothing costs less than 1, so
-		// every miss is too large for it.
-		probCap = 0
-	}
-	mainCap := capacity - probCap
-	ghostCap := max(int(float64(mainCap)*opts.GhostFactor), 0)
-	bound := probCap + ghostCap
-	if byBytes {
-		bound = policyutil.Unbounded
-	}
-	p := &Policy{
-		capacity: capacity,
-		byBytes:  byBytes,
-		probCap:  probCap,
-		mainCap:  mainCap,
-		ghostCap: ghostCap,
-		main:     mainNew(mainCap),
-		idx:      slab.New[entry](bound),
-	}
+	p.Init(cfg, p) // p is an evict.Outer: the main cache is mainNew's
+	p.main = mainNew(int(p.E.Main.Max))
 	p.name = "qd-" + p.main.Name()
 	p.mainResident, _ = p.main.(residentAccessor)
 	if sink, ok := p.main.(core.EventSink); ok {
@@ -187,44 +165,35 @@ func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) c
 func (p *Policy) Name() string { return p.name }
 
 // Len implements core.Policy.
-func (p *Policy) Len() int { return p.prob.Len() + p.main.Len() }
+func (p *Policy) Len() int { return p.E.Len() + p.MainLen() }
 
-// Capacity implements core.Policy.
-func (p *Policy) Capacity() int { return p.capacity }
+// MainLen implements evict.Outer: the outer main policy's population.
+func (p *Policy) MainLen() int {
+	if p.main == nil {
+		return 0
+	}
+	return p.main.Len()
+}
 
 // Used returns the cost of the resident objects: their number, or under a
 // byte cap their total size.
 func (p *Policy) Used() int {
+	used := p.Adapter.Used()
 	if m, ok := p.main.(interface{ Used() int }); ok {
-		return p.probUsed + m.Used()
+		return used + m.Used()
 	}
-	return p.probUsed + p.main.Len()
+	return used + p.MainLen()
 }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {
-	if s := p.idx.Find(key); s != 0 && !p.idx.Value(s).ghost {
-		return true
-	}
-	return p.main.Contains(key)
+	return p.Adapter.Contains(key) || p.main != nil && p.main.Contains(key)
 }
-
-// Main exposes the wrapped policy (for tests).
-func (p *Policy) Main() core.Policy { return p.main }
-
-// GhostLen reports the ghost queue population (for tests).
-func (p *Policy) GhostLen() int { return p.ghost.Len() }
-
-// ProbationLen reports the probationary FIFO population (for tests).
-func (p *Policy) ProbationLen() int { return p.prob.Len() }
 
 // Remove implements core.Remover when the main policy does. Probation
 // entries are removed directly; main-cache entries delegate.
 func (p *Policy) Remove(key uint64) bool {
-	if s := p.idx.Find(key); s != 0 && !p.idx.Value(s).ghost {
-		p.probUsed -= int(p.idx.Value(s).cost)
-		p.idx.Remove(&p.prob, s)
-		p.Evict(key, 0)
+	if p.Adapter.Remove(key) {
 		return true
 	}
 	if rm, ok := p.main.(core.Remover); ok {
@@ -236,92 +205,42 @@ func (p *Policy) Remove(key uint64) bool {
 // Access implements core.Policy.
 func (p *Policy) Access(r *trace.Request) bool {
 	// The main cache, probation and the ghost are disjoint, so the order of
-	// the lookups decides nothing; main comes first because most hits land
-	// there, and then cost one lookup.
+	// the lookups decides nothing; an outer main comes first because most
+	// hits land there, and then cost one lookup.
 	if p.mainResident != nil {
 		if p.mainResident.AccessResident(r) {
 			return true // inner policy handles its own promotion
 		}
-	} else if p.main.Contains(r.Key) {
+	} else if p.main != nil && p.main.Contains(r.Key) {
 		return p.main.Access(r)
 	}
-	s := p.idx.Find(r.Key)
-	if s != 0 {
-		if e := p.idx.Value(s); !e.ghost {
-			// Probation hit: lazy — only a bit flips, no movement.
-			e.accessed = true
+	n := p.E.X.Find(r.Key)
+	if n != 0 {
+		if v := p.E.X.Value(n); v.Where != evict.InGhost {
+			// Lazy: only a counter moves. On probation it records that
+			// the object was requested since insertion.
+			if v.Freq < p.E.MaxFreq() {
+				v.Freq++
+			}
 			p.Hit(r.Key, r.Time)
 			return true
 		}
 	}
-	cost := 1
-	if p.byBytes {
-		cost = int(r.Size)
-	}
-	if cost > p.probCap && cost > p.mainCap {
-		return false // fits nowhere: bypass
-	}
-	if s != 0 {
-		// Demoted too quickly last time: admit straight into the main
-		// cache (a real insertion — the inner OnInsert surfaces).
-		p.idx.Remove(&p.ghost, s)
-		p.main.Access(r)
-		return false
-	}
-	if cost > p.probCap {
-		// Too large for probation, as everything is in a degenerate tiny
-		// cache that has none: flushing probation for one object would
-		// help nobody.
-		p.main.Access(r)
-		return false
-	}
-	for p.probUsed+cost > p.probCap {
-		p.evictProbation(r.Time)
-	}
-	s = p.idx.Insert(r.Key)
-	p.idx.Value(s).cost = uint32(cost)
-	p.idx.PushBack(&p.prob, s)
-	p.probUsed += cost
-	p.Insert(r.Key, r.Time)
+	p.req = r
+	p.Miss(r, n)
 	return false
 }
 
-// ghostLimit is the number of keys the ghost may hold: fixed at GhostFactor ×
-// the main cache's entries under an entry cap (the paper's sizing), and as
-// many as the main cache holds objects right now under a byte cap, where
-// bytes fix no entry count.
-func (p *Policy) ghostLimit() int {
-	if !p.byBytes {
-		return p.ghostCap
-	}
-	return max(p.main.Len(), 16)
-}
-
-// evictProbation handles the probationary FIFO tail: accessed objects are
-// promoted into the main cache (remaining resident throughout), untouched
-// objects are evicted and remembered in the ghost, whose oldest keys are
-// forgotten to make room.
-func (p *Policy) evictProbation(now int64) {
-	s := p.prob.Front()
-	key, e := p.idx.Key(s), p.idx.Value(s)
-	p.probUsed -= int(e.cost)
-	if e.accessed {
-		p.promo = trace.Request{Key: key, Size: e.cost, Time: now}
-		p.idx.Remove(&p.prob, s)
-		p.suppressInsert = true
-		p.main.Access(&p.promo)
-		p.suppressInsert = false
+// AdmitMain implements evict.Outer: a promotion is presented to the main
+// policy as a request that must not surface as an insertion; a ghost
+// readmission or an object too large for probation is the request itself.
+func (p *Policy) AdmitMain(key, size uint64, promoted bool) {
+	if !promoted {
+		p.main.Access(p.req)
 		return
 	}
-	if limit := p.ghostLimit(); limit == 0 {
-		p.idx.Remove(&p.prob, s)
-	} else {
-		for p.ghost.Len() >= limit {
-			p.idx.Remove(&p.ghost, p.ghost.Front())
-		}
-		p.idx.Unlink(&p.prob, s)
-		e.ghost = true
-		p.idx.PushBack(&p.ghost, s)
-	}
-	p.Evict(key, now)
+	p.promo = trace.Request{Key: key, Size: uint32(size), Time: p.Now}
+	p.suppressInsert = true
+	p.main.Access(&p.promo)
+	p.suppressInsert = false
 }

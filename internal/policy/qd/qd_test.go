@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evict"
 	"repro/internal/policy/arc"
 	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
@@ -17,8 +18,8 @@ func newQDLRU(c int) *Policy {
 }
 
 func inGhost(p *Policy, key uint64) bool {
-	s := p.idx.Find(key)
-	return s != 0 && p.idx.Value(s).ghost
+	s := p.E.X.Find(key)
+	return s != 0 && p.E.X.Value(s).Where == evict.InGhost
 }
 
 func TestConformanceOverLRU(t *testing.T) {
@@ -57,14 +58,14 @@ func TestBadProbationFracPanics(t *testing.T) {
 // the main cache.
 func TestPaperSizing(t *testing.T) {
 	p := newQDLRU(100)
-	if p.probCap != 10 {
-		t.Fatalf("probation cap = %d, want 10", p.probCap)
+	if p.E.Prob.Max != 10 {
+		t.Fatalf("probation cap = %d, want 10", p.E.Prob.Max)
 	}
-	if p.Main().Capacity() != 90 {
-		t.Fatalf("main cap = %d, want 90", p.Main().Capacity())
+	if p.main.Capacity() != 90 {
+		t.Fatalf("main cap = %d, want 90", p.main.Capacity())
 	}
-	if p.ghostCap != 90 {
-		t.Fatalf("ghost cap = %d, want 90", p.ghostCap)
+	if p.E.GhostLimit() != 90 {
+		t.Fatalf("ghost cap = %d, want 90", p.E.GhostLimit())
 	}
 }
 
@@ -75,10 +76,10 @@ func TestOneHitWondersFiltered(t *testing.T) {
 	for i := range scan {
 		p.Access(&scan[i])
 	}
-	if got := p.Main().Len(); got != 0 {
+	if got := p.main.Len(); got != 0 {
 		t.Fatalf("%d one-hit wonders reached the main cache", got)
 	}
-	if p.GhostLen() == 0 {
+	if p.E.Ghost.Len() == 0 {
 		t.Fatal("ghost never recorded the filtered objects")
 	}
 }
@@ -93,7 +94,7 @@ func TestPromotionOnAccess(t *testing.T) {
 	for i := range reqs {
 		p.Access(&reqs[i])
 	}
-	if !p.Main().Contains(1) {
+	if !p.main.Contains(1) {
 		t.Fatal("accessed probation object not promoted to main")
 	}
 	if !p.Contains(1) {
@@ -121,7 +122,7 @@ func TestGhostDirectAdmission(t *testing.T) {
 	if p.Access(&again[0]) {
 		t.Fatal("ghost admission reported as a hit")
 	}
-	if !p.Main().Contains(1) {
+	if !p.main.Contains(1) {
 		t.Fatal("ghost hit not admitted into main cache")
 	}
 	if inGhost(p, 1) {
@@ -217,7 +218,7 @@ func TestCostSeams(t *testing.T) {
 				tc.reqs[i].Time = int64(i)
 				p.Access(&tc.reqs[i])
 			}
-			main := p.Main().(*lru.Policy)
+			main := p.main.(*lru.Policy)
 			if main.Contains(tc.key) != tc.inMain || p.Contains(tc.key) != tc.resident {
 				t.Errorf("key %d: in main %v, resident %v; want %v, %v",
 					tc.key, main.Contains(tc.key), p.Contains(tc.key), tc.inMain, tc.resident)
@@ -243,7 +244,7 @@ func TestQDLPFiltersOneHitWonders(t *testing.T) {
 		r := trace.Request{Key: uint64(i), Size: 256, Time: int64(i)}
 		p.Access(&r)
 	}
-	if main := p.Main(); main.Len() != 0 {
+	if main := p.main; main.Len() != 0 {
 		t.Fatalf("%d one-hit wonders reached the main cache", main.Len())
 	}
 }
@@ -260,7 +261,7 @@ func TestQDLPGhostReadmission(t *testing.T) {
 		reqs[i].Time = int64(i)
 		p.Access(&reqs[i])
 	}
-	if !p.Main().Contains(1) {
+	if !p.main.Contains(1) {
 		t.Fatal("ghost hit not admitted into main")
 	}
 }

@@ -8,14 +8,14 @@
 // than all the state-of-the-art algorithms — while also achieving lower
 // miss ratios than LIRS and LeCaR (by 1.6% and 4.3% on average across the
 // paper's 5307 traces). It is the paper's demonstration that eviction
-// algorithms can be built LEGO-style: QD + LP on top of plain FIFO.
+// algorithms can be built LEGO-style: QD + LP on top of plain FIFO. All
+// three queues share one index (qd.NewLPFIFO), and every decision is
+// internal/evict's, as in internal/concurrent's QDLP.
 package qdlp
 
 import (
 	"repro/internal/core"
-	"repro/internal/policy/clock"
 	"repro/internal/policy/qd"
-	"repro/internal/trace"
 )
 
 func init() {
@@ -36,9 +36,7 @@ type Options struct {
 
 // Policy is a QD-LP-FIFO cache. Not safe for concurrent use; see
 // internal/concurrent for the thread-safe variant.
-type Policy struct {
-	*qd.Policy
-}
+type Policy = qd.Policy
 
 // New returns QD-LP-FIFO with the paper's parameters.
 func New(capacity int) *Policy { return NewWithOptions(capacity, Options{}) }
@@ -50,18 +48,5 @@ func NewWithOptions(capacity int, opts Options) *Policy {
 	if bits == 0 {
 		bits = 2
 	}
-	inner := qd.New(capacity, qd.Options{
-		ProbationFrac: opts.ProbationFrac,
-		GhostFactor:   opts.GhostFactor,
-	}, func(mainCap int) core.Policy {
-		return clock.New(mainCap, bits)
-	})
-	return &Policy{Policy: inner}
+	return qd.NewLPFIFO(capacity, qd.Options{ProbationFrac: opts.ProbationFrac, GhostFactor: opts.GhostFactor}, bits)
 }
-
-// Name implements core.Policy.
-func (p *Policy) Name() string { return "qd-lp-fifo" }
-
-// Access implements core.Policy (promoted so the embedded wrapper keeps
-// its behaviour while the name stays qd-lp-fifo).
-func (p *Policy) Access(r *trace.Request) bool { return p.Policy.Access(r) }

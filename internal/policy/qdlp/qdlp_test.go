@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/policy/fifo"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
 	"repro/internal/workload"
@@ -25,14 +25,17 @@ func TestName(t *testing.T) {
 
 func TestOptions(t *testing.T) {
 	p := NewWithOptions(100, Options{ProbationFrac: 0.25, ClockBits: 1, GhostFactor: 0.5})
-	if p.ProbationLen() != 0 {
+	if p.E.Prob.List.Len() != 0 {
 		t.Fatal("fresh cache not empty")
 	}
-	if p.Main().Capacity() != 75 {
-		t.Fatalf("main capacity = %d, want 75", p.Main().Capacity())
+	if p.E.Main.Max != 75 || p.E.Prob.Max != 25 {
+		t.Fatalf("main and probation budgets = %d, %d, want 75, 25", p.E.Main.Max, p.E.Prob.Max)
 	}
-	if p.Main().Name() != "fifo-reinsertion" {
-		t.Fatalf("1-bit main should be fifo-reinsertion, got %q", p.Main().Name())
+	if p.E.GhostLimit() != 37 {
+		t.Fatalf("ghost bound = %d, want 37", p.E.GhostLimit())
+	}
+	if p.E.MaxFreq() != 1 {
+		t.Fatalf("1-bit main counts to %d, want 1", p.E.MaxFreq())
 	}
 }
 
@@ -43,7 +46,7 @@ func TestBeatsFIFOAndLRUOnWebWorkload(t *testing.T) {
 		tr := fam.Generate(4, 8000, 150000)
 		cap := workload.CacheSize(tr.UniqueObjects(), workload.LargeCacheFrac)
 		qdlpMR := policytest.MissRatio(New(cap), tr.Requests)
-		fifoMR := policytest.MissRatio(fifo.New(cap), tr.Requests)
+		fifoMR := policytest.MissRatio(clock.New(cap, 0), tr.Requests)
 		lruMR := policytest.MissRatio(lru.New(cap), tr.Requests)
 		if qdlpMR >= fifoMR {
 			t.Errorf("%s: qd-lp-fifo (%.4f) not better than fifo (%.4f)", fam.Name, qdlpMR, fifoMR)
@@ -61,7 +64,7 @@ func TestQuickDemotion(t *testing.T) {
 	for i := range scan {
 		p.Access(&scan[i])
 	}
-	if p.Main().Len() != 0 {
-		t.Fatalf("%d one-hit wonders polluted the main cache", p.Main().Len())
+	if n := p.E.Main.List.Len(); n != 0 {
+		t.Fatalf("%d one-hit wonders polluted the main cache", n)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/policy/fifo"
+	"repro/internal/policy/clock"
 	"repro/internal/policy/policytest"
 	"repro/internal/workload"
 )
@@ -72,7 +72,7 @@ func TestBeatsFIFO(t *testing.T) {
 	tr := workload.MajorCDNLike().Generate(9, 8000, 150000)
 	cap := workload.CacheSize(tr.UniqueObjects(), workload.LargeCacheFrac)
 	s3MR := policytest.MissRatio(New(cap), tr.Requests)
-	fifoMR := policytest.MissRatio(fifo.New(cap), tr.Requests)
+	fifoMR := policytest.MissRatio(clock.New(cap, 0), tr.Requests)
 	if s3MR >= fifoMR {
 		t.Fatalf("s3-fifo (%.4f) not better than fifo (%.4f)", s3MR, fifoMR)
 	}
