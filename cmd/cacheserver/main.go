@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -157,9 +158,6 @@ func main() {
 			fatal("cache construction failed", err)
 		}
 		kv := concurrent.NewKV(inner, *shards)
-		if rec != nil {
-			kv.SetRecorder(rec)
-		}
 		// The timer wheel ticks at 1s granularity; a matching ticker keeps
 		// proactive expiry within two ticks of every deadline.
 		stopExpiry := kv.StartExpiry(time.Second)
@@ -221,12 +219,17 @@ func main() {
 		if router != nil {
 			mux.Handle("/cluster", router.AdminHandler())
 		}
+		// Bind before logging, so the line names the port a ":0" address got.
+		ln, err := net.Listen("tcp", *adminAddr)
+		if err != nil {
+			fatal("admin listen failed", err)
+		}
 		go func() {
-			if err := http.ListenAndServe(*adminAddr, mux); err != nil {
+			if err := http.Serve(ln, mux); err != nil {
 				lg.Error("admin server failed", "err", err)
 			}
 		}()
-		lg.Info("admin endpoint up", "url", "http://"+*adminAddr+"/metrics")
+		lg.Info("admin endpoint up", "url", "http://"+ln.Addr().String()+"/metrics")
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -1,0 +1,281 @@
+package census
+
+import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The repository rules: each holds the tree to one decision the code
+// depends on, and fails with a message naming the decision and every file
+// that breaks it.
+
+// docs are the documents whose citations must name what exists.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// historyFlags are the flags the docs cite that no flag call in the
+// repository defines: go tool flags, and deleted flags named as history.
+var historyFlags = map[string]bool{
+	"race": true, "run": true, "count": true, "bench": true, "testcache": true, "args": true,
+	"batch-io": true, "pin-shards": true,
+}
+
+var (
+	queueImport = regexp.MustCompile(`"(repro/internal/dlist|container/list)"`)
+	backendDial = regexp.MustCompile(`server\.Dial(WithConfig)?\b`)
+	// docPath is a cmd/, examples/, scripts/ or internal/ path not glued to
+	// a longer path, or a BENCH_*.json name; a pkg.Name citation checks the
+	// package's directory.
+	docPath = regexp.MustCompile(`(?m)(?:^|[^A-Za-z0-9_/.-])(?:\./)?((?:cmd|examples|scripts|internal)/[A-Za-z0-9_./-]*)|(BENCH_[A-Za-z0-9_]*\.json)`)
+	// codeSpan is one backticked span of a line; docFlag is a flag of two or
+	// more characters within it.
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	docFlag  = regexp.MustCompile(`(?:^|[\s(\[])--?([a-z][a-z0-9-]+)`)
+)
+
+// rules each list the files or names under a root that break them.
+var rules = []struct {
+	name, msg string
+	check     func(t *testing.T, root string) []string
+}{
+	// internal/slab's lists are the only linked lists: no Go file, tests
+	// included, imports internal/dlist or container/list.
+	{"one queue primitive", "linked lists beside internal/slab:", queueImporters},
+	// internal/cluster/endpoint.go is the one place the cluster dials a
+	// backend: no other non-test file there names server.Dial or
+	// server.DialWithConfig.
+	{"one way to reach a backend", "backend dials outside internal/cluster/endpoint.go:", backendDials},
+	// Every cmd/, examples/, scripts/ and internal/ path and BENCH_*.json
+	// name in the docs is in the tree.
+	{"docs name only what exists", "docs name paths missing from the tree:", missingPaths},
+	// Every flag the docs cite in backticks is defined by a flag.X or
+	// FlagSet.X call, tests and benchmark/ included, or is in historyFlags.
+	{"docs cite only defined flags", "docs cite flags that no flag.X or FlagSet.X call defines:", undefinedFlags},
+}
+
+// report renders a broken rule: its message, then one offender per line.
+func report(msg string, bad []string) string {
+	return strings.Join(append([]string{msg}, bad...), "\n")
+}
+
+func TestRules(t *testing.T) {
+	root := repoRoot(t)
+	for _, r := range rules {
+		t.Run(r.name, func(t *testing.T) {
+			if bad := r.check(t, root); len(bad) > 0 {
+				t.Error(report(r.msg, bad))
+			}
+		})
+	}
+}
+
+func queueImporters(t *testing.T, root string) []string {
+	t.Helper()
+	var bad []string
+	err := walkGo(root, func(rel string) error {
+		src, err := os.ReadFile(filepath.Join(root, rel))
+		if queueImport.Match(src) {
+			bad = append(bad, rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bad
+}
+
+func backendDials(t *testing.T, root string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(root, "internal", "cluster", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") || filepath.Base(f) == "endpoint.go" {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if backendDial.Match(src) {
+			rel, _ := filepath.Rel(root, f)
+			bad = append(bad, filepath.ToSlash(rel))
+		}
+	}
+	return bad
+}
+
+// TestNoBuildOutputCheckedIn: no file git tracks is over 1 MiB or starts
+// with the ELF magic. Outside a git checkout there is no tracked set, and
+// the test skips.
+func TestNoBuildOutputCheckedIn(t *testing.T) {
+	root := repoRoot(t)
+	out, err := exec.Command("git", "-C", root, "ls-files", "-z").Output()
+	if err != nil {
+		t.Skipf("no tracked set: git ls-files: %v", err)
+	}
+	for _, rel := range strings.Split(strings.TrimSuffix(string(out), "\x00"), "\x00") {
+		b, err := os.ReadFile(filepath.Join(root, rel))
+		switch {
+		case err != nil:
+			// deleted in the working tree, not yet committed
+		case len(b) > 1<<20:
+			t.Errorf("tracked file over 1 MiB: %s", rel)
+		case bytes.HasPrefix(b, []byte("\x7fELF")):
+			t.Errorf("tracked ELF binary: %s", rel)
+		}
+	}
+}
+
+func readDocs(t *testing.T, root string) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, name := range docs {
+		b, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+func missingPaths(t *testing.T, root string) []string {
+	t.Helper()
+	cited := map[string]bool{}
+	for _, doc := range readDocs(t, root) {
+		for _, m := range docPath.FindAllSubmatch(doc, -1) {
+			p := strings.TrimRight(string(m[1])+string(m[2]), "./")
+			cited[p] = true
+		}
+	}
+	var bad []string
+	for p := range cited {
+		if _, err := os.Stat(filepath.Join(root, p)); err == nil {
+			continue
+		}
+		if i := strings.LastIndex(p, "."); i > 0 {
+			if fi, err := os.Stat(filepath.Join(root, p[:i])); err == nil && fi.IsDir() {
+				continue
+			}
+		}
+		bad = append(bad, p)
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+func undefinedFlags(t *testing.T, root string) []string {
+	t.Helper()
+	defined := definedFlags(t, root)
+	seen := map[string]bool{}
+	var bad []string
+	for _, doc := range readDocs(t, root) {
+		for _, span := range codeSpan.FindAllSubmatch(doc, -1) {
+			for _, m := range docFlag.FindAllSubmatch(span[1], -1) {
+				name := string(m[1])
+				if !defined[name] && !historyFlags[name] && !seen[name] {
+					seen[name] = true
+					bad = append(bad, "-"+name)
+				}
+			}
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+// definedFlags returns the name of every flag a flag.X or FlagSet.X call
+// defines in a Go file under root, tests included.
+func definedFlags(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	// The flag package's defining calls, by the index of the name argument.
+	nameArg := map[string]int{
+		"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0,
+		"Uint": 0, "Uint64": 0, "Func": 0, "BoolFunc": 0,
+		"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1,
+		"StringVar": 1, "UintVar": 1, "Uint64Var": 1, "TextVar": 1, "Var": 1,
+	}
+	defined := map[string]bool{}
+	fset := token.NewFileSet()
+	err := walkGo(root, func(rel string) error {
+		f, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			i, ok := nameArg[sel.Sel.Name]
+			if !ok || i >= len(call.Args) {
+				return true
+			}
+			if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					defined[name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return defined
+}
+
+// Each rule fails, with its message, on a tree seeded with one violation
+// of it.
+func TestRulesCatchSeededViolations(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		p := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, doc := range docs {
+		write(doc, "")
+	}
+	write("README.md", "See `internal/x`, `internal/nope` and `cmd -yes -nope`.\n")
+	write("main.go", "package main\n\nvar yes = flag.Bool(\"yes\", false, \"\")\n")
+	// The import path is split so this file's own source cannot match.
+	write("internal/x/x.go", "package x\n\nimport _ \"container/"+"list\"\n")
+	write("internal/cluster/endpoint.go", "package cluster\n\nvar dial = server.Dial\n")
+	write("internal/cluster/router.go", "package cluster\n\nvar dial = server.DialWithConfig\n")
+
+	want := map[string]string{
+		"one queue primitive":          "linked lists beside internal/slab:\ninternal/x/x.go",
+		"one way to reach a backend":   "backend dials outside internal/cluster/endpoint.go:\ninternal/cluster/router.go",
+		"docs name only what exists":   "docs name paths missing from the tree:\ninternal/nope",
+		"docs cite only defined flags": "docs cite flags that no flag.X or FlagSet.X call defines:\n-nope",
+	}
+	for _, r := range rules {
+		if got := report(r.msg, r.check(t, root)); got != want[r.name] {
+			t.Errorf("%s on the seeded tree reports\n%s\nwant\n%s", r.name, got, want[r.name])
+		}
+	}
+}

@@ -255,8 +255,7 @@ func TestHotReplicaInheritsTTL(t *testing.T) {
 // fleet-wide retry volume the client may generate.
 func TestClusterClientBreakerAndBudget(t *testing.T) {
 	live, _ := startBackend(t)
-	// A dead endpoint: reserved port, refuses instantly.
-	dead := "127.0.0.1:1"
+	dead := deadAddr(t)
 
 	budget := overload.NewRetryBudget(0.01, 2)
 	cl, err := NewClient(ClientConfig{

@@ -47,9 +47,8 @@ type ClientConfig struct {
 type Client struct {
 	cfg  ClientConfig
 	ring *Ring
-	// eps persist across RemoveNode/AddNode of the same address, so a
-	// flapping node rejoins with its breaker history intact and the
-	// retry and reconnect tallies of its closed clients stay counted.
+	// eps outlive RemoveNode, so the retry and reconnect tallies of a
+	// removed node's closed clients stay counted.
 	eps map[string]*endpoint
 }
 
@@ -127,15 +126,6 @@ func (c *Client) Set(key []byte, flags uint32, value []byte) error {
 	return c.forward(key, func(sc *server.Client) error { return sc.Set(key, flags, value) })
 }
 
-// Delete removes key from its owner node.
-func (c *Client) Delete(key []byte) (found bool, err error) {
-	err = c.forward(key, func(sc *server.Client) (err error) {
-		found, err = sc.Delete(key)
-		return err
-	})
-	return found, err
-}
-
 // GetMulti fetches keys across the ring: keys are grouped by owner node,
 // each node's batch issued as one pipelined multi-get on its own goroutine,
 // and results fanned back in request order. A node whose batch fails takes
@@ -157,37 +147,6 @@ func (c *Client) GetMulti(keys [][]byte) ([]server.MultiValue, error) {
 		}
 	}
 	return vals, nil
-}
-
-// Stats fetches per-node stats maps, keyed by endpoint.
-func (c *Client) Stats() (map[string]map[string]string, error) {
-	out := make(map[string]map[string]string)
-	var firstErr error
-	for _, addr := range c.ring.Nodes() {
-		var st map[string]string
-		err := c.endpoint(addr).do(func(sc *server.Client) (err error) {
-			st, err = sc.Stats()
-			return err
-		})
-		if err == nil {
-			out[addr] = st
-		} else if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
-}
-
-// AddNode joins addr to the client's ring; subsequent operations route
-// ~K/n of the keyspace to it.
-func (c *Client) AddNode(addr string) error {
-	if err := c.ring.Add(addr); err != nil {
-		return err
-	}
-	if e := c.eps[addr]; e != nil {
-		e.reopen()
-	}
-	return nil
 }
 
 // RemoveNode drops addr from the ring and closes its connections; its

@@ -61,6 +61,19 @@ func startBackend(t *testing.T) (addr string, stop func()) {
 	return ln.Addr().String(), stop
 }
 
+// deadAddr returns a loopback address nothing listens on: the port a
+// listener held until it closed, so a dial there is refused at once.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
 // startFront serves store (normally a Router) as a front cacheserver.
 func startFront(t *testing.T, store server.Store) (addr string) {
 	t.Helper()
@@ -298,6 +311,59 @@ func TestRouterForwardsAndReplicates(t *testing.T) {
 	}
 }
 
+// A touch through the router moves the TTL on every replica of a hot key,
+// and a set with a negative exptime removes the key from every replica.
+func TestRouterTouchAndExpireReachEveryReplica(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		addrs[i], _ = startBackend(t)
+	}
+	router, err := NewRouter(RouterConfig{Nodes: addrs, Replicas: 2, HotThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	c := dialNode(t, startFront(t, router))
+
+	key := []byte("hotkey")
+	if err := c.Set(key, 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ { // past the hot threshold: replicated
+		if _, found, err := c.Get(key); err != nil || !found {
+			t.Fatalf("get %d: found=%v err=%v", i, found, err)
+		}
+	}
+	replicas := []*server.Client{dialNode(t, addrs[0]), dialNode(t, addrs[1])}
+	for i, r := range replicas {
+		if _, _, _, exp, found, err := r.GetExp(key); err != nil || !found || exp != 0 {
+			t.Fatalf("replica %s before touch: expireAt=%d found=%v err=%v", addrs[i], exp, found, err)
+		}
+	}
+
+	before := time.Now().Unix()
+	if found, err := c.Touch(key, 3600); err != nil || !found {
+		t.Fatalf("touch: found=%v err=%v", found, err)
+	}
+	after := time.Now().Unix()
+	for i, r := range replicas {
+		_, _, _, exp, found, err := r.GetExp(key)
+		if err != nil || !found || exp < before+3600 || exp > after+3600 {
+			t.Errorf("replica %s after touch: expireAt=%d (want %d..%d) found=%v err=%v",
+				addrs[i], exp, before+3600, after+3600, found, err)
+		}
+	}
+
+	if err := c.SetExp(key, 0, -1, []byte("gone")); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range replicas {
+		if v, found, err := r.Get(key); err != nil || found {
+			t.Errorf("replica %s after a negative-exptime set: %q found=%v err=%v", addrs[i], v, found, err)
+		}
+	}
+}
+
 // A key asked for twice in one multi-get through the router is answered
 // twice, and counted as two hits: the router forwards the duplicate to the
 // owner, whose reply carries one VALUE per occurrence.
@@ -492,7 +558,7 @@ func TestRouterAdminHandler(t *testing.T) {
 	}
 
 	// Topology via POST.
-	fake := "127.0.0.1:1"
+	fake := deadAddr(t)
 	if rr = do("POST", "/cluster?op=add&node="+url.QueryEscape(fake)); rr.Code != 200 {
 		t.Fatalf("POST add: %d %q", rr.Code, rr.Body.String())
 	}

@@ -189,9 +189,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Ring exposes the router's ring (tests, admin).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// HotKeyCount reports the current hot-set size.
-func (r *Router) HotKeyCount() int { return r.hot.Len() }
-
 // addLocked marks addr's record live, creating it (and registering its
 // metric series) on first sight. Caller holds r.mu and has verified the
 // node is not live. An explicit (re)add wipes the health slate: the

@@ -106,17 +106,12 @@ func NewKV(inner Cache, dataShards int) *KV {
 	return kv
 }
 
-// SetRecorder attaches a lifecycle-event recorder: the policy emits
-// admit/promote/demote/evict events, KV adds the client-driven removals
-// (delete, expire). Call before the store is shared.
-func (kv *KV) SetRecorder(rec *obs.Recorder) { kv.b.rec = rec }
-
 // SetSampler attaches a spatial key sampler to the read path: every get
 // request's digest (hit or miss — the reuse-distance estimator needs the
 // full access stream) is Offered before the lookup. Offer is lock-free and
 // allocation-free, so the hit path stays 0 allocs/op with sampling on.
-// Call before the store is shared, like SetRecorder. Writes (set/delete)
-// are not sampled: an LRU miss-ratio curve models read reuse.
+// Call before the store is shared. Writes (set/delete) are not sampled: an
+// LRU miss-ratio curve models read reuse.
 func (kv *KV) SetSampler(smp *obs.KeySampler) {
 	kv.smp = smp
 }

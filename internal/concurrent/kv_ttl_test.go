@@ -198,13 +198,12 @@ func TestKVOverwriteAndDeleteDisarmTTL(t *testing.T) {
 // and ExpireDigest record EvExpire, Delete records EvDelete; only the
 // wheel's reclaims count into Snapshot.Expired.
 func TestKVExpireEventKinds(t *testing.T) {
-	inner, err := New("clock", 1024, WithShards(1))
+	rec := obs.NewRecorder(1, 256)
+	inner, err := New("clock", 1024, WithShards(1), WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	kv := NewKV(inner, 1)
-	rec := obs.NewRecorder(1, 256)
-	kv.SetRecorder(rec)
 	base := time.Now().Unix()
 	kv.SetNow(base)
 

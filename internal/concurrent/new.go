@@ -97,7 +97,8 @@ func WithMaxEntries(n int) Option {
 
 // WithRecorder attaches a lifecycle-event recorder to the constructed cache
 // (see Cache.SetRecorder). It applies to every policy; a nil recorder is
-// allowed and leaves tracing disabled.
+// allowed and leaves tracing disabled. A KV over the cache records its
+// client-driven removals (delete, expire) there too.
 func WithRecorder(rec *obs.Recorder) Option {
 	return func(c *config) error {
 		c.recorder = rec

@@ -44,11 +44,6 @@ type Config struct {
 	Out io.Writer
 }
 
-// DefaultConfig returns the standard laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{Seeds: 3, Objects: 10000, Requests: 200000}
-}
-
 // QuickConfig returns a minimal configuration for tests and smoke runs.
 func QuickConfig() Config {
 	return Config{Seeds: 2, Objects: 2000, Requests: 40000}

@@ -16,9 +16,9 @@ import (
 // run without touching the heap once a connection's reusable buffers are
 // warm, or the GC-light data plane's benefit is lost one layer up.
 
-func allocServer(t testing.TB) (*Server, *concurrent.KV) {
+func allocServer(t testing.TB, opts ...concurrent.Option) (*Server, *concurrent.KV) {
 	t.Helper()
-	inner, err := concurrent.New("clock", 4096, concurrent.WithShards(4))
+	inner, err := concurrent.New("clock", 4096, append([]concurrent.Option{concurrent.WithShards(4)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,7 @@ func TestServerSetPathAllocs(t *testing.T) {
 // must not cost the hit path anything: events fire only on exclusive-lock
 // paths and the tracer's disabled checks are single branches.
 func TestServerGetHitPathZeroAllocsWithRecorder(t *testing.T) {
-	s, kv := allocServer(t)
-	kv.SetRecorder(obs.NewRecorder(4, 1024))
+	s, _ := allocServer(t, concurrent.WithRecorder(obs.NewRecorder(4, 1024)))
 	tr := s.newConnTracer()
 	if tr.enabled() {
 		t.Fatal("tracer enabled with TraceSample 0")

@@ -46,10 +46,6 @@ func (s *Server) sampleTelemetry() telemetry.Sample {
 	return smp
 }
 
-// Series exposes the windowed telemetry ring, for embedders that surface
-// it outside AdminMux.
-func (s *Server) Series() *telemetry.Series { return s.series }
-
 // mrcScale evaluates an estimator snapshot at the store's current
 // capacity in objects — the configured entry capacity when there is one,
 // otherwise the byte budget divided by the current mean object size,

@@ -100,7 +100,7 @@ func TestAdminDebugVars(t *testing.T) {
 func TestDebugEventsLifecycleEndToEnd(t *testing.T) {
 	rec := obs.NewRecorder(8, 4096)
 	srv, addr := startServer(t, func(cfg *Config) {
-		cfg.Store.(*concurrent.KV).SetRecorder(rec)
+		cfg.Store = testKV(t, concurrent.WithRecorder(rec))
 		cfg.Events = rec
 		cfg.TraceSample = 1 // every request leaves a span
 	})
@@ -199,7 +199,7 @@ func TestDebugEventsLifecycleEndToEnd(t *testing.T) {
 func TestDebugTraceFollowsKey(t *testing.T) {
 	rec := obs.NewRecorder(8, 4096)
 	srv, addr := startServer(t, func(cfg *Config) {
-		cfg.Store.(*concurrent.KV).SetRecorder(rec)
+		cfg.Store = testKV(t, concurrent.WithRecorder(rec))
 		cfg.Events = rec
 	})
 	admin := httptest.NewServer(srv.AdminMux(nil))
@@ -279,7 +279,7 @@ func TestSlowRequestAlwaysRecorded(t *testing.T) {
 	rec := obs.NewRecorder(1, 64)
 	srv, addr := startServer(t, func(cfg *Config) {
 		cfg.Events = rec
-		cfg.Store.(*concurrent.KV).SetRecorder(rec)
+		cfg.Store = testKV(t, concurrent.WithRecorder(rec))
 		cfg.SlowRequest = time.Nanosecond // everything is slow
 	})
 	rc := dialRaw(t, addr)
@@ -312,7 +312,7 @@ func TestObsMetricsExported(t *testing.T) {
 	srv, addr := startServer(t, func(cfg *Config) {
 		cfg.Metrics = reg
 		cfg.Events = rec
-		cfg.Store.(*concurrent.KV).SetRecorder(rec)
+		cfg.Store = testKV(t, concurrent.WithRecorder(rec))
 		cfg.TraceSample = 1
 	})
 	admin := httptest.NewServer(srv.AdminMux(reg))

@@ -22,16 +22,23 @@ func startServer(t testing.TB, mutate func(*Config)) (*Server, string) {
 	return startServerOn(t, mutate, nil)
 }
 
+// testKV is the store startServer serves: a 4096-entry QD-LP-FIFO over 8
+// shards, built with opts.
+func testKV(t testing.TB, opts ...concurrent.Option) *concurrent.KV {
+	t.Helper()
+	inner, err := concurrent.New("qdlp", 4096, append([]concurrent.Option{concurrent.WithShards(8)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return concurrent.NewKV(inner, 8)
+}
+
 // startServerOn is startServer serving through wrap(listener) when wrap is
 // non-nil, for tests that observe the server's side of each connection.
 func startServerOn(t testing.TB, mutate func(*Config), wrap func(net.Listener) net.Listener) (*Server, string) {
 	t.Helper()
-	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
-		Store:       concurrent.NewKV(inner, 8),
+		Store:       testKV(t),
 		MaxConns:    32,
 		IdleTimeout: time.Minute,
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,8 +187,14 @@ func TestRetryBudgetGatesClientRetries(t *testing.T) {
 	// Capacity 1 with a negligible earn rate: one retry is affordable, the
 	// second is not.
 	budget := overload.NewRetryBudget(0.001, 1)
-	_, err := DialWithConfig(DialConfig{
-		Addr:           "127.0.0.1:1", // reserved port: refuses instantly
+	// A port a listener held until it closed: a dial there is refused at once.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	_, err = DialWithConfig(DialConfig{
+		Addr:           ln.Addr().String(),
 		ConnectTimeout: 200 * time.Millisecond,
 		MaxRetries:     50,
 		BackoffBase:    time.Microsecond,

@@ -208,23 +208,6 @@ func (f Family) Generate(seed int64, objects, requests int) *trace.Trace {
 	return &trace.Trace{Name: fmt.Sprintf("%s-%d", f.Name, seed), Class: f.Class, Requests: reqs}
 }
 
-// GenerateDefault produces a trace at the family's canonical scale divided
-// by scaleDown (minimum scale enforced).
-func (f Family) GenerateDefault(seed int64, scaleDown int) *trace.Trace {
-	if scaleDown < 1 {
-		scaleDown = 1
-	}
-	obj := f.DefaultObjects / scaleDown
-	if obj < 1000 {
-		obj = 1000
-	}
-	req := f.DefaultRequests / scaleDown
-	if req < 10000 {
-		req = 10000
-	}
-	return f.Generate(seed, obj, req)
-}
-
 // The ten Table-1 dataset families. Parameters are calibrated so each
 // family reproduces the qualitative behaviour the paper reports for the
 // corresponding dataset (see EXPERIMENTS.md).
