@@ -83,7 +83,7 @@ func TestServerMultiGetPathZeroAllocs(t *testing.T) {
 	}
 	line = append(line, "\r\n"...)
 	var got bytes.Buffer
-	mb := newMultiBuf(&got, &s.counters.Flushes)
+	mb := newMultiBuf(newSockIO(&got), &s.counters.Flushes)
 	bt := newConnBatch()
 	tr := s.newConnTracer()
 	src := bytes.NewReader(line)

@@ -3,8 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"io"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -19,10 +17,10 @@ import (
 //     dispatches them as ONE shard-batched GetMulti across the whole run,
 //     so each data shard's lock is taken once per pipelined batch instead
 //     of once per request.
-//   - multiBuf assembles the responses as an iovec list (net.Buffers):
-//     headers and small values accumulate in pooled 64 KiB chunks, large
-//     values are queued as references into the GetMulti arena with no
-//     extra copy, and one writev delivers the whole batch.
+//   - multiBuf assembles the responses as an iovec list: headers and
+//     small values accumulate in pooled 64 KiB chunks, large values are
+//     queued as references into the GetMulti arena with no extra copy,
+//     and one writev delivers the whole batch.
 //
 // Both are safe under the parser's aliasing rules: a get request's keys
 // point into the bufio.Reader's buffer, which is only compacted when the
@@ -52,28 +50,22 @@ const (
 )
 
 // multiBuf is the batched connection writer: an ordered list of response
-// segments flushed with one writev (net.Buffers). It implements respWriter,
-// so the dispatch helpers write into it exactly as they write into a
-// bufio.Writer, including the AvailableBuffer append-in-place contract.
+// segments flushed with one writev (sockio.writeBuffers). It implements
+// respWriter, so the dispatch helpers write into it exactly as they write
+// into a bufio.Writer, including the AvailableBuffer append-in-place
+// contract.
 type multiBuf struct {
-	dst io.Writer
+	dst *sockio
 	err error // sticky, like bufio.Writer
 
 	cur  []byte // current chunk (len == cap, fixed)
 	w    int    // write offset in cur
 	open int    // start of the unsealed segment in cur
 
-	segs   net.Buffers // completed segments, in response order
-	inuse  [][]byte    // full chunks referenced by segs, recycled at flush
-	free   [][]byte    // chunk free list (steady state: no allocation)
-	queued int         // bytes sealed into segs
-
-	// iovSave parks segs' full-capacity slice header across WriteTo, which
-	// consumes the slice it is given. Calling WriteTo on the field (heap)
-	// rather than a local also matters: Buffers.WriteTo hands its receiver
-	// pointer to an interface method, so a stack local would escape and
-	// cost one allocation per writev.
-	iovSave net.Buffers
+	segs   [][]byte // completed segments, in response order
+	inuse  [][]byte // full chunks referenced by segs, recycled at flush
+	free   [][]byte // chunk free list (steady state: no allocation)
+	queued int      // bytes sealed into segs
 
 	// vals is the GetMulti arena for merged batches. Values referenced from
 	// segs (valsRefd) pin its contents until the next flush; without live
@@ -84,7 +76,7 @@ type multiBuf struct {
 	flushes *atomic.Int64 // server's flush counter; every writev counts
 }
 
-func newMultiBuf(dst io.Writer, flushes *atomic.Int64) *multiBuf {
+func newMultiBuf(dst *sockio, flushes *atomic.Int64) *multiBuf {
 	return &multiBuf{dst: dst, cur: make([]byte, batchChunkSize), flushes: flushes}
 }
 
@@ -199,21 +191,17 @@ func (m *multiBuf) maybeFlush() {
 	}
 }
 
-// Flush delivers every queued segment with one writev (net.Buffers uses
-// writev on *net.TCPConn, sequential writes elsewhere) and recycles the
-// chunks. The error is sticky.
+// Flush delivers every queued segment with one writev (sequential writes
+// on a stream that is not a TCP conn) and recycles the chunks. The error
+// is sticky.
 func (m *multiBuf) Flush() error {
 	if m.err != nil {
 		return m.err
 	}
 	m.seal()
 	if len(m.segs) > 0 {
-		m.iovSave = m.segs
 		m.flushes.Add(1)
-		if _, err := m.segs.WriteTo(m.dst); err != nil {
-			m.err = err
-		}
-		m.segs = m.iovSave
+		m.err = m.dst.writeBuffers(m.segs)
 	}
 	m.free = append(m.free, m.inuse...)
 	m.inuse = m.inuse[:0]

@@ -29,7 +29,7 @@ func TestMultiBufEquivalence(t *testing.T) {
 	}
 	var got, want bytes.Buffer
 	var flushes atomic.Int64
-	mb := newMultiBuf(&got, &flushes)
+	mb := newMultiBuf(newSockIO(&got), &flushes)
 	for i := 0; i < 20000; i++ {
 		switch rng.Intn(5) {
 		case 0: // the AvailableBuffer contract dispatch relies on
@@ -262,7 +262,7 @@ func TestServerBatchedPipelineZeroAllocs(t *testing.T) {
 	split := len(burst) + strings.Index(multi, "m7") + 1
 
 	var got bytes.Buffer
-	mb := newMultiBuf(&got, &s.counters.Flushes)
+	mb := newMultiBuf(newSockIO(&got), &s.counters.Flushes)
 	bt := newConnBatch()
 	tr := s.newConnTracer()
 	src := &splitReader{}

@@ -84,7 +84,7 @@ func TestChaosSoak(t *testing.T) {
 		Metrics:  reg,
 		Dial: &DialConfig{
 			ConnectTimeout: 2 * time.Second,
-			ReadTimeout:    750 * time.Millisecond,
+			ReadTimeout:    200 * time.Millisecond,
 			WriteTimeout:   2 * time.Second,
 			MaxRetries:     8,
 			BackoffBase:    time.Millisecond,
@@ -108,6 +108,11 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if loadRes.Reconnects == 0 {
 		t.Fatal("clients never reconnected despite injected resets/refusals")
+	}
+	// A black-holed read is the one fault only a read deadline ends: without
+	// one the soak never crosses a parked read's timeout wake-up.
+	if ctr.BlackholedReads.Load() == 0 {
+		t.Fatal("no read black-holed; the read-deadline path went unexercised")
 	}
 
 	// The clients healed: nearly every op completed despite the faults.

@@ -142,9 +142,9 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // connection after a transport failure.
 func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 
-// connect dials and (re)binds the buffered reader and writer. The bufio
-// pair is reused across reconnects, which also discards any half-read
-// response bytes from the dead connection.
+// connect dials and (re)binds the buffered reader and writer to the new
+// connection's sockio. The bufio pair is reused across reconnects, which
+// also discards any half-read response bytes from the dead connection.
 func (c *Client) connect() error {
 	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.ConnectTimeout)
 	if err != nil {
@@ -152,12 +152,13 @@ func (c *Client) connect() error {
 	}
 	c.conn = conn
 	c.dl = newLazyDeadlines(conn, c.cfg.ReadTimeout, c.cfg.WriteTimeout)
+	sio := newSockIO(conn)
 	if c.br == nil {
-		c.br = bufio.NewReaderSize(conn, 32<<10)
-		c.bw = bufio.NewWriterSize(conn, 32<<10)
+		c.br = bufio.NewReaderSize(sio, 32<<10)
+		c.bw = bufio.NewWriterSize(sio, 32<<10)
 	} else {
-		c.br.Reset(conn)
-		c.bw.Reset(conn)
+		c.br.Reset(sio)
+		c.bw.Reset(sio)
 	}
 	return nil
 }

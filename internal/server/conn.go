@@ -113,8 +113,9 @@ func (s *Server) handleConn(nc net.Conn) {
 				"stack", string(debug.Stack()))
 		}
 	}()
-	br := bufio.NewReaderSize(nc, readBufSize)
-	out := newMultiBuf(nc, &s.counters.Flushes)
+	sio := newSockIO(nc)
+	br := bufio.NewReaderSize(sio, readBufSize)
+	out := newMultiBuf(sio, &s.counters.Flushes)
 	bt := newConnBatch()
 	tr := s.newConnTracer()
 	dl := newLazyDeadlines(nc, s.cfg.IdleTimeout, s.cfg.WriteTimeout)

@@ -27,6 +27,10 @@ if [ -n "$fmt_out" ]; then
 fi
 phase 'go vet ./...'
 go vet ./...
+phase 'go vet on darwin/arm64 and linux/386 (the !linux fallbacks reuseport_other.go and sockio_other.go, and 32-bit Iovec lengths)'
+for target in darwin/arm64 linux/386; do
+    GOOS=${target%/*} GOARCH=${target#*/} go vet ./internal/server/... ./internal/cluster/... ./cmd/cacheserver/
+done
 phase 'go build ./...'
 go build ./...
 phase 'go test ./... (incl. the repository rules and exported-name census, the served binaries, every command and example, both golden tables in internal/policy/all, trace identity and the alloc guards)'
