@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mrc"
-	"repro/internal/policy/clock"
 	"repro/internal/policy/gdsf"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/qd"
@@ -225,7 +224,7 @@ func BenchmarkSizeAware(b *testing.B) {
 		{"size-lru", func() core.Policy { return lru.NewBytes(capacity) }},
 		{"gdsf", func() core.Policy { return gdsf.NewBytes(capacity) }},
 		{"size-qd-lp-fifo", func() core.Policy {
-			return qd.NewBytes(capacity, qd.Options{}, func(m int) core.Policy { return clock.NewBytes(m, 2) })
+			return qd.NewBytes(capacity, qd.Options{}, 2)
 		}},
 	} {
 		tc := tc

@@ -58,7 +58,7 @@ func main() {
 		{"size-lru", lru.NewBytes(capacity)},
 		{"size-clock", clock.NewBytes(capacity, 2)},
 		{"gdsf", gdsf.NewBytes(capacity)},
-		{"size-qd-lp-fifo", qd.NewBytes(capacity, qd.Options{}, func(m int) core.Policy { return clock.NewBytes(m, 2) })},
+		{"size-qd-lp-fifo", qd.NewBytes(capacity, qd.Options{}, 2)},
 	} {
 		res := sim.Run(p.policy, mkTrace())
 		tb.AddRow(p.name, res.MissRatio(), res.ByteMissRatio())

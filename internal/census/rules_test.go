@@ -2,6 +2,7 @@ package census
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -25,9 +26,13 @@ var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/
 // historyFlags are the flags the docs cite that no flag call in the
 // repository defines: go tool flags, and deleted flags named as history.
 var historyFlags = map[string]bool{
-	"race": true, "run": true, "count": true, "bench": true, "testcache": true, "args": true,
+	"race": true, "run": true, "count": true, "bench": true, "testcache": true, "args": true, "fuzz": true, "fuzztime": true,
 	"batch-io": true, "pin-shards": true,
 }
+
+// historyNames are the pkg.Name citations of the docs that name deleted
+// declarations as history.
+var historyNames = map[string]bool{"ttlwheel.Node": true, "ghost.Queue.Oldest": true}
 
 var (
 	queueImport = regexp.MustCompile(`"(repro/internal/dlist|container/list)"`)
@@ -40,7 +45,14 @@ var (
 	// more characters within it.
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	docFlag  = regexp.MustCompile(`(?:^|[\s(\[])--?([a-z][a-z0-9-]+)`)
+	// docName is a pkg.Name or pkg.Type.Member citation within a code span,
+	// not the tail of a longer selector.
+	docName = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*(?:\.[A-Z][A-Za-z0-9_]*)?)`)
 )
+
+// docCeilings are the checked-in byte ceilings of the two long docs. Lower
+// one when a change shrinks its doc; never raise it to admit growth.
+var docCeilings = map[string]int{"README.md": 38606, "DESIGN.md": 96040}
 
 // rules each list the files or names under a root that break them.
 var rules = []struct {
@@ -60,6 +72,14 @@ var rules = []struct {
 	// Every flag the docs cite in backticks is defined by a flag.X or
 	// FlagSet.X call, tests and benchmark/ included, or is in historyFlags.
 	{"docs cite only defined flags", "docs cite flags that no flag.X or FlagSet.X call defines:", undefinedFlags},
+	// Every pkg.Name or pkg.Type.Member the docs cite in backticks, where
+	// pkg is the name of a package of the module other than main, is an
+	// exported declaration of that package, or a method or field of its
+	// type, or is in historyNames. Names of other packages (sync.Pool) are
+	// not checked.
+	{"docs cite only declared names", "docs cite names that no declaration of the package defines:", undeclaredNames},
+	// README.md and DESIGN.md stay within docCeilings.
+	{"docs stay within their ceilings", "docs over their byte ceilings in internal/census (lower a ceiling, never raise one):", oversizedDocs},
 }
 
 // report renders a broken rule: its message, then one offender per line.
@@ -243,6 +263,132 @@ func definedFlags(t *testing.T, root string) map[string]bool {
 	return defined
 }
 
+func undeclaredNames(t *testing.T, root string) []string {
+	t.Helper()
+	declared := declaredNames(t, root)
+	seen := map[string]bool{}
+	var bad []string
+	for _, doc := range readDocs(t, root) {
+		for _, span := range codeSpan.FindAllSubmatch(doc, -1) {
+			for _, m := range docName.FindAllSubmatch(span[1], -1) {
+				name := string(m[1])
+				pkg, sym, _ := strings.Cut(name, ".")
+				if names := declared[pkg]; names != nil && !names[sym] && !historyNames[name] && !seen[name] {
+					seen[name] = true
+					bad = append(bad, name)
+				}
+			}
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+// declaredNames returns, by package name, the exported names every
+// package but main declares under root, tests included: top-level names
+// as Name, methods and struct or interface fields as Type.Member.
+func declaredNames(t *testing.T, root string) map[string]map[string]bool {
+	t.Helper()
+	declared := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := walkGo(root, func(rel string) error {
+		f, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		if pkg == "main" {
+			return nil
+		}
+		if declared[pkg] == nil {
+			declared[pkg] = map[string]bool{}
+		}
+		names := declared[pkg]
+		add := func(prefix, name string) {
+			if token.IsExported(name) {
+				names[prefix+name] = true
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add("", d.Name.Name)
+				} else {
+					add(typeName(d.Recv.List[0].Type)+".", d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add("", id.Name)
+						}
+					case *ast.TypeSpec:
+						add("", spec.Name.Name)
+						var fields *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						default:
+							continue
+						}
+						for _, field := range fields.List {
+							if len(field.Names) == 0 { // embedded: the field is named by its type
+								add(spec.Name.Name+".", typeName(field.Type))
+							}
+							for _, id := range field.Names {
+								add(spec.Name.Name+".", id.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared
+}
+
+// typeName is the name of the type expression x (T, *T, T[P], pkg.T), or
+// "" for any other expression.
+func typeName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.StarExpr:
+		return typeName(x.X)
+	case *ast.IndexExpr:
+		return typeName(x.X)
+	case *ast.IndexListExpr:
+		return typeName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
+}
+
+func oversizedDocs(t *testing.T, root string) []string {
+	t.Helper()
+	var bad []string
+	for name, ceiling := range docCeilings {
+		fi, err := os.Stat(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > int64(ceiling) {
+			bad = append(bad, fmt.Sprintf("%s: %d bytes, ceiling %d", name, fi.Size(), ceiling))
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
 // Each rule fails, with its message, on a tree seeded with one violation
 // of it.
 func TestRulesCatchSeededViolations(t *testing.T) {
@@ -260,18 +406,22 @@ func TestRulesCatchSeededViolations(t *testing.T) {
 	for _, doc := range docs {
 		write(doc, "")
 	}
-	write("README.md", "See `internal/x`, `internal/nope` and `cmd -yes -nope`.\n")
+	write("README.md", "See `internal/x`, `internal/nope`, `cmd -yes -nope`, `x.Here`, `x.T.M`, `x.Gone` and `sync.Gone`.\n")
+	write("DESIGN.md", strings.Repeat("\n", docCeilings["DESIGN.md"]+1))
 	write("main.go", "package main\n\nvar yes = flag.Bool(\"yes\", false, \"\")\n")
 	// The import path is split so this file's own source cannot match.
-	write("internal/x/x.go", "package x\n\nimport _ \"container/"+"list\"\n")
+	write("internal/x/x.go", "package x\n\nimport _ \"container/"+"list\"\n\nfunc Here() {}\n\ntype T struct{ M int }\n")
 	write("internal/cluster/endpoint.go", "package cluster\n\nvar dial = server.Dial\n")
 	write("internal/cluster/router.go", "package cluster\n\nvar dial = server.DialWithConfig\n")
 
 	want := map[string]string{
-		"one queue primitive":          "linked lists beside internal/slab:\ninternal/x/x.go",
-		"one way to reach a backend":   "backend dials outside internal/cluster/endpoint.go:\ninternal/cluster/router.go",
-		"docs name only what exists":   "docs name paths missing from the tree:\ninternal/nope",
-		"docs cite only defined flags": "docs cite flags that no flag.X or FlagSet.X call defines:\n-nope",
+		"one queue primitive":           "linked lists beside internal/slab:\ninternal/x/x.go",
+		"one way to reach a backend":    "backend dials outside internal/cluster/endpoint.go:\ninternal/cluster/router.go",
+		"docs name only what exists":    "docs name paths missing from the tree:\ninternal/nope",
+		"docs cite only defined flags":  "docs cite flags that no flag.X or FlagSet.X call defines:\n-nope",
+		"docs cite only declared names": "docs cite names that no declaration of the package defines:\nx.Gone",
+		"docs stay within their ceilings": fmt.Sprintf("docs over their byte ceilings in internal/census (lower a ceiling, never raise one):\nDESIGN.md: %d bytes, ceiling %d",
+			docCeilings["DESIGN.md"]+1, docCeilings["DESIGN.md"]),
 	}
 	for _, r := range rules {
 		if got := report(r.msg, r.check(t, root)); got != want[r.name] {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/evict"
 	"repro/internal/obs"
 )
 
@@ -145,52 +146,41 @@ func TestByteModeTinyCostsEvictForSlots(t *testing.T) {
 	}
 }
 
-// QDLP size-aware admission: a first-touch object costing more than
-// admitFrac of the probation budget goes straight to the ghost — it never
-// holds bytes — and a second touch earns it a main-region slot like any
-// quick-demotion mistake.
+// QDLP size-aware admission: a first touch costing more than probation
+// goes straight to the main region rather than flushing probation, and is
+// served on its first get; one costing more than the main region is
+// refused, counted as an eviction for size, and holds no bytes.
 func TestByteQDLPSizeAwareAdmission(t *testing.T) {
-	// One shard, 10000 bytes: probation 1000, admission threshold 500
-	// (admitFrac 0.5), main 9000.
+	// One shard, 10000 bytes: probation 1000, main 9000.
 	c, err := New("qdlp", 0, WithMaxBytes(10000), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder(1, 64)
-	c.SetRecorder(rec)
 	var hookReasons []obs.Reason
 	c.SetEvictHook(func(_ uint64, r obs.Reason) { hookReasons = append(hookReasons, r) })
+	s := &c.(*base).shards[0]
 
-	const big, small = 600, 200
-	c.Set(1, big) // over the threshold: ghosted, hook fires
-	if _, ok := c.Get(1); ok {
-		t.Fatal("oversized first touch was admitted")
+	const big, huge, small = 1500, 9500, 200
+	c.Set(1, big) // larger than probation: admitted to main
+	if v, ok := c.Get(1); !ok || v != big {
+		t.Fatalf("first touch larger than probation: Get = %d, %v", v, ok)
 	}
-	if st := c.Stats(); st.UsedBytes != 0 {
-		t.Fatalf("ghosted object holds %d bytes", st.UsedBytes)
+	if n, v := s.resident(1); n == 0 || v.Where != evict.InMain {
+		t.Fatal("first touch larger than probation is not in the main region")
+	}
+	c.Set(2, huge) // larger than main: refused, hook fires
+	if _, ok := c.Get(2); ok {
+		t.Fatal("first touch larger than the main region was admitted")
 	}
 	if len(hookReasons) != 1 || hookReasons[0] != obs.ReasonSizeAdmission {
 		t.Fatalf("hook reasons = %v, want [size-admission]", hookReasons)
 	}
-	c.Set(2, small) // under the threshold: admitted to probation
-	if _, ok := c.Get(2); !ok {
-		t.Fatal("small first touch not admitted")
+	c.Set(3, small) // admitted to probation
+	if n, v := s.resident(3); n == 0 || v.Where != evict.InProbation {
+		t.Fatal("small first touch is not on probation")
 	}
-
-	c.Set(1, big) // second touch: ghost hit, straight to main
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("second touch not admitted")
-	}
-	var kinds []obs.EventKind
-	for _, ev := range rec.KeyEvents(1, 16) {
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []obs.EventKind{obs.EvDemoteGhost, obs.EvGhostReadmit}
-	if len(kinds) < len(want) || kinds[0] != want[0] || kinds[1] != want[1] {
-		t.Fatalf("key 1 events = %v, want prefix %v", kinds, want)
-	}
-	if st := c.Stats(); st.UsedBytes != big+small {
-		t.Fatalf("used = %d, want %d", st.UsedBytes, big+small)
+	if st := c.Stats(); st.UsedBytes != big+small || st.Len != 2 {
+		t.Fatalf("used = %d bytes in %d objects, want %d in 2", st.UsedBytes, st.Len, big+small)
 	}
 }
 
@@ -247,27 +237,32 @@ func TestByteQDLPGhostRemembersRedemotedKey(t *testing.T) {
 	}
 }
 
-// The same admission filter observed end to end through the KV adapter:
-// the oversized value's bytes are dropped synchronously by the hook, and
-// the second store is served afterward.
+// The same admission rule observed end to end through the KV adapter: the
+// object larger than probation is served on its first get, and the one
+// larger than the main region is refused and its buffer freed.
 func TestKVSizeAwareAdmission(t *testing.T) {
 	inner, err := New("qdlp", 0, WithMaxBytes(10000), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hookReasons []obs.Reason
+	inner.SetEvictHook(func(_ uint64, r obs.Reason) { hookReasons = append(hookReasons, r) })
 	kv := NewKV(inner, 1)
-	key := []byte("big")
-	val := make([]byte, 500) // cost 3+500+64 = 567 > 500 threshold
-	kv.Set(key, val, 0)
-	if _, _, _, ok := kv.Get(nil, key); ok {
-		t.Fatal("oversized first store served")
+	big, bigVal := []byte("big"), make([]byte, 1200) // cost 3+1200+64 = 1267 > 1000 of probation
+	kv.Set(big, bigVal, 0)
+	if v, _, _, ok := kv.Get(nil, big); !ok || len(v) != len(bigVal) {
+		t.Fatalf("first store larger than probation not served: ok=%v len=%d", ok, len(v))
 	}
-	if kv.Stats().Len != 0 || kv.Stats().ValueBytes != 0 {
-		t.Fatalf("data plane kept the rejected object: items=%d bytes=%d", kv.Stats().Len, kv.Stats().ValueBytes)
+	huge := []byte("huge")
+	kv.Set(huge, make([]byte, 9000), 0) // cost 9068 > 9000 of main
+	if _, _, _, ok := kv.Get(nil, huge); ok {
+		t.Fatal("first store larger than the main region served")
 	}
-	kv.Set(key, val, 0)
-	if v, _, _, ok := kv.Get(nil, key); !ok || len(v) != len(val) {
-		t.Fatalf("second store not served: ok=%v len=%d", ok, len(v))
+	if len(hookReasons) != 1 || hookReasons[0] != obs.ReasonSizeAdmission {
+		t.Fatalf("hook reasons = %v, want [size-admission]", hookReasons)
+	}
+	if st := kv.Stats(); st.Len != 1 || st.ValueBytes != int64(len(bigVal)) || st.UsedBytes != EntryCost(len(big), len(bigVal)) {
+		t.Fatalf("data plane kept the refused object: items=%d value bytes=%d used=%d", st.Len, st.ValueBytes, st.UsedBytes)
 	}
 	small := []byte("small")
 	kv.Set(small, []byte("v"), 0)

@@ -12,6 +12,7 @@ import (
 	_ "repro/internal/policy/all"
 	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
+	"repro/internal/policy/qd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -36,8 +37,16 @@ const (
 
 // diffSize is key k's cost in the byte-capped legs: at least the 73 bytes
 // a KV object with an 8-byte key and a one-byte value costs, so no leg runs
-// out of index slots before it runs out of bytes.
-func diffSize(k uint64) uint32 { return 73 + uint32(hash(k)%1000) }
+// out of index slots before it runs out of bytes. One key in 64 costs over
+// 15000 bytes: more than half of probation in a one-shard cache (30000
+// bytes), more than all of it in a 16-shard one (1875), and less than a
+// 16-shard main region (16875).
+func diffSize(k uint64) uint32 {
+	if (hash(k)>>32)%64 == 0 {
+		return 15001 + uint32(hash(k)%1000)
+	}
+	return 73 + uint32(hash(k)%1000)
+}
 
 // diffLeg is one cache shape: the shard count and the capacity mode.
 type diffLeg struct {
@@ -110,7 +119,7 @@ func kvEvictions(t *testing.T, policy string, leg diffLeg, keys []uint64) []uint
 	}
 	kv := NewKV(c, 1)
 	var key [8]byte
-	value := make([]byte, 1100)
+	value := make([]byte, 16000)
 	for _, k := range keys {
 		binary.BigEndian.PutUint64(key[:], k)
 		if _, _, _, ok := kv.GetDigest(nil, key[:], k); !ok {
@@ -182,9 +191,12 @@ func TestEvictionSequenceMatchesReference(t *testing.T) {
 			return clock.New(b, 2)
 		}, all},
 		{"sieve", func(b int, _ bool) core.Policy { return core.MustNew("sieve", b) }, entries},
-		// Under a byte cap the layers ghost a large first touch
-		// differently (evict.Config.GhostLarge).
-		{"qdlp", func(b int, _ bool) core.Policy { return core.MustNew("qd-lp-fifo", b) }, entries},
+		{"qdlp", func(b int, bytes bool) core.Policy {
+			if bytes {
+				return qd.NewBytes(b, qd.Options{}, 2)
+			}
+			return core.MustNew("qd-lp-fifo", b)
+		}, all},
 	} {
 		for name, keys := range traces {
 			for _, leg := range tc.legs {

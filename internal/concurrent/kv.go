@@ -290,7 +290,7 @@ func (kv *KV) Set(key, value []byte, flags uint32) uint64 {
 // to at least 64 B and to what the Go allocator hands out for that size
 // (see pool.go); Stats reports their sum as BufferBytes. Slab nodes and
 // index cells come on top (see EntryOverhead). A policy that refuses the
-// object (size-aware admission, or no room at all) recycles it and stores
+// object, too large for the region it would enter, recycles it and stores
 // nothing.
 func (kv *KV) SetDigest(key, value []byte, flags uint32, id uint64, expireAt int64) uint64 {
 	// The cas token lives in a local: once set returns a concurrent

@@ -157,8 +157,7 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 // FIFO-Reinsertion "only needs to update a Boolean field upon the first
 // request to a cached object without locking" (§3), and QD-LP-FIFO needs
 // "at most one metadata update on a cache hit" (§4). A qdlp shard needs
-// room for both regions; under a byte cap it ghosts a first touch larger
-// than half of probation (evict.Config.GhostLarge).
+// room for both regions.
 func build(policy string, cfg config) (Cache, error) {
 	rule, bits, min := evict.CLOCK, cfg.clockBits, cfg.minShard
 	switch policy {

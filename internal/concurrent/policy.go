@@ -67,9 +67,10 @@ type shard struct {
 	// bufferBytes what holds it (sum of its objects' buffer capacities).
 	valueBytes  int64
 	bufferBytes int64
-	// stats ends the shard at 256 bytes, a whole number of cache lines
+	stats       opStats
+	// _ ends the shard at 256 bytes, a whole number of cache lines
 	// (TestShardPadding), which limits false sharing between shards.
-	stats opStats
+	_ [8]byte
 }
 
 // base is the Cache of every policy: the shards, a budget in cost units,
@@ -101,8 +102,7 @@ func (b *base) shared() *base { return b }
 // remainder units go to the first shards, the per-shard budgets sum to
 // cfg.max, and no shard gets less than min. Each shard's engine runs rule
 // with bits-bit counters; QDLP's takes the paper's sizing (probation a
-// tenth of the shard, a ghost as large as the main region) and the
-// server's size-aware admission (evict.Config.GhostLarge).
+// tenth of the shard, a ghost as large as the main region).
 func newBase(name string, cfg config, min int64, rule evict.Rule, bits int) (*base, error) {
 	n := int64(shardCount(cfg.shards))
 	if cfg.max < n*min {
@@ -126,7 +126,7 @@ func newBase(name string, cfg config, min int64, rule evict.Rule, bits int) (*ba
 		s.b = b
 		s.Init(evict.Config{
 			Rule: rule, Budget: per, Bytes: cfg.byBytes, Bits: bits, MinCost: minCost,
-			ProbationFrac: 0.1, GhostFactor: 1, MinRegion: cfg.minRegion, GhostLarge: true,
+			ProbationFrac: 0.1, GhostFactor: 1, MinRegion: cfg.minRegion,
 		}, s)
 	}
 	return b, nil
@@ -234,9 +234,8 @@ func (b *base) Set(key, value uint64) { b.set(key, value, entry{}) }
 // set stores value, with e as its object under a KV, in one exclusive
 // section: an overwrite re-charges the resident slot, a miss asks the
 // engine to admit the key (evicting as its rule says). An object the
-// engine refuses — no room for it at all, or (QDLP under a byte cap) too
-// large for probation on its first touch — is recycled, and counted as an
-// eviction for size.
+// engine refuses, too large for the region it would enter, is recycled
+// and counted as an eviction for size.
 func (b *base) set(key, value uint64, e entry) {
 	s := b.shard(key)
 	s.mu.Lock()
@@ -257,20 +256,17 @@ func (b *base) set(key, value uint64, e entry) {
 		b.rec.Record(obs.Event{Key: key, Kind: obs.EvGhostReadmit})
 	}
 	n := s.Admit(key, ghost, value)
-	switch v := s.X.Value(n); {
-	case n == 0:
+	if n == 0 {
 		e.free()
 		b.evicted(s, key, obs.EvEvict, obs.ReasonSizeAdmission)
-	case v.Where == evict.InGhost:
-		e.free()
-		b.evicted(s, key, obs.EvDemoteGhost, obs.ReasonSizeAdmission)
-	default:
-		v.P = payload{epoch: s.epoch, e: e}
-		s.stats.usedBytes += int64(value)
-		s.attach(n, v)
-		if ghost == 0 {
-			b.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
-		}
+		return
+	}
+	v := s.X.Value(n)
+	v.P = payload{epoch: s.epoch, e: e}
+	s.stats.usedBytes += int64(value)
+	s.attach(n, v)
+	if ghost == 0 {
+		b.rec.Record(obs.Event{Key: key, Kind: obs.EvAdmit})
 	}
 }
 

@@ -13,9 +13,6 @@
 // eviction means: the Engine tells a Sink of each victim and each spared
 // object while the slot still holds its key and payload, and the caller
 // maps them to its own events. Every list's front is its newest slot.
-//
-// One decision differs between the layers, Config.GhostLarge: what QDLP
-// does with a first touch too large for probation under a byte budget.
 package evict
 
 import (
@@ -81,13 +78,11 @@ type Sink interface {
 }
 
 // An Outer is a QDLP main cache outside the Engine's index (Quick Demotion
-// in front of ARC, LIRS, …). A Sink that is also an Outer is handed what
-// the Engine would place in its CLOCK region (promoted: from probation, so
-// it never left the cache), and MainLen bounds the ghost under a byte
-// budget.
+// in front of ARC, LIRS, …) under an entry budget. A Sink that is also an
+// Outer is handed what the Engine would place in its CLOCK region
+// (promoted: from probation, so it never left the cache).
 type Outer interface {
 	AdmitMain(key, size uint64, promoted bool)
-	MainLen() int
 }
 
 // Config sizes an Engine.
@@ -107,21 +102,6 @@ type Config struct {
 	ProbationFrac float64
 	GhostFactor   float64
 	MinRegion     int64
-	// GhostLarge is what QDLP does, under a byte budget, with a first
-	// touch too large for probation — the one decision the layers make
-	// differently:
-	//   - false, the simulator: an object larger than all of probation
-	//     goes straight to the main region (refused if too large for that
-	//     too) rather than flushing probation for one object;
-	//     testdata/golden_sized.txt in internal/policy/all pins it.
-	//   - true, the server: an object larger than half of probation is
-	//     ghosted without ever holding bytes, so that one large one-hit
-	//     object cannot flush many small hot ones, and a second touch
-	//     earns it the main region; the benchmark's lib-churn and
-	//     served-pipeline hit ratios pin it.
-	// Under an entry budget no object is too large while probation is not
-	// empty.
-	GhostLarge bool
 }
 
 // Engine is one cache's eviction state. Not safe for concurrent use.
@@ -134,12 +114,10 @@ type Engine[P any] struct {
 	hand     int32 // SIEVE: where the next sweep starts; 0 = from the oldest
 	rule     Rule
 	bytes    bool
-	toGhost  bool // QDLP: GhostLarge
 	outer    bool // QDLP: the sink is an Outer, which holds the main cache
 	maxFreq  uint32
-	slots    int   // the index's bound
-	ghostMin int   // QDLP: the ghost's bound, its floor under a byte budget
-	admitMax int64 // QDLP: a first touch costing more is too large for probation
+	slots    int // the index's bound
+	ghostMin int // QDLP: the ghost's bound, its floor under a byte budget
 	sink     Sink
 }
 
@@ -155,15 +133,11 @@ func (e *Engine[P]) Init(cfg Config, sink Sink) {
 		_, e.outer = sink.(Outer)
 		e.Prob.Max = max(min(max(int64(float64(cfg.Budget)*cfg.ProbationFrac), cfg.MinRegion), cfg.Budget-cfg.MinRegion), 0)
 		e.Main.Max = cfg.Budget - e.Prob.Max
-		e.admitMax = e.Prob.Max
 		e.ghostMin = max(int(float64(e.Main.Max)*cfg.GhostFactor), 0)
 		ghost = int64(e.ghostMin)
 		if cfg.Bytes {
 			e.ghostMin = 16
 			ghost = max(e.Main.Max/cfg.MinCost, 16)
-			if e.toGhost = cfg.GhostLarge; e.toGhost {
-				e.admitMax = e.Prob.Max / 2
-			}
 		}
 	}
 	e.slots = int(min(cfg.Budget/cfg.MinCost+ghost, 1<<30-1))
@@ -198,8 +172,7 @@ func (e *Engine[P]) region(v *Slot[P]) *Region {
 // quick-demotion mistake: readmitted to the main region), else 0. It
 // returns the key's slot, with a zero payload, or 0 when the index holds
 // nothing for the key: the object is too large for the cache (a ghost is
-// then forgotten), or an Outer took it. Under GhostLarge the slot may be a
-// ghost.
+// then forgotten), or an Outer took it.
 func (e *Engine[P]) Admit(key uint64, ghost int32, size uint64) int32 {
 	c := e.cost(size)
 	if e.rule == QDLP {
@@ -216,25 +189,17 @@ func (e *Engine[P]) Admit(key uint64, ghost int32, size uint64) int32 {
 }
 
 func (e *Engine[P]) admitQDLP(key uint64, ghost int32, size uint64, c int64) int32 {
-	switch {
-	case ghost != 0:
-		if c > e.Main.Max {
+	// A ghost, or a first touch costing more than probation (rather than
+	// flushing probation for one object), goes to the main region; one
+	// costing more than that is refused.
+	if ghost != 0 || c > e.Prob.Max {
+		if c <= e.Main.Max {
+			return e.toMain(key, ghost, &e.Ghost, size, false)
+		}
+		if ghost != 0 {
 			e.X.Remove(&e.Ghost, ghost)
-			return 0
 		}
-		return e.toMain(key, ghost, &e.Ghost, size, false)
-	case c > e.admitMax && e.toGhost:
-		e.ghostRoom(e.GhostLimit())
-		e.slotRoom()
-		n := e.X.Insert(key)
-		e.X.Value(n).Where = InGhost
-		e.X.PushFront(&e.Ghost, n)
-		return n
-	case c > e.admitMax:
-		if c > e.Main.Max {
-			return 0
-		}
-		return e.toMain(key, 0, nil, size, false)
+		return 0
 	}
 	for e.Prob.Used+c > e.Prob.Max {
 		e.overflow()
@@ -392,11 +357,8 @@ func (e *Engine[P]) toMain(key uint64, n int32, from *slab.List, size uint64, pr
 // many as the main region holds objects right now, at least 16, under a
 // byte budget, where bytes fix no entry count.
 func (e *Engine[P]) GhostLimit() int {
-	switch {
-	case !e.bytes:
+	if !e.bytes {
 		return e.ghostMin
-	case e.outer:
-		return max(e.sink.(Outer).MainLen(), e.ghostMin)
 	}
 	return max(e.Main.List.Len(), e.ghostMin)
 }

@@ -110,10 +110,10 @@ const (
 	ReasonExpired
 	// ReasonDeleted is an explicit client delete.
 	ReasonDeleted
-	// ReasonSizeAdmission is a size-aware admission rejection: the object
-	// was larger than the configured fraction of the probation byte budget,
-	// so it was never admitted past probation on first touch (quick
-	// demotion applied to bytes).
+	// ReasonSizeAdmission is a size-aware removal: the object cost more
+	// than the region it would enter (the main region, for a QDLP first
+	// touch costing more than probation), so it was refused, or, once
+	// resized or promoted, evicted.
 	ReasonSizeAdmission
 )
 

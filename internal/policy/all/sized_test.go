@@ -32,7 +32,7 @@ var sizedPolicies = []struct {
 	{"lru", func(c int) byteCapped { return lru.NewBytes(c) }},
 	{"gdsf", func(c int) byteCapped { return gdsf.NewBytes(c) }},
 	{"qdlp", func(c int) byteCapped {
-		return qd.NewBytes(c, qd.Options{}, func(m int) core.Policy { return clock.NewBytes(m, 2) })
+		return qd.NewBytes(c, qd.Options{}, 2)
 	}},
 }
 

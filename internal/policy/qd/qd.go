@@ -17,8 +17,8 @@
 // paper's QD-X construction; §4 reports it reduces the state-of-the-art
 // miss ratios by 2.7% on average over 5307 traces, with maxima near 60%.
 // Probation, the ghost and their decisions are internal/evict's; in front
-// of CLOCK (QD-LP-FIFO, see NewLPFIFO) the main region lives in the same
-// index too.
+// of CLOCK (QD-LP-FIFO, see NewLPFIFO and NewBytes) the main region lives
+// in the same index too.
 package qd
 
 import (
@@ -100,22 +100,21 @@ func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Pol
 	return build(capacity, false, opts, mainNew, 1)
 }
 
-// NewBytes is New with capacities in bytes: an object is charged its
-// Request.Size in the probationary FIFO, mainNew must return a policy that
-// charges it the same way (clock.NewBytes, lru.NewBytes), and the ghost,
-// for which bytes fix no number of entries, holds as many keys as the main
-// cache holds objects at the time (GhostFactor does not apply). An object
-// too large for the probationary FIFO goes straight to the main cache rather
-// than flushing the whole of probation; one too large for either is never
-// admitted.
+// NewBytes is NewLPFIFO with capacities in bytes: an object is charged its
+// Request.Size, and the ghost, for which bytes fix no number of entries,
+// holds as many keys as the main region holds objects at the time, at
+// least 16 (GhostFactor does not apply). A first touch costing more than
+// the probationary FIFO goes straight to the main region rather than
+// flushing the whole of probation; one costing more than the main region is
+// never admitted.
 //
 // Size-aware Quick Demotion inherits a pleasant property: a large
 // unrequested object occupies the probationary queue for fewer insertions
 // than a small one (it is a larger share of the queue), so the filter is
 // naturally harsher on big one-hit wonders — the objects that waste the
 // most bytes.
-func NewBytes(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Policy {
-	return build(capacity, true, opts, mainNew, 1)
+func NewBytes(capacity int, opts Options, bits int) *Policy {
+	return build(capacity, true, opts, nil, bits)
 }
 
 // NewLPFIFO returns QD-LP-FIFO: Quick Demotion in front of a bits-bit
@@ -165,10 +164,9 @@ func build(capacity int, byBytes bool, opts Options, mainNew func(mainCap int) c
 func (p *Policy) Name() string { return p.name }
 
 // Len implements core.Policy.
-func (p *Policy) Len() int { return p.E.Len() + p.MainLen() }
+func (p *Policy) Len() int { return p.E.Len() + p.mainLen() }
 
-// MainLen implements evict.Outer: the outer main policy's population.
-func (p *Policy) MainLen() int {
+func (p *Policy) mainLen() int {
 	if p.main == nil {
 		return 0
 	}
@@ -177,13 +175,7 @@ func (p *Policy) MainLen() int {
 
 // Used returns the cost of the resident objects: their number, or under a
 // byte cap their total size.
-func (p *Policy) Used() int {
-	used := p.Adapter.Used()
-	if m, ok := p.main.(interface{ Used() int }); ok {
-		return used + m.Used()
-	}
-	return used + p.MainLen()
-}
+func (p *Policy) Used() int { return p.Adapter.Used() + p.mainLen() }
 
 // Contains implements core.Policy.
 func (p *Policy) Contains(key uint64) bool {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evict"
 	"repro/internal/policy/arc"
-	"repro/internal/policy/clock"
 	"repro/internal/policy/lru"
 	"repro/internal/policy/policytest"
 	"repro/internal/trace"
@@ -20,6 +19,12 @@ func newQDLRU(c int) *Policy {
 func inGhost(p *Policy, key uint64) bool {
 	s := p.E.X.Find(key)
 	return s != 0 && p.E.X.Value(s).Where == evict.InGhost
+}
+
+// inMain reports whether key is resident in the engine's own main region.
+func inMain(p *Policy, key uint64) bool {
+	s := p.E.X.Find(key)
+	return s != 0 && p.E.X.Value(s).Where == evict.InMain
 }
 
 func TestConformanceOverLRU(t *testing.T) {
@@ -213,18 +218,17 @@ func TestCostSeams(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewBytes(1000, Options{}, func(mainCap int) core.Policy { return lru.NewBytes(mainCap) })
+			p := NewBytes(1000, Options{}, 2)
 			for i := range tc.reqs {
 				tc.reqs[i].Time = int64(i)
 				p.Access(&tc.reqs[i])
 			}
-			main := p.main.(*lru.Policy)
-			if main.Contains(tc.key) != tc.inMain || p.Contains(tc.key) != tc.resident {
+			if inMain(p, tc.key) != tc.inMain || p.Contains(tc.key) != tc.resident {
 				t.Errorf("key %d: in main %v, resident %v; want %v, %v",
-					tc.key, main.Contains(tc.key), p.Contains(tc.key), tc.inMain, tc.resident)
+					tc.key, inMain(p, tc.key), p.Contains(tc.key), tc.inMain, tc.resident)
 			}
-			if main.Used() != tc.mainUsed || p.Used() != tc.used {
-				t.Errorf("main holds %d bytes, the cache %d; want %d, %d", main.Used(), p.Used(), tc.mainUsed, tc.used)
+			if int(p.E.Main.Used) != tc.mainUsed || p.Used() != tc.used {
+				t.Errorf("main holds %d bytes, the cache %d; want %d, %d", p.E.Main.Used, p.Used(), tc.mainUsed, tc.used)
 			}
 		})
 	}
@@ -232,9 +236,7 @@ func TestCostSeams(t *testing.T) {
 
 // newSizeQDLP is size-aware QD-LP-FIFO: a byte-capped probation FIFO in
 // front of a byte-capped 2-bit CLOCK.
-func newSizeQDLP(capacity int) *Policy {
-	return NewBytes(capacity, Options{}, func(mainCap int) core.Policy { return clock.NewBytes(mainCap, 2) })
-}
+func newSizeQDLP(capacity int) *Policy { return NewBytes(capacity, Options{}, 2) }
 
 // Under a byte cap too, probation filters one-hit wonders before they reach
 // main.
@@ -244,8 +246,8 @@ func TestQDLPFiltersOneHitWonders(t *testing.T) {
 		r := trace.Request{Key: uint64(i), Size: 256, Time: int64(i)}
 		p.Access(&r)
 	}
-	if main := p.main; main.Len() != 0 {
-		t.Fatalf("%d one-hit wonders reached the main cache", main.Len())
+	if n := p.E.Main.List.Len(); n != 0 {
+		t.Fatalf("%d one-hit wonders reached the main cache", n)
 	}
 }
 
@@ -261,7 +263,7 @@ func TestQDLPGhostReadmission(t *testing.T) {
 		reqs[i].Time = int64(i)
 		p.Access(&reqs[i])
 	}
-	if !p.main.Contains(1) {
+	if !inMain(p, 1) {
 		t.Fatal("ghost hit not admitted into main")
 	}
 }
