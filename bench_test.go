@@ -183,8 +183,8 @@ func BenchmarkHitPath(b *testing.B) {
 	}
 }
 
-// BenchmarkMRC measures the exact and SHARDS-sampled miss-ratio-curve
-// construction (the tooling behind size sweeps).
+// BenchmarkMRC measures the exact LRU miss-ratio-curve construction and the
+// SHARDS-sampled sweep of LRU miniatures (the tooling behind size sweeps).
 func BenchmarkMRC(b *testing.B) {
 	tr := workload.TwitterLike().Generate(1, 10000, 150000)
 	sizes := mrc.LogSizes(16, 4000, 12)
@@ -200,8 +200,8 @@ func BenchmarkMRC(b *testing.B) {
 	b.Run("shards-10pct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := mrc.LRUSampled(tr.Requests, append([]int(nil), sizes...), 0.1)
-			if len(c.Ratios) != len(sizes) {
+			c, err := mrc.Policy(tr, "lru", append([]int(nil), sizes...), 0.1, 0)
+			if err != nil || len(c.Ratios) != len(sizes) {
 				b.Fatal("incomplete curve")
 			}
 		}

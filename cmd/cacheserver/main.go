@@ -69,7 +69,6 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text|json")
 		mrcSample   = flag.Float64("mrc-sample", 0, "SHARDS spatial sampling rate for the online miss-ratio curve (/debug/mrc, stats mrc, cache_mrc_* metrics); 0 = off, try 0.01")
-		mrcMaxKeys  = flag.Int("mrc-max-keys", 1<<16, "max sampled keys the online miss-ratio estimator tracks")
 		events      = flag.Int("events", 0, "retain this many cache lifecycle events for /debug/events and /debug/trace (0 = off)")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth request per connection as a span (0 = off)")
 		slowReq     = flag.Duration("slow-request", 100*time.Millisecond, "always record requests slower than this as spans (0 = off; only active with tracing or -events)")
@@ -127,10 +126,11 @@ func main() {
 		}
 		store = router
 	} else {
-		opts := []concurrent.Option{concurrent.WithShards(*shards)}
+		var policyOpts []concurrent.Option
 		if *clockBits != 0 {
-			opts = append(opts, concurrent.WithClockBits(*clockBits))
+			policyOpts = append(policyOpts, concurrent.WithClockBits(*clockBits))
 		}
+		opts := append([]concurrent.Option{concurrent.WithShards(*shards)}, policyOpts...)
 		if *events > 0 {
 			// One ring per policy shard keeps recording contention-free; the
 			// requested retention is split across them.
@@ -165,13 +165,16 @@ func main() {
 		if *mrcSample > 0 {
 			// Live miss-ratio analytics: the read path offers sampled key
 			// digests into lock-free staging rings; the estimator drains
-			// them and republishes its curve once a second.
+			// them through one-shard miniatures of the served policy and
+			// republishes its curve once a second.
 			smp := obs.NewKeySampler(*mrcSample, *shards, 1024)
 			kv.SetSampler(smp)
 			online, err := mrc.NewOnline(mrc.OnlineConfig{
-				Rate:    *mrcSample,
-				MaxKeys: *mrcMaxKeys,
-				Source:  smp,
+				Rate: *mrcSample,
+				Cache: func(c int) (concurrent.Cache, error) {
+					return concurrent.New(*cache, c, append([]concurrent.Option{concurrent.WithShards(1)}, policyOpts...)...)
+				},
+				Source: smp,
 			})
 			if err != nil {
 				fatal("bad -mrc-sample", err)

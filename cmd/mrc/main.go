@@ -1,11 +1,11 @@
 // Command mrc prints miss-ratio curves: exact single-pass LRU (Mattson
-// stack distances), SHARDS-sampled LRU, and simulated curves for any
-// registered policy.
+// stack distances) and simulated curves for any registered policy, which
+// -sample turns into SHARDS-sampled miniature simulations.
 //
 // Usage:
 //
 //	mrc -family msr -policies lru,qd-lp-fifo,arc -points 10
-//	mrc -trace msr.trc -policies lru -sample 0.05
+//	mrc -trace msr.trc -policies lru,qd-lp-fifo -sample 0.05
 package main
 
 import (
@@ -31,9 +31,9 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator seed")
 		objects   = flag.Int("objects", 20000, "catalog objects for synthetic traces")
 		requests  = flag.Int("requests", 400000, "requests for synthetic traces")
-		policies  = flag.String("policies", "lru,fifo,qd-lp-fifo", "comma-separated policies ('lru' uses the exact stack algorithm)")
+		policies  = flag.String("policies", "lru,fifo,qd-lp-fifo", "comma-separated policies ('lru' uses the exact stack algorithm unless sampled)")
 		points    = flag.Int("points", 10, "number of log-spaced cache sizes")
-		sample    = flag.Float64("sample", 1.0, "SHARDS sampling rate for the LRU curve (1 = exact)")
+		sample    = flag.Float64("sample", 1.0, "SHARDS sampling rate in (0, 1]: each curve simulates miniatures over the sampled keys (1 = every key)")
 	)
 	flag.Parse()
 
@@ -48,18 +48,15 @@ func main() {
 	var curves []mrc.Curve
 	for _, pol := range strings.Split(*policies, ",") {
 		pol = strings.TrimSpace(pol)
-		switch {
-		case pol == "lru" && *sample >= 1:
+		if pol == "lru" && *sample == 1 {
 			curves = append(curves, mrc.LRU(tr.Requests, append([]int(nil), sizes...)))
-		case pol == "lru":
-			curves = append(curves, mrc.LRUSampled(tr.Requests, append([]int(nil), sizes...), *sample))
-		default:
-			c, err := mrc.Policy(tr, pol, append([]int(nil), sizes...), 0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			curves = append(curves, c)
+			continue
 		}
+		c, err := mrc.Policy(tr, pol, append([]int(nil), sizes...), *sample, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		curves = append(curves, c)
 	}
 
 	header := []string{"size"}

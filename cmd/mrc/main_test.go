@@ -47,3 +47,13 @@ func runMain(t *testing.T, args ...string) string {
 	}
 	return string(out)
 }
+
+// -sample turns every policy's curve, lru included, into SHARDS-sampled
+// miniature simulations, labelled as such.
+func TestSampledCurves(t *testing.T) {
+	out := runMain(t, "-objects", "1000", "-requests", "10000", "-points", "3", "-policies", "lru,qd-lp-fifo", "-sample", "0.5")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3+3 || strings.Join(strings.Fields(lines[1]), " ") != "size lru~shards qd-lp-fifo~shards" {
+		t.Fatalf("table shape:\n%s", out)
+	}
+}

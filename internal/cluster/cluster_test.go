@@ -23,15 +23,26 @@ import (
 // still let Cleanup run.
 func startBackend(t *testing.T) (addr string, stop func()) {
 	t.Helper()
+	return startBackendWith(t, nil)
+}
+
+// startBackendWith is startBackend with the node's config, whose Store is
+// a *concurrent.KV, passed through mutate first when it is non-nil.
+func startBackendWith(t *testing.T, mutate func(*server.Config)) (addr string, stop func()) {
+	t.Helper()
 	inner, err := concurrent.New("qdlp", 8192, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		Store:       concurrent.NewKV(inner, 8),
 		MaxConns:    64,
 		IdleTimeout: time.Minute,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func parseMRCStats(addr string, st map[string]string) (NodeMRC, bool) {
 		return n, false
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].size < pts[j].size })
-	n.Curve = mrc.Curve{Policy: "lru~shards-online"}
+	n.Curve = mrc.Curve{Policy: "shards-online"}
 	for _, p := range pts {
 		n.Curve.Sizes = append(n.Curve.Sizes, p.size)
 		n.Curve.Ratios = append(n.Curve.Ratios, p.miss)
@@ -133,7 +133,7 @@ func mergeFleetMRC(nodes []NodeMRC, points int) FleetMRC {
 		points = 32
 	}
 	sizes := mrc.LogSizes(lo, hi, points)
-	f.Curve = mrc.Curve{Policy: "lru~shards-fleet", Sizes: sizes}
+	f.Curve = mrc.Curve{Policy: "shards-fleet", Sizes: sizes}
 	missAt := func(fleetSize float64) float64 {
 		var miss float64
 		for i, n := range nodes {

@@ -1,10 +1,17 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http/httptest"
+	"regexp"
 	"testing"
 
+	"repro/internal/concurrent"
 	"repro/internal/mrc"
+	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 func mrcStatsFixture(capacity string) map[string]string {
@@ -117,6 +124,85 @@ func TestMergeFleetMRCScaleLabelsComplete(t *testing.T) {
 	for _, label := range mrc.ScaleLabels() {
 		if _, ok := f.PredictedHit[label]; !ok {
 			t.Fatalf("merged rollup missing scale %s: %v", label, f.PredictedHit)
+		}
+	}
+}
+
+// withMRC gives a backend the served estimator: its KV offers every read
+// to a rate-1 sampler that a QDLP-miniature estimator drains.
+func withMRC(t *testing.T) func(*server.Config) {
+	return func(cfg *server.Config) {
+		smp := obs.NewKeySampler(1, 1, 1<<12)
+		cfg.Store.(*concurrent.KV).SetSampler(smp)
+		o, err := mrc.NewOnline(mrc.OnlineConfig{Rate: 1, Source: smp, Cache: func(c int) (concurrent.Cache, error) {
+			return concurrent.New("qdlp", c, concurrent.WithShards(1))
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MRC = o
+	}
+}
+
+// The router's /cluster page rolls up two MRC-enabled backends: the text
+// form carries one `mrc node=` line per backend and the `mrc fleet` line,
+// and the JSON form's curves carry the policy-free labels.
+func TestRouterAdminFleetMRC(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		addrs[i], _ = startBackendWith(t, withMRC(t))
+		c := dialNode(t, addrs[i])
+		for k := 0; k < 3000; k++ {
+			key := []byte(fmt.Sprintf("k%d", k%1000))
+			if _, found, err := c.Get(key); err != nil {
+				t.Fatal(err)
+			} else if !found {
+				if err := c.Set(key, 0, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	router, err := NewRouter(RouterConfig{Nodes: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	get := func(target string) string {
+		rr := httptest.NewRecorder()
+		router.AdminHandler().ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
+		if rr.Code != 200 {
+			t.Fatalf("GET %s: %d %q", target, rr.Code, rr.Body.String())
+		}
+		return rr.Body.String()
+	}
+
+	page := get("/cluster")
+	hits := `hit_0\.5x=[01]\.\d{4} hit_1x=[01]\.\d{4} hit_2x=[01]\.\d{4} hit_4x=[01]\.\d{4}`
+	for _, addr := range addrs {
+		node := regexp.MustCompile(`(?m)^mrc node=` + regexp.QuoteMeta(addr) +
+			` rate=1\.0000 tracked_keys=1000 capacity_items=8192 ` + hits + ` marginal_hit_per_mib=-?\d+\.\d{6}$`)
+		if !node.MatchString(page) {
+			t.Errorf("/cluster has no mrc line for %s:\n%s", addr, page)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^mrc fleet nodes=2 capacity_items=16384 ` + hits + `$`).MatchString(page) {
+		t.Errorf("/cluster has no mrc fleet line:\n%s", page)
+	}
+
+	var p clusterPage
+	if err := json.Unmarshal([]byte(get("/cluster?format=json")), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.MRC == nil || len(p.MRC.Nodes) != 2 {
+		t.Fatalf("JSON page carries no two-node rollup: %+v", p.MRC)
+	}
+	if got := p.MRC.Curve.Policy; got != "shards-fleet" {
+		t.Errorf("fleet curve label %q, want shards-fleet", got)
+	}
+	for _, n := range p.MRC.Nodes {
+		if n.Curve.Policy != "shards-online" {
+			t.Errorf("node %s curve label %q, want shards-online", n.Addr, n.Curve.Policy)
 		}
 	}
 }

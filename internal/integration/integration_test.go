@@ -104,7 +104,7 @@ func TestMRCAgainstSweep(t *testing.T) {
 	tr := workload.WikiCDNLike().Generate(2, 3000, 60000)
 	sizes := []int{30, 300, 1500}
 	exact := mrc.LRU(tr.Requests, append([]int(nil), sizes...))
-	sweep, err := mrc.Policy(tr, "lru", append([]int(nil), sizes...), 2)
+	sweep, err := mrc.Policy(tr, "lru", append([]int(nil), sizes...), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestMRCAgainstSweep(t *testing.T) {
 			t.Fatalf("size %d: exact %.6f vs sweep %.6f", sizes[i], exact.Ratios[i], sweep.Ratios[i])
 		}
 	}
-	belady, err := mrc.Policy(tr, "belady", append([]int(nil), sizes...), 2)
+	belady, err := mrc.Policy(tr, "belady", append([]int(nil), sizes...), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := mrc.Policy(tr, "fifo", append([]int(nil), sizes...), 2)
+	fifo, err := mrc.Policy(tr, "fifo", append([]int(nil), sizes...), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,15 @@
 // For LRU the curve is exact and single-pass: the classic reuse-distance
 // algorithm (Mattson's stack algorithm implemented with a Fenwick tree,
 // O(n log n)) yields LRU's miss ratio at every cache size simultaneously.
-// A SHARDS-style spatially-hashed sampler (Waldspurger et al., FAST'15 —
-// cited by the paper) trades exactness for constant-fraction work. For
-// non-stack policies (FIFO, CLOCK, QD-LP-FIFO, ...) the curve comes from a
-// simulation sweep over sizes.
+// For any policy the curve comes from a simulation sweep over sizes, and
+// one mechanism makes that cheap, offline (Policy) and online (Online):
+// SHARDS spatial sampling (Waldspurger et al., FAST'15 — cited by the
+// paper) replayed through miniature simulations of the policy itself
+// (Waldspurger et al., ATC'17).
 package mrc
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -128,64 +130,50 @@ func LRU(reqs []trace.Request, sizes []int) Curve {
 	return curve
 }
 
-// LRUSampled computes an approximate LRU curve using SHARDS spatial
-// sampling at the given rate (0 < rate <= 1): only keys whose hash falls
-// under the rate are tracked, and distances scale by 1/rate.
-func LRUSampled(reqs []trace.Request, sizes []int, rate float64) Curve {
-	if rate >= 1 {
-		return LRU(reqs, sizes)
-	}
-	threshold := uint64(rate * (1 << 32))
-	sampled := make([]trace.Request, 0, int(float64(len(reqs))*rate*1.2)+16)
-	for i := range reqs {
-		if sampleHash(reqs[i].Key)&0xffffffff < threshold {
-			sampled = append(sampled, reqs[i])
-		}
-	}
-	if len(sampled) == 0 {
-		return Curve{Policy: "lru~shards", Sizes: append([]int(nil), sizes...), Ratios: ones(len(sizes))}
-	}
-	// Compute the curve in the sampled (scaled-down) size domain.
-	scaled := make([]int, len(sizes))
-	for i, s := range sizes {
-		scaled[i] = int(float64(s) * rate)
-	}
-	c := LRU(sampled, scaled)
-	c.Policy = "lru~shards"
-	c.Sizes = append([]int(nil), sizes...)
-	sort.Ints(c.Sizes)
-	return c
-}
-
-func ones(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
-// sampleHash delegates to the canonical spatial-sampling hash in obs, so
-// offline curves and the live estimator agree on the sample set exactly.
-func sampleHash(x uint64) uint64 { return obs.SampleHash(x) }
-
 // Policy computes a miss-ratio curve for any registered policy by
-// simulating each size (parallelized through the sweep runner).
-func Policy(tr *trace.Trace, policy string, sizes []int, workers int) (Curve, error) {
+// simulating each size (parallelized through the sweep runner). Below rate
+// 1 it samples SHARDS-style and simulates miniatures: only requests whose
+// key obs.SampleHash puts under rate are replayed, and size s runs as a
+// cache of max(1, round(s·rate)) objects. The sample is the one the live
+// estimator keeps, so offline and online curves agree on it exactly.
+func Policy(tr *trace.Trace, policy string, sizes []int, rate float64, workers int) (Curve, error) {
+	if rate <= 0 || rate > 1 {
+		return Curve{}, fmt.Errorf("mrc: sample rate %v outside (0, 1]", rate)
+	}
 	sort.Ints(sizes)
+	c := Curve{Policy: policy, Sizes: append([]int(nil), sizes...)}
+	if rate < 1 {
+		tr = sample(tr, rate)
+		c.Policy += "~shards"
+	}
 	jobs := make([]sim.Job, len(sizes))
 	for i, s := range sizes {
+		if rate < 1 {
+			s = max(1, int(math.Round(float64(s)*rate)))
+		}
 		jobs[i] = sim.Job{Trace: tr, Policy: policy, Capacity: s}
 	}
 	results, err := sim.RunSweep(jobs, workers)
 	if err != nil {
 		return Curve{}, err
 	}
-	c := Curve{Policy: policy, Sizes: append([]int(nil), sizes...)}
 	for _, r := range results {
 		c.Ratios = append(c.Ratios, r.MissRatio())
 	}
 	return c, nil
+}
+
+// sample returns a copy of tr holding only the requests whose key falls
+// under the spatial sampling rate.
+func sample(tr *trace.Trace, rate float64) *trace.Trace {
+	threshold := uint64(rate * (1 << 32))
+	out := &trace.Trace{Name: tr.Name, Class: tr.Class}
+	for _, r := range tr.Requests {
+		if obs.SampleHash(r.Key)&0xffffffff < threshold {
+			out.Requests = append(out.Requests, r)
+		}
+	}
+	return out
 }
 
 // LogSizes returns n cache sizes log-spaced between lo and hi inclusive.

@@ -104,24 +104,29 @@ func TestCurveAt(t *testing.T) {
 	}
 }
 
-// SHARDS sampling approximates the exact curve within a few points.
+// SHARDS sampling with LRU miniatures approximates the exact curve within
+// a few points.
 func TestLRUSampledApproximatesExact(t *testing.T) {
 	tr := workload.TwitterLike().Generate(5, 8000, 200000)
 	sizes := LogSizes(64, 4000, 8)
 	exact := LRU(tr.Requests, append([]int(nil), sizes...))
-	approx := LRUSampled(tr.Requests, append([]int(nil), sizes...), 0.1)
+	approx, err := Policy(tr, "lru", append([]int(nil), sizes...), 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range sizes {
 		if diff := math.Abs(exact.Ratios[i] - approx.Ratios[i]); diff > 0.05 {
 			t.Fatalf("size %d: exact %.4f vs sampled %.4f (diff %.4f)",
 				sizes[i], exact.Ratios[i], approx.Ratios[i], diff)
 		}
 	}
-	if full := LRUSampled(tr.Requests, append([]int(nil), sizes...), 1.0); full.Policy != "lru" {
-		t.Fatal("rate 1 should fall back to exact")
+	full, err := Policy(tr, "lru", append([]int(nil), sizes...), 1, 0)
+	if err != nil || full.Policy != "lru" {
+		t.Fatalf("rate 1 should simulate the whole trace: %q, %v", full.Policy, err)
 	}
 }
 
-// Property: SHARDS sampling stays close to exact across seeds and rates on
+// Property: SHARDS sampling with LRU miniatures stays close to exact across seeds and rates on
 // plain Zipf traces. Rate 0.01 keeps ~10k of 1M keys, so its bound is
 // looser — the point is that accuracy degrades gracefully, not that 1% of
 // the stream reproduces the curve exactly. The skew is moderate (α=0.75)
@@ -145,8 +150,12 @@ func TestLRUSampledPropertyAcrossRates(t *testing.T) {
 			reqs[i] = trace.Request{Key: k, Size: 1, Time: int64(i)}
 		}
 		exact := LRU(reqs, append([]int(nil), sizes...))
+		tr := &trace.Trace{Requests: reqs}
 		for _, c := range cases {
-			approx := LRUSampled(reqs, append([]int(nil), sizes...), c.rate)
+			approx, err := Policy(tr, "lru", append([]int(nil), sizes...), c.rate, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range sizes {
 				if diff := math.Abs(exact.Ratios[i] - approx.Ratios[i]); diff > c.bound {
 					t.Errorf("seed %d rate %v size %d: exact %.4f vs sampled %.4f (diff %.4f > %.2f)",
@@ -159,7 +168,7 @@ func TestLRUSampledPropertyAcrossRates(t *testing.T) {
 
 func TestPolicyCurve(t *testing.T) {
 	tr := workload.TwitterLike().Generate(4, 3000, 50000)
-	curve, err := Policy(tr, "qd-lp-fifo", []int{32, 256, 1024}, 2)
+	curve, err := Policy(tr, "qd-lp-fifo", []int{32, 256, 1024}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +180,13 @@ func TestPolicyCurve(t *testing.T) {
 			t.Fatalf("qd-lp-fifo MRC increased substantially with size: %v", curve.Ratios)
 		}
 	}
-	if _, err := Policy(tr, "bogus", []int{8}, 1); err == nil {
+	if _, err := Policy(tr, "bogus", []int{8}, 1, 1); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+	for _, rate := range []float64{0, 1.5} {
+		if _, err := Policy(tr, "lru", []int{8}, rate, 1); err == nil {
+			t.Fatalf("sample rate %v accepted", rate)
+		}
 	}
 }
 

@@ -2,11 +2,12 @@ package mrc
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/obs"
 )
 
@@ -14,16 +15,10 @@ import (
 type OnlineConfig struct {
 	// Rate is the SHARDS spatial sampling rate in (0, 1]. Required.
 	Rate float64
-	// MaxKeys bounds the number of sampled keys tracked (default 1<<16).
-	// The tracked set may transiently reach 2×MaxKeys between compactions;
-	// each compaction forgets the least-recent keys beyond MaxKeys. Reuse
-	// distances beyond MaxKeys land in an overflow bucket: the curve
-	// saturates there, which only matters for cache sizes past
-	// MaxKeys/Rate real objects.
-	MaxKeys int
-	// CurvePoints is how many log-spaced sizes each published curve
-	// carries (default 32).
-	CurvePoints int
+	// Cache builds one miniature: a cache of the served policy holding
+	// capacity objects. Required; the server passes its own policy and
+	// counter width on one shard.
+	Cache func(capacity int) (concurrent.Cache, error)
 	// Source, if set, is the staging ring the drain loop consumes. The
 	// hot path Offers sampled digests there; Online pulls them out on its
 	// own goroutine. Without a Source, feed the estimator via Observe.
@@ -38,19 +33,21 @@ type OnlineSnapshot struct {
 	At time.Time
 	// Rate is the spatial sampling rate.
 	Rate float64
-	// TrackedKeys is the number of sampled keys currently tracked.
+	// TrackedKeys is the number of sampled keys the largest miniature holds.
 	TrackedKeys int
 	// SampledAccesses counts accesses that passed the spatial filter.
 	SampledAccesses int64
 	// EstimatedAccesses scales SampledAccesses back to the full stream.
 	EstimatedAccesses int64
-	// ColdMisses counts sampled first accesses (infinite reuse distance).
+	// ColdMisses counts the largest miniature's misses: first accesses,
+	// and accesses to keys it has since evicted.
 	ColdMisses int64
 	// Dropped counts staged keys lost before the drain loop saw them.
 	Dropped int64
 	// MaxSize is the largest real cache size the curve covers.
 	MaxSize int
-	// Curve is the estimated LRU miss-ratio curve (Policy "lru~shards-online").
+	// Curve is the served policy's estimated miss-ratio curve (Policy
+	// "shards-online"), one point per miniature.
 	Curve Curve
 }
 
@@ -125,11 +122,30 @@ func (sn *OnlineSnapshot) Signals(capacityItems int, bytesPerItem float64) Signa
 	return sig
 }
 
-// Online estimates the live LRU miss-ratio curve of the served key stream
-// with SHARDS spatial sampling: only keys whose hash falls under Rate are
-// tracked, reuse distances are measured in the sampled domain with the same
-// Fenwick-tree stack algorithm the offline builder uses, and curves are
-// read back at real sizes by scaling distances up by 1/Rate.
+// The miniatures' capacities in sampled objects: an octave grid from
+// minSlots to maxSlots. Below 16 sampled slots the binomial spread of the
+// sample (±1/√x relative) drowns the estimate.
+const (
+	minSlots   = 16
+	miniatures = 13
+	maxSlots   = minSlots << (miniatures - 1) // 65536
+)
+
+// miniature is one scaled-down cache of the served policy and what it
+// has seen: hits on the sampled stream, and whether it ever evicted.
+type miniature struct {
+	c       concurrent.Cache
+	hits    int64
+	evicted bool
+}
+
+// Online estimates the live miss-ratio curve of the served key stream with
+// SHARDS spatial sampling and miniature simulation (Waldspurger et al.,
+// ATC'17): only keys whose hash falls under Rate are kept, and each one is
+// replayed through a ladder of one-shard caches of the served policy whose
+// capacities are an octave grid of sampled slots. A miniature of c slots
+// stands in for a cache of c/Rate real objects, so the curve is the served
+// policy's, not LRU's.
 //
 // The estimator is fed either by Observe (synchronous, tests and replays)
 // or by a Source staging ring drained on a background goroutine (the
@@ -138,19 +154,11 @@ func (sn *OnlineSnapshot) Signals(capacityItems int, bytesPerItem float64) Signa
 type Online struct {
 	rate      float64
 	threshold uint64
-	maxKeys   int
-	points    int
 	src       *obs.KeySampler
 
-	mu       sync.Mutex
-	last     map[uint64]int // sampled key -> last access position
-	tree     *fenwick       // marks live last-access positions
-	treeSize int
-	pos      int     // next access position in the (compacted) stream
-	hist     []int64 // hist[d] = sampled accesses with scaled distance d; hist[maxKeys] = overflow
-	cold     int64
-	sampled  int64
-	maxLive  int // high-water mark of len(last), sizes the curve domain
+	mu      sync.Mutex
+	minis   [miniatures]*miniature
+	sampled int64
 
 	snap     atomic.Pointer[OnlineSnapshot]
 	drainBuf []uint64
@@ -165,23 +173,23 @@ func NewOnline(cfg OnlineConfig) (*Online, error) {
 	if cfg.Rate <= 0 || cfg.Rate > 1 {
 		return nil, fmt.Errorf("mrc: online sample rate %v outside (0, 1]", cfg.Rate)
 	}
-	if cfg.MaxKeys <= 0 {
-		cfg.MaxKeys = 1 << 16
-	}
-	if cfg.CurvePoints <= 0 {
-		cfg.CurvePoints = 32
+	if cfg.Cache == nil {
+		return nil, fmt.Errorf("mrc: online estimator needs a Cache constructor")
 	}
 	o := &Online{
 		rate:      cfg.Rate,
 		threshold: uint64(cfg.Rate * (1 << 32)),
-		maxKeys:   cfg.MaxKeys,
-		points:    cfg.CurvePoints,
 		src:       cfg.Source,
-		last:      make(map[uint64]int, cfg.MaxKeys/4+1),
-		treeSize:  2 * cfg.MaxKeys,
-		hist:      make([]int64, cfg.MaxKeys+1),
 	}
-	o.tree = newFenwick(o.treeSize)
+	for i := range o.minis {
+		c, err := cfg.Cache(minSlots << i)
+		if err != nil {
+			return nil, err
+		}
+		m := &miniature{c: c}
+		c.SetEvictHook(func(uint64, obs.Reason) { m.evicted = true })
+		o.minis[i] = m
+	}
 	o.snap.Store(o.buildSnapshot())
 	return o, nil
 }
@@ -201,115 +209,48 @@ func (o *Online) Observe(id uint64) {
 	o.mu.Unlock()
 }
 
-// observeSampled runs one Mattson step for a key that already passed the
-// spatial filter. Caller holds o.mu.
+// observeSampled replays one access that already passed the spatial filter
+// through every miniature: a get, and a set on a miss. Caller holds o.mu.
 func (o *Online) observeSampled(id uint64) {
-	// Compact before touching the tree: renumbering must see every live
-	// key with exactly one mark, so it cannot interleave with a step that
-	// has removed a key's old mark but not yet placed its new one.
-	if o.pos == o.treeSize {
-		o.compact()
-	}
-	if p, ok := o.last[id]; ok {
-		d := o.tree.prefix(o.pos-1) - o.tree.prefix(p)
-		o.tree.add(p, -1)
-		if d >= o.maxKeys {
-			d = o.maxKeys // overflow bucket: "misses at every covered size"
+	for _, m := range o.minis {
+		if _, ok := m.c.Get(id); ok {
+			m.hits++
+		} else {
+			m.c.Set(id, 1)
 		}
-		o.hist[d]++
-	} else {
-		o.cold++
 	}
-	o.tree.add(o.pos, 1)
-	o.last[id] = o.pos
-	o.pos++
 	o.sampled++
-	if len(o.last) > o.maxLive {
-		o.maxLive = len(o.last)
-	}
-}
-
-// compact renumbers live positions to 0..k-1 in recency order and rebuilds
-// the Fenwick tree, so the position counter can keep growing forever in a
-// fixed-size tree. If more than maxKeys keys are live, the oldest are
-// forgotten (their next access will count as cold — indistinguishable from
-// a miss at every size the curve covers). Caller holds o.mu.
-func (o *Online) compact() {
-	type keyPos struct {
-		key uint64
-		pos int
-	}
-	live := make([]keyPos, 0, len(o.last))
-	for k, p := range o.last {
-		live = append(live, keyPos{k, p})
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].pos < live[j].pos })
-	if len(live) > o.maxKeys {
-		drop := len(live) - o.maxKeys
-		for _, kp := range live[:drop] {
-			delete(o.last, kp.key)
-		}
-		live = live[drop:]
-	}
-	o.tree = newFenwick(o.treeSize)
-	for i, kp := range live {
-		o.last[kp.key] = i
-		o.tree.add(i, 1)
-	}
-	o.pos = len(live)
 }
 
 // buildSnapshot assembles a snapshot from current state. Caller holds o.mu
 // (or has exclusive access during construction).
 func (o *Online) buildSnapshot() *OnlineSnapshot {
+	largest := o.minis[miniatures-1]
 	sn := &OnlineSnapshot{
 		At:              time.Now(),
 		Rate:            o.rate,
-		TrackedKeys:     len(o.last),
+		TrackedKeys:     largest.c.Len(),
 		SampledAccesses: o.sampled,
-		ColdMisses:      o.cold,
+		ColdMisses:      o.sampled - largest.hits,
 		Dropped:         o.src.Dropped(),
 	}
 	sn.EstimatedAccesses = int64(float64(o.sampled) / o.rate)
-	// The curve domain starts where a real size covers at least 16 sampled
-	// slots — below that the binomial spread on sampled distances (±1/√x
-	// relative) drowns the estimate — and runs up to the sampled working
-	// set scaled back to real objects.
-	lo := int(16 / o.rate)
-	if lo < 1 {
-		lo = 1
-	}
-	hi := int(float64(o.maxLive) / o.rate)
-	if hi < lo+1 {
-		hi = lo + 1
-	}
-	sn.MaxSize = hi
-	sizes := LogSizes(lo, hi, o.points)
-	sn.Curve = Curve{Policy: "lru~shards-online", Sizes: sizes}
-	if o.sampled == 0 {
-		sn.Curve.Ratios = ones(len(sizes))
-		return sn
-	}
-	// cum[c] = sampled accesses with scaled distance < c.
-	cum := make([]int64, len(o.hist)+1)
-	for d, n := range o.hist {
-		cum[d+1] = cum[d] + n
-	}
-	for _, s := range sizes {
-		// A real size s holds s·rate sampled slots — usually not an
-		// integer, so interpolate between the bracketing counts instead of
-		// flooring (flooring overstates the miss ratio at small sizes,
-		// where one sampled slot stands in for 1/rate real objects).
-		x := float64(s) * o.rate
-		c := int(x)
-		var hits float64
-		if c >= o.maxKeys {
-			hits = float64(cum[o.maxKeys])
-		} else {
-			hits = float64(cum[c]) + (x-float64(c))*float64(cum[c+1]-cum[c])
+	sn.Curve = Curve{Policy: "shards-online"}
+	// One point per miniature, up to the first that never evicted: every
+	// larger one holds the same keys and scores the same hits.
+	for i, m := range o.minis {
+		miss := 1.0
+		if o.sampled > 0 {
+			miss = 1 - float64(m.hits)/float64(o.sampled)
 		}
-		sn.Curve.Ratios = append(sn.Curve.Ratios, 1-hits/float64(o.sampled))
+		slots := minSlots << i
+		sn.Curve.Sizes = append(sn.Curve.Sizes, int(math.Round(float64(slots)/o.rate)))
+		sn.Curve.Ratios = append(sn.Curve.Ratios, miss)
+		if !m.evicted {
+			break
+		}
 	}
+	sn.MaxSize = sn.Curve.Sizes[len(sn.Curve.Sizes)-1]
 	return sn
 }
 

@@ -6,10 +6,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// lruMiniature builds each of the estimator's miniatures as a one-shard
+// LRU cache, so its curve can be checked against exact Mattson LRU.
+func lruMiniature(capacity int) (concurrent.Cache, error) {
+	return concurrent.New("lru", capacity, concurrent.WithShards(1))
+}
 
 // zipfKeys draws n keys from a Zipf(alpha) popularity law over keyspace
 // distinct objects, scrambled so numeric adjacency carries no locality (the
@@ -28,7 +35,7 @@ func zipfKeys(seed int64, keyspace, n int, alpha float64) []uint64 {
 // offline exact LRU curve within 0.05 max abs error at every published size.
 func TestOnlineMatchesOfflineLRU(t *testing.T) {
 	keys := zipfKeys(11, 20000, 300000, 0.9)
-	o, err := NewOnline(OnlineConfig{Rate: 0.1})
+	o, err := NewOnline(OnlineConfig{Rate: 0.1, Cache: lruMiniature})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +66,11 @@ func TestOnlineMatchesOfflineLRU(t *testing.T) {
 		worst, len(sn.Curve.Sizes), sn.SampledAccesses, len(keys))
 }
 
-// At rate 1 with compaction forced many times over, the estimator is the
-// exact Mattson algorithm: its curve must equal the offline LRU curve to
-// floating-point precision at every size under MaxKeys.
-func TestOnlineExactAtRateOneWithCompaction(t *testing.T) {
-	keys := zipfKeys(7, 50, 5000, 0.8) // 50 live keys, maxKeys 64 → treeSize 128: ~39 compactions
-	o, err := NewOnline(OnlineConfig{Rate: 1, MaxKeys: 64})
+// At rate 1 the LRU miniatures are exact LRU caches: the curve must equal
+// the offline Mattson curve to floating-point precision at every size.
+func TestOnlineExactAtRateOne(t *testing.T) {
+	keys := zipfKeys(7, 50, 5000, 0.8) // 50 live keys: miniatures of 16 and 32 evict, 64 holds them all
+	o, err := NewOnline(OnlineConfig{Rate: 1, Cache: lruMiniature})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +93,20 @@ func TestOnlineExactAtRateOneWithCompaction(t *testing.T) {
 	}
 }
 
-// Compaction dropping keys beyond MaxKeys must not corrupt the tracked set:
-// the estimator keeps running and tracked keys stay bounded by 2×MaxKeys
-// (the tree size — compaction trims back to MaxKeys each time it fires).
-func TestOnlineCompactionBoundsTrackedKeys(t *testing.T) {
-	o, err := NewOnline(OnlineConfig{Rate: 1, MaxKeys: 32})
+// The miniatures bound the tracked set: 70,000 distinct keys at rate 1
+// overflow even the largest, which then holds at most its 65,536 slots,
+// and every access is a miss at every size.
+func TestOnlineBoundsTrackedKeys(t *testing.T) {
+	o, err := NewOnline(OnlineConfig{Rate: 1, Cache: lruMiniature})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
+	for i := 0; i < 70000; i++ {
 		o.Observe(uint64(i)*0x9e3779b97f4a7c15 + 1) // all distinct: worst case
 	}
 	sn := o.Publish()
-	if sn.TrackedKeys > 64 {
-		t.Fatalf("tracked %d keys, bound is 2×MaxKeys = 64", sn.TrackedKeys)
+	if sn.TrackedKeys > maxSlots {
+		t.Fatalf("tracked %d keys, bound is the largest miniature's %d", sn.TrackedKeys, maxSlots)
 	}
 	if sn.ColdMisses != sn.SampledAccesses {
 		t.Fatalf("all-distinct stream: cold %d != sampled %d", sn.ColdMisses, sn.SampledAccesses)
@@ -112,17 +118,60 @@ func TestOnlineCompactionBoundsTrackedKeys(t *testing.T) {
 	}
 }
 
+// The estimator predicts the served policy, not LRU: on five families at a
+// cache of 5 % of the objects, the QDLP miniatures' 1x prediction at rate
+// 0.1 lands within 0.02 of a 16-shard QDLP cache's live hit ratio, while
+// exact LRU at the same size is more than 0.03 off on at least three.
+func TestOnlinePredictsServedHitRatio(t *testing.T) {
+	qdlp := func(capacity int) (concurrent.Cache, error) {
+		return concurrent.New("qdlp", capacity, concurrent.WithShards(1))
+	}
+	lruOff := 0
+	for _, name := range []string{"majorcdn", "tencentphoto", "twitter", "msr", "wikicdn"} {
+		fam, _ := workload.FamilyByName(name)
+		tr := fam.Generate(1, 50000, 500000)
+		capacity := tr.UniqueObjects() / 20
+		live, err := concurrent.New("qdlp", capacity, concurrent.WithShards(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := NewOnline(OnlineConfig{Rate: 0.1, Cache: qdlp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tr.Requests {
+			if _, ok := live.Get(r.Key); !ok {
+				live.Set(r.Key, 1)
+			}
+			o.Observe(r.Key)
+		}
+		got := live.Stats().HitRatio()
+		predicted := o.Publish().Signals(capacity, 0).Scales[1].HitRatio
+		lru := 1 - LRU(tr.Requests, []int{capacity}).Ratios[0]
+		t.Logf("%s: live %.4f, predicted %.4f, exact LRU %.4f", name, got, predicted, lru)
+		if d := math.Abs(predicted - got); d > 0.02 {
+			t.Errorf("%s: predicted 1x hit ratio %.4f, live %.4f (off %.4f > 0.02)", name, predicted, got, d)
+		}
+		if math.Abs(lru-got) > 0.03 {
+			lruOff++
+		}
+	}
+	if lruOff < 3 {
+		t.Errorf("exact LRU is more than 0.03 off the live QDLP hit ratio on %d families, want at least 3", lruOff)
+	}
+}
+
 // The Source staging path must deliver the same estimate as direct Observe.
 // One staging ring keeps arrival order fully intact (multi-ring staging only
 // reorders across keys within a drain window), so the curves match exactly.
 func TestOnlineSourceFed(t *testing.T) {
 	keys := zipfKeys(3, 5000, 60000, 0.9)
 	smp := obs.NewKeySampler(0.1, 1, 1<<16) // one ring, big enough that nothing drops
-	src, err := NewOnline(OnlineConfig{Rate: 0.1, Source: smp})
+	src, err := NewOnline(OnlineConfig{Rate: 0.1, Cache: lruMiniature, Source: smp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := NewOnline(OnlineConfig{Rate: 0.1})
+	direct, err := NewOnline(OnlineConfig{Rate: 0.1, Cache: lruMiniature})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +196,14 @@ func TestOnlineSourceFed(t *testing.T) {
 
 func TestNewOnlineRejectsBadRate(t *testing.T) {
 	for _, rate := range []float64{0, -0.5, 1.5} {
-		if _, err := NewOnline(OnlineConfig{Rate: rate}); err == nil {
+		if _, err := NewOnline(OnlineConfig{Rate: rate, Cache: lruMiniature}); err == nil {
 			t.Fatalf("rate %v accepted", rate)
 		}
 	}
 }
 
 func TestOnlineSnapshotNeverNil(t *testing.T) {
-	o, err := NewOnline(OnlineConfig{Rate: 0.5})
+	o, err := NewOnline(OnlineConfig{Rate: 0.5, Cache: lruMiniature})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +218,7 @@ func TestOnlineSnapshotNeverNil(t *testing.T) {
 
 func TestSignals(t *testing.T) {
 	sn := &OnlineSnapshot{Curve: Curve{
-		Policy: "lru~shards-online",
+		Policy: "shards-online",
 		Sizes:  []int{100, 1000, 10000},
 		Ratios: []float64{0.8, 0.4, 0.1},
 	}}
@@ -208,7 +257,7 @@ func TestScaleLabelsMatchFactors(t *testing.T) {
 
 func TestOnlineStartStop(t *testing.T) {
 	smp := obs.NewKeySampler(1, 1, 64)
-	o, err := NewOnline(OnlineConfig{Rate: 1, Source: smp})
+	o, err := NewOnline(OnlineConfig{Rate: 1, Cache: lruMiniature, Source: smp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (r *sampleRing) offer(id uint64) {
 //
 // Rings are selected by a second, independent mix of the digest, so one key
 // always lands in one ring: per-key arrival order is preserved, which is
-// what a reuse-distance estimator needs. Ordering *across* keys is only
+// what a replay through miniature caches needs. Ordering *across* keys is only
 // preserved within a ring; the estimator tolerates cross-key reorder
 // bounded by one drain interval.
 type KeySampler struct {

@@ -119,8 +119,9 @@ func buildMRCDump(sn *mrc.OnlineSnapshot, sig mrc.Signals, now time.Time) mrcDum
 
 // writeMRCText renders the curve and signals in the stable line form
 // (golden-tested): header comments, one `signal` line per capacity scale,
-// one `point` line per curve size. Hit ratios on point lines are monotone
-// non-decreasing in size by construction — the tier-1 smoke asserts it.
+// one `point` line per curve size. Hit ratios on point lines are the
+// served policy's; only an LRU server's are monotone in size by
+// construction.
 func writeMRCText(w io.Writer, d mrcDump) {
 	fmt.Fprintf(w, "# mrc rate=%.4f tracked_keys=%d sampled=%d est_accesses=%d cold=%d dropped=%d max_size=%d age=%.1fs\n",
 		d.Rate, d.TrackedKeys, d.SampledAccesses, d.EstimatedAccesses, d.ColdMisses, d.Dropped, d.MaxSize, d.AgeSeconds)

@@ -11,14 +11,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/metrics"
 	"repro/internal/mrc"
 	"repro/internal/telemetry"
 )
 
-// The text forms of /debug/mrc and /debug/series are scraped by tier1's
-// smoke (awk over `point` lines) and eyeballed in incidents, so their line
-// layout is pinned exactly here.
+// The text forms of /debug/mrc and /debug/series are scraped by scripts
+// (TestBinaries reads `point` lines) and eyeballed in incidents, so their
+// line layout is pinned exactly here.
 func TestWriteMRCTextStable(t *testing.T) {
 	d := mrcDump{
 		Rate:              0.25,
@@ -80,12 +81,14 @@ func TestWriteSeriesTextStable(t *testing.T) {
 	}
 }
 
-// mrcTestEstimator builds an estimator with a published curve: rate 1 so
-// every key is sampled, a few rounds over a small keyspace so the curve
-// shows real hits.
-func mrcTestEstimator(t *testing.T) *mrc.Online {
+// mrcTestEstimator builds an estimator with a published curve: at rate 1
+// every key is sampled, and a few rounds over a small keyspace make the
+// curve show real hits. Its miniatures are LRU, whose hit curve is monotone.
+func mrcTestEstimator(t *testing.T, rate float64) *mrc.Online {
 	t.Helper()
-	o, err := mrc.NewOnline(mrc.OnlineConfig{Rate: 1, MaxKeys: 1 << 12, CurvePoints: 16})
+	o, err := mrc.NewOnline(mrc.OnlineConfig{Rate: rate, Cache: func(c int) (concurrent.Cache, error) {
+		return concurrent.New("lru", c, concurrent.WithShards(1))
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +102,10 @@ func mrcTestEstimator(t *testing.T) *mrc.Online {
 
 // TestDebugMRCEndpoint drives /debug/mrc end to end on a live server with
 // the estimator configured: the text form must carry a monotone
-// non-decreasing hit curve (the tier-1 smoke's invariant), the JSON form
+// non-decreasing hit curve (LRU miniatures' invariant), the JSON form
 // must round-trip the same snapshot, and a bogus format is a 400.
 func TestDebugMRCEndpoint(t *testing.T) {
-	online := mrcTestEstimator(t)
+	online := mrcTestEstimator(t, 1)
 	srv, _ := startServer(t, func(cfg *Config) { cfg.MRC = online })
 	admin := httptest.NewServer(srv.AdminMux(nil))
 	defer admin.Close()
@@ -170,6 +173,54 @@ func TestDebugMRCEndpoint(t *testing.T) {
 	}
 }
 
+// A /metrics scrape of a server with the estimator configured carries
+// every cache_mrc_* family: the predicted hit ratio at each of the four
+// scales, and the sampling rate the estimator runs at.
+func TestAdminMetricsMRCFamilies(t *testing.T) {
+	reg := metrics.NewRegistry()
+	online := mrcTestEstimator(t, 0.25)
+	srv, _ := startServer(t, func(cfg *Config) { cfg.Metrics, cfg.MRC = reg, online })
+	admin := httptest.NewServer(srv.AdminMux(reg))
+	defer admin.Close()
+	resp, err := admin.Client().Get(admin.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]string{} // series (name and labels) → value
+	families := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		samples[series] = value
+		name, _, _ := strings.Cut(series, "{")
+		families[name] = true
+	}
+	for _, family := range []string{
+		"cache_mrc_predicted_hit_ratio", "cache_mrc_marginal_hit_ratio_per_mib",
+		"cache_mrc_sample_rate", "cache_mrc_tracked_keys",
+		"cache_mrc_sampled_accesses_total", "cache_mrc_samples_dropped_total",
+	} {
+		if !families[family] {
+			t.Errorf("/metrics has no %s family", family)
+		}
+	}
+	for _, label := range mrc.ScaleLabels() {
+		if _, ok := samples[`cache_mrc_predicted_hit_ratio{scale="`+label+`"}`]; !ok {
+			t.Errorf("/metrics has no cache_mrc_predicted_hit_ratio at scale %s", label)
+		}
+	}
+	if got := samples["cache_mrc_sample_rate"]; got != "0.25" {
+		t.Errorf("cache_mrc_sample_rate = %q, want 0.25", got)
+	}
+}
+
 // Without -mrc-sample the endpoint stays mounted and answers 200 with an
 // explicit disabled marker in both forms, so dashboards need no config
 // awareness.
@@ -204,7 +255,7 @@ func TestDebugMRCDisabled(t *testing.T) {
 // cluster router and cacheload harvest: full field set with an estimator,
 // `STAT enabled 0` without one.
 func TestStatsMRCOverProtocol(t *testing.T) {
-	online := mrcTestEstimator(t)
+	online := mrcTestEstimator(t, 1)
 	_, addr := startServer(t, func(cfg *Config) { cfg.MRC = online })
 	rc := dialRaw(t, addr)
 	rc.send("stats mrc\r\n")
