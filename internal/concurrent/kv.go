@@ -107,11 +107,11 @@ func NewKV(inner Cache, dataShards int) *KV {
 }
 
 // SetSampler attaches a spatial key sampler to the read path: every get
-// request's digest (hit or miss — the reuse-distance estimator needs the
-// full access stream) is Offered before the lookup. Offer is lock-free and
-// allocation-free, so the hit path stays 0 allocs/op with sampling on.
-// Call before the store is shared. Writes (set/delete) are not sampled: an
-// LRU miss-ratio curve models read reuse.
+// request's digest (hit or miss — mrc.Online's miniatures of the served
+// policy replay the full read stream) is Offered before the lookup. Offer
+// is lock-free and allocation-free, so the hit path stays 0 allocs/op with
+// sampling on. Call before the store is shared. Writes (set/delete) are not
+// sampled: the curve predicts the get hit ratio.
 func (kv *KV) SetSampler(smp *obs.KeySampler) {
 	kv.smp = smp
 }

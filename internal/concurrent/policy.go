@@ -14,7 +14,7 @@ import (
 // len(key)+len(value) when a byte-capped cache accounts an object. What an
 // object really costs beyond its payload is more: its 96 B slab node (the
 // slot that holds its header, plus key and list links), about 32 B of the
-// index's at most half-full 16 B cells, and its buffer's class slack: up to
+// index's at most quarter-full 8 B cells, and its buffer's class slack: up to
 // an eighth of its payload, or the rest of the 64 B smallest class (see
 // pool.go). The constant stays 64 anyway:
 // changing it would move every byte-capped eviction decision and the

@@ -5,9 +5,11 @@
 // T1/T2/B1/B2; Quick Demotion's probation and ghost; MGLRU's generations) can
 // be threaded through the same slab.
 //
-// A lookup is one multiplicative hash and a linear probe over 16-byte cells,
-// an insertion takes a slot from the free list, and moving a slot between
-// lists (ARC's T1→B1, QD's probation→ghost) never touches the table.
+// A lookup is one multiplicative hash and a linear probe over a table, at
+// most a quarter full, of 8-byte {fingerprint, slot} cells, confirmed
+// against the node's key; an insertion takes a slot from the free list, and
+// moving a slot between lists (ARC's T1→B1, QD's probation→ghost) never
+// touches the table.
 // Deletion shifts the following cluster back instead of leaving a tombstone,
 // so ghost churn does not degrade probes. Table and slab start small and
 // grow by doubling, up to what the bound needs and never past it: a policy
@@ -31,10 +33,14 @@ const (
 	minCells = 8
 )
 
+// A cell's fp is the high 32 bits of key*phi, whose top log2(len(cells))
+// bits are the key's home cell, so a shift or rehash needs no node load.
 type cell struct {
-	key uint64
+	fp  uint32
 	ref int32 // slot of the key's node; 0 marks an empty cell
 }
+
+func fingerprint(key uint64) uint32 { return uint32(key * phi >> 32) }
 
 type node[T any] struct {
 	key        uint64
@@ -44,8 +50,8 @@ type node[T any] struct {
 
 // Index maps keys to slots and holds each slot's key, value and list links.
 type Index[T any] struct {
-	cells []cell // power-of-two length, at most half full
-	shift uint   // 64 − log2(len(cells))
+	cells []cell // power-of-two length, at most a quarter full
+	shift uint   // 32 − log2(len(cells))
 	nodes []node[T]
 	free  int32 // head of the free-slot list, 0 when empty
 	n     int
@@ -76,7 +82,7 @@ func New[T any](bound int) *Index[T] {
 	}
 	return &Index[T]{
 		cells: make([]cell, minCells),
-		shift: 64 - uint(bits.TrailingZeros(minCells)),
+		shift: 32 - uint(bits.TrailingZeros(minCells)),
 		nodes: make([]node[T], 1, min(bound, minCells)+1),
 		bound: bound,
 	}
@@ -87,11 +93,11 @@ func (x *Index[T]) Len() int { return x.n }
 
 // Find returns key's slot, or 0 when the key is absent.
 func (x *Index[T]) Find(key uint64) int32 {
+	fp := fingerprint(key)
 	mask := uint(len(x.cells) - 1)
-	for i := uint(key * phi >> x.shift); ; i++ {
-		c := &x.cells[i&mask]
-		if c.key == key || c.ref == 0 {
-			// An empty cell holds ref 0 whatever key is asked for.
+	for i := uint(fp >> x.shift); ; i++ {
+		c := x.cells[i&mask]
+		if c.ref == 0 || c.fp == fp && x.nodes[c.ref].key == key {
 			return c.ref
 		}
 	}
@@ -103,13 +109,14 @@ func (x *Index[T]) Insert(key uint64) int32 {
 	if x.n >= x.bound {
 		panic("slab: Insert past the bound")
 	}
-	if 2*(x.n+1) > len(x.cells) {
+	if 4*(x.n+1) > len(x.cells) {
 		x.rehash(2 * len(x.cells))
 	}
+	fp := fingerprint(key)
 	mask := uint(len(x.cells) - 1)
-	i := uint(key * phi >> x.shift)
+	i := uint(fp >> x.shift)
 	for ; x.cells[i&mask].ref != 0; i++ {
-		if x.cells[i&mask].key == key {
+		if c := x.cells[i&mask]; c.fp == fp && x.nodes[c.ref].key == key {
 			panic("slab: Insert of a key already present")
 		}
 	}
@@ -126,7 +133,7 @@ func (x *Index[T]) Insert(key uint64) int32 {
 		x.nodes = x.nodes[:slot+1]
 	}
 	x.nodes[slot] = node[T]{key: key}
-	x.cells[i&mask] = cell{key: key, ref: slot}
+	x.cells[i&mask] = cell{fp: fp, ref: slot}
 	x.n++
 	return slot
 }
@@ -136,7 +143,7 @@ func (x *Index[T]) Insert(key uint64) int32 {
 func (x *Index[T]) Remove(l *List, slot int32) {
 	x.Unlink(l, slot)
 	mask := uint(len(x.cells) - 1)
-	i := uint(x.nodes[slot].key * phi >> x.shift)
+	i := uint(fingerprint(x.nodes[slot].key) >> x.shift)
 	for x.cells[i&mask].ref != slot {
 		i++
 	}
@@ -148,7 +155,7 @@ func (x *Index[T]) Remove(l *List, slot int32) {
 		if c.ref == 0 {
 			break
 		}
-		home := uint(c.key * phi >> x.shift)
+		home := uint(c.fp >> x.shift)
 		if (j-home)&mask >= (j-i)&mask {
 			x.cells[i&mask] = c
 			i = j
@@ -163,13 +170,13 @@ func (x *Index[T]) Remove(l *List, slot int32) {
 func (x *Index[T]) rehash(size int) {
 	old := x.cells
 	x.cells = make([]cell, size)
-	x.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	x.shift = 32 - uint(bits.TrailingZeros(uint(size)))
 	mask := uint(size - 1)
 	for _, c := range old {
 		if c.ref == 0 {
 			continue
 		}
-		i := uint(c.key * phi >> x.shift)
+		i := uint(c.fp >> x.shift)
 		for x.cells[i&mask].ref != 0 {
 			i++
 		}

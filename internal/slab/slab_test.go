@@ -159,7 +159,7 @@ func TestAgainstModel(t *testing.T) {
 func keysWithHome(x *Index[uint64], home uint, n int) []uint64 {
 	var out []uint64
 	for k := uint64(1); len(out) < n; k++ {
-		if uint(k*phi>>x.shift) == home {
+		if uint(fingerprint(k)>>x.shift) == home {
 			out = append(out, k)
 		}
 	}
@@ -171,16 +171,16 @@ func keysWithHome(x *Index[uint64], home uint, n int) []uint64 {
 // keys left must stay findable, and the keys shifted back over the wrap must
 // land where a probe from their home reaches them.
 func TestBackwardShiftAcrossWrap(t *testing.T) {
-	probe := New[uint64](8) // 8 keys at most half fill 16 cells
+	probe := New[uint64](8) // 8 keys at most a quarter fill 32 cells
 	for i := 0; i < 5; i++ {
-		probe.Insert(uint64(1000 + i)) // grow to 16 cells
+		probe.Insert(uint64(1000 + i)) // grow to 32 cells
 	}
 	last := uint(len(probe.cells) - 1)
-	if last != 15 {
-		t.Fatalf("table has %d cells, the test expects 16", last+1)
+	if last != 31 {
+		t.Fatalf("table has %d cells, the test expects 32", last+1)
 	}
 	cluster := append(keysWithHome(probe, last-1, 2), keysWithHome(probe, last, 3)...)
-	cluster = append(cluster, keysWithHome(probe, 0, 2)...) // cells 14,15 | 15→0,1,2 | 0→3,4
+	cluster = append(cluster, keysWithHome(probe, 0, 2)...) // cells 30,31 | 31→0,1,2 | 0→3,4
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
 		h := newHarness(t, 8, 1)
@@ -190,13 +190,13 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 		for len(h.keys) > 0 {
 			h.remove(0)
 		}
-		if len(h.x.cells) != 16 {
-			t.Fatalf("table has %d cells", len(h.x.cells))
-		}
 		for _, i := range rng.Perm(len(cluster)) {
 			h.insert(cluster[i], 0, false)
 		}
-		if h.x.cells[0].ref == 0 || h.x.cells[15].ref == 0 {
+		if len(h.x.cells) != 32 {
+			t.Fatalf("table has %d cells", len(h.x.cells))
+		}
+		if h.x.cells[0].ref == 0 || h.x.cells[31].ref == 0 {
 			t.Fatal("the cluster does not span the wrap")
 		}
 		for len(h.keys) > 0 {
@@ -208,6 +208,36 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 				t.Fatalf("cell left behind: %+v", c)
 			}
 		}
+	}
+}
+
+// TestFingerprintCollision: keys h*phi⁻¹ hash to h, so keys whose h share
+// the high 32 bits share a home and a fingerprint, and only the node's key
+// tells them apart.
+func TestFingerprintCollision(t *testing.T) {
+	var phiInverse uint64 = 0xF1DE83E19937733D // phi * phiInverse = 1 mod 2^64
+	a, b, absent := 0xABCD1234_00000001*phiInverse, 0xABCD1234_00000002*phiInverse, 0xABCD1234_00000003*phiInverse
+	if fingerprint(a) != fingerprint(b) || fingerprint(a) != fingerprint(absent) || a == b {
+		t.Fatal("the keys do not collide")
+	}
+	for _, first := range []uint64{a, b} {
+		h := newHarness(t, 4, 1)
+		h.insert(a, 0, false)
+		h.insert(b, 0, false)
+		h.check()
+		if h.x.Find(absent) != 0 {
+			t.Fatal("an absent key sharing the fingerprint was found")
+		}
+		mustPanic(t, "Insert of the first colliding key", func() { h.x.Insert(a) })
+		mustPanic(t, "Insert of the second colliding key", func() { h.x.Insert(b) })
+		i := slices.Index(h.keys, first)
+		h.remove(i)
+		h.check() // the other key is still found, by its own slot
+		if h.x.Find(first) != 0 {
+			t.Fatalf("removed key %#x still found", first)
+		}
+		h.insert(first, 0, true)
+		h.check()
 	}
 }
 
@@ -288,12 +318,12 @@ func TestGrowsByDoublingUpToTheBound(t *testing.T) {
 			}
 			cells = len(x.cells)
 		}
-		if 2*x.Len() > len(x.cells) {
+		if 4*x.Len() > len(x.cells) {
 			t.Fatalf("%d keys in %d cells", x.Len(), len(x.cells))
 		}
 	}
-	if cells != 2048 || cap(x.nodes) != bound+1 {
-		t.Fatalf("full index: %d cells (want 2048), %d nodes (want %d)", cells, cap(x.nodes), bound+1)
+	if cells != 4096 || cap(x.nodes) != bound+1 {
+		t.Fatalf("full index: %d cells (want 4096), %d nodes (want %d)", cells, cap(x.nodes), bound+1)
 	}
 	next := uint64(bound)
 	if allocs := testing.AllocsPerRun(5000, func() {
@@ -303,7 +333,7 @@ func TestGrowsByDoublingUpToTheBound(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("%v allocs per delete+insert on a full index", allocs)
 	}
-	if len(x.cells) != 2048 || cap(x.nodes) != bound+1 {
+	if len(x.cells) != 4096 || cap(x.nodes) != bound+1 {
 		t.Fatal("churn at the bound grew the index")
 	}
 }
